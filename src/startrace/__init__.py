@@ -40,7 +40,6 @@ from startrace.gsdecomp import (
     bump_generate,
     decomposition_residual,
     grid_bracket,
-    grid_calculus,
     gs_decompose,
     plateau_generate,
     tapered_generate,
@@ -105,7 +104,6 @@ __all__ = [
     "gauss_integrate_exact",
     "gauss_pullback_linear",
     "grid_bracket",
-    "grid_calculus",
     "gs_decompose",
     "is_symplectic",
     "moyal_construct",

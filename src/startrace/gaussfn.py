@@ -6,8 +6,8 @@ they integrate to exactly representable values, and integration by parts
 never produces boundary terms.  A :class:`GaussFn` is a finite sum of
 terms ``P(x) * exp(-t|x|^2/2 + b.x + c)`` with rational data; linear
 pullbacks that break the isotropy of the quadratic part yield a
-:class:`GeneralGaussFn`, which only the arbitrary-precision backend
-consumes.
+:class:`GeneralGaussFn`, whose integrals :func:`gauss_integrate_bigfloat`
+evaluates at arbitrary precision.
 
 Exact integrals land in :class:`IntegralValue`, the ring of values
 ``pi^k * sum_j r_j e^{s_j}`` with rational ``r_j, s_j``.  Its zero test
@@ -61,10 +61,6 @@ class IntegralValue:
     @classmethod
     def zero(cls):
         return cls(0, {})
-
-    @classmethod
-    def from_rational(cls, r):
-        return cls(0, {Fraction(0): _as_fraction(r)})
 
     def is_zero(self):
         return not self.terms
@@ -156,9 +152,6 @@ class IntegralValue:
             val = total * mpmath.pi**self.pi_power
             return +val
 
-    def __float__(self):
-        return float(self.as_mpf(30))
-
     def __str__(self):
         if self.is_zero():
             return "0"
@@ -189,9 +182,10 @@ def _as_vector(space, b):
 class GaussFn:
     """Finite sum of terms ``P(x) * exp(-t|x|^2/2 + b.x + c)``.
 
-    Terms sharing an exponent ``(t, b, c)`` are merged; a term is
-    integrable iff ``t > 0``.  Purely polynomial terms (``t = 0``) are
-    allowed so the class absorbs products with coefficient functions.
+    Terms sharing an exponent ``(t, b, c)`` are merged; a term has a
+    convergent integral iff ``t > 0``.  Purely polynomial terms
+    (``t = 0``) are allowed so the class absorbs products with
+    coefficient functions.
     """
 
     __slots__ = ("space", "terms")
@@ -235,9 +229,6 @@ class GaussFn:
 
     def is_zero(self):
         return not self.terms
-
-    def integrable(self):
-        return all(t > 0 for (t, _, _) in self.terms)
 
     def _check_space(self, other):
         if self.space != other.space:
@@ -424,22 +415,8 @@ class GeneralGaussFn:
                 packed.append((poly, mat, _as_vector(space, b), _as_fraction(c)))
         self.terms = tuple(packed)
 
-    def pullback_linear(self, m):
-        rows = [[_as_fraction(v) for v in row] for row in m]
-        mt = mat_transpose(rows)
-        out = []
-        for poly, a, b, c in self.terms:
-            a2 = mat_mul(mt, mat_mul([list(r) for r in a], rows))
-            b2 = mat_vec(mt, list(b))
-            out.append((poly.pullback_linear(rows), a2, b2, c))
-        return GeneralGaussFn(self.space, out)
-
     def __repr__(self):
         return f"GeneralGaussFn({len(self.terms)} terms, n={self.space.n})"
-
-
-def gauss_diff(a, var):
-    return a.diff(var)
 
 
 def _double_factorial(k):
@@ -500,21 +477,15 @@ def _wick_moment(cov, counts):
 def _integrate_general_term(space, poly, a, b, c, precision):
     n = space.n
     neg_a = [[-v for v in row] for row in a]
-    det = mat_det(neg_a)
-    if det <= 0:
+    # Sylvester's criterion: -A is positive definite iff every leading
+    # principal minor is positive; the last one is the full determinant.
+    minors = [
+        mat_det([row[:k] for row in neg_a[:k]]) for k in range(1, len(neg_a) + 1)
+    ]
+    if any(m <= 0 for m in minors):
         raise NonIntegrableError("quadratic form is not negative definite")
+    det = minors[-1]
     cov = mat_inverse(neg_a)
-    # Leading principal minors of -A must all be positive, not just the
-    # full determinant; a Cholesky attempt checks this at working precision.
-    with mpmath.workdps(precision + 10):
-        entries = [
-            [mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator) for v in row]
-            for row in neg_a
-        ]
-        try:
-            mpmath.cholesky(mpmath.matrix(entries))
-        except ValueError as exc:
-            raise NonIntegrableError("quadratic form is not negative definite") from exc
     mu = mat_vec(cov, list(b))
     s = c + sum(bi * mi for bi, mi in zip(b, mu)) / 2
     centered = poly.translate(mu)
@@ -533,41 +504,20 @@ def _integrate_general_term(space, poly, a, b, c, precision):
         return base * expo * mom
 
 
-def gauss_integrate_bigfloat(a, precision=50, general_quadratic=None):
-    """Arbitrary-precision integral over R^{2n}.
+def gauss_integrate_bigfloat(a, precision=50):
+    """Arbitrary-precision integral of a :class:`GeneralGaussFn` over R^{2n}.
 
-    Accepts a :class:`GaussFn` (optionally with per-term quadratic-form
-    overrides in ``general_quadratic``, listed in term-key order) or a
-    :class:`GeneralGaussFn`.  Returns an mpmath float computed with
-    ``precision`` decimal digits plus guard digits.
+    This is the backend for anisotropic integrands, the pullbacks that
+    :func:`gauss_pullback_linear` cannot keep isotropic; isotropic
+    :class:`GaussFn` integrals are exact in :func:`gauss_integrate_exact`.
+    Returns an mpmath float computed with ``precision`` decimal digits
+    plus guard digits.
     """
+    if not isinstance(a, GeneralGaussFn):
+        raise TypeError("gauss_integrate_bigfloat expects a GeneralGaussFn")
     with mpmath.workdps(precision + 10):
         total = mpmath.mpf(0)
-        if isinstance(a, GeneralGaussFn):
-            if general_quadratic is not None:
-                raise ValueError("GeneralGaussFn terms already carry quadratic forms")
-            for poly, mat, b, c in a.terms:
-                total += _integrate_general_term(a.space, poly, mat, b, c, precision)
-            return +total
-        if not isinstance(a, GaussFn):
-            raise TypeError("gauss_integrate_bigfloat expects a Gaussian integrand")
-        keys = sorted(a.terms)
-        if general_quadratic is not None and len(general_quadratic) != len(keys):
-            raise ValueError("need one quadratic form per term")
-        for idx, key in enumerate(keys):
-            t, b, c = key
-            poly = a.terms[key]
-            if general_quadratic is not None:
-                mat = general_quadratic[idx]
-            else:
-                if t <= 0:
-                    raise NonIntegrableError(
-                        "term with t = 0 has no convergent integral"
-                    )
-                mat = [
-                    [(-t if i == j else Fraction(0)) for j in range(a.space.dim)]
-                    for i in range(a.space.dim)
-                ]
+        for poly, mat, b, c in a.terms:
             total += _integrate_general_term(a.space, poly, mat, b, c, precision)
         return +total
 

@@ -190,17 +190,6 @@ def grid_cumulative(f, axis):
     return GridFn(f.half_widths, f.points, c, f.margin_cells)
 
 
-def grid_calculus(f, op, axis=None):
-    """Dispatch helper: ``diff``/``cumulative`` need an axis, ``integrate`` none."""
-    if op == "diff":
-        return grid_diff(f, axis)
-    if op == "integrate":
-        return grid_integrate(f)
-    if op == "cumulative":
-        return grid_cumulative(f, axis)
-    raise ValueError(f"unknown grid operation {op!r}")
-
-
 def grid_translate(f, cells):
     """Shift by whole cells per axis; the support must stay inside the margin."""
     if len(cells) != f.dimension:
@@ -240,6 +229,11 @@ def _plateau_profile(t):
     return num / total
 
 
+def _cos8_profile(t):
+    """``cos(pi t / 2)^8`` inside (-1, 1), exactly zero outside."""
+    return np.where(np.abs(t) < 1, np.cos(np.pi * np.clip(t, -1, 1) / 2) ** 8, 0.0)
+
+
 def _broadcast(value, dimension):
     if np.isscalar(value):
         return (float(value),) * dimension
@@ -258,8 +252,11 @@ def _axis_profile_product(half_widths, points, per_axis):
     return values
 
 
-def bump_generate(dimension, half_widths, points_per_axis, support, margin_cells=8):
-    """Product bump supported in ``|x_i| < support_i``, unit Simpson integral."""
+def _unit_product_bump(
+    profile, dimension, half_widths, points_per_axis, support, margin_cells
+):
+    """Product of ``profile(x_i / support_i)`` over the axes, scaled to unit
+    Simpson integral; the support must clear the margin band by one cell."""
     half_widths = _broadcast(half_widths, dimension)
     support = _broadcast(support, dimension)
     h = [2 * w / (points_per_axis - 1) for w in half_widths]
@@ -271,11 +268,17 @@ def bump_generate(dimension, half_widths, points_per_axis, support, margin_cells
     profiles = []
     for axis in range(dimension):
         x = np.linspace(-half_widths[axis], half_widths[axis], points_per_axis)
-        profiles.append(_bump_profile(x / support[axis]))
+        profiles.append(profile(x / support[axis]))
     values = _axis_profile_product(half_widths, points_per_axis, profiles)
     f = GridFn(half_widths, points_per_axis, values, margin_cells)
-    total = grid_integrate(f)
-    return f * (1.0 / total)
+    return f * (1.0 / grid_integrate(f))
+
+
+def bump_generate(dimension, half_widths, points_per_axis, support, margin_cells=8):
+    """Product bump supported in ``|x_i| < support_i``, unit Simpson integral."""
+    return _unit_product_bump(
+        _bump_profile, dimension, half_widths, points_per_axis, support, margin_cells
+    )
 
 
 def tapered_generate(dimension, half_widths, points_per_axis, support, margin_cells=8):
@@ -285,24 +288,9 @@ def tapered_generate(dimension, half_widths, points_per_axis, support, margin_ce
     full rate on it; the canonical exp-profile bump has much larger high
     derivatives near the edge and dominates any residual it enters.
     """
-    half_widths = _broadcast(half_widths, dimension)
-    support = _broadcast(support, dimension)
-    h = [2 * w / (points_per_axis - 1) for w in half_widths]
-    for w, s, hi in zip(half_widths, support, h):
-        if s <= 0:
-            raise ValueError("support half widths must be positive")
-        if s >= w - (margin_cells + 1) * hi:
-            raise MarginError("support too large for the declared margin")
-    profiles = []
-    for axis in range(dimension):
-        x = np.linspace(-half_widths[axis], half_widths[axis], points_per_axis)
-        t = x / support[axis]
-        profiles.append(
-            np.where(np.abs(t) < 1, np.cos(np.pi * np.clip(t, -1, 1) / 2) ** 8, 0.0)
-        )
-    values = _axis_profile_product(half_widths, points_per_axis, profiles)
-    f = GridFn(half_widths, points_per_axis, values, margin_cells)
-    return f * (1.0 / grid_integrate(f))
+    return _unit_product_bump(
+        _cos8_profile, dimension, half_widths, points_per_axis, support, margin_cells
+    )
 
 
 def plateau_generate(

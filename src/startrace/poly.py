@@ -97,10 +97,6 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
-    def degree(self):
-        """Total degree, or -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def constant_term(self):
         return self.terms.get((0,) * self.space.dim, Fraction(0))
 
@@ -184,13 +180,9 @@ class Poly:
             total = val if total is None else total + val
         return Fraction(0) if total is None else total
 
-    def translate(self, shifts):
-        """Pull back along ``x -> x + a``: returns ``f(x + a)``."""
+    def _substitute(self, subs):
+        """``f(s_1, ..., s_2n)``: one Poly substituted per coordinate."""
         out = Poly.zero(self.space)
-        subs = [
-            Poly.variable(self.space, name) + Poly.constant(self.space, _as_fraction(a))
-            for name, a in zip(self.space.variables, shifts)
-        ]
         for exps, c in self.terms.items():
             term = Poly.constant(self.space, c)
             for sub, e in zip(subs, exps):
@@ -198,6 +190,16 @@ class Poly:
                     term = term * sub**e
             out = out + term
         return out
+
+    def translate(self, shifts):
+        """Pull back along ``x -> x + a``: returns ``f(x + a)``."""
+        return self._substitute(
+            [
+                Poly.variable(self.space, name)
+                + Poly.constant(self.space, _as_fraction(a))
+                for name, a in zip(self.space.variables, shifts)
+            ]
+        )
 
     def pullback_linear(self, matrix):
         """Pull back along ``x -> M x``: returns ``f(M x)``."""
@@ -211,14 +213,7 @@ class Poly:
                 if rows[j][k]:
                     acc = acc + Poly.variable(self.space, name) * rows[j][k]
             subs.append(acc)
-        out = Poly.zero(self.space)
-        for exps, c in self.terms.items():
-            term = Poly.constant(self.space, c)
-            for sub, e in zip(subs, exps):
-                if e:
-                    term = term * sub**e
-            out = out + term
-        return out
+        return self._substitute(subs)
 
     # -- comparison / rendering ---------------------------------------
 
@@ -304,10 +299,6 @@ def mat_mul(a, b):
 
 def mat_vec(m, v):
     return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in m]
-
-
-def mat_scale(m, c):
-    return [[v * c for v in row] for row in m]
 
 
 def mat_det(m):

@@ -22,7 +22,7 @@ from math import factorial
 from startrace.diffop import BiDiffOp, DiffOp
 from startrace.formal import FormalScalar
 from startrace.gaussfn import GaussFn, gauss_integrate_exact
-from startrace.poly import PhaseSpace, Poly
+from startrace.poly import Poly
 
 
 def poisson_cochain(space):
@@ -43,13 +43,13 @@ class StarProduct:
 
     ``cochains`` maps orders ``1..trunc_order`` to :class:`BiDiffOp`;
     missing orders mean a zero cochain.  Construction verifies that
-    ``C_1^-`` is the Poisson cochain (pass ``validate=False`` to build
-    deliberately broken products in tests).
+    ``C_1^-`` is the Poisson cochain, so every instance is a deformation
+    of the Poisson bracket in the fixed sign convention.
     """
 
     __slots__ = ("space", "trunc_order", "cochains")
 
-    def __init__(self, space, trunc_order, cochains, validate=True):
+    def __init__(self, space, trunc_order, cochains):
         if trunc_order < 1:
             raise ValueError("truncation order must be at least 1")
         clean = {}
@@ -60,10 +60,9 @@ class StarProduct:
                 raise ValueError("cochain lives on the wrong phase space")
             if not op.is_zero():
                 clean[r] = op
-        if validate:
-            c1 = clean.get(1, BiDiffOp.zero(space))
-            if c1.antisym() != poisson_cochain(space):
-                raise ValueError("first cochain does not antisymmetrize to the Poisson bracket")
+        c1 = clean.get(1, BiDiffOp.zero(space))
+        if c1.antisym() != poisson_cochain(space):
+            raise ValueError("first cochain does not antisymmetrize to the Poisson bracket")
         self.space = space
         self.trunc_order = trunc_order
         self.cochains = clean
@@ -92,13 +91,10 @@ def moyal_construct(space, trunc_order):
     """Moyal star product truncated at ``trunc_order``."""
     if trunc_order < 1:
         raise ValueError("truncation order must be at least 1")
-    n = space.n
-    generators = []
-    for i in range(n):
-        e_q = tuple(1 if a == i else 0 for a in range(space.dim))
-        e_p = tuple(1 if a == n + i else 0 for a in range(space.dim))
-        generators.append((e_p, e_q, 1))
-        generators.append((e_q, e_p, -1))
+    generators = [
+        (alpha, beta, c.constant_term())
+        for (alpha, beta), c in poisson_cochain(space).coeffs.items()
+    ]
     cochains = {}
     power = {((0,) * space.dim, (0,) * space.dim): Fraction(1)}
     for k in range(1, trunc_order + 1):
@@ -203,9 +199,9 @@ class EulerDerivation:
     normalization that makes nu-homogeneity arguments work.
     """
 
-    __slots__ = ("space", "x", "corrections", "has_nu_scaling")
+    __slots__ = ("space", "x", "corrections")
 
-    def __init__(self, space, x, corrections=None, has_nu_scaling=True):
+    def __init__(self, space, x, corrections=None):
         if x.space != space:
             raise ValueError("vector field lives on the wrong phase space")
         defect = conformality_defect(x)
@@ -222,16 +218,10 @@ class EulerDerivation:
         self.space = space
         self.x = x
         self.corrections = clean
-        self.has_nu_scaling = has_nu_scaling
 
     def apply(self, w):
         """Apply to a formal function (FormalScalar over Poly/GaussFn)."""
-        out = (
-            w.nu_scale_derivative()
-            if self.has_nu_scaling
-            else FormalScalar.zero(w.trunc_order)
-        )
-        out = out + _map_coeffs(w, self.x.apply)
+        out = w.nu_scale_derivative() + _map_coeffs(w, self.x.apply)
         for r, op in self.corrections.items():
             out = out + _map_coeffs(w, op.apply).shift(r).truncate(w.trunc_order)
         return out
@@ -243,7 +233,6 @@ class EulerDerivation:
             self.space == other.space
             and self.x == other.x
             and self.corrections == other.corrections
-            and self.has_nu_scaling == other.has_nu_scaling
         )
 
     def __repr__(self):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from startrace.formal import FormalScalar
 from startrace.gaussfn import GaussFn, IntegralValue, gauss_integrate_exact
 from startrace.poly import Poly
-from startrace.star import star_commutator, star_multiply
+from startrace.star import star_multiply
 
 
 class InconsistentTracesError(ValueError):
@@ -95,22 +95,6 @@ def _coerce_gauss_formal(space, u, trunc_order):
     raise TypeError(f"cannot interpret {type(u).__name__} as an integrand series")
 
 
-def _density_product(u, rho):
-    """Mixed-ring Cauchy product of a GaussFn series with a Poly series."""
-    if u.is_zero() or rho.is_zero():
-        return FormalScalar.zero(min(u.trunc_order, rho.trunc_order))
-    trunc = min(u.trunc_order + rho.min_degree, rho.trunc_order + u.min_degree)
-    out = {}
-    for i, g in u.coeffs.items():
-        for j, poly in rho.coeffs.items():
-            m = i + j
-            if m > trunc:
-                continue
-            term = g * poly
-            out[m] = out[m] + term if m in out else term
-    return FormalScalar(out, trunc)
-
-
 def trace_eval(t, u):
     """Evaluate the trace coefficientwise; exact at every order.
 
@@ -118,7 +102,11 @@ def trace_eval(t, u):
     ``NonIntegrableError`` if any order of ``u * rho`` fails to decay.
     """
     u = _coerce_gauss_formal(t.space, u, t.density.trunc_order)
-    prod = _density_product(u, t.density)
+    rho = FormalScalar(
+        {k: GaussFn.from_poly(c) for k, c in t.density.coeffs.items()},
+        t.density.trunc_order,
+    )
+    prod = u * rho
     vals = {}
     for m, g in prod.coeffs.items():
         val = gauss_integrate_exact(g)

@@ -348,9 +348,25 @@ def test_main_failing_case_gives_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_main_bad_inputs_give_exit_two(capsys):
+def test_main_bad_inputs_give_exit_two(tmp_path, capsys):
     assert main(["run", "transport-trace", "--equiv", "/no/such/file.json"]) == 2
     assert "error" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["run", "not-a-scenario"])
     capsys.readouterr()
+    bad_runs = [
+        ["moyal-trace", "--order", "0"],
+        ["moyal-trace", "--n", "0"],
+    ]
+    for args, data in [
+        (["transport-trace", "--equiv"], [1, 2]),
+        (["transport-trace", "--equiv"], {"operators": 5}),
+        (["gs-decompose", "--grid"], [1]),
+    ]:
+        path = tmp_path / f"input-{len(bad_runs)}.json"
+        path.write_text(json.dumps(data))
+        bad_runs.append(args + [str(path)])
+    for args in bad_runs:
+        assert main(["run", *args]) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (args, err)

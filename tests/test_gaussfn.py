@@ -127,32 +127,45 @@ def test_translation_invariance():
         assert gauss_integrate_exact(shifted) == gauss_integrate_exact(fn)
 
 
+def as_general(fn):
+    """The same integrand with each isotropic exponent written as ``A = -t I``."""
+    d = fn.space.dim
+    return GeneralGaussFn(
+        fn.space,
+        [
+            (poly, [[-t if i == j else F(0) for j in range(d)] for i in range(d)], b, c)
+            for (t, b, c), poly in fn.terms.items()
+        ],
+    )
+
+
 def test_bigfloat_matches_exact():
     rng = random.Random(37)
     space = PhaseSpace(1)
     for _ in range(5):
         fn = random_gauss(rng, space)
         exact = gauss_integrate_exact(fn).as_mpf(50)
-        numeric = gauss_integrate_bigfloat(fn, precision=50)
+        numeric = gauss_integrate_bigfloat(as_general(fn), precision=50)
         with mpmath.workdps(60):
             assert abs(exact - numeric) < mpmath.mpf("1e-45") * (1 + abs(exact))
 
 
 def test_bigfloat_anisotropic_unit_determinant(space):
     # exp(-q^2 - p^2/4): A = diag(-2, -1/2), det(-A) = 1, so the integral is 2pi.
-    fn = GaussFn.gaussian(space, 1)
     mat = [[F(-2), F(0)], [F(0), F(-1, 2)]]
-    got = gauss_integrate_bigfloat(fn, precision=50, general_quadratic=[mat])
+    fn = GeneralGaussFn(space, [(Poly.constant(space, 1), mat, None, 0)])
+    got = gauss_integrate_bigfloat(fn, precision=50)
     with mpmath.workdps(60):
         assert abs(got - 2 * mpmath.pi) < mpmath.mpf("1e-45")
 
 
 def test_bigfloat_rejects_indefinite(space):
-    fn = GaussFn.gaussian(space, 1)
-    with pytest.raises(NonIntegrableError):
-        gauss_integrate_bigfloat(
-            fn, precision=30, general_quadratic=[[[F(1), F(0)], [F(0), F(-1)]]]
-        )
+    one = Poly.constant(space, 1)
+    # det(-A) < 0, and A = I where det(-A) = 1 > 0 but the leading minor is -1
+    for mat in ([[F(1), F(0)], [F(0), F(-1)]], [[F(1), F(0)], [F(0), F(1)]]):
+        fn = GeneralGaussFn(space, [(one, mat, None, 0)])
+        with pytest.raises(NonIntegrableError):
+            gauss_integrate_bigfloat(fn, precision=30)
 
 
 def test_pullback_orthogonal_stays_isotropic(space):

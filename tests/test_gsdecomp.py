@@ -17,7 +17,6 @@ from startrace.gsdecomp import (
     bump_generate,
     decomposition_residual,
     grid_bracket,
-    grid_calculus,
     grid_cumulative,
     grid_diff,
     grid_integrate,
@@ -105,14 +104,6 @@ def test_integrate_odd_function():
     prof = np.where(np.abs(x) < 2, np.cos(np.pi * np.clip(x / 2, -1, 1) / 2) ** 8, 0.0)
     f = GridFn((3.0,), 257, x * prof, 10)
     assert abs(grid_integrate(f)) <= 1e-12
-
-
-def test_calculus_dispatch():
-    b = tapered_bump(128, 1, 2.0)
-    assert grid_calculus(b, "integrate") == grid_integrate(b)
-    assert grid_calculus(b, "diff", 0) == grid_diff(b, 0)
-    with pytest.raises(ValueError):
-        grid_calculus(b, "laplace")
 
 
 def test_diff_needs_margin_headroom():

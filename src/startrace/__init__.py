@@ -1,10 +1,10 @@
 """Exact workbench for star products and their traces on flat symplectic space.
 
-Expression rings (polynomials, Gaussian-weighted functions, differential
-operators) are Fraction-exact, so every algebraic identity here either
-vanishes literally or fails honestly.  Grid decompositions and the
-high-precision pullback checks are the only numerical corners, and both
-carry explicit tolerances.
+Expression rings (polynomials, Gaussian-weighted functions and their
+integrals, differential operators) are Fraction-exact, so every
+algebraic identity here, symplectic pullback invariance included, either
+vanishes literally or fails honestly.  Grid decompositions are the only
+numerical corner, and they carry explicit tolerances.
 """
 
 from startrace.diffop import BiDiffOp, DiffOp

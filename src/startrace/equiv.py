@@ -12,16 +12,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import mpmath
-
 from startrace.diffop import DiffOp
 from startrace.formal import FormalScalar
-from startrace.gaussfn import (
-    GaussFn,
-    gauss_integrate_bigfloat,
-    gauss_integrate_exact,
-    gauss_pullback_linear,
-)
+from startrace.gaussfn import GaussFn, gauss_integrate_exact, gauss_pullback_linear
 from startrace.poly import Poly, _as_fraction, mat_mul, mat_transpose
 from startrace.star import EulerDerivation, StarProduct
 from startrace.trace import TraceFunctional
@@ -258,20 +251,14 @@ def is_symplectic(space, m):
 def symplectic_automorphism_check(m, u, precision=50):
     """Residual ``|tau_M(u o m) - tau_M(u)|`` at the leading trace order.
 
-    Exact (returns 0.0) when the pullback stays isotropic; otherwise the
-    anisotropic integral is evaluated at the requested precision.  Raises
-    on non-symplectic input.
+    Both integrals are exact values, so invariance shows as a literal
+    zero; ``precision`` only sets the digits of a nonzero residual.
+    Raises on non-symplectic input.
     """
     if not isinstance(u, GaussFn):
         raise TypeError("symplectic_automorphism_check expects a GaussFn")
-    space = u.space
-    if not is_symplectic(space, m):
+    if not is_symplectic(u.space, m):
         raise ValueError("matrix is not symplectic for the fixed form")
-    base = gauss_integrate_exact(u)
     pulled = gauss_pullback_linear(u, m)
-    if isinstance(pulled, GaussFn):
-        diff = gauss_integrate_exact(pulled) - base
-        return abs(diff.as_mpf(precision))
-    with mpmath.workdps(precision + 10):
-        numeric = gauss_integrate_bigfloat(pulled, precision)
-        return abs(numeric - base.as_mpf(precision))
+    diff = gauss_integrate_exact(pulled) - gauss_integrate_exact(u)
+    return abs(diff.as_mpf(precision))

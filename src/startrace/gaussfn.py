@@ -6,8 +6,8 @@ they integrate to exactly representable values, and integration by parts
 never produces boundary terms.  A :class:`GaussFn` is a finite sum of
 terms ``P(x) * exp(-t|x|^2/2 + b.x + c)`` with rational data; linear
 pullbacks that break the isotropy of the quadratic part yield a
-:class:`GeneralGaussFn`, whose integrals :func:`gauss_integrate_bigfloat`
-evaluates at arbitrary precision.
+:class:`GeneralGaussFn`.  Both integrate exactly in
+:func:`gauss_integrate_exact`.
 
 Exact integrals land in :class:`IntegralValue`, the ring of values
 ``pi^k * sum_j r_j e^{s_j}`` with rational ``r_j, s_j``.  Its zero test
@@ -17,6 +17,7 @@ rationals, so distinct exponentials never falsely cancel.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -396,8 +397,7 @@ class GaussFn:
 class GeneralGaussFn:
     """Sum of terms ``P(x) * exp(x^T A x / 2 + b.x + c)`` with full symmetric A.
 
-    Produced by linear pullbacks that break isotropy.  Only the
-    arbitrary-precision backend integrates these.
+    Produced by linear pullbacks that break isotropy.
     """
 
     __slots__ = ("space", "terms")
@@ -428,13 +428,20 @@ def _double_factorial(k):
 
 
 def gauss_integrate_exact(a):
-    """Exact integral of a GaussFn over R^{2n} as an :class:`IntegralValue`.
+    """Exact integral of a GaussFn or GeneralGaussFn over R^{2n} as an
+    :class:`IntegralValue`.
 
-    Completes the square (shift ``b/t``, constant ``c + |b|^2/(2t)``) and
-    applies the even-moment formula with isotropic covariance ``1/t``.
+    Isotropic terms complete the square (shift ``b/t``, constant
+    ``c + |b|^2/(2t)``) and apply the even-moment formula with covariance
+    ``1/t``; anisotropic terms take Wick moments of their full covariance.
     """
+    if isinstance(a, GeneralGaussFn):
+        total = IntegralValue.zero()
+        for poly, mat, b, c in a.terms:
+            total = total + _integrate_general_term(a.space, poly, mat, b, c)
+        return total
     if not isinstance(a, GaussFn):
-        raise TypeError("gauss_integrate_exact expects a GaussFn")
+        raise TypeError("gauss_integrate_exact expects a GaussFn or GeneralGaussFn")
     n = a.space.n
     total = IntegralValue.zero()
     for (t, b, c), poly in a.terms.items():
@@ -474,7 +481,7 @@ def _wick_moment(cov, counts):
     return total
 
 
-def _integrate_general_term(space, poly, a, b, c, precision):
+def _integrate_general_term(space, poly, a, b, c):
     n = space.n
     neg_a = [[-v for v in row] for row in a]
     # Sylvester's criterion: -A is positive definite iff every leading
@@ -495,31 +502,18 @@ def _integrate_general_term(space, poly, a, b, c, precision):
         if sum(exps) % 2:
             continue
         moment += r * _wick_moment(cov_key, exps)
-    with mpmath.workdps(precision + 10):
-        base = (2 * mpmath.pi) ** n / mpmath.sqrt(
-            mpmath.mpf(det.numerator) / mpmath.mpf(det.denominator)
+    # (2 pi)^n / sqrt(det(-A)); a pullback along M has det(-A) = t^(2n) det(M)^2
+    num, den = math.isqrt(det.numerator), math.isqrt(det.denominator)
+    if num * num != det.numerator or den * den != det.denominator:
+        raise ValueError(
+            f"sqrt(det(-A)) = sqrt({det}) is irrational, so the integral is not exact"
         )
-        expo = mpmath.exp(mpmath.mpf(s.numerator) / mpmath.mpf(s.denominator))
-        mom = mpmath.mpf(moment.numerator) / mpmath.mpf(moment.denominator)
-        return base * expo * mom
+    return IntegralValue(n, {s: Fraction(2) ** n * moment * den / num})
 
 
 def gauss_integrate_bigfloat(a, precision=50):
-    """Arbitrary-precision integral of a :class:`GeneralGaussFn` over R^{2n}.
-
-    This is the backend for anisotropic integrands, the pullbacks that
-    :func:`gauss_pullback_linear` cannot keep isotropic; isotropic
-    :class:`GaussFn` integrals are exact in :func:`gauss_integrate_exact`.
-    Returns an mpmath float computed with ``precision`` decimal digits
-    plus guard digits.
-    """
-    if not isinstance(a, GeneralGaussFn):
-        raise TypeError("gauss_integrate_bigfloat expects a GeneralGaussFn")
-    with mpmath.workdps(precision + 10):
-        total = mpmath.mpf(0)
-        for poly, mat, b, c in a.terms:
-            total += _integrate_general_term(a.space, poly, mat, b, c, precision)
-        return +total
+    """:func:`gauss_integrate_exact` evaluated to ``precision`` decimal digits."""
+    return gauss_integrate_exact(a).as_mpf(precision)
 
 
 def gauss_pullback_linear(a, m):
@@ -527,7 +521,7 @@ def gauss_pullback_linear(a, m):
 
     Returns a plain :class:`GaussFn` when ``m^T m`` is a positive multiple
     of the identity (every isotropic exponent stays isotropic); otherwise
-    a :class:`GeneralGaussFn` for the bigfloat backend.
+    a :class:`GeneralGaussFn`.
     """
     rows = [[_as_fraction(v) for v in row] for row in m]
     if mat_det(rows) == 0:

@@ -145,10 +145,23 @@ class GridFn:
 
     @classmethod
     def from_dict(cls, data):
-        dimension = data["dimension"]
-        points = data["points_per_axis"]
-        values = np.asarray(data["values"], dtype=float).reshape((points,) * dimension)
-        return cls(data["half_widths"], points, values, data["margin_cells"])
+        dimension, points = data["dimension"], data["points_per_axis"]
+        margin, widths = data["margin_cells"], data["half_widths"]
+        sizes = (dimension, points, margin)
+        if any(isinstance(k, bool) or not isinstance(k, int) for k in sizes):
+            raise ValueError("dimension, points_per_axis and margin_cells must be integers")
+        if _number_array(widths, "half_widths").shape != (dimension,):
+            raise ValueError("half_widths must list one width per dimension")
+        values = _number_array(data["values"], "values").reshape((points,) * dimension)
+        return cls(widths, points, values, margin)
+
+
+def _number_array(value, name):
+    """A JSON list of numbers as a float array; anything else is a ValueError."""
+    array = np.asarray(value) if isinstance(value, list) else None
+    if array is None or array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a list of numbers")
+    return array.astype(float, copy=False)
 
 
 # -- calculus ---------------------------------------------------------

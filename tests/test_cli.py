@@ -256,9 +256,12 @@ def test_emit_rejects_unknown_format():
 
 
 def test_exact_scenarios_report_literal_zero():
-    rep = run_scenario(Scenario("moyal-trace"))
-    for case in rep.cases:
-        assert case.residuals == {"all": "0"}
+    for sc, zero in [
+        (Scenario("moyal-trace"), {"all": "0"}),
+        (Scenario("automorphism-invariance", n=2), {"residual": "0"}),
+    ]:
+        for case in run_scenario(sc).cases:
+            assert case.residuals == zero, (sc.name, case.case_id)
 
 
 def test_proportionality_recovers_series():
@@ -354,6 +357,7 @@ def test_main_bad_inputs_give_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["run", "not-a-scenario"])
     capsys.readouterr()
+    grid = tapered_generate(1, 3.0, 128, 2.0, 10).to_dict()
     bad_runs = [
         ["moyal-trace", "--order", "0"],
         ["moyal-trace", "--n", "0"],
@@ -362,6 +366,14 @@ def test_main_bad_inputs_give_exit_two(tmp_path, capsys):
         (["transport-trace", "--equiv"], [1, 2]),
         (["transport-trace", "--equiv"], {"operators": 5}),
         (["gs-decompose", "--grid"], [1]),
+        (["transport-trace", "--equiv"], [{"order": [1], "expression": "dq1"}]),
+        (["transport-trace", "--equiv"], [{"order": 1, "expression": 5}]),
+        (["transport-trace", "--equiv"], [{"order": 1.5, "expression": "p1*dq1"}]),
+        (["transport-trace", "--equiv"], [{"order": True, "expression": "p1*dq1"}]),
+        (["gs-decompose", "--grid"], dict(grid, points_per_axis="x")),
+        (["gs-decompose", "--grid"], dict(grid, dimension="1")),
+        (["gs-decompose", "--grid"], dict(grid, half_widths=[[3.0]])),
+        (["gs-decompose", "--grid"], dict(grid, values=[None] * 128)),
     ]:
         path = tmp_path / f"input-{len(bad_runs)}.json"
         path.write_text(json.dumps(data))

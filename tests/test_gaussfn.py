@@ -3,8 +3,10 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_poly, rational_rotation
+from conftest import plane_product, polys, random_poly, rational_rotation
 from startrace.gaussfn import (
     GaussFn,
     GeneralGaussFn,
@@ -14,7 +16,7 @@ from startrace.gaussfn import (
     gauss_integrate_exact,
     gauss_pullback_linear,
 )
-from startrace.poly import PhaseSpace, Poly
+from startrace.poly import PhaseSpace, Poly, mat_det
 
 
 @pytest.fixture
@@ -205,6 +207,34 @@ def test_pullback_change_of_variables():
     with mpmath.workdps(60):
         rhs = gauss_integrate_exact(fn).as_mpf(50) / 2
         assert abs(lhs - rhs) < mpmath.mpf("1e-44") * (1 + abs(rhs))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pullback_integral_is_exact(n, data):
+    # integral of f(Mx) = |det M|^{-1} * integral of f, as exact values
+    space = PhaseSpace(n)
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    shift = st.lists(rational, min_size=space.dim, max_size=space.dim)
+    t = data.draw(st.fractions(min_value=F(1, 2), max_value=3, max_denominator=2))
+    f = GaussFn.term(space, data.draw(polys(space)), t, data.draw(shift), data.draw(rational))
+    step = st.tuples(
+        st.sampled_from(["shear-q", "shear-p", "squeeze", "scale-q"]),
+        st.integers(0, n - 1),
+        rational.filter(bool),
+    )
+    m = plane_product(space, data.draw(st.lists(step, min_size=1, max_size=3)))
+    want = gauss_integrate_exact(f) * F(1, abs(mat_det(m)))
+    assert gauss_integrate_exact(gauss_pullback_linear(f, m)) == want
+
+
+def test_irrational_root_rejected(space):
+    # exp(-q^2 - p^2/2): det(-A) = 2, so the integral carries sqrt(2)
+    mat = [[F(-2), F(0)], [F(0), F(-1)]]
+    fn = GeneralGaussFn(space, [(Poly.constant(space, 1), mat, None, 0)])
+    with pytest.raises(ValueError, match="irrational"):
+        gauss_integrate_exact(fn)
 
 
 def test_pullback_singular_rejected(space):

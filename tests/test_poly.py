@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_poly, rational_rotation
+from conftest import plane_product, polys, random_poly, rational_rotation
 from startrace.equiv import is_symplectic
 from startrace.poly import (
     PhaseSpace,
@@ -131,34 +131,12 @@ def test_poly_rendering(space):
     assert str(f) == "q1^2 + 4*q1*p1 - 1/2"
 
 
-def _polys(space):
-    exps = st.tuples(*[st.integers(0, 3)] * space.dim)
-    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    return st.dictionaries(exps, coeffs, max_size=4).map(lambda t: Poly(space, t))
-
-
-def _symplectic(space, steps):
-    """Product of plane shears and squeezes, each symplectic on its own."""
-    m = mat_identity(space.dim)
-    for kind, plane, s in steps:
-        e = mat_identity(space.dim)
-        qi, pi = plane, space.n + plane
-        if kind == "shear-q":
-            e[qi][pi] = s
-        elif kind == "shear-p":
-            e[pi][qi] = s
-        else:
-            e[qi][qi], e[pi][pi] = s, 1 / s
-        m = mat_mul(m, e)
-    return m
-
-
 @pytest.mark.parametrize("n", [1, 2])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_substitution_round_trips(n, data):
     space = PhaseSpace(n)
-    f = data.draw(_polys(space))
+    f = data.draw(polys(space))
     rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     a = data.draw(st.lists(rational, min_size=space.dim, max_size=space.dim))
     assert f.translate(a).translate([-x for x in a]) == f
@@ -167,6 +145,6 @@ def test_substitution_round_trips(n, data):
         st.integers(0, n - 1),
         rational.filter(bool),
     )
-    m = _symplectic(space, data.draw(st.lists(step, min_size=1, max_size=3)))
+    m = plane_product(space, data.draw(st.lists(step, min_size=1, max_size=3)))
     assert is_symplectic(space, m)
     assert f.pullback_linear(m).pullback_linear(mat_inverse(m)) == f

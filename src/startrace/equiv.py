@@ -14,7 +14,12 @@ from fractions import Fraction
 
 from startrace.diffop import DiffOp
 from startrace.formal import FormalScalar
-from startrace.gaussfn import GaussFn, gauss_integrate_exact, gauss_pullback_linear
+from startrace.gaussfn import (
+    GaussFn,
+    GeneralGaussFn,
+    gauss_integrate_bigfloat,
+    gauss_pullback_linear,
+)
 from startrace.poly import Poly, _as_fraction, mat_mul, mat_transpose
 from startrace.star import EulerDerivation, StarProduct
 from startrace.trace import TraceFunctional
@@ -251,14 +256,13 @@ def is_symplectic(space, m):
 def symplectic_automorphism_check(m, u, precision=50):
     """Residual ``|tau_M(u o m) - tau_M(u)|`` at the leading trace order.
 
-    Both integrals are exact values, so invariance shows as a literal
-    zero; ``precision`` only sets the digits of a nonzero residual.
-    Raises on non-symplectic input.
+    The residual is the integral of ``u o m - u``, taken exactly and only
+    then evaluated to ``precision`` digits, so invariance shows as a
+    literal zero.  Raises on non-symplectic input.
     """
     if not isinstance(u, GaussFn):
         raise TypeError("symplectic_automorphism_check expects a GaussFn")
     if not is_symplectic(u.space, m):
         raise ValueError("matrix is not symplectic for the fixed form")
-    pulled = gauss_pullback_linear(u, m)
-    diff = gauss_integrate_exact(pulled) - gauss_integrate_exact(u)
-    return abs(diff.as_mpf(precision))
+    pulled = GeneralGaussFn.from_gauss(gauss_pullback_linear(u, m))
+    return abs(gauss_integrate_bigfloat(pulled - u, precision))

@@ -415,6 +415,24 @@ class GeneralGaussFn:
                 packed.append((poly, mat, _as_vector(space, b), _as_fraction(c)))
         self.terms = tuple(packed)
 
+    @classmethod
+    def from_gauss(cls, fn):
+        """``fn`` itself, or a GaussFn with each exponent written as ``A = -t I``."""
+        if isinstance(fn, cls):
+            return fn
+        d = fn.space.dim
+        return cls(
+            fn.space,
+            [
+                (poly, [[-t if i == j else 0 for j in range(d)] for i in range(d)], b, c)
+                for (t, b, c), poly in fn.terms.items()
+            ],
+        )
+
+    def __sub__(self, other):
+        neg = [(-poly, a, b, c) for poly, a, b, c in GeneralGaussFn.from_gauss(other).terms]
+        return GeneralGaussFn(self.space, list(self.terms) + neg)
+
     def __repr__(self):
         return f"GeneralGaussFn({len(self.terms)} terms, n={self.space.n})"
 
@@ -491,7 +509,13 @@ def _integrate_general_term(space, poly, a, b, c):
     ]
     if any(m <= 0 for m in minors):
         raise NonIntegrableError("quadratic form is not negative definite")
+    # (2 pi)^n / sqrt(det(-A)); a pullback along M has det(-A) = t^(2n) det(M)^2
     det = minors[-1]
+    num, den = math.isqrt(det.numerator), math.isqrt(det.denominator)
+    if num * num != det.numerator or den * den != det.denominator:
+        raise ArithmeticError(
+            f"sqrt(det(-A)) = sqrt({det}) is irrational, so the integral is not exact"
+        )
     cov = mat_inverse(neg_a)
     mu = mat_vec(cov, list(b))
     s = c + sum(bi * mi for bi, mi in zip(b, mu)) / 2
@@ -502,12 +526,6 @@ def _integrate_general_term(space, poly, a, b, c):
         if sum(exps) % 2:
             continue
         moment += r * _wick_moment(cov_key, exps)
-    # (2 pi)^n / sqrt(det(-A)); a pullback along M has det(-A) = t^(2n) det(M)^2
-    num, den = math.isqrt(det.numerator), math.isqrt(det.denominator)
-    if num * num != det.numerator or den * den != det.denominator:
-        raise ValueError(
-            f"sqrt(det(-A)) = sqrt({det}) is irrational, so the integral is not exact"
-        )
     return IntegralValue(n, {s: Fraction(2) ** n * moment * den / num})
 
 

@@ -3,6 +3,12 @@
 Operators are kept in normal form with every derivative to the right of
 its coefficient, so equality is a dictionary comparison.  Composition and
 adjoints are single Leibniz passes; all arithmetic is exact.
+
+Operators reach derivatives of their arguments only through
+``diff_multi``, which memoizes a derivative jet on each Poly or GaussFn:
+every partial derivative of an operand is taken once, however many terms,
+cochains or products ask for it.  :meth:`BiDiffOp.apply` also groups its
+terms by left multi-index, so it multiplies by each ``d^alpha u`` once.
 """
 
 from __future__ import annotations
@@ -283,9 +289,19 @@ class BiDiffOp:
     __rmul__ = __mul__
 
     def apply(self, u, v):
-        out = None
+        """``B(u, v) = sum_alpha d^alpha u * (sum_beta a_{alpha,beta} d^beta v)``.
+
+        Terms are grouped by their left multi-index, so each distinct
+        ``alpha`` costs one product with ``d^alpha u``; the derivatives of
+        both operands come from their jets (:meth:`Poly.diff_multi`).
+        """
+        rows = {}
         for (alpha, beta), poly in self.coeffs.items():
-            term = poly * (u.diff_multi(alpha) * v.diff_multi(beta))
+            term = v.diff_multi(beta) * poly
+            rows[alpha] = rows[alpha] + term if alpha in rows else term
+        out = None
+        for alpha, inner in rows.items():
+            term = u.diff_multi(alpha) * inner
             out = term if out is None else out + term
         if out is not None:
             return out

@@ -26,6 +26,7 @@ import mpmath
 from startrace.poly import (
     Poly,
     _as_fraction,
+    _diff_multi,
     mat_inverse,
     mat_det,
     mat_mul,
@@ -186,10 +187,11 @@ class GaussFn:
     Terms sharing an exponent ``(t, b, c)`` are merged; a term has a
     convergent integral iff ``t > 0``.  Purely polynomial terms
     (``t = 0``) are allowed so the class absorbs products with
-    coefficient functions.
+    coefficient functions.  Like :class:`~startrace.poly.Poly`, an instance
+    is immutable once built and caches its derivatives in ``_jet``.
     """
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space", "terms", "_jet")
 
     def __init__(self, space, terms):
         clean = {}
@@ -206,6 +208,7 @@ class GaussFn:
                 clean[key] = poly
         self.space = space
         self.terms = clean
+        self._jet = None
 
     # -- constructors -------------------------------------------------
 
@@ -299,11 +302,9 @@ class GaussFn:
         return out
 
     def diff_multi(self, alpha):
-        out = self
-        for axis, k in enumerate(alpha):
-            for _ in range(k):
-                out = out.diff(axis)
-        return out
+        """``d^alpha self`` through the shared derivative jet
+        (:func:`startrace.poly._diff_multi`)."""
+        return _diff_multi(self, alpha)
 
     def translate(self, shifts):
         """Pull back along ``x -> x + a``; the exponent re-completes exactly."""
@@ -323,8 +324,6 @@ class GaussFn:
 
     def evaluate_float(self, point):
         """Pointwise value as a float (grid sampling helper)."""
-        import math
-
         total = 0.0
         pt = [float(x) for x in point]
         for (t, b, c), poly in self.terms.items():
@@ -339,6 +338,7 @@ class GaussFn:
     # -- comparison / rendering ---------------------------------------
 
     def __eq__(self, other):
+        # ``_jet`` is a cache of derivatives and takes no part in equality
         if not isinstance(other, GaussFn):
             return NotImplemented
         return self.space == other.space and self.terms == other.terms

@@ -12,6 +12,7 @@ which makes ``{v, q_i} = dv/dp_i`` hold literally and gives ``{q, p} = -1``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 
 class PhaseSpace:
@@ -56,10 +57,12 @@ class Poly:
     """Polynomial in the phase-space coordinates with rational coefficients.
 
     ``terms`` maps exponent tuples (length ``2n``, axis order ``q1..qn p1..pn``)
-    to nonzero Fractions.
+    to nonzero Fractions.  Instances are immutable once built: nothing
+    writes to ``terms`` after ``__init__``, so derivatives cached in the
+    ``_jet`` slot (see :func:`_diff_multi`) stay valid for the object's life.
     """
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space", "terms", "_jet")
 
     def __init__(self, space, terms):
         clean = {}
@@ -71,6 +74,7 @@ class Poly:
                 clean[tuple(exps)] = c
         self.space = space
         self.terms = clean
+        self._jet = None
 
     # -- constructors -------------------------------------------------
 
@@ -163,11 +167,8 @@ class Poly:
         return Poly(self.space, out)
 
     def diff_multi(self, alpha):
-        out = self
-        for axis, k in enumerate(alpha):
-            for _ in range(k):
-                out = out.diff(axis)
-        return out
+        """``d^alpha self`` through the shared derivative jet (:func:`_diff_multi`)."""
+        return _diff_multi(self, alpha)
 
     def evaluate(self, point):
         """Evaluate at a point; exact for rational input, duck-typed otherwise."""
@@ -181,7 +182,8 @@ class Poly:
         return Fraction(0) if total is None else total
 
     def _substitute(self, subs):
-        """``f(s_1, ..., s_2n)``: one Poly substituted per coordinate."""
+        """``f(s_1, ..., s_2n)``: one Poly substituted per coordinate (the
+        kernel of :meth:`pullback_linear`)."""
         out = Poly.zero(self.space)
         for exps, c in self.terms.items():
             term = Poly.constant(self.space, c)
@@ -192,14 +194,35 @@ class Poly:
         return out
 
     def translate(self, shifts):
-        """Pull back along ``x -> x + a``: returns ``f(x + a)``."""
-        return self._substitute(
-            [
-                Poly.variable(self.space, name)
-                + Poly.constant(self.space, _as_fraction(a))
-                for name, a in zip(self.space.variables, shifts)
-            ]
-        )
+        """Pull back along ``x -> x + a``: returns ``f(x + a)``.
+
+        Each monomial expands binomially, one axis at a time:
+        ``(x_i + a_i)^e = sum_k C(e, k) a_i^(e-k) x_i^k``.  ``shifts`` must
+        have one entry per coordinate.
+        """
+        a = [_as_fraction(v) for v in shifts]
+        if len(a) != self.space.dim:
+            raise ValueError("shift vector has wrong length")
+        if not any(a):
+            return self
+        rows = [{} for _ in a]  # per axis: e -> [(k, C(e, k) a^(e-k))]
+        out = {}
+        for exps, c in self.terms.items():
+            partial = [((), c)]
+            for axis, e in enumerate(exps):
+                ai = a[axis]
+                if not e or not ai:
+                    partial = [(key + (e,), v) for key, v in partial]
+                    continue
+                row = rows[axis].get(e)
+                if row is None:
+                    row = rows[axis][e] = [
+                        (k, comb(e, k) * ai ** (e - k)) for k in range(e + 1)
+                    ]
+                partial = [(key + (k,), v * w) for key, v in partial for k, w in row]
+            for key, v in partial:
+                out[key] = out[key] + v if key in out else v
+        return Poly(self.space, out)
 
     def pullback_linear(self, matrix):
         """Pull back along ``x -> M x``: returns ``f(M x)``."""
@@ -218,6 +241,7 @@ class Poly:
     # -- comparison / rendering ---------------------------------------
 
     def __eq__(self, other):
+        # ``_jet`` is a cache of derivatives and takes no part in equality
         if not isinstance(other, Poly):
             return NotImplemented
         return self.space == other.space and self.terms == other.terms
@@ -262,6 +286,37 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _diff_multi(f, alpha):
+    """``d^alpha f`` for a :class:`Poly` or ``GaussFn``, memoized in ``f``'s jet.
+
+    The jet (the ``_jet`` slot) maps each nonzero multi-index reached so far
+    to its derivative.  ``d^alpha`` is taken axis by axis in coordinate
+    order, one ``.diff`` per step, and every prefix on that path is kept,
+    so a later request sharing a prefix pays only for the steps past it.
+    The operands of one star product meet every cochain through this one
+    jet, so each partial derivative of an operand is taken once.  ``d^0 f``
+    is ``f`` itself and is not stored, so no object refers to itself.
+    """
+    key = tuple(alpha)
+    jet = f._jet
+    if jet is None:
+        jet = f._jet = {}
+    out = jet.get(key)
+    if out is not None:
+        return out
+    out = f
+    prefix = [0] * len(key)
+    for axis, k in enumerate(key):
+        for _ in range(k):
+            prefix[axis] += 1
+            step = tuple(prefix)
+            nxt = jet.get(step)
+            if nxt is None:
+                nxt = jet[step] = out.diff(axis)
+            out = nxt
+    return out
 
 
 def poisson_bracket(f, g):

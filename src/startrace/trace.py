@@ -18,7 +18,7 @@ from fractions import Fraction
 from startrace.formal import FormalScalar
 from startrace.gaussfn import GaussFn, IntegralValue, gauss_integrate_exact
 from startrace.poly import Poly
-from startrace.star import star_multiply
+from startrace.star import star_commutator
 
 
 class InconsistentTracesError(ValueError):
@@ -116,10 +116,11 @@ def trace_eval(t, u):
 
 
 def trace_residual(t, s, u, v):
-    """``tau(u*v) - tau(v*u)``; identically zero iff tau is a trace on the pair."""
-    lhs = trace_eval(t, star_multiply(s, u, v))
-    rhs = trace_eval(t, star_multiply(s, v, u))
-    return lhs - rhs
+    """``tau(u*v) - tau(v*u)``; identically zero iff tau is a trace on the pair.
+
+    ``tau`` is linear, so the commutator is integrated once.
+    """
+    return trace_eval(t, star_commutator(s, u, v))
 
 
 def trk_residual(t, s, k, u, v):

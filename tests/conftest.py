@@ -2,6 +2,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from startrace.gaussfn import GaussFn
 from startrace.poly import PhaseSpace, Poly, mat_identity, mat_mul
 
 
@@ -23,6 +24,31 @@ def polys(space):
     exps = st.tuples(*[st.integers(0, 3)] * space.dim)
     coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     return st.dictionaries(exps, coeffs, max_size=4).map(lambda t: Poly(space, t))
+
+
+def gauss_fns(space):
+    """Hypothesis strategy: sums of at most two ``P(x) exp(-t|x|^2/2 + b.x)``."""
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    term = st.builds(
+        lambda poly, t, b: GaussFn.term(space, poly, t, b),
+        polys(space),
+        st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
+        st.lists(small, min_size=space.dim, max_size=space.dim),
+    )
+    return st.lists(term, max_size=2).map(lambda ts: sum(ts, GaussFn.zero(space)))
+
+
+def multi_indices(space, top=2):
+    """Hypothesis strategy: derivative multi-indices with entries 0..top."""
+    return st.tuples(*[st.integers(0, top)] * space.dim)
+
+
+def iterated_diff(f, alpha):
+    """Reference ``d^alpha f`` by repeated ``.diff``, bypassing any jet."""
+    for axis, k in enumerate(alpha):
+        for _ in range(k):
+            f = f.diff(axis)
+    return f
 
 
 def plane_product(space, steps):

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_poly
+from conftest import gauss_fns, iterated_diff, multi_indices, polys, random_poly
 from startrace.diffop import BiDiffOp, DiffOp
 from startrace.gaussfn import gauss_integrate_exact
 from startrace.poly import PhaseSpace, Poly, poisson_bracket
@@ -115,6 +117,26 @@ def test_bidiff_apply_examples(space):
     u = random_poly(random.Random(7), space)
     v = random_poly(random.Random(8), space)
     assert BiDiffOp.product_cochain(space).apply(u, v) == u * v
+
+
+@pytest.mark.parametrize("kind", ["poly", "gauss"])
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_bidiff_apply_matches_term_by_term_sum(kind, n, data):
+    space = PhaseSpace(n)
+    index = multi_indices(space, top=3 - n)
+    # few left multi-indices, so that terms share a group
+    lefts = data.draw(st.lists(index, min_size=1, max_size=2))
+    keys = st.tuples(st.sampled_from(lefts), index)
+    b = BiDiffOp(space, data.draw(st.dictionaries(keys, polys(space), max_size=5)))
+    operands = polys(space) if kind == "poly" else gauss_fns(space)
+    u, v = data.draw(operands), data.draw(operands)
+    want = type(u).zero(space)
+    for (alpha, beta), poly in b.coeffs.items():
+        want = want + poly * (iterated_diff(u, alpha) * iterated_diff(v, beta))
+    assert b.apply(u, v) == want
+    assert b.apply(u, u) == b.apply(type(u)(space, u.terms), u)
 
 
 def test_poisson_cochain_matches_bracket():

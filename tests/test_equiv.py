@@ -137,6 +137,36 @@ def test_transport_stays_associative():
         assert associativity_residual(sp, u, v, w).is_zero()
 
 
+def test_star_multiply_takes_each_derivative_once(monkeypatch):
+    space = PhaseSpace(1)
+    sp = transport_star(random_equivalence(space, 4, seed=71), moyal_construct(space, 4))
+    rng = random.Random(72)
+    u, v = random_gauss(rng, space), random_gauss(rng, space)
+    diff = GaussFn.diff
+    calls = []
+
+    def counting_diff(self, axis):
+        calls.append(axis)
+        return diff(self, axis)
+
+    monkeypatch.setattr(GaussFn, "diff", counting_diff)
+    # every prefix of the axis-by-axis path to each multi-index of each slot
+    prefixes = set()
+    for op in sp.cochains.values():
+        for key in op.coeffs:
+            for side, alpha in enumerate(key):
+                step = [0] * space.dim
+                for axis, k in enumerate(alpha):
+                    for _ in range(k):
+                        step[axis] += 1
+                        prefixes.add((side, tuple(step)))
+    first = star_multiply(sp, u, v)
+    assert 0 < len(calls) <= len(prefixes)
+    taken = len(calls)
+    assert star_multiply(sp, u, v) == first
+    assert len(calls) == taken
+
+
 def test_transport_rejects_non_unital():
     space = PhaseSpace(1)
     t = Equivalence(space, 2, {1: DiffOp.identity(space)})

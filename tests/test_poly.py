@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import plane_product, polys, random_poly, rational_rotation
+from conftest import (
+    gauss_fns,
+    iterated_diff,
+    multi_indices,
+    plane_product,
+    polys,
+    random_poly,
+    rational_rotation,
+)
 from startrace.equiv import is_symplectic
 from startrace.poly import (
     PhaseSpace,
@@ -84,6 +92,41 @@ def test_translate_expands_binomially(space):
     q, _ = qp(space)
     shifted = (q * q).translate([F(1), F(0)])
     assert shifted == q * q + 2 * q + Poly.constant(space, 1)
+
+
+def test_translate_rejects_wrong_length(space):
+    q, p = qp(space)
+    with pytest.raises(ValueError, match="wrong length"):
+        (q + p).translate([F(1)])
+    with pytest.raises(ValueError, match="wrong length"):
+        (q + p).translate([F(1), F(2), F(3)])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_translate_is_evaluation_at_shifted_point(n, data):
+    space = PhaseSpace(n)
+    f = data.draw(polys(space))
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    vector = st.lists(rational, min_size=space.dim, max_size=space.dim)
+    a, x = data.draw(vector), data.draw(vector)
+    assert f.translate(a).evaluate(x) == f.evaluate([xi + ai for xi, ai in zip(x, a)])
+
+
+@pytest.mark.parametrize("kind", ["poly", "gauss"])
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_diff_multi_jet_matches_iterated_diff(kind, n, data):
+    space = PhaseSpace(n)
+    f = data.draw(polys(space) if kind == "poly" else gauss_fns(space))
+    fresh = type(f)(space, f.terms)
+    requests = data.draw(st.lists(multi_indices(space), min_size=1, max_size=6))
+    for alpha in requests:
+        assert f.diff_multi(alpha) == iterated_diff(fresh, alpha)
+    # the cached jet changes neither equality nor hashing
+    assert f == fresh and hash(f) == hash(fresh)
 
 
 def test_evaluate_exact(space):

@@ -520,14 +520,14 @@ def _base_params(sc):
     return {"n": sc.n, "order": sc.trunc_order, "seed": sc.seed}
 
 
-def _random_gauss(rng, space, max_degree=3):
+def _random_gauss(rng, space):
     """Seeded integrable probe: small polynomial times a centered width."""
     t = Fraction(rng.choice([1, 1, 2]))
     b = tuple(Fraction(rng.randint(-1, 1)) for _ in range(space.dim))
     poly = Poly.constant(space, Fraction(rng.choice([1, 2]), rng.choice([1, 2])))
     for _ in range(2):
         exps = [0] * space.dim
-        for _ in range(rng.randint(0, max_degree)):
+        for _ in range(rng.randint(0, 3)):
             exps[rng.randrange(space.dim)] += 1
         poly = poly + Poly.monomial(
             space, tuple(exps), Fraction(rng.choice([-2, -1, 1, 2]))

@@ -1,8 +1,9 @@
 """Differential and bidifferential operators with polynomial coefficients.
 
 Operators are kept in normal form with every derivative to the right of
-its coefficient, so equality is a dictionary comparison.  Composition and
-adjoints are single Leibniz passes; all arithmetic is exact.
+its coefficient, as :class:`~startrace.poly.PolyCombination` sums keyed by
+derivative multi-indices.  Composition and adjoints are single Leibniz
+passes; all arithmetic is exact.
 
 Operators reach derivatives of their arguments only through
 ``diff_multi``, which memoizes a derivative jet on each Poly or GaussFn:
@@ -13,10 +14,9 @@ terms by left multi-index, so it multiplies by each ``d^alpha u`` once.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
-from startrace.poly import Poly, _as_fraction
+from startrace.poly import Poly, PolyCombination
 
 
 def _zero_alpha(space):
@@ -52,29 +52,14 @@ def _sub_indices(alpha):
     return out
 
 
-class DiffOp:
+class DiffOp(PolyCombination):
     """``sum_alpha a_alpha(x) d^alpha`` acting on Poly or GaussFn inputs."""
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, space, coeffs):
-        clean = {}
-        for alpha, poly in coeffs.items():
-            alpha = _check_alpha(space, alpha)
-            if alpha in clean:
-                poly = clean[alpha] + poly
-            if poly.is_zero():
-                clean.pop(alpha, None)
-            else:
-                clean[alpha] = poly
-        self.space = space
-        self.coeffs = clean
+    _key = staticmethod(_check_alpha)
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, space):
-        return cls(space, {})
 
     @classmethod
     def identity(cls, space):
@@ -93,40 +78,6 @@ class DiffOp:
         """Multiplication operator ``f -> poly * f``."""
         return cls(poly.space, {_zero_alpha(poly.space): poly})
 
-    # -- inspection ---------------------------------------------------
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def _check_space(self, other):
-        if self.space != other.space:
-            raise ValueError("operators live on different phase spaces")
-
-    # -- linear structure ---------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        self._check_space(other)
-        out = dict(self.coeffs)
-        for alpha, poly in other.coeffs.items():
-            out[alpha] = out[alpha] + poly if alpha in out else poly
-        return DiffOp(self.space, out)
-
-    def __neg__(self):
-        return DiffOp(self.space, {a: -p for a, p in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return DiffOp(self.space, {a: p * c for a, p in self.coeffs.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     # -- action -------------------------------------------------------
 
     def apply(self, f):
@@ -134,11 +85,7 @@ class DiffOp:
         for alpha, poly in self.coeffs.items():
             term = poly * f.diff_multi(alpha)
             out = term if out is None else out + term
-        if out is not None:
-            return out
-        if isinstance(f, Poly):
-            return Poly.zero(self.space)
-        return type(f).zero(self.space)
+        return type(f).zero(self.space) if out is None else out
 
     def compose(self, other):
         """Normal form of ``self o other`` via the generalized Leibniz rule.
@@ -170,15 +117,7 @@ class DiffOp:
             out = out + part.compose(DiffOp.mult(a))
         return out
 
-    # -- comparison / rendering ---------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self.space == other.space and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.space, tuple(sorted(self.coeffs.items()))))
+    # -- rendering ----------------------------------------------------
 
     def _render_alpha(self, alpha):
         parts = []
@@ -230,63 +169,21 @@ def _three_way_splits(delta):
     return splits
 
 
-class BiDiffOp:
+class BiDiffOp(PolyCombination):
     """``sum a_{alpha,beta}(x) (d^alpha tensor d^beta)`` on pairs of inputs."""
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, space, coeffs):
-        clean = {}
-        for (alpha, beta), poly in coeffs.items():
-            key = (_check_alpha(space, alpha), _check_alpha(space, beta))
-            if key in clean:
-                poly = clean[key] + poly
-            if poly.is_zero():
-                clean.pop(key, None)
-            else:
-                clean[key] = poly
-        self.space = space
-        self.coeffs = clean
-
-    @classmethod
-    def zero(cls, space):
-        return cls(space, {})
+    @staticmethod
+    def _key(space, key):
+        alpha, beta = key
+        return (_check_alpha(space, alpha), _check_alpha(space, beta))
 
     @classmethod
     def product_cochain(cls, space):
         """C_0: the pointwise product ``(u, v) -> u v``."""
         z = _zero_alpha(space)
         return cls(space, {(z, z): Poly.constant(space, 1)})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def _check_space(self, other):
-        if self.space != other.space:
-            raise ValueError("operators live on different phase spaces")
-
-    def __add__(self, other):
-        if not isinstance(other, BiDiffOp):
-            return NotImplemented
-        self._check_space(other)
-        out = dict(self.coeffs)
-        for key, poly in other.coeffs.items():
-            out[key] = out[key] + poly if key in out else poly
-        return BiDiffOp(self.space, out)
-
-    def __neg__(self):
-        return BiDiffOp(self.space, {k: -p for k, p in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return BiDiffOp(self.space, {k: p * c for k, p in self.coeffs.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def apply(self, u, v):
         """``B(u, v) = sum_alpha d^alpha u * (sum_beta a_{alpha,beta} d^beta v)``.
@@ -303,11 +200,7 @@ class BiDiffOp:
         for alpha, inner in rows.items():
             term = u.diff_multi(alpha) * inner
             out = term if out is None else out + term
-        if out is not None:
-            return out
-        if isinstance(u, Poly):
-            return Poly.zero(self.space)
-        return type(u).zero(self.space)
+        return type(u).zero(self.space) if out is None else out
 
     def antisym(self):
         """``B^-(u,v) = B(u,v) - B(v,u)`` as a slot swap in normal form."""
@@ -347,14 +240,6 @@ class BiDiffOp:
                     term = s * dc * mult
                     out[key] = out[key] + term if key in out else term
         return BiDiffOp(self.space, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, BiDiffOp):
-            return NotImplemented
-        return self.space == other.space and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.space, tuple(sorted(self.coeffs.items()))))
 
     def __str__(self):
         if self.is_zero():

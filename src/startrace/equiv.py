@@ -21,7 +21,7 @@ from startrace.gaussfn import (
     gauss_pullback_linear,
 )
 from startrace.poly import Poly, _as_fraction, mat_mul, mat_transpose
-from startrace.star import EulerDerivation, StarProduct
+from startrace.star import EulerDerivation, StarProduct, _map_coeffs
 from startrace.trace import TraceFunctional
 
 
@@ -65,14 +65,7 @@ class Equivalence:
             w = FormalScalar.constant(w, self.trunc_order)
         out = w
         for k, op in self.ops.items():
-            piece = {}
-            for j, c in w.coeffs.items():
-                val = op.apply(c)
-                if not val.is_zero():
-                    piece[j + k] = val
-            out = out + FormalScalar(
-                {m: v for m, v in piece.items() if m <= w.trunc_order}, w.trunc_order
-            )
+            out = out + _map_coeffs(w, op.apply).shift(k).truncate(w.trunc_order)
         return out
 
     def compose(self, other):
@@ -209,11 +202,11 @@ def transport_euler(t, d):
     return EulerDerivation(t.space, x_new, corrections)
 
 
-def random_equivalence(space, trunc_order, seed, op_order=2, coeff_degree=2):
+def random_equivalence(space, trunc_order, seed):
     """Reproducible unital equivalence with small random ``T_k``.
 
-    Each ``T_k`` has derivative order 1..op_order and polynomial
-    coefficients of degree <= coeff_degree; no multiplication part, so
+    Each ``T_k`` has derivative order 1..2 and polynomial coefficients of
+    degree <= 2; no multiplication part, so
     ``T(1) = 1`` and transported products keep the unit.
     """
     rng = random.Random(seed)
@@ -222,10 +215,10 @@ def random_equivalence(space, trunc_order, seed, op_order=2, coeff_degree=2):
         coeffs = {}
         for _ in range(rng.randint(1, 2)):
             alpha = [0] * space.dim
-            for _ in range(rng.randint(1, op_order)):
+            for _ in range(rng.randint(1, 2)):
                 alpha[rng.randrange(space.dim)] += 1
             exps = [0] * space.dim
-            for _ in range(rng.randint(0, coeff_degree)):
+            for _ in range(rng.randint(0, 2)):
                 exps[rng.randrange(space.dim)] += 1
             c = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2]))
             poly = Poly.monomial(space, exps, c)

@@ -26,13 +26,6 @@ def _is_zero(c):
     return c == 0
 
 
-def _coeff_invert(c):
-    probe = getattr(c, "invert", None)
-    if callable(probe):
-        return probe()
-    return Fraction(1) / c
-
-
 def _coeff_div(a, b):
     probe = getattr(a, "divide_by", None)
     if callable(probe):
@@ -162,35 +155,17 @@ class FormalScalar:
     # -- division -----------------------------------------------------
 
     def invert(self):
-        """Multiplicative inverse, solved order by order.
+        """Multiplicative inverse of a series over ``Fraction``: ``1 / self``
+        by :meth:`divide`.
 
-        Requires an invertible lowest coefficient.  The result window is
-        ``[-m, K - 2m]`` for input window ``[m, K]``: beyond that the
-        product against the input would involve dropped coefficients.
+        The result window is ``[-m, K - 2m]`` for input window ``[m, K]``:
+        beyond that the product against the input would involve dropped
+        coefficients.
         """
         if self.is_zero():
             raise ZeroDivisionError("cannot invert the zero series")
-        m = self.min_degree
-        span = self.trunc_order - m  # relative orders 0..span are known
-        lead = self.coeffs[m]
-        lead_inv = _coeff_invert(lead)
-        rel = {0: lead_inv}
-        for j in range(1, span + 1):
-            acc = None
-            for i in range(1, j + 1):
-                a = self.coeffs.get(m + i)
-                prev = rel.get(j - i)
-                if a is None or prev is None:
-                    continue
-                term = a * prev
-                acc = term if acc is None else acc + term
-            if acc is None:
-                continue
-            rel[j] = -(_coeff_div(acc, lead))
-        return FormalScalar(
-            {-m + j: c for j, c in rel.items() if not _is_zero(c)},
-            self.trunc_order - 2 * m,
-        )
+        one = FormalScalar.constant(Fraction(1), self.trunc_order - self.min_degree)
+        return one.divide(self)
 
     def divide(self, other):
         """Solve ``c * other == self`` for ``c`` order by order.

@@ -4,10 +4,11 @@ Functions here stand in for compactly supported test functions: they
 are closed under products, derivatives and linear pullbacks,
 they integrate to exactly representable values, and integration by parts
 never produces boundary terms.  A :class:`GaussFn` is a finite sum of
-terms ``P(x) * exp(-t|x|^2/2 + b.x + c)`` with rational data; linear
-pullbacks that break the isotropy of the quadratic part yield a
-:class:`GeneralGaussFn`.  Both integrate exactly in
-:func:`gauss_integrate_exact`.
+terms ``P(x) * exp(-t|x|^2/2 + b.x + c)`` with rational data, kept in
+the shared :class:`~startrace.poly.PolyCombination` normal form keyed by
+the exponent ``(t, b, c)``.  Linear pullbacks that break the isotropy of
+the quadratic part yield a :class:`GeneralGaussFn`.  Both integrate
+exactly in :func:`gauss_integrate_exact`.
 
 Exact integrals land in :class:`IntegralValue`, the ring of values
 ``pi^k * sum_j r_j e^{s_j}`` with rational ``r_j, s_j``.  Its zero test
@@ -25,6 +26,7 @@ import mpmath
 
 from startrace.poly import (
     Poly,
+    PolyCombination,
     _as_fraction,
     _diff_multi,
     mat_inverse,
@@ -114,13 +116,6 @@ class IntegralValue:
             raise ValueError("value is not a single exponential term")
         return next(iter(self.terms.items()))
 
-    def invert(self):
-        """Reciprocal of a single-term value with pi power zero."""
-        s, r = self._single()
-        if self.pi_power:
-            raise ValueError("cannot invert a value carrying a pi power")
-        return IntegralValue(0, {-s: Fraction(1) / r})
-
     def divide_by(self, other):
         """Exact ratio; the divisor must be a single term with no larger pi power."""
         if not isinstance(other, IntegralValue):
@@ -181,40 +176,33 @@ def _as_vector(space, b):
     return vec
 
 
-class GaussFn:
+class GaussFn(PolyCombination):
     """Finite sum of terms ``P(x) * exp(-t|x|^2/2 + b.x + c)``.
 
-    Terms sharing an exponent ``(t, b, c)`` are merged; a term has a
+    ``coeffs`` maps each exponent ``(t, b, c)`` to its polynomial ``P``;
+    terms sharing an exponent are merged, and a term has a
     convergent integral iff ``t > 0``.  Purely polynomial terms
     (``t = 0``) are allowed so the class absorbs products with
     coefficient functions.  Like :class:`~startrace.poly.Poly`, an instance
-    is immutable once built and caches its derivatives in ``_jet``.
+    is immutable once built and caches its derivatives in ``_jet``, which
+    takes no part in ``==`` or ``hash``.
     """
 
-    __slots__ = ("space", "terms", "_jet")
+    __slots__ = ("_jet",)
 
-    def __init__(self, space, terms):
-        clean = {}
-        for (t, b, c), poly in terms.items():
-            t = _as_fraction(t)
-            if t < 0:
-                raise ValueError("quadratic decay rate t must be nonnegative")
-            key = (t, _as_vector(space, b), _as_fraction(c))
-            if key in clean:
-                poly = clean[key] + poly
-            if poly.is_zero():
-                clean.pop(key, None)
-            else:
-                clean[key] = poly
-        self.space = space
-        self.terms = clean
+    def __init__(self, space, coeffs):
+        super().__init__(space, coeffs)
         self._jet = None
 
-    # -- constructors -------------------------------------------------
+    @staticmethod
+    def _key(space, key):
+        t, b, c = key
+        t = _as_fraction(t)
+        if t < 0:
+            raise ValueError("quadratic decay rate t must be nonnegative")
+        return (t, _as_vector(space, b), _as_fraction(c))
 
-    @classmethod
-    def zero(cls, space):
-        return cls(space, {})
+    # -- constructors -------------------------------------------------
 
     @classmethod
     def term(cls, space, poly, t, b=None, c=0):
@@ -229,45 +217,17 @@ class GaussFn:
     def from_poly(cls, poly):
         return cls.term(poly.space, poly, 0)
 
-    # -- inspection ---------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
-
-    def _check_space(self, other):
-        if self.space != other.space:
-            raise ValueError("operands live on different phase spaces")
-
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, GaussFn):
-            return NotImplemented
-        self._check_space(other)
-        out = dict(self.terms)
-        for key, poly in other.terms.items():
-            out[key] = out[key] + poly if key in out else poly
-        return GaussFn(self.space, out)
-
-    def __neg__(self):
-        return GaussFn(self.space, {k: -p for k, p in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return GaussFn.zero(self.space)
-            return GaussFn(self.space, {k: p * other for k, p in self.terms.items()})
         if isinstance(other, Poly):
-            return GaussFn(self.space, {k: p * other for k, p in self.terms.items()})
+            return GaussFn(self.space, {k: p * other for k, p in self.coeffs.items()})
         if not isinstance(other, GaussFn):
-            return NotImplemented
+            return super().__mul__(other)
         self._check_space(other)
         out = {}
-        for (t1, b1, c1), p1 in self.terms.items():
-            for (t2, b2, c2), p2 in other.terms.items():
+        for (t1, b1, c1), p1 in self.coeffs.items():
+            for (t2, b2, c2), p2 in other.coeffs.items():
                 key = (
                     t1 + t2,
                     tuple(x + y for x, y in zip(b1, b2)),
@@ -277,11 +237,6 @@ class GaussFn:
                 out[key] = out[key] + prod if key in out else prod
         return GaussFn(self.space, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return self * other
-        return NotImplemented
-
     # -- calculus -----------------------------------------------------
 
     def diff(self, axis):
@@ -289,7 +244,7 @@ class GaussFn:
         if isinstance(axis, str):
             axis = self.space.axis(axis)
         out = GaussFn.zero(self.space)
-        for (t, b, c), poly in self.terms.items():
+        for (t, b, c), poly in self.coeffs.items():
             shape = poly.diff(axis)
             if t:
                 shape = shape - poly * Poly.variable(
@@ -310,7 +265,7 @@ class GaussFn:
         """Pull back along ``x -> x + a``; the exponent re-completes exactly."""
         a = _as_vector(self.space, shifts)
         out = {}
-        for (t, b, c), poly in self.terms.items():
+        for (t, b, c), poly in self.coeffs.items():
             b2 = tuple(bi - t * ai for bi, ai in zip(b, a))
             c2 = (
                 c
@@ -326,7 +281,7 @@ class GaussFn:
         """Pointwise value as a float (grid sampling helper)."""
         total = 0.0
         pt = [float(x) for x in point]
-        for (t, b, c), poly in self.terms.items():
+        for (t, b, c), poly in self.coeffs.items():
             expo = (
                 float(c)
                 + sum(float(bi) * xi for bi, xi in zip(b, pt))
@@ -335,16 +290,7 @@ class GaussFn:
             total += float(poly.evaluate(pt)) * math.exp(expo)
         return total
 
-    # -- comparison / rendering ---------------------------------------
-
-    def __eq__(self, other):
-        # ``_jet`` is a cache of derivatives and takes no part in equality
-        if not isinstance(other, GaussFn):
-            return NotImplemented
-        return self.space == other.space and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.space, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
+    # -- rendering ----------------------------------------------------
 
     @staticmethod
     def _render_exponent(space, t, b, c):
@@ -378,7 +324,7 @@ class GaussFn:
         if self.is_zero():
             return "0"
         rendered = []
-        for (t, b, c), poly in sorted(self.terms.items(), key=lambda kv: kv[0]):
+        for (t, b, c), poly in sorted(self.coeffs.items(), key=lambda kv: kv[0]):
             expo = self._render_exponent(self.space, t, b, c)
             ptext = str(poly)
             if expo is None:
@@ -425,7 +371,7 @@ class GeneralGaussFn:
             fn.space,
             [
                 (poly, [[-t if i == j else 0 for j in range(d)] for i in range(d)], b, c)
-                for (t, b, c), poly in fn.terms.items()
+                for (t, b, c), poly in fn.coeffs.items()
             ],
         )
 
@@ -462,7 +408,7 @@ def gauss_integrate_exact(a):
         raise TypeError("gauss_integrate_exact expects a GaussFn or GeneralGaussFn")
     n = a.space.n
     total = IntegralValue.zero()
-    for (t, b, c), poly in a.terms.items():
+    for (t, b, c), poly in a.coeffs.items():
         if t <= 0:
             raise NonIntegrableError("term with t = 0 has no convergent integral")
         mu = tuple(bi / t for bi in b)
@@ -553,13 +499,13 @@ def gauss_pullback_linear(a, m):
     )
     if isotropic:
         out = {}
-        for (t, b, c), poly in a.terms.items():
+        for (t, b, c), poly in a.coeffs.items():
             key = (t * lam, tuple(mat_vec(mt, list(b))), c)
             moved = poly.pullback_linear(rows)
             out[key] = out[key] + moved if key in out else moved
         return GaussFn(a.space, out)
     terms = []
-    for (t, b, c), poly in a.terms.items():
+    for (t, b, c), poly in a.coeffs.items():
         mat = [[-t * v for v in row] for row in gram]
         terms.append((poly.pullback_linear(rows), mat, mat_vec(mt, list(b)), c))
     return GeneralGaussFn(a.space, terms)

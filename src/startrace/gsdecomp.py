@@ -306,31 +306,23 @@ def tapered_generate(dimension, half_widths, points_per_axis, support, margin_ce
     )
 
 
-def plateau_generate(
-    dimension, half_widths, points_per_axis, support, margin_cells=8, decay=None
-):
+def plateau_generate(dimension, half_widths, points_per_axis, support, margin_cells=8):
     """Product cutoff equal to 1 on ``|x_i| <= support_i``, 0 near the boundary.
 
-    ``decay`` is the transition width per axis; by default it fills the
-    room between the plateau and the margin band.
+    The transition width per axis fills the room between the plateau and
+    the margin band.
     """
     half_widths = _broadcast(half_widths, dimension)
     support = _broadcast(support, dimension)
     h = [2 * w / (points_per_axis - 1) for w in half_widths]
-    if decay is None:
-        decay = tuple(
-            w - (margin_cells + 1) * hi - s
-            for w, s, hi in zip(half_widths, support, h)
-        )
-    else:
-        decay = _broadcast(decay, dimension)
+    decay = tuple(
+        w - (margin_cells + 1) * hi - s for w, s, hi in zip(half_widths, support, h)
+    )
     profiles = []
     for axis in range(dimension):
         d = decay[axis]
         if d <= 0:
             raise MarginError("no room for the cutoff to decay inside the margin")
-        if support[axis] + d >= half_widths[axis] - margin_cells * h[axis]:
-            raise MarginError("cutoff transition reaches the margin band")
         x = np.abs(np.linspace(-half_widths[axis], half_widths[axis], points_per_axis))
         profiles.append(_plateau_profile((support[axis] + d - x) / d))
     values = _axis_profile_product(half_widths, points_per_axis, profiles)

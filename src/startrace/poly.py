@@ -7,6 +7,9 @@ bracket follows the convention
     {f, g} = sum_i  df/dp_i dg/dq_i - df/dq_i dg/dp_i
 
 which makes ``{v, q_i} = dv/dp_i`` hold literally and gives ``{q, p} = -1``.
+
+:class:`PolyCombination` is the one normal form of sums with polynomial
+coefficients, shared by ``GaussFn``, ``DiffOp`` and ``BiDiffOp``.
 """
 
 from __future__ import annotations
@@ -286,6 +289,74 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+class PolyCombination:
+    """Finite sum ``sum_key coeffs[key] * e_key`` with Poly coefficients.
+
+    ``coeffs`` maps keys, normalized by the subclass hook ``_key(space, key)``,
+    to nonzero Polys: entries whose keys normalize alike merge and zero sums
+    drop, so equality is a dictionary comparison.  Different subclasses
+    never add or compare equal.
+    """
+
+    __slots__ = ("space", "coeffs")
+
+    def __init__(self, space, coeffs):
+        clean = {}
+        for key, poly in coeffs.items():
+            key = self._key(space, key)
+            if key in clean:
+                poly = clean[key] + poly
+            if poly.is_zero():
+                clean.pop(key, None)
+            else:
+                clean[key] = poly
+        self.space = space
+        self.coeffs = clean
+
+    @classmethod
+    def zero(cls, space):
+        return cls(space, {})
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def _check_space(self, other):
+        if self.space != other.space:
+            raise ValueError("operands live on different phase spaces")
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_space(other)
+        out = dict(self.coeffs)
+        for key, poly in other.coeffs.items():
+            out[key] = out[key] + poly if key in out else poly
+        return type(self)(self.space, out)
+
+    def __neg__(self):
+        return type(self)(self.space, {k: -p for k, p in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            c = _as_fraction(other)
+            return type(self)(self.space, {k: p * c for k, p in self.coeffs.items()})
+        return NotImplemented
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.space == other.space and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.space, frozenset(self.coeffs.items())))
 
 
 def _diff_multi(f, alpha):

@@ -282,7 +282,7 @@ def conformality_defect(x):
     return {k: p for k, p in defect.items() if not p.is_zero()}
 
 
-def canonical_euler(space, corrections=None):
+def canonical_euler(space):
     """The minimal nu-Euler derivation with ``X = (1/2) sum (q dq + p dp)``."""
     half = Fraction(1, 2)
     x = DiffOp.zero(space)
@@ -290,7 +290,7 @@ def canonical_euler(space, corrections=None):
         x = x + DiffOp.mult(Poly.variable(space, name) * half).compose(
             DiffOp.partial(space, name)
         )
-    return EulerDerivation(space, x, corrections)
+    return EulerDerivation(space, x)
 
 
 def derivation_residual(s, d, u, v):

@@ -99,7 +99,7 @@ def transported():
     base = moyal_construct(space, 4)
     items = []
     for seed in range(5):
-        low = random_equivalence(space, 3, seed, op_order=2)
+        low = random_equivalence(space, 3, seed)
         t = Equivalence(space, 4, low.ops)
         items.append((t, transport_star(t, base), density_from_equivalence(t)))
     return space, base, items

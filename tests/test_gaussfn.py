@@ -244,7 +244,6 @@ def test_value_ring_basics():
         IntegralValue(1, {0: 1}) + IntegralValue(2, {0: 1})
     ratio = IntegralValue(1, {F(3, 2): 6}).divide_by(IntegralValue(1, {F(1, 2): 2}))
     assert ratio == IntegralValue(0, {1: 3})
-    assert IntegralValue(0, {F(1, 2): 4}).invert() == IntegralValue(0, {F(-1, 2): F(1, 4)})
 
 
 def test_value_rendering():

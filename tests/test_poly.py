@@ -14,7 +14,9 @@ from conftest import (
     random_poly,
     rational_rotation,
 )
+from startrace.diffop import BiDiffOp, DiffOp
 from startrace.equiv import is_symplectic
+from startrace.gaussfn import GaussFn
 from startrace.poly import (
     PhaseSpace,
     Poly,
@@ -121,7 +123,7 @@ def test_translate_is_evaluation_at_shifted_point(n, data):
 def test_diff_multi_jet_matches_iterated_diff(kind, n, data):
     space = PhaseSpace(n)
     f = data.draw(polys(space) if kind == "poly" else gauss_fns(space))
-    fresh = type(f)(space, f.terms)
+    fresh = f + type(f).zero(space)
     requests = data.draw(st.lists(multi_indices(space), min_size=1, max_size=6))
     for alpha in requests:
         assert f.diff_multi(alpha) == iterated_diff(fresh, alpha)
@@ -191,3 +193,90 @@ def test_substitution_round_trips(n, data):
     m = plane_product(space, data.draw(st.lists(step, min_size=1, max_size=3)))
     assert is_symplectic(space, m)
     assert f.pullback_linear(m).pullback_linear(mat_inverse(m)) == f
+
+
+# -- the shared PolyCombination normal form ----------------------------
+
+
+class _Entries(list):
+    """``(key, poly)`` pairs in a fixed order, handed to a constructor in
+    place of a dict, so keys may repeat or be unhashable lists."""
+
+    def items(self):
+        return iter(self)
+
+
+def _gauss_keys(space):
+    small = st.integers(-2, 2)
+    return st.tuples(st.integers(0, 2), st.tuples(*[small] * space.dim), small)
+
+
+# class, key strategy, loosened key, normalized key
+COMBINATIONS = {
+    "gauss": (
+        GaussFn,
+        _gauss_keys,
+        lambda k: (F(k[0]), list(k[1]), k[2]),
+        lambda k: (F(k[0]), tuple(F(x) for x in k[1]), F(k[2])),
+    ),
+    "diffop": (DiffOp, multi_indices, list, tuple),
+    "bidiff": (
+        BiDiffOp,
+        lambda space: st.tuples(multi_indices(space), multi_indices(space)),
+        lambda k: [list(k[0]), list(k[1])],
+        lambda k: (tuple(k[0]), tuple(k[1])),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COMBINATIONS))
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_poly_combination_normal_form(kind, n, data):
+    cls, keys, loosen, normalize = COMBINATIONS[kind]
+    space = PhaseSpace(n)
+    # a small key pool, so that entries share keys and may cancel
+    pool = data.draw(st.lists(keys(space), min_size=1, max_size=3))
+    entry = st.tuples(st.sampled_from(pool), polys(space))
+    entries = data.draw(st.lists(entry, max_size=6))
+    a = cls(space, _Entries(entries))
+    b = cls(space, _Entries((loosen(k), p) for k, p in reversed(entries)))
+    assert a == b and hash(a) == hash(b)
+    want = {}
+    for k, p in entries:
+        k = normalize(k)
+        want[k] = want[k] + p if k in want else p
+    assert a.coeffs == {k: p for k, p in want.items() if not p.is_zero()}
+    assert all(type(x) is type(y) for k in a.coeffs for x, y in zip(k, normalize(k)))
+    # a key whose coefficients cancel is dropped, and only that key
+    k = data.draw(keys(space))
+    j = data.draw(keys(space).filter(lambda x: x != k))
+    p = data.draw(polys(space).filter(lambda x: not x.is_zero()))
+    one = Poly.constant(space, 1)
+    assert cls(space, _Entries([(k, p), (loosen(k), -p)])).is_zero()
+    kept = cls(space, _Entries([(k, p), (j, one), (loosen(k), -p)]))
+    assert kept.coeffs == {normalize(j): one}
+    # linear structure
+    assert (a + (-a)).is_zero() and a - a == cls.zero(space)
+    assert 2 * a == a * 2 == a + a
+    assert (0 * a).is_zero() and F(1, 2) * a + a * F(1, 2) == a
+
+
+def test_poly_combination_classes_do_not_mix():
+    space = PhaseSpace(1)
+    one = Poly.constant(space, 1)
+    d = DiffOp.identity(space)
+    bd = BiDiffOp.product_cochain(space)
+    g = GaussFn.from_poly(one)
+    with pytest.raises(TypeError):
+        d + bd
+    with pytest.raises(TypeError):
+        g + d
+    with pytest.raises(TypeError):
+        g - d
+    for x, y in [(d, bd), (g, d), (g, bd), (DiffOp.zero(space), BiDiffOp.zero(space))]:
+        assert x != y and not x == y and y != x
+    assert GaussFn.zero(space) != DiffOp.zero(space)
+    with pytest.raises(ValueError):
+        d + DiffOp.identity(PhaseSpace(2))

@@ -693,8 +693,8 @@ def _run_strongly_closed(sc):
 @_scenario("trk-conditions", "partial traces satisfy the order-k closedness conditions")
 def _run_trk_conditions(sc):
     space = PhaseSpace(sc.n)
-    # the order-k condition consumes cochains up to order k + 1
-    trunc = sc.trunc_order + 1
+    # the order-k condition consumes cochains up to order k + 1 <= K
+    trunc = sc.trunc_order
     base = moyal_construct(space, trunc)
     t = random_equivalence(space, trunc, sc.seed)
     setups = [

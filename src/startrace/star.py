@@ -21,7 +21,7 @@ from math import factorial
 
 from startrace.diffop import BiDiffOp, DiffOp
 from startrace.formal import FormalScalar
-from startrace.gaussfn import GaussFn, gauss_integrate_exact
+from startrace.gaussfn import GaussFn, IntegralValue, gauss_integrate_exact
 from startrace.poly import Poly
 
 
@@ -42,12 +42,15 @@ class StarProduct:
     """Truncated star product on a phase space.
 
     ``cochains`` maps orders ``1..trunc_order`` to :class:`BiDiffOp`;
-    missing orders mean a zero cochain.  Construction verifies that
-    ``C_1^-`` is the Poisson cochain, so every instance is a deformation
-    of the Poisson bracket in the fixed sign convention.
+    missing orders mean a zero cochain.  ``minus`` caches the nonzero
+    antisymmetric parts ``C_r^-`` under the same keys, so commutators,
+    trace conditions and closedness integrals build each of them once.
+    Construction verifies that ``C_1^-`` is the Poisson cochain, so every
+    instance is a deformation of the Poisson bracket in the fixed sign
+    convention.
     """
 
-    __slots__ = ("space", "trunc_order", "cochains")
+    __slots__ = ("space", "trunc_order", "cochains", "minus")
 
     def __init__(self, space, trunc_order, cochains):
         if trunc_order < 1:
@@ -60,12 +63,14 @@ class StarProduct:
                 raise ValueError("cochain lives on the wrong phase space")
             if not op.is_zero():
                 clean[r] = op
-        c1 = clean.get(1, BiDiffOp.zero(space))
-        if c1.antisym() != poisson_cochain(space):
+        minus = {r: op.antisym() for r, op in clean.items()}
+        minus = {r: op for r, op in minus.items() if not op.is_zero()}
+        if minus.get(1) != poisson_cochain(space):
             raise ValueError("first cochain does not antisymmetrize to the Poisson bracket")
         self.space = space
         self.trunc_order = trunc_order
         self.cochains = clean
+        self.minus = minus
 
     def cochain(self, r):
         if r == 0:
@@ -133,12 +138,17 @@ def _map_coeffs(w, fn):
     return FormalScalar(out, w.trunc_order)
 
 
-def star_multiply(s, u, v):
+def star_multiply(s, u, v, *, cochains=None):
     """``u * v`` under ``s``, Cauchy-combined and truncated.
 
-    The window of the result accounts both for the operands' truncations
-    and for cochains being known only up to ``s.trunc_order``.
+    ``cochains`` maps orders to the bidifferential operators applied at
+    them; by default these are ``C_0`` and ``s.cochains``, which gives the
+    star product itself.  The window of the result accounts both for the
+    operands' truncations and for cochains being known only up to
+    ``s.trunc_order``.
     """
+    if cochains is None:
+        cochains = {0: s.cochain(0), **s.cochains}
     u = _coerce_formal(s.space, u, s.trunc_order)
     v = _coerce_formal(s.space, v, s.trunc_order)
     if u.is_zero() or v.is_zero():
@@ -150,10 +160,7 @@ def star_multiply(s, u, v):
         s.trunc_order + mu + mv,
     )
     out = {}
-    for r in range(0, s.trunc_order + 1):
-        cochain = s.cochain(r)
-        if cochain.is_zero():
-            continue
+    for r, cochain in cochains.items():
         for i, ci in u.coeffs.items():
             for j, cj in v.coeffs.items():
                 m = r + i + j
@@ -167,8 +174,12 @@ def star_multiply(s, u, v):
 
 
 def star_commutator(s, u, v):
-    """``u * v - v * u``; the order-r coefficient is ``C_r^-(u, v)``."""
-    return star_multiply(s, u, v) - star_multiply(s, v, u)
+    """``u * v - v * u``, applying each cached ``C_r^-`` once.
+
+    The order-r coefficient is ``C_r^-(u, v)``; the symmetric parts cancel
+    and are never applied.  The window is that of :func:`star_multiply`.
+    """
+    return star_multiply(s, u, v, cochains=s.minus)
 
 
 def associativity_residual(s, u, v, w):
@@ -183,11 +194,17 @@ def closedness_integral(s, r, u, v):
 
     ``Omega^n/n!`` is the Lebesgue measure of the chart, so this is an
     exact Gaussian integral.  Vanishes for all r iff ``s`` is strongly
-    closed on the tested pairs.
+    closed on the tested pairs.  ``C_r^-`` comes from the cache
+    ``s.minus``; orders outside ``0..trunc_order`` raise ``ValueError``,
+    and ``C_0^-`` is zero.
     """
     if not isinstance(u, GaussFn) or not isinstance(v, GaussFn):
         raise TypeError("closedness_integral expects GaussFn operands")
-    minus = s.cochain(r).antisym()
+    if not 0 <= r <= s.trunc_order:
+        raise ValueError(f"cochain order {r} outside 0..{s.trunc_order}")
+    minus = s.minus.get(r)
+    if minus is None:
+        return IntegralValue.zero()
     return gauss_integrate_exact(minus.apply(u, v))
 
 

@@ -128,15 +128,16 @@ def trk_residual(t, s, k, u, v):
 
     Equals the ``nu^{k+1+e}`` coefficient of ``trace_residual`` (``e`` the
     prefactor exponent), because the commutator expands into the ``C_r^-``.
+    The ``C_r^-`` come from the cache ``s.minus``; zero ones are skipped.
     """
     if not 0 <= k <= s.trunc_order - 1:
         raise ValueError(f"order {k} outside 0..{s.trunc_order - 1}")
     if not isinstance(u, GaussFn) or not isinstance(v, GaussFn):
         raise TypeError("trk_residual expects GaussFn operands")
     total = IntegralValue.zero()
-    for r in range(1, k + 2):
-        minus = s.cochain(r).antisym()
-        total = total + t.order_functional(k + 1 - r, minus.apply(u, v))
+    for r, minus in s.minus.items():
+        if r <= k + 1:
+            total = total + t.order_functional(k + 1 - r, minus.apply(u, v))
     return total
 
 

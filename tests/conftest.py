@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from startrace.gaussfn import GaussFn
-from startrace.poly import PhaseSpace, Poly, mat_identity, mat_mul
+from startrace.poly import Poly, mat_identity, mat_mul
 
 
 def random_poly(rng, space, max_degree=3, n_terms=4, allow_constant=True):

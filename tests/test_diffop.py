@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings

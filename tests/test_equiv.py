@@ -222,6 +222,23 @@ def test_density_examples():
     )
 
 
+@pytest.mark.parametrize("n,trunc,seed", [(1, 3, 93), (2, 2, 94)])
+def test_build_at_order_k_is_a_prefix_of_order_k_plus_one(n, trunc, seed):
+    # trk-conditions at order K reads T_1..T_K, C_1..C_K and the density
+    # through nu^{K-1}, so it may build at K instead of K + 1.
+    space = PhaseSpace(n)
+    low = random_equivalence(space, trunc, seed)
+    high = random_equivalence(space, trunc + 1, seed)
+    assert low.ops == {k: op for k, op in high.ops.items() if k <= trunc}
+    s_low = transport_star(low, moyal_construct(space, trunc))
+    s_high = transport_star(high, moyal_construct(space, trunc + 1))
+    assert trunc in s_low.cochains
+    assert s_low.cochains == {r: c for r, c in s_high.cochains.items() if r <= trunc}
+    rho_low = density_from_equivalence(low).density
+    rho_high = density_from_equivalence(high).density
+    assert rho_low == rho_high.truncate(trunc)
+
+
 @pytest.mark.parametrize("n,seed", [(1, 91), (2, 92)])
 def test_transported_trace_is_a_trace(n, seed):
     space = PhaseSpace(n)

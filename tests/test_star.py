@@ -1,13 +1,16 @@
-import itertools
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_poly
+from conftest import gauss_fns, random_poly
 from startrace.diffop import BiDiffOp, DiffOp
+from startrace.equiv import density_from_equivalence, random_equivalence, transport_star
 from startrace.formal import FormalScalar
-from startrace.gaussfn import GaussFn, gauss_integrate_exact
+from startrace.gaussfn import GaussFn, IntegralValue, gauss_integrate_exact
 from startrace.poly import PhaseSpace, Poly, poisson_bracket
 from startrace.star import (
     EulerDerivation,
@@ -22,6 +25,7 @@ from startrace.star import (
     star_commutator,
     star_multiply,
 )
+from startrace.trace import moyal_trace, trk_residual
 
 
 @pytest.fixture
@@ -93,6 +97,95 @@ def test_commutator_examples(moyal, space):
     assert got2.get(1) == poisson_bracket(p * p, q * q)
 
 
+@lru_cache(maxsize=None)
+def commutator_products(n):
+    """Moyal and a transported product, truncated at K = 3 (n=1) or 2 (n=2)."""
+    space = PhaseSpace(n)
+    trunc = 3 if n == 1 else 2
+    moyal = moyal_construct(space, trunc)
+    # seed 32 gives the transported product a nonzero C_2^- at n=1 and n=2
+    transported = transport_star(random_equivalence(space, trunc, seed=32), moyal)
+    return {"moyal": moyal, "transported": transported}
+
+
+def formal_operands(space):
+    """Hypothesis strategy: a GaussFn, or a nu-series of them whose window
+    and lowest degree vary independently of the product's."""
+    nonzero = gauss_fns(space).filter(lambda g: not g.is_zero())
+    coeffs = st.dictionaries(st.integers(0, 2), nonzero, min_size=1, max_size=3)
+    series = st.builds(
+        lambda c, extra: FormalScalar(c, max(c) + extra), coeffs, st.integers(-1, 2)
+    )
+    return series | gauss_fns(space)
+
+
+@pytest.mark.parametrize("kind", ["moyal", "transported"])
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_commutator_matches_difference_of_products(kind, n, data):
+    s = commutator_products(n)[kind]
+    operands = formal_operands(s.space)
+    u, v = data.draw(operands), data.draw(operands)
+    got = star_commutator(s, u, v)
+    want = star_multiply(s, u, v) - star_multiply(s, v, u)
+    assert got == want
+    assert got.trunc_order == want.trunc_order
+
+
+def test_commutator_window_of_shifted_series():
+    from test_gaussfn import random_gauss
+
+    s = commutator_products(1)["transported"]
+    rng = random.Random(41)
+    g1, g2, g3 = (random_gauss(rng, s.space) for _ in range(3))
+    u = FormalScalar({1: g1, 2: g2}, 5)
+    v = FormalScalar({2: g3}, 6)
+    got = star_commutator(s, u, v)
+    # min(K_u + min_v, K_v + min_u, K + min_u + min_v) = min(7, 7, 6)
+    assert got.trunc_order == 6
+    assert got == star_multiply(s, u, v) - star_multiply(s, v, u)
+    assert got.min_degree == 4
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``BiDiffOp.<name>``; the returned list grows by one per call."""
+    calls = []
+    original = getattr(BiDiffOp, name)
+
+    def counting(self, *args):
+        calls.append(name)
+        return original(self, *args)
+
+    monkeypatch.setattr(BiDiffOp, name, counting)
+    return calls
+
+
+def test_commutator_applies_each_cached_cochain_once(monkeypatch, moyal, space):
+    from test_gaussfn import random_gauss
+
+    rng = random.Random(29)
+    u, v = random_gauss(rng, space), random_gauss(rng, space)
+    t = random_equivalence(space, 4, seed=31)
+    sp = transport_star(t, moyal)
+    setups = [(moyal, moyal_trace(space, 4)), (sp, density_from_equivalence(t))]
+    antisym = count_calls(monkeypatch, "antisym")
+    apply = count_calls(monkeypatch, "apply")
+    # Moyal's even C_r^- vanish: only C_1^- and C_3^- are applied
+    star_commutator(moyal, u, v)
+    assert len(apply) == 2
+    apply.clear()
+    star_commutator(sp, u, v)
+    assert sorted(sp.minus) == [1, 2, 3, 4]
+    assert len(apply) == 4
+    for s, tau in setups:
+        for r in range(0, 5):
+            closedness_integral(s, r, u, v)
+        for k in range(4):
+            trk_residual(tau, s, k, u, v)
+    assert antisym == []
+
+
 def test_moyal_associativity_on_monomials():
     rng = random.Random(7)
     for n in (1, 2):
@@ -158,6 +251,15 @@ def test_closed_product_integral_identity(moyal, space):
             assert got == gauss_integrate_exact(u * v)
         else:
             assert got.is_zero()
+
+
+def test_closedness_integral_checks_its_order(moyal, space):
+    u = GaussFn.gaussian(space, 1)
+    v = Poly.variable(space, "q1") * GaussFn.gaussian(space, 2)
+    assert closedness_integral(moyal, 0, u, v) == IntegralValue.zero()
+    for r in (-1, 5):
+        with pytest.raises(ValueError):
+            closedness_integral(moyal, r, u, v)
 
 
 def test_conformality_canonical(space):

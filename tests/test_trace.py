@@ -3,7 +3,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_poly
 from startrace.diffop import DiffOp
 from startrace.formal import FormalScalar
 from startrace.gaussfn import GaussFn, IntegralValue

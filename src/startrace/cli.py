@@ -196,11 +196,8 @@ class _Parser:
             self._check_index(text[1:], pos)
             return DiffOp.partial(self.space, text[1:])
         if kind == "axnorm":
-            out = Poly.zero(self.space)
-            for name in self.space.variables:
-                v = Poly.variable(self.space, name)
-                out = out + v * v
-            return out
+            names = self.space.variables
+            return Poly.sum(self.space, (Poly.variable(self.space, x) ** 2 for x in names))
         if kind == "exp":
             self._expect_op("(")
             inner = self._sum()
@@ -290,13 +287,14 @@ class _Parser:
 
     def _pair(self, left, right):
         left, right = self._as_op(left), self._as_op(right)
-        coeffs = {}
-        for alpha, pa in left.coeffs.items():
-            for beta, pb in right.coeffs.items():
-                key = (alpha, beta)
-                term = pa * pb
-                coeffs[key] = coeffs[key] + term if key in coeffs else term
-        return BiDiffOp(self.space, coeffs)
+        return BiDiffOp(
+            self.space,
+            (
+                ((alpha, beta), pa * pb)
+                for alpha, pa in left.coeffs.items()
+                for beta, pb in right.coeffs.items()
+            ),
+        )
 
     def _gauss(self, inner, pos):
         inner = self._lift_poly(inner)
@@ -365,7 +363,7 @@ def load_equivalence(path, space, trunc_order):
         data = data.get("operators", [])
     if not isinstance(data, list) or not all(isinstance(e, dict) for e in data):
         raise ValueError("equivalence file must hold a list of operator entries")
-    ops = {}
+    groups = {}
     for entry in data:
         k, text = entry["order"], entry["expression"]
         if isinstance(k, bool) or not isinstance(k, int) or not isinstance(text, str):
@@ -377,7 +375,8 @@ def load_equivalence(path, space, trunc_order):
             value = DiffOp.mult(value)
         if not isinstance(value, DiffOp):
             raise ValueError(f"order-{k} entry is not an operator expression")
-        ops[k] = ops[k] + value if k in ops else value
+        groups.setdefault(k, []).append(value)
+    ops = {k: DiffOp.sum(space, values) for k, values in groups.items()}
     return Equivalence(space, trunc_order, ops)
 
 
@@ -483,9 +482,12 @@ def _num_str(x):
 SCENARIOS = {}
 
 
-def _scenario(name, summary):
+def _scenario(name, summary, reads=None):
+    """Register a scenario; ``reads`` names the one input file it takes,
+    ``"equiv"`` or ``"grid"``."""
+
     def register(fn):
-        SCENARIOS[name] = (fn, summary)
+        SCENARIOS[name] = (fn, summary, reads)
         return fn
 
     return register
@@ -503,6 +505,10 @@ class Scenario:
             raise ValueError("need at least one canonical pair")
         if trunc_order < 1:
             raise ValueError("truncation order must be at least 1")
+        reads = SCENARIOS[name][2]
+        for option, path in (("equiv", equiv_path), ("grid", grid_path)):
+            if path is not None and option != reads:
+                raise ValueError(f"scenario {name!r} reads no --{option} file")
         self.name = name
         self.n = n
         self.trunc_order = trunc_order
@@ -512,8 +518,7 @@ class Scenario:
 
 
 def run_scenario(sc):
-    builder, _ = SCENARIOS[sc.name]
-    return builder(sc)
+    return SCENARIOS[sc.name][0](sc)
 
 
 def _base_params(sc):
@@ -594,7 +599,11 @@ def _run_homogeneity(sc):
     return Report(sc.name, _base_params(sc), cases)
 
 
-@_scenario("transport-trace", "transported product against its transported trace density")
+@_scenario(
+    "transport-trace",
+    "transported product against its transported trace density",
+    reads="equiv",
+)
 def _run_transport_trace(sc):
     space = PhaseSpace(sc.n)
     t = _scenario_equivalence(sc, space)
@@ -616,6 +625,7 @@ def _run_transport_trace(sc):
 @_scenario(
     "normalized-uniqueness",
     "transported Euler normalization and the rotated-density factor",
+    reads="equiv",
 )
 def _run_normalized_uniqueness(sc):
     space = PhaseSpace(sc.n)
@@ -705,13 +715,9 @@ def _run_trk_conditions(sc):
     u, v = _random_gauss(rng, space), _random_gauss(rng, space)
     cases = []
     for label, tau, product in setups:
-        residuals = {}
-        ok = True
-        for k in range(sc.trunc_order):
-            val = trk_residual(tau, product, k, u, v)
-            residuals[str(k)] = str(val)
-            ok = ok and val.is_zero()
-        cases.append(Case(label, residuals, ok))
+        values = trk_residual(tau, product, u, v)
+        residuals = {str(k): str(val) for k, val in enumerate(values)}
+        cases.append(Case(label, residuals, all(val.is_zero() for val in values)))
     return Report(sc.name, _base_params(sc), cases)
 
 
@@ -724,7 +730,7 @@ def _gs_case(case_id, u, tol):
     return Case(case_id, {"sup": _num_str(r)}, r <= tol)
 
 
-@_scenario("gs-decompose", "divergence-form decomposition of zero-integral grid data")
+@_scenario("gs-decompose", "divergence-form decomposition of zero-integral grid data", reads="grid")
 def _run_gs_decompose(sc):
     params = _base_params(sc)
     if sc.grid_path:
@@ -756,7 +762,7 @@ def _run_gs_decompose(sc):
     return Report(sc.name, params, cases)
 
 
-@_scenario("brw-bracket", "bracket-pair decomposition and the averaging functional")
+@_scenario("brw-bracket", "bracket-pair decomposition and the averaging functional", reads="grid")
 def _run_brw_bracket(sc):
     params = _base_params(sc)
     cases = []
@@ -858,7 +864,7 @@ def _build_arg_parser():
 def main(argv=None):
     args = _build_arg_parser().parse_args(argv)
     if args.command == "list-scenarios":
-        for name, (_, summary) in SCENARIOS.items():
+        for name, (_, summary, _) in SCENARIOS.items():
             print(f"{name}: {summary}")
         return 0
     if args.command == "parse":

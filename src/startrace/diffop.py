@@ -14,6 +14,7 @@ terms by left multi-index, so it multiplies by each ``d^alpha u`` once.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb
 
 from startrace.poly import Poly, PolyCombination
@@ -81,11 +82,9 @@ class DiffOp(PolyCombination):
     # -- action -------------------------------------------------------
 
     def apply(self, f):
-        out = None
-        for alpha, poly in self.coeffs.items():
-            term = poly * f.diff_multi(alpha)
-            out = term if out is None else out + term
-        return type(f).zero(self.space) if out is None else out
+        return type(f).sum(
+            self.space, (poly * f.diff_multi(alpha) for alpha, poly in self.coeffs.items())
+        )
 
     def compose(self, other):
         """Normal form of ``self o other`` via the generalized Leibniz rule.
@@ -96,26 +95,27 @@ class DiffOp(PolyCombination):
         if not isinstance(other, DiffOp):
             raise TypeError("compose expects a DiffOp")
         self._check_space(other)
-        out = {}
-        for alpha, a in self.coeffs.items():
-            for beta, b in other.coeffs.items():
-                for gamma in _sub_indices(alpha):
-                    db = b.diff_multi(_sub(alpha, gamma))
-                    if db.is_zero():
-                        continue
-                    key = _add(gamma, beta)
-                    term = a * db * _binom(alpha, gamma)
-                    out[key] = out[key] + term if key in out else term
-        return DiffOp(self.space, out)
+        return DiffOp(
+            self.space,
+            (
+                (_add(gamma, beta), a * db * _binom(alpha, gamma))
+                for alpha, a in self.coeffs.items()
+                for beta, b in other.coeffs.items()
+                for gamma in _sub_indices(alpha)
+                if not (db := b.diff_multi(_sub(alpha, gamma))).is_zero()
+            ),
+        )
 
     def adjoint(self):
         """Formal adjoint: ``(a d^alpha)* = (-1)^{|alpha|} d^alpha o a``."""
-        out = DiffOp.zero(self.space)
-        for alpha, a in self.coeffs.items():
-            sign = -1 if sum(alpha) % 2 else 1
-            part = DiffOp(self.space, {alpha: Poly.constant(self.space, sign)})
-            out = out + part.compose(DiffOp.mult(a))
-        return out
+        return DiffOp.sum(
+            self.space,
+            (
+                DiffOp(self.space, {alpha: Poly.constant(self.space, (-1) ** sum(alpha))})
+                .compose(DiffOp.mult(a))
+                for alpha, a in self.coeffs.items()
+            ),
+        )
 
     # -- rendering ----------------------------------------------------
 
@@ -194,21 +194,14 @@ class BiDiffOp(PolyCombination):
         """
         rows = {}
         for (alpha, beta), poly in self.coeffs.items():
-            term = v.diff_multi(beta) * poly
-            rows[alpha] = rows[alpha] + term if alpha in rows else term
-        out = None
-        for alpha, inner in rows.items():
-            term = u.diff_multi(alpha) * inner
-            out = term if out is None else out + term
-        return type(u).zero(self.space) if out is None else out
+            rows.setdefault(alpha, []).append(v.diff_multi(beta) * poly)
+        terms = [u.diff_multi(alpha) * type(v).sum(self.space, r) for alpha, r in rows.items()]
+        return type(terms[0] if terms else u).sum(self.space, terms)
 
     def antisym(self):
         """``B^-(u,v) = B(u,v) - B(v,u)`` as a slot swap in normal form."""
-        out = dict(self.coeffs)
-        for (alpha, beta), poly in self.coeffs.items():
-            key = (beta, alpha)
-            out[key] = out.get(key, Poly.zero(self.space)) - poly
-        return BiDiffOp(self.space, out)
+        swapped = (((beta, alpha), -poly) for (alpha, beta), poly in self.coeffs.items())
+        return BiDiffOp(self.space, chain(self.coeffs.items(), swapped))
 
     def conjugate(self, s_out, s_left, s_right):
         """Normal form of ``(u,v) -> S_out(B(S_left u, S_right v))``."""
@@ -216,7 +209,7 @@ class BiDiffOp(PolyCombination):
             if not isinstance(s, DiffOp):
                 raise TypeError("conjugate expects DiffOp transports")
             self._check_space(s)
-        inner = {}
+        pairs = []
         for (alpha, beta), c in self.coeffs.items():
             left = DiffOp(self.space, {alpha: Poly.constant(self.space, 1)}).compose(
                 s_left
@@ -224,22 +217,22 @@ class BiDiffOp(PolyCombination):
             right = DiffOp(self.space, {beta: Poly.constant(self.space, 1)}).compose(
                 s_right
             )
-            for gamma, dl in left.coeffs.items():
-                for eps, dr in right.coeffs.items():
-                    key = (gamma, eps)
-                    term = c * dl * dr
-                    inner[key] = inner[key] + term if key in inner else term
-        out = {}
-        for delta, s in s_out.coeffs.items():
-            for (gamma, eps), c in inner.items():
-                for d1, d2, d3, mult in _three_way_splits(delta):
-                    dc = c.diff_multi(d1)
-                    if dc.is_zero():
-                        continue
-                    key = (_add(gamma, d2), _add(eps, d3))
-                    term = s * dc * mult
-                    out[key] = out[key] + term if key in out else term
-        return BiDiffOp(self.space, out)
+            pairs += (
+                ((gamma, eps), c * dl * dr)
+                for gamma, dl in left.coeffs.items()
+                for eps, dr in right.coeffs.items()
+            )
+        inner = BiDiffOp(self.space, pairs)
+        return BiDiffOp(
+            self.space,
+            (
+                ((_add(gamma, d2), _add(eps, d3)), s * dc * mult)
+                for delta, s in s_out.coeffs.items()
+                for (gamma, eps), c in inner.coeffs.items()
+                for d1, d2, d3, mult in _three_way_splits(delta)
+                if not (dc := c.diff_multi(d1)).is_zero()
+            ),
+        )
 
     def __str__(self):
         if self.is_zero():

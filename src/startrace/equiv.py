@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 
-from startrace.diffop import DiffOp
+from startrace.diffop import BiDiffOp, DiffOp
 from startrace.formal import FormalScalar
 from startrace.gaussfn import (
     GaussFn,
@@ -21,7 +22,7 @@ from startrace.gaussfn import (
     gauss_pullback_linear,
 )
 from startrace.poly import Poly, _as_fraction, mat_mul, mat_transpose
-from startrace.star import EulerDerivation, StarProduct, _map_coeffs
+from startrace.star import EulerDerivation, StarProduct, _apply_series
 from startrace.trace import TraceFunctional
 
 
@@ -63,10 +64,7 @@ class Equivalence:
         """Apply to a formal function (or a plain Poly/GaussFn, coerced)."""
         if not isinstance(w, FormalScalar):
             w = FormalScalar.constant(w, self.trunc_order)
-        out = w
-        for k, op in self.ops.items():
-            out = out + _map_coeffs(w, op.apply).shift(k).truncate(w.trunc_order)
-        return out
+        return w + _apply_series(self.ops, w)
 
     def compose(self, other):
         """``self o other`` as an equivalence, truncated at the common order."""
@@ -90,16 +88,21 @@ class Equivalence:
         return f"Equivalence(K={self.trunc_order}, orders={sorted(self.ops)})"
 
 
+def _compose_pairs(a, b, trunc_order):
+    """``(i + j, a_i o b_j)`` for operator series ``{k: DiffOp}``, through
+    ``trunc_order``."""
+    return (
+        (i + j, ai.compose(bj))
+        for i, ai in a.items()
+        for j, bj in b.items()
+        if i + j <= trunc_order
+    )
+
+
 def _series_compose(a, b, trunc_order):
-    out = {}
-    for i, ai in a.items():
-        for j, bj in b.items():
-            k = i + j
-            if k > trunc_order:
-                continue
-            term = ai.compose(bj)
-            out[k] = out[k] + term if k in out else term
-    return {k: op for k, op in out.items() if not op.is_zero()}
+    """``{k: sum_{i+j=k} a_i o b_j}`` with zero orders dropped; the series
+    constructor merges each order once."""
+    return FormalScalar(_compose_pairs(a, b, trunc_order), trunc_order).coeffs
 
 
 def equiv_invert(t):
@@ -107,15 +110,9 @@ def equiv_invert(t):
     space = t.space
     s = {0: DiffOp.identity(space)}
     for k in range(1, t.trunc_order + 1):
-        acc = DiffOp.zero(space)
-        for j in range(1, k + 1):
-            tj = t.ops.get(j)
-            prev = s.get(k - j)
-            if tj is None or prev is None or prev.is_zero():
-                continue
-            acc = acc + tj.compose(prev)
+        acc = DiffOp.sum(space, (tj.compose(s[k - j]) for j, tj in t.ops.items() if k - j in s))
         if not acc.is_zero():
-            s[k] = -1 * acc
+            s[k] = -acc
     return Equivalence(space, t.trunc_order, {k: op for k, op in s.items() if k})
 
 
@@ -144,36 +141,28 @@ def transport_star(t, s):
     trunc = s.trunc_order
     inv = equiv_invert(t).series()
     fwd = t.series()
-    cochains = {}
-    for m in range(1, trunc + 1):
-        acc = None
-        for a, s_a in inv.items():
-            for r in range(0, m - a + 1):
-                base = s.cochain(r)
-                if base.is_zero():
-                    continue
-                for b, t_b in fwd.items():
-                    c = m - a - r - b
-                    t_c = fwd.get(c)
-                    if t_c is None:
-                        continue
-                    term = base.conjugate(s_a, t_b, t_c)
-                    acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
-            cochains[m] = acc
+    base = {0: s.cochain(0), **s.cochains}
+    cochains = {
+        m: BiDiffOp.sum(
+            s.space,
+            (
+                op.conjugate(s_a, t_b, fwd[m - a - r - b])
+                for a, s_a in inv.items()
+                for r, op in base.items()
+                for b, t_b in fwd.items()
+                if m - a - r - b in fwd
+            ),
+        )
+        for m in range(1, trunc + 1)
+    }
     return StarProduct(s.space, trunc, cochains)
 
 
 def density_from_equivalence(t):
     """Standard trace with density ``rho = T'(1) = 1 + sum nu^k T_k*(1)``."""
-    adj = equiv_adjoint(t)
     one = Poly.constant(t.space, 1)
-    coeffs = {0: one}
-    for k, op in adj.ops.items():
-        val = op.apply(one)
-        if not val.is_zero():
-            coeffs[k] = val
-    rho = FormalScalar(coeffs, t.trunc_order)
+    shapes = {k: op.apply(one) for k, op in equiv_adjoint(t).ops.items()}
+    rho = FormalScalar({0: one, **shapes}, t.trunc_order)
     return TraceFunctional(t.space, rho, -t.space.n)
 
 
@@ -188,18 +177,12 @@ def transport_euler(t, d):
         raise ValueError("equivalence and derivation live on different spaces")
     trunc = t.trunc_order
     inv = equiv_invert(t).series()
-    fwd = t.series()
-    core = {0: d.x}
-    for r, op in d.corrections.items():
-        if r <= trunc:
-            core[r] = core[r] + op if r in core else op
-    total = _series_compose(_series_compose(inv, core, trunc), fwd, trunc)
+    conj = _series_compose(inv, {0: d.x, **d.corrections}, trunc)
     tdot = {k: k * op for k, op in t.ops.items()}
-    for k, op in _series_compose(inv, tdot, trunc).items():
-        total[k] = total[k] + op if k in total else op
+    pairs = chain(_compose_pairs(conj, t.series(), trunc), _compose_pairs(inv, tdot, trunc))
+    total = FormalScalar(pairs, trunc).coeffs
     x_new = total.pop(0, DiffOp.zero(t.space))
-    corrections = {k: op for k, op in total.items() if not op.is_zero()}
-    return EulerDerivation(t.space, x_new, corrections)
+    return EulerDerivation(t.space, x_new, total)
 
 
 def random_equivalence(space, trunc_order, seed):
@@ -212,7 +195,7 @@ def random_equivalence(space, trunc_order, seed):
     rng = random.Random(seed)
     ops = {}
     for k in range(1, trunc_order + 1):
-        coeffs = {}
+        pairs = []
         for _ in range(rng.randint(1, 2)):
             alpha = [0] * space.dim
             for _ in range(rng.randint(1, 2)):
@@ -221,10 +204,8 @@ def random_equivalence(space, trunc_order, seed):
             for _ in range(rng.randint(0, 2)):
                 exps[rng.randrange(space.dim)] += 1
             c = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2]))
-            poly = Poly.monomial(space, exps, c)
-            key = tuple(alpha)
-            coeffs[key] = coeffs.get(key, Poly.zero(space)) + poly
-        op = DiffOp(space, coeffs)
+            pairs.append((tuple(alpha), Poly.monomial(space, exps, c)))
+        op = DiffOp(space, pairs)
         if not op.is_zero():
             ops[k] = op
     return Equivalence(space, trunc_order, ops)

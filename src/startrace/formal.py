@@ -7,11 +7,19 @@ pluggable exact ring: ``fractions.Fraction``, :class:`~startrace.gaussfn.Integra
 because the series layer only needs ``+``, ``*``, ``==`` and an exact zero
 test.  Every arithmetic result is truncated; the truncation window of a
 product is chosen so that every stored coefficient is exact.
+
+The constructor is where sums merge: it takes a mapping or a stream of
+``(degree, coefficient)`` pairs whose degrees may repeat, and sums each
+degree's coefficients once, through the ring's n-ary ``sum`` where it has
+one (``Poly.sum``, ``GaussFn.sum``).  Sums and products are such streams.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+
+from startrace.poly import _pairs
 
 #: Hard floor on negative powers: ``min_degree >= -(trunc_order + margin)``.
 #: Trace functionals contribute a single ``nu^-n`` prefactor, so at desk
@@ -26,6 +34,15 @@ def _is_zero(c):
     return c == 0
 
 
+def _coeff_sum(group):
+    """Sum of a nonempty list of ring elements, in one n-ary ``sum`` where
+    the ring has one and by ``+`` otherwise."""
+    first = group[0]
+    if len(group) > 1 and hasattr(first, "sum"):
+        return first.sum(first.space, group)
+    return sum(group[1:], first)
+
+
 def _coeff_div(a, b):
     probe = getattr(a, "divide_by", None)
     if callable(probe):
@@ -36,18 +53,23 @@ def _coeff_div(a, b):
 class FormalScalar:
     """Laurent polynomial in ``nu``, exact up to ``trunc_order``.
 
-    The coefficient mapping never stores zeros, so ``min_degree`` is the
-    lowest genuinely nonzero power (``None`` for the zero series).
+    The constructor adds the coefficients of repeated degrees and drops
+    degrees above ``trunc_order``.  The coefficient mapping never stores
+    zeros, so ``min_degree`` is the lowest genuinely nonzero power (``None``
+    for the zero series).
     """
 
     __slots__ = ("coeffs", "trunc_order")
 
     def __init__(self, coeffs, trunc_order):
+        groups = {}
+        for k, c in _pairs(coeffs):
+            if k <= trunc_order:
+                groups.setdefault(k, []).append(Fraction(c) if isinstance(c, int) else c)
         clean = {}
-        for k, c in coeffs.items():
-            if isinstance(c, int):
-                c = Fraction(c)
-            if k <= trunc_order and not _is_zero(c):
+        for k, group in groups.items():
+            c = _coeff_sum(group)
+            if not _is_zero(c):
                 clean[k] = c
         if clean:
             lowest = min(clean)
@@ -102,10 +124,7 @@ class FormalScalar:
             return NotImplemented
         self._check_ring(other)
         trunc = min(self.trunc_order, other.trunc_order)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out[k] + c if k in out else c
-        return FormalScalar(out, trunc)
+        return FormalScalar(chain(self.coeffs.items(), other.coeffs.items()), trunc)
 
     def __neg__(self):
         return FormalScalar({k: -c for k, c in self.coeffs.items()}, self.trunc_order)
@@ -125,15 +144,15 @@ class FormalScalar:
             self.trunc_order + other.min_degree,
             other.trunc_order + self.min_degree,
         )
-        out = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = i + j
-                if k > trunc:
-                    continue
-                prod = a * b
-                out[k] = out[k] + prod if k in out else prod
-        return FormalScalar(out, trunc)
+        return FormalScalar(
+            (
+                (i + j, a * b)
+                for i, a in self.coeffs.items()
+                for j, b in other.coeffs.items()
+                if i + j <= trunc
+            ),
+            trunc,
+        )
 
     def scale(self, c):
         """Multiply every coefficient by a ring element or rational ``c``."""

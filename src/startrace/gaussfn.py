@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 import mpmath
 
@@ -29,6 +30,7 @@ from startrace.poly import (
     PolyCombination,
     _as_fraction,
     _diff_multi,
+    _pairs,
     mat_inverse,
     mat_det,
     mat_mul,
@@ -45,18 +47,19 @@ class IntegralValue:
     """Exact value ``pi^pi_power * sum_j r_j * e^{s_j}``.
 
     ``terms`` maps rational exponents ``s`` to nonzero rational
-    coefficients ``r``.  The zero value stores an empty map and pi power 0.
+    coefficients ``r``.  The constructor takes a mapping or a stream of
+    ``(s, r)`` pairs; it adds the coefficients of repeated exponents and
+    drops zero sums.  The zero value stores an empty map and pi power 0.
     """
 
     __slots__ = ("pi_power", "terms")
 
     def __init__(self, pi_power, terms):
-        clean = {}
-        for s, r in terms.items():
+        merged = {}
+        for s, r in _pairs(terms):
             s, r = _as_fraction(s), _as_fraction(r)
-            if r:
-                clean[s] = clean.get(s, Fraction(0)) + r
-        clean = {s: r for s, r in clean.items() if r}
+            merged[s] = merged[s] + r if s in merged else r
+        clean = {s: r for s, r in merged.items() if r}
         if pi_power < 0:
             raise ValueError("pi_power must be nonnegative")
         self.pi_power = pi_power if clean else 0
@@ -80,10 +83,7 @@ class IntegralValue:
             raise ValueError(
                 f"cannot add values with pi powers {self.pi_power} and {other.pi_power}"
             )
-        out = dict(self.terms)
-        for s, r in other.terms.items():
-            out[s] = out.get(s, Fraction(0)) + r
-        return IntegralValue(self.pi_power, out)
+        return IntegralValue(self.pi_power, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
         return IntegralValue(self.pi_power, {s: -r for s, r in self.terms.items()})
@@ -99,12 +99,14 @@ class IntegralValue:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return IntegralValue.zero()
-        out = {}
-        for s1, r1 in self.terms.items():
-            for s2, r2 in other.terms.items():
-                s = s1 + s2
-                out[s] = out.get(s, Fraction(0)) + r1 * r2
-        return IntegralValue(self.pi_power + other.pi_power, out)
+        return IntegralValue(
+            self.pi_power + other.pi_power,
+            (
+                (s1 + s2, r1 * r2)
+                for s1, r1 in self.terms.items()
+                for s2, r2 in other.terms.items()
+            ),
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -225,17 +227,14 @@ class GaussFn(PolyCombination):
         if not isinstance(other, GaussFn):
             return super().__mul__(other)
         self._check_space(other)
-        out = {}
-        for (t1, b1, c1), p1 in self.coeffs.items():
-            for (t2, b2, c2), p2 in other.coeffs.items():
-                key = (
-                    t1 + t2,
-                    tuple(x + y for x, y in zip(b1, b2)),
-                    c1 + c2,
-                )
-                prod = p1 * p2
-                out[key] = out[key] + prod if key in out else prod
-        return GaussFn(self.space, out)
+        return GaussFn(
+            self.space,
+            (
+                ((t1 + t2, tuple(x + y for x, y in zip(b1, b2)), c1 + c2), p1 * p2)
+                for (t1, b1, c1), p1 in self.coeffs.items()
+                for (t2, b2, c2), p2 in other.coeffs.items()
+            ),
+        )
 
     # -- calculus -----------------------------------------------------
 
@@ -243,18 +242,16 @@ class GaussFn(PolyCombination):
         """Partial derivative; the exponent contributes ``(b_a - t x_a)``."""
         if isinstance(axis, str):
             axis = self.space.axis(axis)
-        out = GaussFn.zero(self.space)
-        for (t, b, c), poly in self.coeffs.items():
-            shape = poly.diff(axis)
+        x = Poly.variable(self.space, self.space.variables[axis])
+        pairs = []
+        for key, poly in self.coeffs.items():
+            t, b, _ = key
+            pairs.append((key, poly.diff(axis)))
             if t:
-                shape = shape - poly * Poly.variable(
-                    self.space, self.space.variables[axis]
-                ) * t
+                pairs.append((key, poly * x * -t))
             if b[axis]:
-                shape = shape + poly * b[axis]
-            if not shape.is_zero():
-                out = out + GaussFn(self.space, {(t, b, c): shape})
-        return out
+                pairs.append((key, poly * b[axis]))
+        return GaussFn(self.space, pairs)
 
     def diff_multi(self, alpha):
         """``d^alpha self`` through the shared derivative jet
@@ -264,18 +261,12 @@ class GaussFn(PolyCombination):
     def translate(self, shifts):
         """Pull back along ``x -> x + a``; the exponent re-completes exactly."""
         a = _as_vector(self.space, shifts)
-        out = {}
+        pairs = []
         for (t, b, c), poly in self.coeffs.items():
             b2 = tuple(bi - t * ai for bi, ai in zip(b, a))
-            c2 = (
-                c
-                + sum(bi * ai for bi, ai in zip(b, a))
-                - t * sum(ai * ai for ai in a) / 2
-            )
-            key = (t, b2, c2)
-            moved = poly.translate(a)
-            out[key] = out[key] + moved if key in out else moved
-        return GaussFn(self.space, out)
+            c2 = c + sum(bi * ai for bi, ai in zip(b, a)) - t * sum(ai * ai for ai in a) / 2
+            pairs.append(((t, b2, c2), poly.translate(a)))
+        return GaussFn(self.space, pairs)
 
     def evaluate_float(self, point):
         """Pointwise value as a float (grid sampling helper)."""
@@ -399,15 +390,12 @@ def gauss_integrate_exact(a):
     ``c + |b|^2/(2t)``) and apply the even-moment formula with covariance
     ``1/t``; anisotropic terms take Wick moments of their full covariance.
     """
-    if isinstance(a, GeneralGaussFn):
-        total = IntegralValue.zero()
-        for poly, mat, b, c in a.terms:
-            total = total + _integrate_general_term(a.space, poly, mat, b, c)
-        return total
-    if not isinstance(a, GaussFn):
+    if not isinstance(a, (GaussFn, GeneralGaussFn)):
         raise TypeError("gauss_integrate_exact expects a GaussFn or GeneralGaussFn")
     n = a.space.n
-    total = IntegralValue.zero()
+    if isinstance(a, GeneralGaussFn):
+        return IntegralValue(n, (_integrate_general_term(n, *term) for term in a.terms))
+    pairs = []
     for (t, b, c), poly in a.coeffs.items():
         if t <= 0:
             raise NonIntegrableError("term with t = 0 has no convergent integral")
@@ -422,9 +410,8 @@ def gauss_integrate_exact(a):
             for e in exps:
                 m *= Fraction(_double_factorial(e - 1)) / t ** (e // 2)
             acc += r * m
-        if acc:
-            total = total + IntegralValue(n, {s: acc * Fraction(2, 1) ** n / t**n})
-    return total
+        pairs.append((s, acc * Fraction(2, 1) ** n / t**n))
+    return IntegralValue(n, pairs)
 
 
 @lru_cache(maxsize=None)
@@ -445,8 +432,8 @@ def _wick_moment(cov, counts):
     return total
 
 
-def _integrate_general_term(space, poly, a, b, c):
-    n = space.n
+def _integrate_general_term(n, poly, a, b, c):
+    """``(s, r)`` with ``integral of poly * exp(x^T a x / 2 + b.x + c) = r e^s pi^n``."""
     neg_a = [[-v for v in row] for row in a]
     # Sylvester's criterion: -A is positive definite iff every leading
     # principal minor is positive; the last one is the full determinant.
@@ -472,7 +459,7 @@ def _integrate_general_term(space, poly, a, b, c):
         if sum(exps) % 2:
             continue
         moment += r * _wick_moment(cov_key, exps)
-    return IntegralValue(n, {s: Fraction(2) ** n * moment * den / num})
+    return s, Fraction(2) ** n * moment * den / num
 
 
 def gauss_integrate_bigfloat(a, precision=50):
@@ -498,12 +485,13 @@ def gauss_pullback_linear(a, m):
         gram[i][j] == (lam if i == j else 0) for i in range(d) for j in range(d)
     )
     if isotropic:
-        out = {}
-        for (t, b, c), poly in a.coeffs.items():
-            key = (t * lam, tuple(mat_vec(mt, list(b))), c)
-            moved = poly.pullback_linear(rows)
-            out[key] = out[key] + moved if key in out else moved
-        return GaussFn(a.space, out)
+        return GaussFn(
+            a.space,
+            (
+                ((t * lam, tuple(mat_vec(mt, list(b))), c), poly.pullback_linear(rows))
+                for (t, b, c), poly in a.coeffs.items()
+            ),
+        )
     terms = []
     for (t, b, c), poly in a.coeffs.items():
         mat = [[-t * v for v in row] for row in gram]

@@ -10,6 +10,12 @@ which makes ``{v, q_i} = dv/dp_i`` hold literally and gives ``{q, p} = -1``.
 
 :class:`PolyCombination` is the one normal form of sums with polynomial
 coefficients, shared by ``GaussFn``, ``DiffOp`` and ``BiDiffOp``.
+
+Constructors are where sums merge.  ``Poly`` and ``PolyCombination`` take
+a mapping or any iterable of ``(key, value)`` pairs whose keys may repeat;
+they add the values of repeated keys and drop zero sums, so every sum in
+the package is a stream of pairs handed to one constructor, and the
+n-ary ``sum`` classmethods build a sum of many objects in one dict.
 """
 
 from __future__ import annotations
@@ -56,11 +62,19 @@ def _as_fraction(c):
     raise TypeError(f"polynomial coefficients must be rational, got {type(c).__name__}")
 
 
+def _pairs(source):
+    """The ``(key, value)`` pairs of a mapping, or ``source`` itself."""
+    items = getattr(source, "items", None)
+    return source if items is None else items()
+
+
 class Poly:
     """Polynomial in the phase-space coordinates with rational coefficients.
 
     ``terms`` maps exponent tuples (length ``2n``, axis order ``q1..qn p1..pn``)
-    to nonzero Fractions.  Instances are immutable once built: nothing
+    to nonzero Fractions.  The constructor takes a mapping or a stream of
+    ``(exps, c)`` pairs; it adds the coefficients of repeated exponents and
+    drops zero sums.  Instances are immutable once built: nothing
     writes to ``terms`` after ``__init__``, so derivatives cached in the
     ``_jet`` slot (see :func:`_diff_multi`) stay valid for the object's life.
     """
@@ -68,9 +82,12 @@ class Poly:
     __slots__ = ("space", "terms", "_jet")
 
     def __init__(self, space, terms):
-        clean = {}
-        for exps, c in terms.items():
+        merged = {}
+        for exps, c in _pairs(terms):
             c = _as_fraction(c)
+            merged[exps] = merged[exps] + c if exps in merged else c
+        clean = {}
+        for exps, c in merged.items():
             if c:
                 if len(exps) != space.dim or any(e < 0 for e in exps):
                     raise ValueError(f"bad exponent tuple {exps!r}")
@@ -99,6 +116,20 @@ class Poly:
     def monomial(cls, space, exps, c=Fraction(1)):
         return cls(space, {tuple(exps): _as_fraction(c)})
 
+    @classmethod
+    def sum(cls, space, polys):
+        """``sum(polys, Poly.zero(space))``, merged in one dict."""
+
+        def pairs():
+            for p in polys:
+                if not isinstance(p, Poly):
+                    raise TypeError(f"cannot add {type(p).__name__} to a polynomial")
+                if p.space != space:
+                    raise ValueError("polynomials live on different phase spaces")
+                yield from p.terms.items()
+
+        return cls(space, pairs())
+
     # -- inspection ---------------------------------------------------
 
     def is_zero(self):
@@ -116,11 +147,7 @@ class Poly:
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_space(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
-        return Poly(self.space, out)
+        return Poly.sum(self.space, (self, other))
 
     def __neg__(self):
         return Poly(self.space, {e: -c for e, c in self.terms.items()})
@@ -135,12 +162,14 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_space(other)
-        out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return Poly(self.space, out)
+        return Poly(
+            self.space,
+            (
+                (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+                for ea, ca in self.terms.items()
+                for eb, cb in other.terms.items()
+            ),
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -161,13 +190,14 @@ class Poly:
         """Partial derivative along an axis index or coordinate name."""
         if isinstance(axis, str):
             axis = self.space.axis(axis)
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[axis]
-            if e:
-                key = exps[:axis] + (e - 1,) + exps[axis + 1 :]
-                out[key] = out.get(key, Fraction(0)) + c * e
-        return Poly(self.space, out)
+        return Poly(
+            self.space,
+            (
+                (exps[:axis] + (exps[axis] - 1,) + exps[axis + 1 :], c * exps[axis])
+                for exps, c in self.terms.items()
+                if exps[axis]
+            ),
+        )
 
     def diff_multi(self, alpha):
         """``d^alpha self`` through the shared derivative jet (:func:`_diff_multi`)."""
@@ -184,17 +214,22 @@ class Poly:
             total = val if total is None else total + val
         return Fraction(0) if total is None else total
 
-    def _substitute(self, subs):
-        """``f(s_1, ..., s_2n)``: one Poly substituted per coordinate (the
-        kernel of :meth:`pullback_linear`)."""
-        out = Poly.zero(self.space)
+    def pullback_linear(self, matrix):
+        """Pull back along ``x -> M x``: returns ``f(M x)``."""
+        rows = [[_as_fraction(v) for v in row] for row in matrix]
+        if len(rows) != self.space.dim or any(len(r) != self.space.dim for r in rows):
+            raise ValueError("matrix shape must match the phase-space dimension")
+        d = self.space.dim
+        units = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+        subs = [Poly(self.space, zip(units, row)) for row in rows]
+        terms = []
         for exps, c in self.terms.items():
             term = Poly.constant(self.space, c)
             for sub, e in zip(subs, exps):
                 if e:
                     term = term * sub**e
-            out = out + term
-        return out
+            terms.append(term)
+        return Poly.sum(self.space, terms)
 
     def translate(self, shifts):
         """Pull back along ``x -> x + a``: returns ``f(x + a)``.
@@ -209,7 +244,7 @@ class Poly:
         if not any(a):
             return self
         rows = [{} for _ in a]  # per axis: e -> [(k, C(e, k) a^(e-k))]
-        out = {}
+        out = []
         for exps, c in self.terms.items():
             partial = [((), c)]
             for axis, e in enumerate(exps):
@@ -223,23 +258,8 @@ class Poly:
                         (k, comb(e, k) * ai ** (e - k)) for k in range(e + 1)
                     ]
                 partial = [(key + (k,), v * w) for key, v in partial for k, w in row]
-            for key, v in partial:
-                out[key] = out[key] + v if key in out else v
+            out += partial
         return Poly(self.space, out)
-
-    def pullback_linear(self, matrix):
-        """Pull back along ``x -> M x``: returns ``f(M x)``."""
-        rows = [[_as_fraction(v) for v in row] for row in matrix]
-        if len(rows) != self.space.dim or any(len(r) != self.space.dim for r in rows):
-            raise ValueError("matrix shape must match the phase-space dimension")
-        subs = []
-        for j in range(self.space.dim):
-            acc = Poly.zero(self.space)
-            for k, name in enumerate(self.space.variables):
-                if rows[j][k]:
-                    acc = acc + Poly.variable(self.space, name) * rows[j][k]
-            subs.append(acc)
-        return self._substitute(subs)
 
     # -- comparison / rendering ---------------------------------------
 
@@ -295,22 +315,22 @@ class PolyCombination:
     """Finite sum ``sum_key coeffs[key] * e_key`` with Poly coefficients.
 
     ``coeffs`` maps keys, normalized by the subclass hook ``_key(space, key)``,
-    to nonzero Polys: entries whose keys normalize alike merge and zero sums
-    drop, so equality is a dictionary comparison.  Different subclasses
-    never add or compare equal.
+    to nonzero Polys.  The constructor takes a mapping or a stream of
+    ``(key, poly)`` pairs: the Polys of keys that normalize alike merge
+    through one :meth:`Poly.sum` and zero sums drop, so equality is a
+    dictionary comparison.  Different subclasses never add or compare equal.
     """
 
     __slots__ = ("space", "coeffs")
 
     def __init__(self, space, coeffs):
+        groups = {}
+        for key, poly in _pairs(coeffs):
+            groups.setdefault(self._key(space, key), []).append(poly)
         clean = {}
-        for key, poly in coeffs.items():
-            key = self._key(space, key)
-            if key in clean:
-                poly = clean[key] + poly
-            if poly.is_zero():
-                clean.pop(key, None)
-            else:
+        for key, polys in groups.items():
+            poly = polys[0] if len(polys) == 1 else Poly.sum(space, polys)
+            if not poly.is_zero():
                 clean[key] = poly
         self.space = space
         self.coeffs = clean
@@ -318,6 +338,20 @@ class PolyCombination:
     @classmethod
     def zero(cls, space):
         return cls(space, {})
+
+    @classmethod
+    def sum(cls, space, items):
+        """``sum(items, cls.zero(space))``, merged in one dict."""
+
+        def pairs():
+            for x in items:
+                if type(x) is not cls:
+                    raise TypeError(f"cannot add {type(x).__name__} to {cls.__name__}")
+                if x.space != space:
+                    raise ValueError("operands live on different phase spaces")
+                yield from x.coeffs.items()
+
+        return cls(space, pairs())
 
     def is_zero(self):
         return not self.coeffs
@@ -329,11 +363,7 @@ class PolyCombination:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        self._check_space(other)
-        out = dict(self.coeffs)
-        for key, poly in other.coeffs.items():
-            out[key] = out[key] + poly if key in out else poly
-        return type(self)(self.space, out)
+        return type(self).sum(self.space, (self, other))
 
     def __neg__(self):
         return type(self)(self.space, {k: -p for k, p in self.coeffs.items()})
@@ -396,11 +426,9 @@ def poisson_bracket(f, g):
         raise TypeError("poisson_bracket expects two Poly operands")
     f._check_space(g)
     n = f.space.n
-    out = Poly.zero(f.space)
-    for i in range(n):
-        qi, pi = i, n + i
-        out = out + f.diff(pi) * g.diff(qi) - f.diff(qi) * g.diff(pi)
-    return out
+    return Poly.sum(
+        f.space, (f.diff(n + i) * g.diff(i) - f.diff(i) * g.diff(n + i) for i in range(n))
+    )
 
 
 # -- exact dense matrices over Fraction --------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from startrace.diffop import BiDiffOp, DiffOp
+from startrace.diffop import BiDiffOp, DiffOp, _add
 from startrace.formal import FormalScalar
 from startrace.gaussfn import GaussFn, IntegralValue, gauss_integrate_exact
 from startrace.poly import Poly
@@ -96,27 +96,20 @@ def moyal_construct(space, trunc_order):
     """Moyal star product truncated at ``trunc_order``."""
     if trunc_order < 1:
         raise ValueError("truncation order must be at least 1")
-    generators = [
-        (alpha, beta, c.constant_term())
-        for (alpha, beta), c in poisson_cochain(space).coeffs.items()
-    ]
+    symbol = poisson_cochain(space).coeffs.items()
     cochains = {}
-    power = {((0,) * space.dim, (0,) * space.dim): Fraction(1)}
+    power = BiDiffOp.product_cochain(space)
     for k in range(1, trunc_order + 1):
-        nxt = {}
-        for (alpha, beta), c in power.items():
-            for a, b, sign in generators:
-                key = (
-                    tuple(x + y for x, y in zip(alpha, a)),
-                    tuple(x + y for x, y in zip(beta, b)),
-                )
-                nxt[key] = nxt.get(key, Fraction(0)) + c * sign
-        power = {key: c for key, c in nxt.items() if c}
-        scale = Fraction(1, 2**k * factorial(k))
-        cochains[k] = BiDiffOp(
+        # P^k: the symbols of constant-coefficient operators multiply
+        power = BiDiffOp(
             space,
-            {key: Poly.constant(space, c * scale) for key, c in power.items()},
+            (
+                ((_add(alpha, a), _add(beta, b)), c * sign)
+                for (alpha, beta), c in power.coeffs.items()
+                for (a, b), sign in symbol
+            ),
         )
+        cochains[k] = power * Fraction(1, 2**k * factorial(k))
     return StarProduct(space, trunc_order, cochains)
 
 
@@ -128,14 +121,17 @@ def _coerce_formal(space, u, trunc_order):
     raise TypeError(f"cannot interpret {type(u).__name__} as a formal function")
 
 
-def _map_coeffs(w, fn):
-    """Apply ``fn`` to every nu-coefficient, dropping exact zeros."""
-    out = {}
-    for k, c in w.coeffs.items():
-        val = fn(c)
-        if not val.is_zero():
-            out[k] = val
-    return FormalScalar(out, w.trunc_order)
+def _apply_series(ops, w):
+    """``sum_k nu^k ops[k](w)`` for operators ``{k: DiffOp}``, in ``w``'s window."""
+    return FormalScalar(
+        (
+            (k + i, op.apply(c))
+            for k, op in ops.items()
+            for i, c in w.coeffs.items()
+            if k + i <= w.trunc_order
+        ),
+        w.trunc_order,
+    )
 
 
 def star_multiply(s, u, v, *, cochains=None):
@@ -159,18 +155,16 @@ def star_multiply(s, u, v, *, cochains=None):
         v.trunc_order + mu,
         s.trunc_order + mu + mv,
     )
-    out = {}
-    for r, cochain in cochains.items():
-        for i, ci in u.coeffs.items():
-            for j, cj in v.coeffs.items():
-                m = r + i + j
-                if m > trunc:
-                    continue
-                val = cochain.apply(ci, cj)
-                if val.is_zero():
-                    continue
-                out[m] = out[m] + val if m in out else val
-    return FormalScalar(out, trunc)
+    return FormalScalar(
+        (
+            (r + i + j, cochain.apply(ci, cj))
+            for r, cochain in cochains.items()
+            for i, ci in u.coeffs.items()
+            for j, cj in v.coeffs.items()
+            if r + i + j <= trunc
+        ),
+        trunc,
+    )
 
 
 def star_commutator(s, u, v):
@@ -238,10 +232,8 @@ class EulerDerivation:
 
     def apply(self, w):
         """Apply to a formal function (FormalScalar over Poly/GaussFn)."""
-        out = w.nu_scale_derivative() + _map_coeffs(w, self.x.apply)
-        for r, op in self.corrections.items():
-            out = out + _map_coeffs(w, op.apply).shift(r).truncate(w.trunc_order)
-        return out
+        ops = {0: self.x, **self.corrections}
+        return w.nu_scale_derivative() + _apply_series(ops, w)
 
     def __eq__(self, other):
         if not isinstance(other, EulerDerivation):
@@ -265,7 +257,7 @@ def vector_field_components(x):
     for alpha, poly in x.coeffs.items():
         if sum(alpha) != 1:
             raise ValueError("X must be a vector field (pure first order)")
-        comps[alpha.index(1)] = comps[alpha.index(1)] + poly
+        comps[alpha.index(1)] = poly
     return comps
 
 
@@ -273,40 +265,29 @@ def conformality_defect(x):
     """Coefficients of ``L_X Omega - Omega`` as a 2-form, keyed (a, b), a < b.
 
     ``L_X Omega = d(i_X Omega)`` since ``Omega`` is closed; everything is
-    polynomial so the defect is computed exactly.
+    polynomial so the defect is computed exactly.  With
+    ``i_X Omega = sum_a theta_a dx_a`` the ``(a, b)`` coefficient is
+    ``d_a theta_b - d_b theta_a`` minus that of ``Omega = sum_i dq_i dp_i``.
     """
     space = x.space
     n = space.n
     comps = vector_field_components(x)
+    theta = [-comps[n + i] for i in range(n)] + comps[:n]
     defect = {}
-
-    def bump(a, b, poly):
-        if a == b or poly.is_zero():
-            return
-        if a > b:
-            a, b, poly = b, a, -poly
-        key = (a, b)
-        cur = defect.get(key, Poly.zero(space))
-        defect[key] = cur + poly
-
-    for i in range(n):
-        qi, pi = i, n + i
-        # d(X^{q_i}) wedge dp_i  and  -d(X^{p_i}) wedge dq_i
-        for a in range(space.dim):
-            bump(a, pi, comps[qi].diff(a))
-            bump(a, qi, -comps[pi].diff(a))
-        bump(qi, pi, Poly.constant(space, -1))
-    return {k: p for k, p in defect.items() if not p.is_zero()}
+    for a in range(space.dim):
+        for b in range(a + 1, space.dim):
+            form = theta[b].diff(a) - theta[a].diff(b)
+            if b == a + n:
+                form = form - Poly.constant(space, 1)
+            if not form.is_zero():
+                defect[(a, b)] = form
+    return defect
 
 
 def canonical_euler(space):
     """The minimal nu-Euler derivation with ``X = (1/2) sum (q dq + p dp)``."""
-    half = Fraction(1, 2)
-    x = DiffOp.zero(space)
-    for name in space.variables:
-        x = x + DiffOp.mult(Poly.variable(space, name) * half).compose(
-            DiffOp.partial(space, name)
-        )
+    units = [tuple(int(i == a) for i in range(space.dim)) for a in range(space.dim)]
+    x = DiffOp(space, ((e, Poly.monomial(space, e, Fraction(1, 2))) for e in units))
     return EulerDerivation(space, x)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from startrace.formal import FormalScalar
-from startrace.gaussfn import GaussFn, IntegralValue, gauss_integrate_exact
+from startrace.gaussfn import GaussFn, gauss_integrate_exact
 from startrace.poly import Poly
 from startrace.star import star_commutator
 
@@ -48,13 +48,6 @@ class TraceFunctional:
             and self.density.get(0) == Poly.constant(self.space, 1)
             and (self.density.min_degree in (0, None))
         )
-
-    def order_functional(self, k, w):
-        """``tau_k(w)``: integrate ``w`` against the order-k density slice."""
-        rho_k = self.density.get(k)
-        if rho_k is None:
-            return IntegralValue.zero()
-        return gauss_integrate_exact(w * rho_k)
 
     def scale_by_series(self, c):
         """The functional ``u -> c(nu) * tau(u)`` for rational-coefficient c."""
@@ -123,22 +116,28 @@ def trace_residual(t, s, u, v):
     return trace_eval(t, star_commutator(s, u, v))
 
 
-def trk_residual(t, s, k, u, v):
-    """Order-k trace condition ``sum_{r=1}^{k+1} tau_{k+1-r}(C_r^-(u, v))``.
+def trk_residual(t, s, u, v):
+    """Order-k trace conditions ``sum_{r=1}^{k+1} tau_{k+1-r}(C_r^-(u, v))``
+    for ``k = 0..K-1``, as a list indexed by k.
 
-    Equals the ``nu^{k+1+e}`` coefficient of ``trace_residual`` (``e`` the
-    prefactor exponent), because the commutator expands into the ``C_r^-``.
-    The ``C_r^-`` come from the cache ``s.minus``; zero ones are skipped.
+    The order-k value equals the ``nu^{k+1+e}`` coefficient of
+    ``trace_residual`` (``e`` the prefactor exponent), because the
+    commutator expands into the ``C_r^-``.  One :func:`star_commutator`
+    gives every ``C_r^-(u, v)``, so each cached ``C_r^-`` is applied once.
     """
-    if not 0 <= k <= s.trunc_order - 1:
-        raise ValueError(f"order {k} outside 0..{s.trunc_order - 1}")
     if not isinstance(u, GaussFn) or not isinstance(v, GaussFn):
         raise TypeError("trk_residual expects GaussFn operands")
-    total = IntegralValue.zero()
-    for r, minus in s.minus.items():
-        if r <= k + 1:
-            total = total + t.order_functional(k + 1 - r, minus.apply(u, v))
-    return total
+    minus = star_commutator(s, u, v).coeffs.items()
+    rho = t.density.coeffs.items()
+    return [
+        gauss_integrate_exact(
+            GaussFn.sum(
+                t.space,
+                (c * p for r, c in minus for j, p in rho if r + j == k + 1 and j >= 0),
+            )
+        )
+        for k in range(s.trunc_order)
+    ]
 
 
 def standardize(t):
@@ -165,10 +164,7 @@ def default_probe_battery(space):
     one = Poly.constant(space, 1)
     q1 = Poly.variable(space, "q1")
     p1 = Poly.variable(space, "p1")
-    r_sq = Poly.zero(space)
-    for name in space.variables:
-        v = Poly.variable(space, name)
-        r_sq = r_sq + v * v
+    r_sq = Poly.sum(space, (Poly.variable(space, name) ** 2 for name in space.variables))
     shift_b = [Fraction(0)] * space.dim
     shift_b[0] = Fraction(1)
     return [

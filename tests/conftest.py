@@ -1,7 +1,10 @@
 from fractions import Fraction
+from math import factorial
 
 from hypothesis import strategies as st
 
+from startrace.diffop import DiffOp
+from startrace.equiv import Equivalence
 from startrace.gaussfn import GaussFn
 from startrace.poly import Poly, mat_identity, mat_mul
 
@@ -91,3 +94,23 @@ def tapered_bump(points, dimension, support, half_width=3.0, margin_cells=14):
     return tapered_generate(
         dimension, half_width, points, support, margin_cells=margin_cells
     )
+
+
+def hamiltonian_flow(h, trunc_order):
+    """``A = exp(nu {h, .})`` as an equivalence truncated at ``trunc_order``.
+
+    ``{h, .} = sum_i dh/dp_i d/dq_i - dh/dq_i d/dp_i`` is a vector field, so
+    every ``A_k = {h, .}^k / k!`` kills constants and ``A`` is unital.  For
+    quadratic ``h`` the bracket is a derivation of the Moyal product, and
+    ``A`` is an automorphism of it.
+    """
+    space, n = h.space, h.space.n
+    unit = [tuple(int(i == a) for i in range(space.dim)) for a in range(space.dim)]
+    pairs = [(unit[i], h.diff(n + i)) for i in range(n)]
+    pairs += [(unit[n + i], -h.diff(i)) for i in range(n)]
+    bracket = DiffOp(space, pairs)
+    ops, power = {}, DiffOp.identity(space)
+    for k in range(1, trunc_order + 1):
+        power = power.compose(bracket)
+        ops[k] = power * Fraction(1, factorial(k))
+    return Equivalence(space, trunc_order, ops)

@@ -15,13 +15,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import rational_rotation, tapered_bump
+from conftest import hamiltonian_flow, rational_rotation, tapered_bump
 
 from startrace.diffop import DiffOp
 from startrace.equiv import (
     Equivalence,
     density_from_equivalence,
-    equiv_adjoint,
     random_equivalence,
     symplectic_automorphism_check,
     transport_euler,
@@ -42,7 +41,7 @@ from startrace.gsdecomp import (
     plateau_generate,
     tapered_generate,
 )
-from startrace.poly import PhaseSpace, Poly, mat_identity, mat_inverse, mat_mul
+from startrace.poly import PhaseSpace, Poly, mat_identity, mat_mul
 from startrace.star import (
     associativity_residual,
     canonical_euler,
@@ -51,7 +50,6 @@ from startrace.star import (
 )
 from startrace.trace import (
     InconsistentTracesError,
-    TraceFunctional,
     default_probe_battery,
     moyal_trace,
     normalization_residual,
@@ -184,22 +182,25 @@ def test_criterion_06_pullback_normalization(transported):
 
 
 def test_criterion_07_uniqueness_factor(transported):
-    space, _, items = transported
+    # T2 = A o T with A = exp(nu {H, .}) is another equivalence to the same
+    # product for quadratic H, so its trace must be the same up to factor 1;
+    # the cubic H = q1^3 is the control whose transported product differs.
+    space, base, items = transported
     battery = default_probe_battery(space)
     probe = GaussFn.gaussian(space, 1)
     one = FormalScalar.constant(Fraction(1), 4)
-    minv = mat_inverse(rational_rotation(space))
-    pulled_one = Poly.constant(space, 1).pullback_linear(minv)
+    q, p = Poly.variable(space, "q1"), Poly.variable(space, "p1")
+    quadratics = [q * p, q * q + p * p]
     ok = True
-    for t, _, tau in items:
-        coeffs = {0: pulled_one}
-        for k, op in equiv_adjoint(t).ops.items():
-            val = op.apply(pulled_one)
-            if not val.is_zero():
-                coeffs[k] = val
-        tau2 = TraceFunctional(space, FormalScalar(coeffs, 4), -space.n)
+    for i, (t, product, tau) in enumerate(items):
+        t2 = hamiltonian_flow(quadratics[i % 2], 4).compose(t)
+        ok = ok and t2 != t and transport_star(t2, base) == product
+        tau2 = density_from_equivalence(t2)
         ok = ok and proportionality_factor(tau, tau2, probe, battery) == one
-    _verdict(7, "rotation-composed density gives factor exactly 1, K=4", ok)
+    t, product, _ = items[0]
+    control = transport_star(hamiltonian_flow(q**3, 4).compose(t), base)
+    ok = ok and control != product
+    _verdict(7, "flow-composed equivalences give factor exactly 1, K=4; cubic flow fires", ok)
 
 
 def test_criterion_08_proportionality():
@@ -241,8 +242,8 @@ def test_criterion_09_order_k_conditions():
     for tau, product in setups:
         for _ in range(3):
             u, v = _random_gauss(rng, space), _random_gauss(rng, space)
-            for k in range(6):
-                ok = ok and trk_residual(tau, product, k, u, v).is_zero()
+            values = trk_residual(tau, product, u, v)
+            ok = ok and len(values) == 6 and all(val.is_zero() for val in values)
     _verdict(9, "order-k trace conditions, k=0..5, Moyal and transported", ok)
 
 

@@ -361,6 +361,12 @@ def test_main_bad_inputs_give_exit_two(tmp_path, capsys):
     bad_runs = [
         ["moyal-trace", "--order", "0"],
         ["moyal-trace", "--n", "0"],
+        # an input file for a scenario that reads none, or reads the other kind
+        ["moyal-trace", "--equiv", "/nonexistent.json"],
+        ["homogeneity", "--grid", "/nonexistent.json"],
+        ["trk-conditions", "--equiv", "/nonexistent.json"],
+        ["transport-trace", "--grid", "/nonexistent.json"],
+        ["brw-bracket", "--equiv", "/nonexistent.json"],
     ]
     for args, data in [
         (["transport-trace", "--equiv"], [1, 2]),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import gauss_fns, iterated_diff, multi_indices, polys, random_poly
 from startrace.diffop import BiDiffOp, DiffOp
-from startrace.gaussfn import gauss_integrate_exact
+from startrace.gaussfn import GaussFn, gauss_integrate_exact
 from startrace.poly import PhaseSpace, Poly, poisson_bracket
 
 
@@ -116,6 +116,11 @@ def test_bidiff_apply_examples(space):
     u = random_poly(random.Random(7), space)
     v = random_poly(random.Random(8), space)
     assert BiDiffOp.product_cochain(space).apply(u, v) == u * v
+    # a polynomial beside a Gaussian operand, in either slot, gives a Gaussian
+    g = GaussFn.gaussian(space, 1)
+    pc = BiDiffOp.product_cochain(space)
+    assert pc.apply(u, g) == pc.apply(g, u) == g * u
+    assert b.apply(q, g) == g.diff("p1") and b.apply(g, p) == g.diff("q1")
 
 
 @pytest.mark.parametrize("kind", ["poly", "gauss"])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import random_poly, rational_rotation
+from conftest import hamiltonian_flow, random_poly, rational_rotation
 from test_gaussfn import random_gauss
 
 from startrace.diffop import DiffOp
@@ -24,7 +24,7 @@ from startrace.equiv import (
 )
 from startrace.formal import FormalScalar
 from startrace.gaussfn import GaussFn, gauss_integrate_exact, gauss_pullback_linear
-from startrace.poly import PhaseSpace, Poly, mat_inverse, poisson_bracket
+from startrace.poly import PhaseSpace, Poly, poisson_bracket
 from startrace.star import (
     associativity_residual,
     canonical_euler,
@@ -353,28 +353,31 @@ def test_symplectic_pullback_is_star_automorphism():
 
 
 def test_uniqueness_cross_construction():
-    # Following T with a linear symplectic pullback transports Moyal to the
-    # same product, and the composite density T'(pullback'(1)) matches
-    # T'(1), so the two traces are proportional with factor exactly 1.
+    # T2 = A o T with A = exp(nu {H, .}) differs from T.  For quadratic H,
+    # A is a Moyal automorphism, so T2 transports Moyal to the same product
+    # and the two normalized traces agree with factor exactly 1.  For the
+    # cubic H = q1^3 the bracket is no Moyal derivation (the defect starts
+    # at nu^3), and the transported products differ.
     space = PhaseSpace(1)
     trunc = 3
+    moyal = moyal_construct(space, trunc)
     t = random_equivalence(space, trunc, seed=131)
-    m = rational_rotation(space)
-    minv = mat_inverse(m)
-
+    product = transport_star(t, moyal)
     tau1 = density_from_equivalence(t)
-    pulled_one = Poly.constant(space, 1).pullback_linear(minv)
-    coeffs = {0: pulled_one}
-    for k, op in equiv_adjoint(t).ops.items():
-        val = op.apply(pulled_one)
-        if not val.is_zero():
-            coeffs[k] = val
-    tau2 = tau1.__class__(space, FormalScalar(coeffs, trunc), -space.n)
-
-    assert tau2 == tau1
     probe = GaussFn.gaussian(space, 1)
-    factor = proportionality_factor(tau1, tau2, probe)
-    assert factor == FormalScalar.constant(1, trunc)
+    q, p = Poly.variable(space, "q1"), Poly.variable(space, "p1")
+    g = random_poly(random.Random(132), space)
+    for h in (q * p, q * q + p * p, q**3):
+        a = hamiltonian_flow(h, trunc)
+        assert a.ops[1].apply(g) == poisson_bracket(h, g)
+        t2 = a.compose(t)
+        assert t2 != t
+        if h == q**3:
+            assert transport_star(t2, moyal) != product
+            continue
+        assert transport_star(t2, moyal) == product
+        factor = proportionality_factor(tau1, density_from_equivalence(t2), probe)
+        assert factor == FormalScalar.constant(1, trunc)
 
 
 def test_moyal_trace_pullback_matches_original():

@@ -16,7 +16,8 @@ from conftest import (
 )
 from startrace.diffop import BiDiffOp, DiffOp
 from startrace.equiv import is_symplectic
-from startrace.gaussfn import GaussFn
+from startrace.formal import FormalScalar
+from startrace.gaussfn import GaussFn, IntegralValue
 from startrace.poly import (
     PhaseSpace,
     Poly,
@@ -198,14 +199,6 @@ def test_substitution_round_trips(n, data):
 # -- the shared PolyCombination normal form ----------------------------
 
 
-class _Entries(list):
-    """``(key, poly)`` pairs in a fixed order, handed to a constructor in
-    place of a dict, so keys may repeat or be unhashable lists."""
-
-    def items(self):
-        return iter(self)
-
-
 def _gauss_keys(space):
     small = st.integers(-2, 2)
     return st.tuples(st.integers(0, 2), st.tuples(*[small] * space.dim), small)
@@ -240,27 +233,98 @@ def test_poly_combination_normal_form(kind, n, data):
     pool = data.draw(st.lists(keys(space), min_size=1, max_size=3))
     entry = st.tuples(st.sampled_from(pool), polys(space))
     entries = data.draw(st.lists(entry, max_size=6))
-    a = cls(space, _Entries(entries))
-    b = cls(space, _Entries((loosen(k), p) for k, p in reversed(entries)))
+    # keys repeat in the pair stream, and may be unhashable lists
+    a = cls(space, entries)
+    b = cls(space, ((loosen(k), p) for k, p in reversed(entries)))
     assert a == b and hash(a) == hash(b)
     want = {}
     for k, p in entries:
         k = normalize(k)
         want[k] = want[k] + p if k in want else p
     assert a.coeffs == {k: p for k, p in want.items() if not p.is_zero()}
+    # the stream, the mapping of its sums and the left fold of + agree
+    items = [cls(space, {k: p}) for k, p in entries]
+    assert a == cls(space, want) == sum(items, cls.zero(space))
+    assert cls.sum(space, items) == a and cls.sum(space, iter([])) == cls.zero(space)
     assert all(type(x) is type(y) for k in a.coeffs for x, y in zip(k, normalize(k)))
     # a key whose coefficients cancel is dropped, and only that key
     k = data.draw(keys(space))
     j = data.draw(keys(space).filter(lambda x: x != k))
     p = data.draw(polys(space).filter(lambda x: not x.is_zero()))
     one = Poly.constant(space, 1)
-    assert cls(space, _Entries([(k, p), (loosen(k), -p)])).is_zero()
-    kept = cls(space, _Entries([(k, p), (j, one), (loosen(k), -p)]))
+    assert cls(space, [(k, p), (loosen(k), -p)]).is_zero()
+    kept = cls(space, [(k, p), (j, one), (loosen(k), -p)])
     assert kept.coeffs == {normalize(j): one}
     # linear structure
     assert (a + (-a)).is_zero() and a - a == cls.zero(space)
     assert 2 * a == a * 2 == a + a
     assert (0 * a).is_zero() and F(1, 2) * a + a * F(1, 2) == a
+
+
+def _scalar_cases(space):
+    """Kind -> (constructor from pairs, key strategy, value strategy, the
+    stored mapping, whether a merged pair is stored)."""
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    degrees = st.integers(-1, 3)  # the series below keep degrees <= 2
+    return {
+        "poly": (
+            lambda pairs: Poly(space, pairs),
+            st.tuples(*[st.integers(0, 2)] * space.dim),
+            rational,
+            lambda x: x.terms,
+            lambda k, v: v != 0,
+        ),
+        "integral": (
+            lambda pairs: IntegralValue(1, pairs),
+            rational,
+            rational,
+            lambda x: x.terms,
+            lambda k, v: v != 0,
+        ),
+        "formal-fraction": (
+            lambda pairs: FormalScalar(pairs, 2),
+            degrees,
+            rational,
+            lambda x: x.coeffs,
+            lambda k, v: k <= 2 and v != 0,
+        ),
+        "formal-poly": (
+            lambda pairs: FormalScalar(pairs, 2),
+            degrees,
+            polys(space),
+            lambda x: x.coeffs,
+            lambda k, v: k <= 2 and not v.is_zero(),
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", ["poly", "integral", "formal-fraction", "formal-poly"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_constructors_merge_pair_streams(kind, data):
+    space = PhaseSpace(1)
+    build, keys, values, stored, kept = _scalar_cases(space)[kind]
+    pool = data.draw(st.lists(keys, min_size=1, max_size=3))
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(pool), values), max_size=6))
+    # one key whose two values cancel, at drawn positions in the stream
+    k, v = data.draw(keys), data.draw(values)
+    for pair in [(k, v), (k, -v)]:
+        pairs.insert(data.draw(st.integers(0, len(pairs))), pair)
+    merged = {}
+    for key, value in pairs:
+        merged[key] = merged[key] + value if key in merged else value
+    got = build(pairs)
+    assert stored(got) == {key: s for key, s in merged.items() if kept(key, s)}
+    assert got == build(iter(pairs)) == build(merged)
+    fold = build({})
+    for pair in pairs:
+        fold = fold + build([pair])
+    assert got == fold
+    assert build([(k, v), (k, -v)]).is_zero()
+    if kind == "poly":
+        items = data.draw(st.lists(polys(space), max_size=4))
+        assert Poly.sum(space, items) == sum(items, Poly.zero(space))
+        assert Poly.sum(space, []) == Poly.zero(space)
 
 
 def test_poly_combination_classes_do_not_mix():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gauss_fns, random_poly
+from startrace.cli import Scenario, run_scenario
 from startrace.diffop import BiDiffOp, DiffOp
 from startrace.equiv import density_from_equivalence, random_equivalence, transport_star
 from startrace.formal import FormalScalar
@@ -178,12 +179,18 @@ def test_commutator_applies_each_cached_cochain_once(monkeypatch, moyal, space):
     star_commutator(sp, u, v)
     assert sorted(sp.minus) == [1, 2, 3, 4]
     assert len(apply) == 4
+    apply.clear()
     for s, tau in setups:
         for r in range(0, 5):
             closedness_integral(s, r, u, v)
-        for k in range(4):
-            trk_residual(tau, s, k, u, v)
+        trk_residual(tau, s, u, v)
     assert antisym == []
+    # trk_residual takes every order k from one commutator: 2 + 4 applies
+    # for the closedness integrals and as many again for the conditions
+    assert len(apply) == 12
+    apply.clear()
+    run_scenario(Scenario("trk-conditions", n=1, trunc_order=4))
+    assert len(apply) == 6
 
 
 def test_moyal_associativity_on_monomials():

@@ -541,7 +541,7 @@ def _random_gauss(rng, space):
 
 
 def _scenario_equivalence(sc, space):
-    if sc.equiv_path:
+    if sc.equiv_path is not None:
         return load_equivalence(sc.equiv_path, space, sc.trunc_order)
     return random_equivalence(space, sc.trunc_order, sc.seed)
 
@@ -616,7 +616,7 @@ def _run_transport_trace(sc):
         res = trace_residual(tau, product, u, v)
         cases.append(_series_case(f"gaussian-pair-{i}", res))
     params = _base_params(sc)
-    if sc.equiv_path:
+    if sc.equiv_path is not None:
         params["equivalence"] = sc.equiv_path
     params["density"] = str(tau.density)
     return Report(sc.name, params, cases)
@@ -643,7 +643,7 @@ def _run_normalized_uniqueness(sc):
     diff = factor - FormalScalar.constant(Fraction(1), sc.trunc_order)
     cases.append(_series_case("rotated-density-factor", diff, f"factor {factor}"))
     params = _base_params(sc)
-    if sc.equiv_path:
+    if sc.equiv_path is not None:
         params["equivalence"] = sc.equiv_path
     return Report(sc.name, params, cases)
 
@@ -733,7 +733,7 @@ def _gs_case(case_id, u, tol):
 @_scenario("gs-decompose", "divergence-form decomposition of zero-integral grid data", reads="grid")
 def _run_gs_decompose(sc):
     params = _base_params(sc)
-    if sc.grid_path:
+    if sc.grid_path is not None:
         params["grid"] = sc.grid_path
         return Report(sc.name, params, [_gs_case("input-grid", load_grid(sc.grid_path), 1e-5)])
     cases = [
@@ -767,7 +767,7 @@ def _run_brw_bracket(sc):
     params = _base_params(sc)
     cases = []
     phi = tapered_generate(2, 3.0, 256, 1.8, 14)
-    if sc.grid_path:
+    if sc.grid_path is not None:
         params["grid"] = sc.grid_path
         u0 = load_grid(sc.grid_path)
     else:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import chain
 from math import comb
 
-from startrace.poly import Poly, PolyCombination
+from startrace.poly import Poly, PolyCombination, _monomial_text, _scaled
 
 
 def _zero_alpha(space):
@@ -119,34 +119,12 @@ class DiffOp(PolyCombination):
 
     # -- rendering ----------------------------------------------------
 
-    def _render_alpha(self, alpha):
-        parts = []
-        for name, k in zip(self.space.variables, alpha):
-            if k == 1:
-                parts.append(f"d{name}")
-            elif k > 1:
-                parts.append(f"d{name}^{k}")
-        return "*".join(parts)
+    def _symbol(self, alpha):
+        return _monomial_text(self.space, alpha, "d")
 
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        chunks = []
-        for alpha in sorted(self.coeffs, key=lambda a: (sum(a), a)):
-            poly = self.coeffs[alpha]
-            deriv = self._render_alpha(alpha)
-            ptext = str(poly)
-            if not deriv:
-                chunks.append(ptext)
-            elif ptext == "1":
-                chunks.append(deriv)
-            else:
-                body = f"({ptext})" if " " in ptext else ptext
-                chunks.append(f"{body}*{deriv}")
-        return " + ".join(chunks)
-
-    def __repr__(self):
-        return f"DiffOp({self})"
+    @staticmethod
+    def _order(alpha):
+        return (sum(alpha), alpha)
 
 
 def _three_way_splits(delta):
@@ -234,21 +212,17 @@ class BiDiffOp(PolyCombination):
             ),
         )
 
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        helper = DiffOp.zero(self.space)
-        chunks = []
-        for alpha, beta in sorted(self.coeffs, key=lambda k: (sum(k[0]) + sum(k[1]), k)):
-            poly = self.coeffs[(alpha, beta)]
-            lhs = helper._render_alpha(alpha) or "1"
-            rhs = helper._render_alpha(beta) or "1"
-            ptext = str(poly)
-            body = f"({ptext})" if " " in ptext else ptext
-            prefix = "" if ptext == "1" else f"{body}*"
-            chunks.append(f"{prefix}({lhs} | {rhs})")
-        return " + ".join(chunks)
+    @staticmethod
+    def _order(key):
+        return (sum(key[0]) + sum(key[1]), key)
 
-    def __repr__(self):
-        return f"BiDiffOp({self})"
-
+    def _term(self, key, poly):
+        """``c*(lhs | rhs)`` for a rational ``c``.  A polynomial coefficient
+        goes inside the left side, ``(poly*lhs | rhs)``, because the parser
+        scales a pairing only by rationals."""
+        lhs, rhs = (_monomial_text(self.space, alpha, "d") for alpha in key)
+        text = str(poly)
+        if set(poly.terms) == {_zero_alpha(self.space)}:
+            return _scaled(text, f"({lhs or '1'} | {rhs or '1'})")
+        left = _scaled(text, lhs) if lhs else f"({text})" if " " in text else text
+        return f"({left} | {rhs or '1'})"

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from startrace.poly import _pairs
+from startrace.poly import _pairs, _signed_sum
 
 #: Hard floor on negative powers: ``min_degree >= -(trunc_order + margin)``.
 #: Trace functionals contribute a single ``nu^-n`` prefactor, so at desk
@@ -241,32 +241,18 @@ class FormalScalar:
     def __hash__(self):
         return hash((self.trunc_order, tuple(sorted(self.coeffs.items(), key=lambda kv: kv[0]))))
 
-    @staticmethod
-    def _render_term(k, c):
-        if isinstance(c, Fraction):
-            body = None if (c == 1 and k != 0) else str(c)
-        else:
-            text = str(c)
-            body = f"({text})" if (" " in text or "+" in text) else text
-        if k == 0:
-            return body
-        power = "nu" if k == 1 else f"nu^{k}"
-        return power if body is None else f"{body}*{power}"
-
     def __str__(self):
-        if self.is_zero():
-            return "0"
+        """``c_k*nu^k`` terms by rising degree; a non-rational coefficient
+        prints as one unit term, parenthesized when it is a sum."""
         parts = []
         for k, c in self.items():
-            sign = "+"
-            if isinstance(c, Fraction) and c < 0:
-                sign, c = "-", -c
-            term = self._render_term(k, c)
-            if not parts:
-                parts.append(term if sign == "+" else f"-{term}")
-            else:
-                parts.append(f" {sign} {term}")
-        return "".join(parts)
+            power = "" if k == 0 else "nu" if k == 1 else f"nu^{k}"
+            if not isinstance(c, Fraction):
+                text = str(c)
+                body = f"({text})" if " " in text or "+" in text else text
+                c, power = 1, f"{body}*{power}" if power else body
+            parts.append((c, power))
+        return _signed_sum(parts)
 
     def __repr__(self):
         return f"FormalScalar({self}, K={self.trunc_order})"

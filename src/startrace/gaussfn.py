@@ -31,6 +31,7 @@ from startrace.poly import (
     _as_fraction,
     _diff_multi,
     _pairs,
+    _signed_sum,
     mat_inverse,
     mat_det,
     mat_mul,
@@ -283,52 +284,16 @@ class GaussFn(PolyCombination):
 
     # -- rendering ----------------------------------------------------
 
-    @staticmethod
-    def _render_exponent(space, t, b, c):
-        parts = []
-        if t:
-            parts.append((-Fraction(t, 2), "|x|^2"))
-        for name, bi in zip(space.variables, b):
-            if bi:
-                parts.append((bi, name))
+    def _symbol(self, key):
+        """``exp(-t/2*|x|^2 + b.x + c)``, or nothing for the zero exponent."""
+        t, b, c = key
+        parts = [(-t / 2, "|x|^2")] if t else []
+        parts += [(bi, name) for name, bi in zip(self.space.variables, b) if bi]
         if c:
             parts.append((c, ""))
-        if not parts:
-            return None
-        chunks = []
-        for coeff, sym in parts:
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            if not sym:
-                body = str(mag)
-            elif mag == 1:
-                body = sym
-            else:
-                body = f"{mag}*{sym}"
-            if not chunks:
-                chunks.append(body if sign == "+" else f"-{body}")
-            else:
-                chunks.append(f" {sign} {body}")
-        return "".join(chunks)
+        return f"exp({_signed_sum(parts)})" if parts else ""
 
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        rendered = []
-        for (t, b, c), poly in sorted(self.coeffs.items(), key=lambda kv: kv[0]):
-            expo = self._render_exponent(self.space, t, b, c)
-            ptext = str(poly)
-            if expo is None:
-                rendered.append(ptext)
-            elif ptext == "1":
-                rendered.append(f"exp({expo})")
-            else:
-                body = f"({ptext})" if (" " in ptext) else ptext
-                rendered.append(f"{body}*exp({expo})")
-        return " + ".join(rendered)
-
-    def __repr__(self):
-        return f"GaussFn({self})"
+    _order = None  # exponents ``(t, b, c)`` sort as they are
 
 
 class GeneralGaussFn:

@@ -11,6 +11,11 @@ which makes ``{v, q_i} = dv/dp_i`` hold literally and gives ``{q, p} = -1``.
 :class:`PolyCombination` is the one normal form of sums with polynomial
 coefficients, shared by ``GaussFn``, ``DiffOp`` and ``BiDiffOp``.
 
+It is also the one printer of rational combinations: ``_monomial_text``,
+``_signed_sum`` (``2*x - y + 1/2``, for Poly, exponents and series) and
+``PolyCombination.__str__``, which subclasses steer through the hooks
+``_symbol`` (or ``_term``) and ``_order``.
+
 Constructors are where sums merge.  ``Poly`` and ``PolyCombination`` take
 a mapping or any iterable of ``(key, value)`` pairs whose keys may repeat;
 they add the values of repeated keys and drop zero sums, so every sum in
@@ -66,6 +71,44 @@ def _pairs(source):
     """The ``(key, value)`` pairs of a mapping, or ``source`` itself."""
     items = getattr(source, "items", None)
     return source if items is None else items()
+
+
+def _monomial_text(space, exps, prefix=""):
+    """``q1^2*p1`` for exponents ``(2, 1)``; ``dq1^2*dp1`` with ``prefix="d"``."""
+    return "*".join(
+        f"{prefix}{name}^{e}" if e > 1 else f"{prefix}{name}"
+        for name, e in zip(space.variables, exps)
+        if e
+    )
+
+
+def _signed_sum(parts):
+    """Join ``(rational, symbol)`` pairs as ``2*x - y + 1/2``.
+
+    A unit coefficient drops out, an empty symbol leaves the number, and
+    the empty sum prints ``0``.
+    """
+    chunks = []
+    for c, symbol in parts:
+        mag = abs(c)
+        body = f"{mag}*{symbol}" if symbol and mag != 1 else symbol or str(mag)
+        if not chunks:
+            chunks.append(f"-{body}" if c < 0 else body)
+        else:
+            sign = "-" if c < 0 else "+"
+            chunks.append(f" {sign} {body}")
+    return "".join(chunks) or "0"
+
+
+def _scaled(text, symbol):
+    """``text*symbol`` for a printed polynomial ``text``: one with several
+    terms is parenthesized, ``1`` drops out, and an empty symbol leaves
+    the polynomial alone."""
+    if not symbol:
+        return text
+    if text == "1":
+        return symbol
+    return f"({text})*{symbol}" if " " in text else f"{text}*{symbol}"
 
 
 class Poly:
@@ -272,40 +315,9 @@ class Poly:
     def __hash__(self):
         return hash((self.space, tuple(sorted(self.terms.items()))))
 
-    def _sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])),
-        )
-
-    def _render_monomial(self, exps):
-        parts = []
-        for name, e in zip(self.space.variables, exps):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, c in self._sorted_terms():
-            sign = "-" if c < 0 else "+"
-            mono = self._render_monomial(exps)
-            mag = abs(c)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+        terms = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return _signed_sum((c, _monomial_text(self.space, exps)) for exps, c in terms)
 
     def __repr__(self):
         return f"Poly({self})"
@@ -387,6 +399,17 @@ class PolyCombination:
 
     def __hash__(self):
         return hash((self.space, frozenset(self.coeffs.items())))
+
+    def __str__(self):
+        keys = sorted(self.coeffs, key=self._order)
+        return " + ".join(self._term(key, self.coeffs[key]) for key in keys) or "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+    def _term(self, key, poly):
+        """One summand: the polynomial times the subclass's ``_symbol(key)``."""
+        return _scaled(str(poly), self._symbol(key))
 
 
 def _diff_multi(f, alpha):

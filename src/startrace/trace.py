@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from startrace.formal import FormalScalar
-from startrace.gaussfn import GaussFn, gauss_integrate_exact
+from startrace.gaussfn import GaussFn, IntegralValue, gauss_integrate_exact
 from startrace.poly import Poly
 from startrace.star import star_commutator
 
@@ -120,24 +120,15 @@ def trk_residual(t, s, u, v):
     """Order-k trace conditions ``sum_{r=1}^{k+1} tau_{k+1-r}(C_r^-(u, v))``
     for ``k = 0..K-1``, as a list indexed by k.
 
-    The order-k value equals the ``nu^{k+1+e}`` coefficient of
-    ``trace_residual`` (``e`` the prefactor exponent), because the
-    commutator expands into the ``C_r^-``.  One :func:`star_commutator`
-    gives every ``C_r^-(u, v)``, so each cached ``C_r^-`` is applied once.
+    These are the ``nu^{k+1+e}`` coefficients of :func:`trace_residual`
+    (``e`` the prefactor exponent), because the commutator expands into
+    the ``C_r^-``; one commutator and one integration give every order.
     """
     if not isinstance(u, GaussFn) or not isinstance(v, GaussFn):
         raise TypeError("trk_residual expects GaussFn operands")
-    minus = star_commutator(s, u, v).coeffs.items()
-    rho = t.density.coeffs.items()
-    return [
-        gauss_integrate_exact(
-            GaussFn.sum(
-                t.space,
-                (c * p for r, c in minus for j, p in rho if r + j == k + 1 and j >= 0),
-            )
-        )
-        for k in range(s.trunc_order)
-    ]
+    res = trace_residual(t, s, u, v)
+    e = t.prefactor_exponent
+    return [res.get(k + 1 + e) or IntegralValue.zero() for k in range(res.trunc_order - e)]
 
 
 def standardize(t):

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_poly, tapered_bump
+from conftest import gauss_fns, multi_indices, polys, random_poly, tapered_bump
 
 from startrace.cli import (
     SCENARIOS,
@@ -20,7 +22,7 @@ from startrace.cli import (
     run_scenario,
 )
 from startrace.diffop import BiDiffOp, DiffOp
-from startrace.equiv import random_equivalence
+from startrace.equiv import random_equivalence, transport_star
 from startrace.gaussfn import GaussFn
 from startrace.gsdecomp import grid_diff, tapered_generate
 from startrace.poly import PhaseSpace, Poly
@@ -104,10 +106,46 @@ def test_round_trip_of_printed_forms():
         DiffOp.mult(random_poly(rng, SPACE1)).compose(DiffOp.partial(SPACE1, "q1")),
         BiDiffOp.product_cochain(SPACE1),
     ]
+    # transported cochains carry polynomial coefficients
+    for space, seed in ((SPACE1, 2), (SPACE2, 0)):
+        s = transport_star(random_equivalence(space, 2, seed), moyal_construct(space, 2))
+        battery += [s.cochains[r] for r in (1, 2)]
     for value in battery:
         n = value.space.n
         again = parse_expression(str(value), n)
         assert again == value, str(value)
+
+
+def _lifted(parsed, like):
+    """``parsed`` in the class of ``like``: a constant prints as a rational,
+    and a form with no derivative or exponent part as a polynomial."""
+    if isinstance(parsed, Fraction):
+        parsed = Poly.constant(like.space, parsed)
+    if isinstance(parsed, Poly) and isinstance(like, DiffOp):
+        return DiffOp.mult(parsed)
+    if isinstance(parsed, Poly) and isinstance(like, GaussFn):
+        return GaussFn.from_poly(parsed)
+    return parsed
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_drawn_printed_forms_parse_back(n, data):
+    space = PhaseSpace(n)
+    index = multi_indices(space)
+    nonzero = polys(space).filter(lambda p: not p.is_zero())
+    values = [
+        data.draw(polys(space)),
+        data.draw(gauss_fns(space)),
+        DiffOp(space, data.draw(st.dictionaries(index, polys(space), max_size=3))),
+        # polynomial coefficients: the pairing prints them inside its left side
+        BiDiffOp(
+            space, data.draw(st.dictionaries(st.tuples(index, index), nonzero, min_size=1, max_size=3))
+        ),
+    ]
+    for value in values:
+        assert _lifted(parse_expression(str(value), n), value) == value, str(value)
 
 
 def test_round_trip_equivalence_operators():
@@ -367,6 +405,9 @@ def test_main_bad_inputs_give_exit_two(tmp_path, capsys):
         ["trk-conditions", "--equiv", "/nonexistent.json"],
         ["transport-trace", "--grid", "/nonexistent.json"],
         ["brw-bracket", "--equiv", "/nonexistent.json"],
+        # an empty path is a path, not a request for the seeded default
+        ["transport-trace", "--equiv", ""],
+        ["gs-decompose", "--grid", ""],
     ]
     for args, data in [
         (["transport-trace", "--equiv"], [1, 2]),

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -214,3 +215,29 @@ def test_conjugate_agrees_with_application():
                 v = random_poly(rng, space, 3, n_terms=3)
                 want = s_out.apply(b.apply(s_left.apply(u), s_right.apply(v)))
                 assert conj.apply(u, v) == want
+
+
+def test_diffop_rendering_order(space):
+    # terms sort by total order |alpha|, then by alpha itself
+    q = Poly.variable(space, "q1")
+    one = Poly.constant(space, 1)
+    d = DiffOp(
+        space,
+        {(0, 2): one, (1, 0): q, (1, 1): one, (0, 0): 3 * one, (2, 0): one, (0, 1): -one},
+    )
+    assert str(d) == "3 + -1*dp1 + q1*dq1 + dp1^2 + dq1*dp1 + dq1^2"
+    assert repr(DiffOp.mult(q + one)) == "DiffOp(q1 + 1)"
+    assert str(DiffOp.zero(space)) == "0"
+
+
+def test_bidiff_rendering(space):
+    # a rational scales the pairing; a polynomial goes inside its left side
+    q, p = Poly.variable(space, "q1"), Poly.variable(space, "p1")
+    one = Poly.constant(space, 1)
+    z, dq, dp = (0, 0), (1, 0), (0, 1)
+    assert repr(BiDiffOp.product_cochain(space)) == "BiDiffOp((1 | 1))"
+    rational = BiDiffOp(space, {(z, dp): one, (dq, z): one * Fraction(-1, 2), (dq, dp): one * 3})
+    assert str(rational) == "(1 | dp1) + -1/2*(dq1 | 1) + 3*(dq1 | dp1)"
+    poly = BiDiffOp(space, {(z, dp): q + p, (z, z): q, (dq, dp): -q * q * p})
+    assert str(poly) == "(q1 | 1) + ((q1 + p1) | dp1) + (-q1^2*p1*dq1 | dp1)"
+    assert str(BiDiffOp(space, {(dq, dp): q - p})) == "((q1 - p1)*dq1 | dp1)"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from startrace.formal import LAURENT_FLOOR_MARGIN, FormalScalar
+from startrace.poly import PhaseSpace, Poly
 
 
 def series(coeffs, trunc):
@@ -117,3 +118,13 @@ def test_rendering():
     a = series({-1: F(1, 2), 0: F(-3), 2: F(1)}, 5)
     assert str(a) == "1/2*nu^-1 - 3 + nu^2"
     assert str(FormalScalar.zero(2)) == "0"
+
+
+def test_rendering_over_polynomials():
+    # a ring coefficient is one unit term: ``1`` keeps its ``*nu``, a sum
+    # is parenthesized even at degree 0, and a minus stays inside the term
+    space = PhaseSpace(1)
+    q, p = Poly.variable(space, "q1"), Poly.variable(space, "p1")
+    a = series({0: q + p, 1: Poly.constant(space, 1), 2: -q}, 3)
+    assert str(a) == "(q1 + p1) + 1*nu + -q1*nu^2"
+    assert repr(a) == "FormalScalar((q1 + p1) + 1*nu + -q1*nu^2, K=3)"

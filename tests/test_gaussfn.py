@@ -259,3 +259,14 @@ def test_value_rendering():
     assert str(IntegralValue(1, {0: 2})) == "2*pi"
     assert str(IntegralValue(0, {F(1, 2): 2})) == "2*exp(1/2)"
     assert str(IntegralValue.zero()) == "0"
+
+
+def test_exponent_rendering(space):
+    # every part of the exponent negative, unit coefficients dropped
+    g = GaussFn.gaussian(space, 2, (-1, -3), F(-1, 2))
+    assert str(g) == "exp(-|x|^2 - q1 - 3*p1 - 1/2)"
+    q, p = Poly.variable(space, "q1"), Poly.variable(space, "p1")
+    h = GaussFn.term(space, q + p, 1, (0, 2), 1) + GaussFn.from_poly(q)
+    assert str(h) == "q1 + (q1 + p1)*exp(-1/2*|x|^2 + 2*p1 + 1)"
+    assert repr(GaussFn.gaussian(space, 0, None, -1)) == "GaussFn(exp(-1))"
+    assert str(GaussFn.zero(space)) == "0"

@@ -546,18 +546,18 @@ def _scenario_equivalence(sc, space):
     return random_equivalence(space, sc.trunc_order, sc.seed)
 
 
-def _plane_matrix(space, a, b, c, d, plane=0):
-    """Identity outside ``plane``; ``[[a, b], [c, d]]`` on its (q, p) pair."""
+def _plane_matrix(space, a, b, c, d):
+    """Identity outside the first plane; ``[[a, b], [c, d]]`` on its (q, p) pair."""
     m = mat_identity(space.dim)
-    qi, pi = plane, space.n + plane
+    qi, pi = 0, space.n
     m[qi][qi], m[qi][pi] = Fraction(a), Fraction(b)
     m[pi][qi], m[pi][pi] = Fraction(c), Fraction(d)
     return m
 
 
-def _rational_rotation(space, plane=0):
+def _rational_rotation(space):
     return _plane_matrix(
-        space, Fraction(3, 5), Fraction(4, 5), Fraction(-4, 5), Fraction(3, 5), plane
+        space, Fraction(3, 5), Fraction(4, 5), Fraction(-4, 5), Fraction(3, 5)
     )
 
 
@@ -889,11 +889,15 @@ def main(argv=None):
         print(f"error: {err}", file=sys.stderr)
         return 2
     payload = emit_report(report, args.format)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
-    else:
+    if args.out is None:
         sys.stdout.write(payload.decode("utf-8"))
+    else:
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(payload)
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
     return 0 if report.all_pass() else 1
 
 

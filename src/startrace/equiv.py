@@ -227,16 +227,16 @@ def is_symplectic(space, m):
     return mat_mul(mat_transpose(rows), mat_mul(j, rows)) == j
 
 
-def symplectic_automorphism_check(m, u, precision=50):
+def symplectic_automorphism_check(m, u):
     """Residual ``|tau_M(u o m) - tau_M(u)|`` at the leading trace order.
 
     The residual is the integral of ``u o m - u``, taken exactly and only
-    then evaluated to ``precision`` digits, so invariance shows as a
-    literal zero.  Raises on non-symplectic input.
+    then evaluated to 50 digits, so invariance shows as a literal zero.
+    Raises on non-symplectic input.
     """
     if not isinstance(u, GaussFn):
         raise TypeError("symplectic_automorphism_check expects a GaussFn")
     if not is_symplectic(u.space, m):
         raise ValueError("matrix is not symplectic for the fixed form")
     pulled = GeneralGaussFn.from_gauss(gauss_pullback_linear(u, m))
-    return abs(gauss_integrate_bigfloat(pulled - u, precision))
+    return abs(gauss_integrate_bigfloat(pulled - u))

@@ -239,7 +239,9 @@ class FormalScalar:
         return self.trunc_order == other.trunc_order and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.trunc_order, tuple(sorted(self.coeffs.items(), key=lambda kv: kv[0]))))
+        # every zero series is equal, whatever its truncation order
+        order = self.trunc_order if self.coeffs else None
+        return hash((order, tuple(sorted(self.coeffs.items(), key=lambda kv: kv[0]))))
 
     def __str__(self):
         """``c_k*nu^k`` terms by rising degree; a non-rational coefficient

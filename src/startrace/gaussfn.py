@@ -8,7 +8,9 @@ terms ``P(x) * exp(-t|x|^2/2 + b.x + c)`` with rational data, kept in
 the shared :class:`~startrace.poly.PolyCombination` normal form keyed by
 the exponent ``(t, b, c)``.  Linear pullbacks that break the isotropy of
 the quadratic part yield a :class:`GeneralGaussFn`.  Both integrate
-exactly in :func:`gauss_integrate_exact`.
+exactly in :func:`gauss_integrate_exact`, by one formula: each term is
+brought to one width ``w_i`` per axis, where ``x_i^e`` has the Gaussian
+moment ``(e-1)!!/w_i^(e/2)``.
 
 Exact integrals land in :class:`IntegralValue`, the ring of values
 ``pi^k * sum_j r_j e^{s_j}`` with rational ``r_j, s_j``.  Its zero test
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 
 import mpmath
@@ -32,8 +33,8 @@ from startrace.poly import (
     _diff_multi,
     _pairs,
     _signed_sum,
-    mat_inverse,
     mat_det,
+    mat_identity,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -349,82 +350,67 @@ def _double_factorial(k):
 
 def gauss_integrate_exact(a):
     """Exact integral of a GaussFn or GeneralGaussFn over R^{2n} as an
-    :class:`IntegralValue`.
-
-    Isotropic terms complete the square (shift ``b/t``, constant
-    ``c + |b|^2/(2t)``) and apply the even-moment formula with covariance
-    ``1/t``; anisotropic terms take Wick moments of their full covariance.
+    :class:`IntegralValue`.  Each term is brought to diagonal widths,
+    ``w_i = t`` when isotropic and the pivots of :func:`_diagonalize`
+    otherwise, and integrated by :func:`_diagonal_integral`.
     """
     if not isinstance(a, (GaussFn, GeneralGaussFn)):
         raise TypeError("gauss_integrate_exact expects a GaussFn or GeneralGaussFn")
     n = a.space.n
-    if isinstance(a, GeneralGaussFn):
-        return IntegralValue(n, (_integrate_general_term(n, *term) for term in a.terms))
-    pairs = []
-    for (t, b, c), poly in a.coeffs.items():
-        if t <= 0:
-            raise NonIntegrableError("term with t = 0 has no convergent integral")
-        mu = tuple(bi / t for bi in b)
-        s = c + sum(bi * bi for bi in b) / (2 * t)
-        centered = poly.translate(mu)
-        acc = Fraction(0)
-        for exps, r in centered.terms.items():
-            if any(e % 2 for e in exps):
-                continue
-            m = Fraction(1)
-            for e in exps:
-                m *= Fraction(_double_factorial(e - 1)) / t ** (e // 2)
-            acc += r * m
-        pairs.append((s, acc * Fraction(2, 1) ** n / t**n))
-    return IntegralValue(n, pairs)
+    if isinstance(a, GaussFn):
+        terms = ((poly, (t,) * a.space.dim, b, c) for (t, b, c), poly in a.coeffs.items())
+    else:
+        terms = (_diagonalize(*term) for term in a.terms)
+    return IntegralValue(n, (_diagonal_integral(n, *term) for term in terms))
 
 
-@lru_cache(maxsize=None)
-def _wick_moment(cov, counts):
-    """E[prod_i y_i^{counts_i}] for centered Gaussian y with covariance cov."""
-    first = next((i for i, k in enumerate(counts) if k), None)
-    if first is None:
-        return Fraction(1)
-    rest = list(counts)
-    rest[first] -= 1
-    total = Fraction(0)
-    for j, k in enumerate(rest):
-        if not k or not cov[first][j]:
+def _diagonalize(poly, a, b, c):
+    """``(poly(L^-T y), D, L^-1 b, c)`` for ``-a = L D L^T`` with L unit lower.
+
+    Elimination without pivoting takes ``-a`` to ``D L^T``, and the identity
+    and ``b`` to ``L^-1`` and ``L^-1 b``.  The substitution ``x = L^-T y``
+    has Jacobian 1.  Pivot k is the ratio of the k-th and (k-1)-th leading
+    minors, so a pivot ``<= 0`` is Sylvester's test failing.
+    """
+    d = len(a)
+    rows = [[-v for v in row] + [bi] + unit for row, bi, unit in zip(a, b, mat_identity(d))]
+    for k, pivot_row in enumerate(rows):
+        if pivot_row[k] <= 0:
+            raise NonIntegrableError("quadratic form is not negative definite")
+        for row in rows[k + 1 :]:
+            f = row[k] / pivot_row[k]
+            if f:
+                row[:] = [x - f * y for x, y in zip(row, pivot_row)]
+    inv_t = mat_transpose([row[d + 1 :] for row in rows])
+    widths = tuple(row[k] for k, row in enumerate(rows))
+    return poly.pullback_linear(inv_t), widths, tuple(row[d] for row in rows), c
+
+
+def _diagonal_integral(n, poly, widths, b, c):
+    """``(s, r)`` with ``integral of poly * exp(-sum_i w_i x_i^2/2 + b.x + c)
+    = r e^s pi^n``: the shift ``mu_i = b_i/w_i`` leaves ``s = c + sum_i
+    b_i^2/(2 w_i)``, ``x_i^e`` has centered moment ``(e-1)!!/w_i^(e/2)``
+    for even ``e``, and the Gaussian gives ``(2 pi)^n / sqrt(prod_i w_i)``.
+    """
+    if any(w <= 0 for w in widths):
+        raise NonIntegrableError("term with a width <= 0 has no convergent integral")
+    mu = tuple(bi / w for bi, w in zip(b, widths))
+    s = c + sum(bi * m for bi, m in zip(b, mu)) / 2
+    acc = Fraction(0)
+    for exps, r in poly.translate(mu).terms.items():
+        if any(e % 2 for e in exps):
             continue
-        sub = list(rest)
-        sub[j] -= 1
-        total += k * cov[first][j] * _wick_moment(cov, tuple(sub))
-    return total
-
-
-def _integrate_general_term(n, poly, a, b, c):
-    """``(s, r)`` with ``integral of poly * exp(x^T a x / 2 + b.x + c) = r e^s pi^n``."""
-    neg_a = [[-v for v in row] for row in a]
-    # Sylvester's criterion: -A is positive definite iff every leading
-    # principal minor is positive; the last one is the full determinant.
-    minors = [
-        mat_det([row[:k] for row in neg_a[:k]]) for k in range(1, len(neg_a) + 1)
-    ]
-    if any(m <= 0 for m in minors):
-        raise NonIntegrableError("quadratic form is not negative definite")
-    # (2 pi)^n / sqrt(det(-A)); a pullback along M has det(-A) = t^(2n) det(M)^2
-    det = minors[-1]
-    num, den = math.isqrt(det.numerator), math.isqrt(det.denominator)
-    if num * num != det.numerator or den * den != det.denominator:
+        for w, e in zip(widths, exps):
+            if e:
+                r = r * _double_factorial(e - 1) / w ** (e // 2)
+        acc += r
+    vol = math.prod(widths)
+    num, den = math.isqrt(vol.numerator), math.isqrt(vol.denominator)
+    if num * num != vol.numerator or den * den != vol.denominator:
         raise ArithmeticError(
-            f"sqrt(det(-A)) = sqrt({det}) is irrational, so the integral is not exact"
+            f"sqrt(det(-A)) = sqrt({vol}) is irrational, so the integral is not exact"
         )
-    cov = mat_inverse(neg_a)
-    mu = mat_vec(cov, list(b))
-    s = c + sum(bi * mi for bi, mi in zip(b, mu)) / 2
-    centered = poly.translate(mu)
-    cov_key = tuple(tuple(row) for row in cov)
-    moment = Fraction(0)
-    for exps, r in centered.terms.items():
-        if sum(exps) % 2:
-            continue
-        moment += r * _wick_moment(cov_key, exps)
-    return s, Fraction(2) ** n * moment * den / num
+    return s, acc * 2**n * den / num
 
 
 def gauss_integrate_bigfloat(a, precision=50):

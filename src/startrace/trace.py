@@ -180,12 +180,12 @@ def _try_rational_series(c):
     return FormalScalar(out, c.trunc_order)
 
 
-def proportionality_factor(t1, t2, probe, battery=None):
+def proportionality_factor(t1, t2, probe):
     """Solve ``trace_eval(t2, .) = c(nu) * trace_eval(t1, .)`` for ``c``.
 
     ``c`` is computed order by order from ``probe`` (whose leading value
     must be a single exponential term, hence invertible) and then verified
-    against every battery probe; disagreement raises
+    against every probe of :func:`default_probe_battery`; disagreement raises
     :class:`InconsistentTracesError`.  Returns rational coefficients when
     the ratio is rational.
     """
@@ -194,9 +194,7 @@ def proportionality_factor(t1, t2, probe, battery=None):
     if s1.is_zero():
         raise ValueError("probe evaluates to zero under the reference functional")
     factor = s2.divide(s1)
-    if battery is None:
-        battery = default_probe_battery(t1.space)
-    for idx, fn in enumerate(battery):
+    for idx, fn in enumerate(default_probe_battery(t1.space)):
         lhs = trace_eval(t2, fn)
         rhs = factor * trace_eval(t1, fn)
         trunc = min(lhs.trunc_order, rhs.trunc_order)

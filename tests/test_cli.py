@@ -408,6 +408,10 @@ def test_main_bad_inputs_give_exit_two(tmp_path, capsys):
         # an empty path is a path, not a request for the seeded default
         ["transport-trace", "--equiv", ""],
         ["gs-decompose", "--grid", ""],
+        # a report that cannot be written, after the scenario has run
+        ["homogeneity", "--n", "1", "--order", "1", "--out", "/nonexistent/dir/r.json"],
+        ["homogeneity", "--n", "1", "--order", "1", "--out", str(tmp_path)],
+        ["homogeneity", "--n", "1", "--order", "1", "--out", ""],
     ]
     for args, data in [
         (["transport-trace", "--equiv"], [1, 2]),

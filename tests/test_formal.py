@@ -114,6 +114,24 @@ def test_nu_scale_derivative_is_derivation(ca, cb, trunc):
     assert lhs == rhs
 
 
+small_series = st.builds(
+    _mk,
+    st.dictionaries(st.integers(0, 2), st.sampled_from([F(0), F(1)]), max_size=3),
+    st.integers(0, 3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_series, min_size=2, max_size=4))
+def test_equal_series_hash_alike(items):
+    # a - a is the zero of a's truncation order, and every zero is equal
+    items += [a - a for a in items]
+    for a in items:
+        for b in items:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+
+
 def test_rendering():
     a = series({-1: F(1, 2), 0: F(-3), 2: F(1)}, 5)
     assert str(a) == "1/2*nu^-1 - 3 + nu^2"

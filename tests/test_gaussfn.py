@@ -209,20 +209,40 @@ def test_pullback_change_of_variables():
         assert abs(lhs - rhs) < mpmath.mpf("1e-44") * (1 + abs(rhs))
 
 
+RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def shifted_gauss(space):
+    """Hypothesis strategy: one term ``P(x) exp(-t|x|^2/2 + b.x + c)``."""
+    return st.builds(
+        lambda poly, t, b, c: GaussFn.term(space, poly, t, b, c),
+        polys(space),
+        st.fractions(min_value=F(1, 2), max_value=3, max_denominator=2),
+        st.lists(RATIONAL, min_size=space.dim, max_size=space.dim),
+        RATIONAL,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_isotropic_term_integrates_alike_as_general(n, data):
+    # -A = t I factors with L = I and widths t, so both entries agree exactly
+    f = data.draw(shifted_gauss(PhaseSpace(n)))
+    assert gauss_integrate_exact(GeneralGaussFn.from_gauss(f)) == gauss_integrate_exact(f)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_pullback_integral_is_exact(n, data):
     # integral of f(Mx) = |det M|^{-1} * integral of f, as exact values
     space = PhaseSpace(n)
-    rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    shift = st.lists(rational, min_size=space.dim, max_size=space.dim)
-    t = data.draw(st.fractions(min_value=F(1, 2), max_value=3, max_denominator=2))
-    f = GaussFn.term(space, data.draw(polys(space)), t, data.draw(shift), data.draw(rational))
+    f = data.draw(shifted_gauss(space))
     step = st.tuples(
         st.sampled_from(["shear-q", "shear-p", "squeeze", "scale-q"]),
         st.integers(0, n - 1),
-        rational.filter(bool),
+        RATIONAL.filter(bool),
     )
     m = plane_product(space, data.draw(st.lists(step, min_size=1, max_size=3)))
     want = gauss_integrate_exact(f) * F(1, abs(mat_det(m)))
@@ -234,6 +254,25 @@ def test_irrational_root_rejected(space):
     mat = [[F(-2), F(0)], [F(0), F(-1)]]
     fn = GeneralGaussFn(space, [(Poly.constant(space, 1), mat, None, 0)])
     with pytest.raises(ArithmeticError, match="irrational"):
+        gauss_integrate_exact(fn)
+
+
+def test_indefinite_form_with_square_determinant_rejected():
+    # -A = [[1, 2], [2, 1]] on (q1, q2) and on (p1, p2): the diagonal is
+    # positive and det(-A) = 9 is a square, but the second pivot is -3
+    space = PhaseSpace(2)
+    block = [[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 2], [0, 0, 2, 1]]
+    mat = [[-F(v) for v in row] for row in block]
+    fn = GeneralGaussFn(space, [(Poly.constant(space, 1), mat, None, 0)])
+    with pytest.raises(NonIntegrableError):
+        gauss_integrate_exact(fn)
+
+
+def test_semidefinite_form_rejected(space):
+    # -A = [[1, 1], [1, 1]]: the second pivot is 0, and it is never divided by
+    mat = [[F(-1), F(-1)], [F(-1), F(-1)]]
+    fn = GeneralGaussFn(space, [(Poly.constant(space, 1), mat, None, 0)])
+    with pytest.raises(NonIntegrableError):
         gauss_integrate_exact(fn)
 
 

@@ -23,7 +23,6 @@ from startrace.equiv import (
 from startrace.formal import FormalScalar
 from startrace.gaussfn import (
     GaussFn,
-    GeneralGaussFn,
     IntegralValue,
     NonIntegrableError,
     gauss_integrate_bigfloat,
@@ -76,7 +75,6 @@ __all__ = [
     "EulerDerivation",
     "FormalScalar",
     "GaussFn",
-    "GeneralGaussFn",
     "GridFn",
     "InconsistentTracesError",
     "IntegralValue",

@@ -16,6 +16,7 @@ parenthesized subexpressions.  A leading minus is allowed on any term.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import random
@@ -36,7 +37,7 @@ from startrace.equiv import (
     transport_star,
 )
 from startrace.formal import FormalScalar
-from startrace.gaussfn import GaussFn, IntegralValue
+from startrace.gaussfn import GaussFn, IntegralValue, isotropic_exponent
 from startrace.gsdecomp import (
     GridFn,
     MarginError,
@@ -300,34 +301,20 @@ class _Parser:
         inner = self._lift_poly(inner)
         if not isinstance(inner, Poly):
             raise ParseError("exp expects a polynomial argument", pos)
-        b = [Fraction(0)] * self.space.dim
-        c = Fraction(0)
-        squares = {}
-        for exps, coeff in inner.terms.items():
-            deg = sum(exps)
-            if deg == 0:
-                c = coeff
-            elif deg == 1:
-                b[exps.index(1)] = coeff
-            elif deg == 2 and max(exps) == 2:
-                squares[exps.index(2)] = coeff
-            elif deg == 2:
-                raise ParseError(
-                    "exp quadratic part must be a multiple of |x|^2", pos
-                )
-            else:
+        # the first term of degree above 2, or mixed of degree 2, names the fault
+        iso = None
+        for exps in inner.terms:
+            if sum(exps) > 2:
                 raise ParseError("exp argument must be at most quadratic", pos)
-        t = Fraction(0)
-        if squares:
-            vals = set(squares.values())
-            if len(squares) != self.space.dim or len(vals) != 1:
-                raise ParseError(
-                    "exp quadratic part must be a multiple of |x|^2", pos
-                )
-            t = -2 * vals.pop()
-        if t < 0:
+            if sum(exps) == 2 and 2 not in exps:
+                break
+        else:
+            iso = isotropic_exponent(inner)
+        if iso is None:
+            raise ParseError("exp quadratic part must be a multiple of |x|^2", pos)
+        if iso[0] < 0:
             raise ParseError("exp argument must not grow at infinity", pos)
-        return GaussFn.gaussian(self.space, t, tuple(b), c)
+        return GaussFn(self.space, {inner: Poly.constant(self.space, 1)})
 
 
 def parse_expression(text, n=1):
@@ -884,20 +871,17 @@ def main(argv=None):
             equiv_path=args.equiv,
             grid_path=args.grid,
         )
-        report = run_scenario(sc)
+        # --out opens before the run, so a bad path fails before any work
+        with contextlib.nullcontext() if args.out is None else open(args.out, "wb") as fh:
+            report = run_scenario(sc)
+            payload = emit_report(report, args.format)
+            if fh is not None:
+                fh.write(payload)
     except (OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    payload = emit_report(report, args.format)
     if args.out is None:
         sys.stdout.write(payload.decode("utf-8"))
-    else:
-        try:
-            with open(args.out, "wb") as fh:
-                fh.write(payload)
-        except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
     return 0 if report.all_pass() else 1
 
 

@@ -17,7 +17,6 @@ from startrace.diffop import BiDiffOp, DiffOp
 from startrace.formal import FormalScalar
 from startrace.gaussfn import (
     GaussFn,
-    GeneralGaussFn,
     gauss_integrate_bigfloat,
     gauss_pullback_linear,
 )
@@ -238,5 +237,4 @@ def symplectic_automorphism_check(m, u):
         raise TypeError("symplectic_automorphism_check expects a GaussFn")
     if not is_symplectic(u.space, m):
         raise ValueError("matrix is not symplectic for the fixed form")
-    pulled = GeneralGaussFn.from_gauss(gauss_pullback_linear(u, m))
-    return abs(gauss_integrate_bigfloat(pulled - u))
+    return abs(gauss_integrate_bigfloat(gauss_pullback_linear(u, m) - u))

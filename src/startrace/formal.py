@@ -21,11 +21,6 @@ from itertools import chain
 
 from startrace.poly import _pairs, _signed_sum
 
-#: Hard floor on negative powers: ``min_degree >= -(trunc_order + margin)``.
-#: Trace functionals contribute a single ``nu^-n`` prefactor, so at desk
-#: scale the honest margin is the half-dimension n; 8 leaves plenty of room.
-LAURENT_FLOOR_MARGIN = 8
-
 
 def _is_zero(c):
     probe = getattr(c, "is_zero", None)
@@ -71,11 +66,6 @@ class FormalScalar:
             c = _coeff_sum(group)
             if not _is_zero(c):
                 clean[k] = c
-        if clean:
-            lowest = min(clean)
-            floor = -(max(trunc_order, 0) + LAURENT_FLOOR_MARGIN)
-            if lowest < floor:
-                raise ValueError(f"nu-degree {lowest} below Laurent floor {floor}")
         self.coeffs = clean
         self.trunc_order = trunc_order
 

@@ -4,13 +4,14 @@ Functions here stand in for compactly supported test functions: they
 are closed under products, derivatives and linear pullbacks,
 they integrate to exactly representable values, and integration by parts
 never produces boundary terms.  A :class:`GaussFn` is a finite sum of
-terms ``P(x) * exp(-t|x|^2/2 + b.x + c)`` with rational data, kept in
-the shared :class:`~startrace.poly.PolyCombination` normal form keyed by
-the exponent ``(t, b, c)``.  Linear pullbacks that break the isotropy of
-the quadratic part yield a :class:`GeneralGaussFn`.  Both integrate
-exactly in :func:`gauss_integrate_exact`, by one formula: each term is
-brought to one width ``w_i`` per axis, where ``x_i^e`` has the Gaussian
-moment ``(e-1)!!/w_i^(e/2)``.
+terms ``P(x) * exp(Q(x))`` with rational data, kept in the shared
+:class:`~startrace.poly.PolyCombination` normal form keyed by the
+exponent ``Q``, a :class:`~startrace.poly.Poly` of degree at most 2.
+Products add exponents, derivatives give ``(dP + P*dQ) * exp(Q)``, and
+translations and linear pullbacks pull ``P`` and ``Q`` back alike.
+:func:`gauss_integrate_exact` integrates every term by one formula: the
+term is brought to one width ``w_i`` per axis, where ``x_i^e`` has the
+Gaussian moment ``(e-1)!!/w_i^(e/2)``.
 
 Exact integrals land in :class:`IntegralValue`, the ring of values
 ``pi^k * sum_j r_j e^{s_j}`` with rational ``r_j, s_j``.  Its zero test
@@ -35,9 +36,7 @@ from startrace.poly import (
     _signed_sum,
     mat_det,
     mat_identity,
-    mat_mul,
     mat_transpose,
-    mat_vec,
 )
 
 
@@ -171,25 +170,62 @@ class IntegralValue:
         return f"IntegralValue({self})"
 
 
-def _as_vector(space, b):
-    if b is None:
-        return (Fraction(0),) * space.dim
-    vec = tuple(_as_fraction(v) for v in b)
-    if len(vec) != space.dim:
+def _exponent(space, t, b, c):
+    """``-t/2*|x|^2 + b.x + c`` as a Poly on ``space``."""
+    d = space.dim
+    b = (0,) * d if b is None else tuple(b)
+    if len(b) != d:
         raise ValueError("linear-part vector has wrong length")
-    return vec
+    half = -_as_fraction(t) / 2
+    pairs = [((0,) * d, c)]
+    for k, bk in enumerate(b):
+        pairs += [((0,) * k + (e,) + (0,) * (d - k - 1), v) for e, v in ((1, bk), (2, half))]
+    return Poly(space, pairs)
+
+
+def _quadratic_parts(q):
+    """``(w, cross, b, c)`` for an exponent ``q = x^T A x/2 + b.x + c``:
+    ``w`` is the diagonal of ``-A`` and ``cross`` lists its off-diagonal
+    entries ``(i, j, -A_ij)`` with ``i < j``."""
+    d = q.space.dim
+    widths = [Fraction(0)] * d
+    b = [Fraction(0)] * d
+    c = Fraction(0)
+    cross = []
+    for exps, coeff in q.terms.items():
+        deg = sum(exps)
+        if deg == 0:
+            c = coeff
+        elif deg == 1:
+            b[exps.index(1)] = coeff
+        elif 2 in exps:
+            widths[exps.index(2)] = -2 * coeff
+        else:
+            i = exps.index(1)
+            cross.append((i, exps.index(1, i + 1), -coeff))
+    return widths, cross, b, c
+
+
+def isotropic_exponent(q):
+    """``(t, b, c)`` when the exponent ``q`` is ``-t/2*|x|^2 + b.x + c``, else None."""
+    widths, cross, b, c = _quadratic_parts(q)
+    if cross or len(set(widths)) > 1:
+        return None
+    return widths[0], tuple(b), c
 
 
 class GaussFn(PolyCombination):
-    """Finite sum of terms ``P(x) * exp(-t|x|^2/2 + b.x + c)``.
+    """Finite sum of terms ``P(x) * exp(Q(x))``.
 
-    ``coeffs`` maps each exponent ``(t, b, c)`` to its polynomial ``P``;
-    terms sharing an exponent are merged, and a term has a
-    convergent integral iff ``t > 0``.  Purely polynomial terms
-    (``t = 0``) are allowed so the class absorbs products with
-    coefficient functions.  Like :class:`~startrace.poly.Poly`, an instance
-    is immutable once built and caches its derivatives in ``_jet``, which
-    takes no part in ``==`` or ``hash``.
+    ``coeffs`` maps each exponent ``Q``, a :class:`~startrace.poly.Poly` of
+    degree at most 2 with no positive pure-square coefficient, to its
+    polynomial ``P``; terms sharing an exponent are merged.  The isotropic
+    exponents ``-t/2*|x|^2 + b.x + c`` of :meth:`term` print as such;
+    linear pullbacks may make any other.  Purely polynomial terms
+    (``Q`` of degree below 2) are allowed so the class absorbs products
+    with coefficient functions.  Like :class:`~startrace.poly.Poly`, an
+    instance is immutable once built and caches its derivatives in
+    ``_jet``, which takes no part in ``==`` or ``hash``.
     """
 
     __slots__ = ("_jet",)
@@ -199,18 +235,24 @@ class GaussFn(PolyCombination):
         self._jet = None
 
     @staticmethod
-    def _key(space, key):
-        t, b, c = key
-        t = _as_fraction(t)
-        if t < 0:
-            raise ValueError("quadratic decay rate t must be nonnegative")
-        return (t, _as_vector(space, b), _as_fraction(c))
+    def _key(space, q):
+        if not isinstance(q, Poly):
+            raise TypeError(f"exponent must be a Poly, got {type(q).__name__}")
+        if q.space != space:
+            raise ValueError("exponent lives on a different phase space")
+        for exps, coeff in q.terms.items():
+            if sum(exps) > 2:
+                raise ValueError("exponent must have degree at most 2")
+            if 2 in exps and coeff > 0:
+                raise ValueError("exponent must not grow along a coordinate axis")
+        return q
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def term(cls, space, poly, t, b=None, c=0):
-        return cls(space, {(t, _as_vector(space, b), c): poly})
+        """``poly * exp(-t|x|^2/2 + b.x + c)``."""
+        return cls(space, {_exponent(space, t, b, c): poly})
 
     @classmethod
     def gaussian(cls, space, t, b=None, c=0):
@@ -219,41 +261,37 @@ class GaussFn(PolyCombination):
 
     @classmethod
     def from_poly(cls, poly):
-        return cls.term(poly.space, poly, 0)
+        return cls(poly.space, {Poly.zero(poly.space): poly})
 
     # -- arithmetic ---------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            return GaussFn(self.space, {k: p * other for k, p in self.coeffs.items()})
+            return GaussFn(self.space, {q: p * other for q, p in self.coeffs.items()})
         if not isinstance(other, GaussFn):
             return super().__mul__(other)
         self._check_space(other)
         return GaussFn(
             self.space,
             (
-                ((t1 + t2, tuple(x + y for x, y in zip(b1, b2)), c1 + c2), p1 * p2)
-                for (t1, b1, c1), p1 in self.coeffs.items()
-                for (t2, b2, c2), p2 in other.coeffs.items()
+                (q1 + q2, p1 * p2)
+                for q1, p1 in self.coeffs.items()
+                for q2, p2 in other.coeffs.items()
             ),
         )
 
     # -- calculus -----------------------------------------------------
 
     def diff(self, axis):
-        """Partial derivative; the exponent contributes ``(b_a - t x_a)``."""
+        """Partial derivative ``(dP + P*dQ) * exp(Q)`` of each term."""
         if isinstance(axis, str):
             axis = self.space.axis(axis)
-        x = Poly.variable(self.space, self.space.variables[axis])
-        pairs = []
-        for key, poly in self.coeffs.items():
-            t, b, _ = key
-            pairs.append((key, poly.diff(axis)))
-            if t:
-                pairs.append((key, poly * x * -t))
-            if b[axis]:
-                pairs.append((key, poly * b[axis]))
-        return GaussFn(self.space, pairs)
+        return GaussFn(
+            self.space,
+            chain.from_iterable(
+                ((q, p.diff(axis)), (q, p * q.diff(axis))) for q, p in self.coeffs.items()
+            ),
+        )
 
     def diff_multi(self, alpha):
         """``d^alpha self`` through the shared derivative jet
@@ -261,83 +299,39 @@ class GaussFn(PolyCombination):
         return _diff_multi(self, alpha)
 
     def translate(self, shifts):
-        """Pull back along ``x -> x + a``; the exponent re-completes exactly."""
-        a = _as_vector(self.space, shifts)
-        pairs = []
-        for (t, b, c), poly in self.coeffs.items():
-            b2 = tuple(bi - t * ai for bi, ai in zip(b, a))
-            c2 = c + sum(bi * ai for bi, ai in zip(b, a)) - t * sum(ai * ai for ai in a) / 2
-            pairs.append(((t, b2, c2), poly.translate(a)))
-        return GaussFn(self.space, pairs)
+        """Pull back along ``x -> x + a``: ``P(x + a) * exp(Q(x + a))``."""
+        return GaussFn(
+            self.space,
+            ((q.translate(shifts), p.translate(shifts)) for q, p in self.coeffs.items()),
+        )
 
     def evaluate_float(self, point):
         """Pointwise value as a float (grid sampling helper)."""
-        total = 0.0
         pt = [float(x) for x in point]
-        for (t, b, c), poly in self.coeffs.items():
-            expo = (
-                float(c)
-                + sum(float(bi) * xi for bi, xi in zip(b, pt))
-                - float(t) * sum(xi * xi for xi in pt) / 2
-            )
-            total += float(poly.evaluate(pt)) * math.exp(expo)
-        return total
+        return sum(
+            float(p.evaluate(pt)) * math.exp(q.evaluate(pt)) for q, p in self.coeffs.items()
+        )
 
     # -- rendering ----------------------------------------------------
 
-    def _symbol(self, key):
-        """``exp(-t/2*|x|^2 + b.x + c)``, or nothing for the zero exponent."""
-        t, b, c = key
+    def _symbol(self, q):
+        """``exp(-t/2*|x|^2 + b.x + c)`` for an isotropic exponent,
+        ``exp(<Q>)`` for any other, and nothing for the zero exponent."""
+        iso = isotropic_exponent(q)
+        if iso is None:
+            return f"exp({q})"
+        t, b, c = iso
         parts = [(-t / 2, "|x|^2")] if t else []
         parts += [(bi, name) for name, bi in zip(self.space.variables, b) if bi]
         if c:
             parts.append((c, ""))
         return f"exp({_signed_sum(parts)})" if parts else ""
 
-    _order = None  # exponents ``(t, b, c)`` sort as they are
-
-
-class GeneralGaussFn:
-    """Sum of terms ``P(x) * exp(x^T A x / 2 + b.x + c)`` with full symmetric A.
-
-    Produced by linear pullbacks that break isotropy.
-    """
-
-    __slots__ = ("space", "terms")
-
-    def __init__(self, space, terms):
-        self.space = space
-        packed = []
-        for poly, a, b, c in terms:
-            mat = tuple(tuple(_as_fraction(v) for v in row) for row in a)
-            if len(mat) != space.dim or any(len(r) != space.dim for r in mat):
-                raise ValueError("quadratic form has wrong shape")
-            if mat != tuple(zip(*mat)):
-                raise ValueError("quadratic form must be symmetric")
-            if not poly.is_zero():
-                packed.append((poly, mat, _as_vector(space, b), _as_fraction(c)))
-        self.terms = tuple(packed)
-
-    @classmethod
-    def from_gauss(cls, fn):
-        """``fn`` itself, or a GaussFn with each exponent written as ``A = -t I``."""
-        if isinstance(fn, cls):
-            return fn
-        d = fn.space.dim
-        return cls(
-            fn.space,
-            [
-                (poly, [[-t if i == j else 0 for j in range(d)] for i in range(d)], b, c)
-                for (t, b, c), poly in fn.coeffs.items()
-            ],
-        )
-
-    def __sub__(self, other):
-        neg = [(-poly, a, b, c) for poly, a, b, c in GeneralGaussFn.from_gauss(other).terms]
-        return GeneralGaussFn(self.space, list(self.terms) + neg)
-
-    def __repr__(self):
-        return f"GeneralGaussFn({len(self.terms)} terms, n={self.space.n})"
+    @staticmethod
+    def _order(q):
+        """Isotropic exponents first, sorted as ``(t, b, c)``."""
+        iso = isotropic_exponent(q)
+        return (0, iso) if iso is not None else (1, sorted(q.terms.items()))
 
 
 def _double_factorial(k):
@@ -349,31 +343,36 @@ def _double_factorial(k):
 
 
 def gauss_integrate_exact(a):
-    """Exact integral of a GaussFn or GeneralGaussFn over R^{2n} as an
-    :class:`IntegralValue`.  Each term is brought to diagonal widths,
-    ``w_i = t`` when isotropic and the pivots of :func:`_diagonalize`
-    otherwise, and integrated by :func:`_diagonal_integral`.
+    """Exact integral of a GaussFn over R^{2n} as an :class:`IntegralValue`.
+
+    Each term is brought to diagonal widths by :func:`_diagonalize` and
+    integrated by :func:`_diagonal_integral`.
     """
-    if not isinstance(a, (GaussFn, GeneralGaussFn)):
-        raise TypeError("gauss_integrate_exact expects a GaussFn or GeneralGaussFn")
+    if not isinstance(a, GaussFn):
+        raise TypeError("gauss_integrate_exact expects a GaussFn")
     n = a.space.n
-    if isinstance(a, GaussFn):
-        terms = ((poly, (t,) * a.space.dim, b, c) for (t, b, c), poly in a.coeffs.items())
-    else:
-        terms = (_diagonalize(*term) for term in a.terms)
-    return IntegralValue(n, (_diagonal_integral(n, *term) for term in terms))
+    return IntegralValue(
+        n, (_diagonal_integral(n, *_diagonalize(p, q)) for q, p in a.coeffs.items())
+    )
 
 
-def _diagonalize(poly, a, b, c):
-    """``(poly(L^-T y), D, L^-1 b, c)`` for ``-a = L D L^T`` with L unit lower.
+def _diagonalize(poly, q):
+    """``(poly(L^-T y), D, L^-1 b, c)`` for ``q = x^T A x/2 + b.x + c`` and
+    ``-A = L D L^T`` with L unit lower; ``L = I`` when A is diagonal.
 
-    Elimination without pivoting takes ``-a`` to ``D L^T``, and the identity
+    Elimination without pivoting takes ``-A`` to ``D L^T``, and the identity
     and ``b`` to ``L^-1`` and ``L^-1 b``.  The substitution ``x = L^-T y``
     has Jacobian 1.  Pivot k is the ratio of the k-th and (k-1)-th leading
     minors, so a pivot ``<= 0`` is Sylvester's test failing.
     """
-    d = len(a)
-    rows = [[-v for v in row] + [bi] + unit for row, bi, unit in zip(a, b, mat_identity(d))]
+    widths, cross, b, c = _quadratic_parts(q)
+    if not cross:
+        return poly, widths, b, c
+    d = q.space.dim
+    minus_a = [[w if i == j else Fraction(0) for j in range(d)] for i, w in enumerate(widths)]
+    for i, j, v in cross:
+        minus_a[i][j] = minus_a[j][i] = v
+    rows = [row + [bi] + unit for row, bi, unit in zip(minus_a, b, mat_identity(d))]
     for k, pivot_row in enumerate(rows):
         if pivot_row[k] <= 0:
             raise NonIntegrableError("quadratic form is not negative definite")
@@ -419,32 +418,11 @@ def gauss_integrate_bigfloat(a, precision=50):
 
 
 def gauss_pullback_linear(a, m):
-    """Pull back along ``x -> m x``.
-
-    Returns a plain :class:`GaussFn` when ``m^T m`` is a positive multiple
-    of the identity (every isotropic exponent stays isotropic); otherwise
-    a :class:`GeneralGaussFn`.
-    """
+    """Pull back along ``x -> m x``: ``P(m x) * exp(Q(m x))`` term by term."""
     rows = [[_as_fraction(v) for v in row] for row in m]
     if mat_det(rows) == 0:
         raise ValueError("pullback matrix is singular")
-    mt = mat_transpose(rows)
-    gram = mat_mul(mt, rows)
-    d = a.space.dim
-    lam = gram[0][0]
-    isotropic = all(
-        gram[i][j] == (lam if i == j else 0) for i in range(d) for j in range(d)
+    return GaussFn(
+        a.space,
+        ((q.pullback_linear(rows), p.pullback_linear(rows)) for q, p in a.coeffs.items()),
     )
-    if isotropic:
-        return GaussFn(
-            a.space,
-            (
-                ((t * lam, tuple(mat_vec(mt, list(b))), c), poly.pullback_linear(rows))
-                for (t, b, c), poly in a.coeffs.items()
-            ),
-        )
-    terms = []
-    for (t, b, c), poly in a.coeffs.items():
-        mat = [[-t * v for v in row] for row in gram]
-        terms.append((poly.pullback_linear(rows), mat, mat_vec(mt, list(b)), c))
-    return GeneralGaussFn(a.space, terms)

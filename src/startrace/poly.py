@@ -119,10 +119,12 @@ class Poly:
     ``(exps, c)`` pairs; it adds the coefficients of repeated exponents and
     drops zero sums.  Instances are immutable once built: nothing
     writes to ``terms`` after ``__init__``, so derivatives cached in the
-    ``_jet`` slot (see :func:`_diff_multi`) stay valid for the object's life.
+    ``_jet`` slot (see :func:`_diff_multi`) stay valid for the object's life,
+    and so does the hash cached in ``_hash``: a Poly keys each ``GaussFn``
+    term by its exponent, and the same exponent meets many dict lookups.
     """
 
-    __slots__ = ("space", "terms", "_jet")
+    __slots__ = ("space", "terms", "_jet", "_hash")
 
     def __init__(self, space, terms):
         merged = {}
@@ -138,6 +140,7 @@ class Poly:
         self.space = space
         self.terms = clean
         self._jet = None
+        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -307,13 +310,15 @@ class Poly:
     # -- comparison / rendering ---------------------------------------
 
     def __eq__(self, other):
-        # ``_jet`` is a cache of derivatives and takes no part in equality
+        # the caches ``_jet`` and ``_hash`` take no part in equality
         if not isinstance(other, Poly):
             return NotImplemented
         return self.space == other.space and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.space, tuple(sorted(self.terms.items()))))
+        if self._hash is None:
+            self._hash = hash((self.space, tuple(sorted(self.terms.items()))))
+        return self._hash
 
     def __str__(self):
         terms = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
@@ -472,10 +477,6 @@ def mat_mul(a, b):
         [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt]
         for row in a
     ]
-
-
-def mat_vec(m, v):
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in m]
 
 
 def mat_det(m):

@@ -375,6 +375,25 @@ def test_main_run_writes_report(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("name", ["homogeneity", "proportionality", "normalized-uniqueness"])
+def test_main_runs_nine_canonical_pairs(name, tmp_path):
+    # the trace's nu^-9 prefactor is a valid degree, not a runaway series
+    out = tmp_path / "report.json"
+    assert main(["run", name, "--n", "9", "--order", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_bytes())["summary"]["pass"] is True
+
+
+def test_main_unwritable_out_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    def refuse(sc):
+        raise AssertionError("the scenario ran before --out was checked")
+
+    monkeypatch.setattr("startrace.cli.run_scenario", refuse)
+    for out in ["/nonexistent/dir/r.json", str(tmp_path), ""]:
+        assert main(["run", "homogeneity", "--out", out]) == 2, out
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (out, err)
+
+
 def test_main_run_prints_to_stdout(capsys):
     assert main(["run", "strongly-closed", "--format", "text", "--order", "3"]) == 0
     out = capsys.readouterr().out
@@ -408,7 +427,7 @@ def test_main_bad_inputs_give_exit_two(tmp_path, capsys):
         # an empty path is a path, not a request for the seeded default
         ["transport-trace", "--equiv", ""],
         ["gs-decompose", "--grid", ""],
-        # a report that cannot be written, after the scenario has run
+        # a report that cannot be written
         ["homogeneity", "--n", "1", "--order", "1", "--out", "/nonexistent/dir/r.json"],
         ["homogeneity", "--n", "1", "--order", "1", "--out", str(tmp_path)],
         ["homogeneity", "--n", "1", "--order", "1", "--out", ""],

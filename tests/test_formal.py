@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from startrace.formal import LAURENT_FLOOR_MARGIN, FormalScalar
+from startrace.formal import FormalScalar
 from startrace.poly import PhaseSpace, Poly
 
 
@@ -53,11 +53,6 @@ def test_nu_scale_derivative_values():
     assert a.nu_scale_derivative() == series({-1: F(-2), 3: F(3)}, 4)
 
 
-def test_laurent_floor_enforced():
-    with pytest.raises(ValueError):
-        series({-(4 + LAURENT_FLOOR_MARGIN + 1): 1}, 4)
-
-
 def test_ring_mismatch_rejected():
     from startrace.poly import PhaseSpace, Poly
 
@@ -69,7 +64,6 @@ def test_ring_mismatch_rejected():
         a + b
 
 
-# Degrees start at -2 so triple products stay above the Laurent floor.
 coeffs_st = st.dictionaries(
     st.integers(min_value=-2, max_value=6),
     st.fractions(min_value=-4, max_value=4, max_denominator=6),

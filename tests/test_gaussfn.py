@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from conftest import plane_product, polys, random_poly, rational_rotation
 from startrace.gaussfn import (
     GaussFn,
-    GeneralGaussFn,
     IntegralValue,
     NonIntegrableError,
     gauss_integrate_bigfloat,
     gauss_integrate_exact,
     gauss_pullback_linear,
+    isotropic_exponent,
 )
 from startrace.poly import PhaseSpace, Poly, mat_det
 
@@ -31,6 +31,26 @@ def random_gauss(rng, space, max_degree=3):
     b = [F(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(space.dim)]
     c = F(rng.randint(-1, 1))
     return GaussFn.term(space, random_poly(rng, space, max_degree), t, b, c)
+
+
+def quadratic(space, a, b=None, c=0):
+    """The exponent ``x^T A x/2 + b.x + c`` as a Poly, for a symmetric ``a``."""
+    d = space.dim
+    b = [0] * d if b is None else b
+    pairs = [((0,) * d, c)]
+    for i in range(d):
+        unit = tuple(int(k == i) for k in range(d))
+        pairs.append((unit, b[i]))
+        for j in range(i, d):
+            exps = tuple(int(k == i) + int(k == j) for k in range(d))
+            pairs.append((exps, F(a[i][j]) / 2 if i == j else a[i][j]))
+    return Poly(space, pairs)
+
+
+def general(space, a, b=None, c=0, poly=None):
+    """``poly * exp(x^T A x/2 + b.x + c)``, with ``poly = 1`` by default."""
+    poly = Poly.constant(space, 1) if poly is None else poly
+    return GaussFn(space, {quadratic(space, a, b, c): poly})
 
 
 def hermite_oracle(fn):
@@ -90,6 +110,21 @@ def test_integrate_second_moment(space):
     assert abs(got.as_mpf(20) - hermite_oracle(fn)) < mpmath.mpf("1e-12")
 
 
+@pytest.mark.parametrize(
+    "exps, b, want",
+    [
+        # at t = 2 the moments (e-1)!!/w^(e/2) and (e-1)!!/w^e differ
+        ((0, 0), None, IntegralValue(1, {0: 1})),
+        ((2, 0), None, IntegralValue(1, {0: F(1, 2)})),
+        ((0, 0), (1, 0), IntegralValue(1, {F(1, 4): 1})),
+    ],
+    ids=["plain", "second-moment", "shifted"],
+)
+def test_integrate_at_width_two(space, exps, b, want):
+    fn = GaussFn.term(space, Poly.monomial(space, exps), 2, b)
+    assert gauss_integrate_exact(fn) == want
+
+
 def test_integrate_odd_vanishes(space):
     q = Poly.variable(space, "q1")
     assert gauss_integrate_exact(q * GaussFn.gaussian(space, 1)).is_zero()
@@ -141,33 +176,54 @@ def test_translation_invariance():
 def test_bigfloat_matches_exact():
     rng = random.Random(37)
     space = PhaseSpace(1)
+    shear = [[F(1), F(1)], [F(0), F(1)]]
     for _ in range(5):
         fn = random_gauss(rng, space)
-        general = GeneralGaussFn.from_gauss(fn)
-        assert gauss_integrate_exact(general - fn).is_zero()
-        assert gauss_integrate_exact(general - fn.diff(0)) == gauss_integrate_exact(fn)
+        # the same terms with each exponent written from its matrix A = -t I
+        (q, poly), = fn.coeffs.items()
+        t, b, c = isotropic_exponent(q)
+        rebuilt = general(space, [[-t, 0], [0, -t]], b, c, poly)
+        assert rebuilt == fn
+        assert gauss_integrate_exact(rebuilt - fn.diff(0)) == gauss_integrate_exact(fn)
+        # a unit-determinant shear takes the integral through elimination
+        sheared = gauss_pullback_linear(fn, shear)
+        assert isotropic_exponent(next(iter(sheared.coeffs))) is None
         exact = gauss_integrate_exact(fn).as_mpf(50)
-        numeric = gauss_integrate_bigfloat(general, precision=50)
+        numeric = gauss_integrate_bigfloat(sheared, precision=50)
         with mpmath.workdps(60):
             assert abs(exact - numeric) < mpmath.mpf("1e-45") * (1 + abs(exact))
 
 
 def test_bigfloat_anisotropic_unit_determinant(space):
     # exp(-q^2 - p^2/4): A = diag(-2, -1/2), det(-A) = 1, so the integral is 2pi.
-    mat = [[F(-2), F(0)], [F(0), F(-1, 2)]]
-    fn = GeneralGaussFn(space, [(Poly.constant(space, 1), mat, None, 0)])
+    fn = general(space, [[F(-2), F(0)], [F(0), F(-1, 2)]])
     got = gauss_integrate_bigfloat(fn, precision=50)
     with mpmath.workdps(60):
         assert abs(got - 2 * mpmath.pi) < mpmath.mpf("1e-45")
 
 
 def test_bigfloat_rejects_indefinite(space):
-    one = Poly.constant(space, 1)
-    # det(-A) < 0, and A = I where det(-A) = 1 > 0 but the leading minor is -1
+    # A = diag(1, -1) and A = I grow along an axis: rejected when built
     for mat in ([[F(1), F(0)], [F(0), F(-1)]], [[F(1), F(0)], [F(0), F(1)]]):
-        fn = GeneralGaussFn(space, [(one, mat, None, 0)])
-        with pytest.raises(NonIntegrableError):
-            gauss_integrate_bigfloat(fn, precision=30)
+        with pytest.raises(ValueError, match="grow"):
+            general(space, mat)
+    # -A = [[1, -2], [-2, 1]] has det(-A) = -3 < 0 with no growing axis
+    fn = general(space, [[F(-1), F(2)], [F(2), F(-1)]])
+    with pytest.raises(NonIntegrableError):
+        gauss_integrate_bigfloat(fn, precision=30)
+
+
+def test_exponent_key_checked(space):
+    q = Poly.variable(space, "q1")
+    one = Poly.constant(space, 1)
+    with pytest.raises(ValueError, match="degree"):
+        GaussFn(space, {q**3: one})
+    with pytest.raises(ValueError, match="grow"):
+        GaussFn(space, {q * q: one})
+    with pytest.raises(ValueError, match="phase space"):
+        GaussFn(space, {Poly.zero(PhaseSpace(2)): one})
+    with pytest.raises(TypeError):
+        GaussFn(space, {(1, (0, 0), 0): one})
 
 
 def test_pullback_orthogonal_stays_isotropic(space):
@@ -175,9 +231,9 @@ def test_pullback_orthogonal_stays_isotropic(space):
     g = GaussFn.gaussian(space, 1)
     assert gauss_pullback_linear(g, m) == g
     q = Poly.variable(space, "q1")
-    fn = (q * q) * g
+    fn = (q * q) * GaussFn.gaussian(space, 1, (1, -1), 2)
     back = gauss_pullback_linear(fn, m)
-    assert isinstance(back, GaussFn)
+    assert all(isotropic_exponent(key) is not None for key in back.coeffs)
     assert gauss_integrate_exact(back) == gauss_integrate_exact(fn)
 
 
@@ -190,7 +246,8 @@ def test_pullback_identity(space):
 def test_pullback_anisotropic_routes_to_bigfloat(space):
     m = [[F(2), F(0)], [F(0), F(1, 2)]]
     back = gauss_pullback_linear(GaussFn.gaussian(space, 1), m)
-    assert isinstance(back, GeneralGaussFn)
+    assert back == general(space, [[F(-4), F(0)], [F(0), F(-1, 4)]])
+    assert isotropic_exponent(next(iter(back.coeffs))) is None
     got = gauss_integrate_bigfloat(back, precision=50)
     with mpmath.workdps(60):
         assert abs(got - 2 * mpmath.pi) < mpmath.mpf("1e-45")
@@ -212,10 +269,9 @@ def test_pullback_change_of_variables():
 RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
-def shifted_gauss(space):
-    """Hypothesis strategy: one term ``P(x) exp(-t|x|^2/2 + b.x + c)``."""
-    return st.builds(
-        lambda poly, t, b, c: GaussFn.term(space, poly, t, b, c),
+def gauss_parts(space):
+    """Hypothesis strategy: ``(P, t, b, c)`` of one term ``P(x) exp(-t|x|^2/2 + b.x + c)``."""
+    return st.tuples(
         polys(space),
         st.fractions(min_value=F(1, 2), max_value=3, max_denominator=2),
         st.lists(RATIONAL, min_size=space.dim, max_size=space.dim),
@@ -223,13 +279,24 @@ def shifted_gauss(space):
     )
 
 
+def shifted_gauss(space):
+    """Hypothesis strategy: one term ``P(x) exp(-t|x|^2/2 + b.x + c)``."""
+    return gauss_parts(space).map(lambda parts: GaussFn.term(space, *parts))
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_isotropic_term_integrates_alike_as_general(n, data):
-    # -A = t I factors with L = I and widths t, so both entries agree exactly
-    f = data.draw(shifted_gauss(PhaseSpace(n)))
-    assert gauss_integrate_exact(GeneralGaussFn.from_gauss(f)) == gauss_integrate_exact(f)
+    # an exponent built from its matrix A = -t I is the isotropic key itself,
+    # and a unit-determinant shear of it integrates through elimination alike
+    space = PhaseSpace(n)
+    poly, t, b, c = data.draw(gauss_parts(space))
+    f = GaussFn.term(space, poly, t, b, c)
+    a = [[-t if i == j else 0 for j in range(space.dim)] for i in range(space.dim)]
+    assert general(space, a, b, c, poly) == f
+    shear = plane_product(space, [("shear-q", 0, F(1))])
+    assert gauss_integrate_exact(gauss_pullback_linear(f, shear)) == gauss_integrate_exact(f)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -251,8 +318,7 @@ def test_pullback_integral_is_exact(n, data):
 
 def test_irrational_root_rejected(space):
     # exp(-q^2 - p^2/2): det(-A) = 2, so the integral carries sqrt(2)
-    mat = [[F(-2), F(0)], [F(0), F(-1)]]
-    fn = GeneralGaussFn(space, [(Poly.constant(space, 1), mat, None, 0)])
+    fn = general(space, [[F(-2), F(0)], [F(0), F(-1)]])
     with pytest.raises(ArithmeticError, match="irrational"):
         gauss_integrate_exact(fn)
 
@@ -262,16 +328,14 @@ def test_indefinite_form_with_square_determinant_rejected():
     # positive and det(-A) = 9 is a square, but the second pivot is -3
     space = PhaseSpace(2)
     block = [[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 2], [0, 0, 2, 1]]
-    mat = [[-F(v) for v in row] for row in block]
-    fn = GeneralGaussFn(space, [(Poly.constant(space, 1), mat, None, 0)])
+    fn = general(space, [[-F(v) for v in row] for row in block])
     with pytest.raises(NonIntegrableError):
         gauss_integrate_exact(fn)
 
 
 def test_semidefinite_form_rejected(space):
     # -A = [[1, 1], [1, 1]]: the second pivot is 0, and it is never divided by
-    mat = [[F(-1), F(-1)], [F(-1), F(-1)]]
-    fn = GeneralGaussFn(space, [(Poly.constant(space, 1), mat, None, 0)])
+    fn = general(space, [[F(-1), F(-1)], [F(-1), F(-1)]])
     with pytest.raises(NonIntegrableError):
         gauss_integrate_exact(fn)
 
@@ -309,3 +373,8 @@ def test_exponent_rendering(space):
     assert str(h) == "q1 + (q1 + p1)*exp(-1/2*|x|^2 + 2*p1 + 1)"
     assert repr(GaussFn.gaussian(space, 0, None, -1)) == "GaussFn(exp(-1))"
     assert str(GaussFn.zero(space)) == "0"
+    # an anisotropic exponent prints as its polynomial, after the isotropic ones
+    sheared = gauss_pullback_linear(GaussFn.gaussian(space, 2), [[1, 1], [0, 1]])
+    assert str(sheared + g) == (
+        "exp(-|x|^2 - q1 - 3*p1 - 1/2) + exp(-q1^2 - 2*q1*p1 - 2*p1^2)"
+    )

@@ -1,6 +1,8 @@
 """The package's public surface."""
 
+import ast
 import importlib
+import pathlib
 
 import mpmath
 
@@ -21,3 +23,28 @@ def test_exact_layers_bind_no_mpmath():
             if value is mpmath or getattr(value, "__module__", "").startswith("mpmath")
         ]
         assert bound == [], name
+
+
+def _traced_targets():
+    """``TARGETS`` of ``bench/tracer.py``, read as a literal without importing it."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py defines no TARGETS")
+
+
+def test_traced_names_resolve():
+    # the tracer wraps module attributes, and methods from their own class body
+    missing = []
+    for span, module_name, path in _traced_targets():
+        module = importlib.import_module(module_name)
+        owner_name, _, attr = path.rpartition(".")
+        if owner_name:
+            owner = getattr(module, owner_name, None)
+            found = owner is not None and attr in vars(owner)
+        else:
+            found = hasattr(module, attr)
+        if not found:
+            missing.append((span, module_name, path))
+    assert missing == []

@@ -6,12 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gauss_fns, random_poly
+from conftest import gauss_fns, random_poly, rational_rotation
 from startrace.cli import Scenario, run_scenario
 from startrace.diffop import BiDiffOp, DiffOp
 from startrace.equiv import density_from_equivalence, random_equivalence, transport_star
 from startrace.formal import FormalScalar
-from startrace.gaussfn import GaussFn, IntegralValue, gauss_integrate_exact
+from startrace.gaussfn import (
+    GaussFn,
+    IntegralValue,
+    gauss_integrate_exact,
+    gauss_pullback_linear,
+)
 from startrace.poly import PhaseSpace, Poly, poisson_bracket
 from startrace.star import (
     EulerDerivation,
@@ -54,6 +59,30 @@ def test_moyal_q_times_p(moyal, space):
     got = star_multiply(moyal, q, p)
     want = FormalScalar({0: q * p, 1: Poly.constant(space, F(-1, 2))}, 4)
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "m, symplectic",
+    [
+        ([[1, 1], [0, 1]], True),
+        ([[2, 0], [0, F(1, 2)]], True),
+        (rational_rotation(PhaseSpace(1)), True),
+        # det 2 scales order k by 2^k: only the pointwise product agrees
+        ([[2, 0], [0, 1]], False),
+    ],
+    ids=["shear", "squeeze", "rational-rotation", "control-diag-2-1"],
+)
+def test_moyal_linear_symplectic_covariance(moyal, space, m, symplectic):
+    # (u o M) * (v o M) = (u * v) o M, coefficient by coefficient
+    rng = random.Random(11)
+    u = GaussFn.term(space, random_poly(rng, space, 2), 1, (1, 0))
+    v = GaussFn.term(space, random_poly(rng, space, 2), 2, (0, F(-1, 2)), 1)
+    got = star_multiply(moyal, gauss_pullback_linear(u, m), gauss_pullback_linear(v, m))
+    prod = star_multiply(moyal, u, v)
+    assert got.trunc_order == prod.trunc_order == 4
+    for k in range(5):
+        want = gauss_pullback_linear(prod.get(k), m)
+        assert (got.get(k) == want) is (symplectic or k == 0), k
 
 
 def test_moyal_psq_times_qsq(moyal, space):

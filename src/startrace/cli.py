@@ -301,15 +301,9 @@ class _Parser:
         inner = self._lift_poly(inner)
         if not isinstance(inner, Poly):
             raise ParseError("exp expects a polynomial argument", pos)
-        # the first term of degree above 2, or mixed of degree 2, names the fault
-        iso = None
-        for exps in inner.terms:
-            if sum(exps) > 2:
-                raise ParseError("exp argument must be at most quadratic", pos)
-            if sum(exps) == 2 and 2 not in exps:
-                break
-        else:
-            iso = isotropic_exponent(inner)
+        if any(sum(exps) > 2 for exps in inner.terms):
+            raise ParseError("exp argument must be at most quadratic", pos)
+        iso = isotropic_exponent(inner)
         if iso is None:
             raise ParseError("exp quadratic part must be a multiple of |x|^2", pos)
         if iso[0] < 0:
@@ -509,7 +503,12 @@ def run_scenario(sc):
 
 
 def _base_params(sc):
-    return {"n": sc.n, "order": sc.trunc_order, "seed": sc.seed}
+    params = {"n": sc.n, "order": sc.trunc_order, "seed": sc.seed}
+    if sc.equiv_path is not None:
+        params["equivalence"] = sc.equiv_path
+    if sc.grid_path is not None:
+        params["grid"] = sc.grid_path
+    return params
 
 
 def _random_gauss(rng, space):
@@ -525,6 +524,25 @@ def _random_gauss(rng, space):
             space, tuple(exps), Fraction(rng.choice([-2, -1, 1, 2]))
         )
     return GaussFn.term(space, poly, t, b, 0)
+
+
+def _gaussian_pair_cases(space, tau, product, seed):
+    """``tau`` against star commutators of three seeded Gaussian pairs."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(3):
+        u, v = _random_gauss(rng, space), _random_gauss(rng, space)
+        res = trace_residual(tau, product, u, v)
+        cases.append(_series_case(f"gaussian-pair-{i}", res))
+    return cases
+
+
+def _probe_cases(space, tau, d):
+    """Normalization of ``tau`` against the Euler derivation ``d`` per probe."""
+    return [
+        _series_case(f"probe-{i}", normalization_residual(tau, d, probe))
+        for i, probe in enumerate(default_probe_battery(space))
+    ]
 
 
 def _scenario_equivalence(sc, space):
@@ -553,12 +571,7 @@ def _run_moyal_trace(sc):
     space = PhaseSpace(sc.n)
     product = moyal_construct(space, sc.trunc_order)
     tau = moyal_trace(space, sc.trunc_order)
-    rng = random.Random(sc.seed)
-    cases = []
-    for i in range(3):
-        u, v = _random_gauss(rng, space), _random_gauss(rng, space)
-        res = trace_residual(tau, product, u, v)
-        cases.append(_series_case(f"gaussian-pair-{i}", res))
+    cases = _gaussian_pair_cases(space, tau, product, sc.seed)
     return Report(sc.name, _base_params(sc), cases)
 
 
@@ -566,11 +579,7 @@ def _run_moyal_trace(sc):
 def _run_homogeneity(sc):
     space = PhaseSpace(sc.n)
     tau = moyal_trace(space, sc.trunc_order)
-    d = canonical_euler(space)
-    cases = []
-    for i, probe in enumerate(default_probe_battery(space)):
-        res = normalization_residual(tau, d, probe)
-        cases.append(_series_case(f"probe-{i}", res))
+    cases = _probe_cases(space, tau, canonical_euler(space))
     # worked value: the width-one Gaussian integrates to (2 pi)^n / nu^n
     val = trace_eval(tau, GaussFn.gaussian(space, 1))
     expected = FormalScalar(
@@ -596,15 +605,8 @@ def _run_transport_trace(sc):
     t = _scenario_equivalence(sc, space)
     product = transport_star(t, moyal_construct(space, sc.trunc_order))
     tau = density_from_equivalence(t)
-    rng = random.Random(sc.seed)
-    cases = []
-    for i in range(3):
-        u, v = _random_gauss(rng, space), _random_gauss(rng, space)
-        res = trace_residual(tau, product, u, v)
-        cases.append(_series_case(f"gaussian-pair-{i}", res))
+    cases = _gaussian_pair_cases(space, tau, product, sc.seed)
     params = _base_params(sc)
-    if sc.equiv_path is not None:
-        params["equivalence"] = sc.equiv_path
     params["density"] = str(tau.density)
     return Report(sc.name, params, cases)
 
@@ -618,21 +620,14 @@ def _run_normalized_uniqueness(sc):
     space = PhaseSpace(sc.n)
     t = _scenario_equivalence(sc, space)
     tau = density_from_equivalence(t)
-    d = transport_euler(t, canonical_euler(space))
-    cases = []
-    for i, probe in enumerate(default_probe_battery(space)):
-        res = normalization_residual(tau, d, probe)
-        cases.append(_series_case(f"probe-{i}", res))
+    cases = _probe_cases(space, tau, transport_euler(t, canonical_euler(space)))
     # tau2 is rebuilt from the same density T'(1) as tau, so the recovered
     # factor must be exactly 1 (a self-consistency check of the solver).
     tau2 = density_from_equivalence(t)
     factor = proportionality_factor(tau, tau2, GaussFn.gaussian(space, 1))
     diff = factor - FormalScalar.constant(Fraction(1), sc.trunc_order)
     cases.append(_series_case("rotated-density-factor", diff, f"factor {factor}"))
-    params = _base_params(sc)
-    if sc.equiv_path is not None:
-        params["equivalence"] = sc.equiv_path
-    return Report(sc.name, params, cases)
+    return Report(sc.name, _base_params(sc), cases)
 
 
 @_scenario("proportionality", "recover a trace ratio series and flag inconsistent pairs")
@@ -721,7 +716,6 @@ def _gs_case(case_id, u, tol):
 def _run_gs_decompose(sc):
     params = _base_params(sc)
     if sc.grid_path is not None:
-        params["grid"] = sc.grid_path
         return Report(sc.name, params, [_gs_case("input-grid", load_grid(sc.grid_path), 1e-5)])
     cases = [
         _gs_case("gentle-1d-512", grid_diff(tapered_generate(1, 3.0, 512, 2.2, 14), 0), 1e-6)
@@ -755,7 +749,6 @@ def _run_brw_bracket(sc):
     cases = []
     phi = tapered_generate(2, 3.0, 256, 1.8, 14)
     if sc.grid_path is not None:
-        params["grid"] = sc.grid_path
         u0 = load_grid(sc.grid_path)
     else:
         rng = random.Random(sc.seed)

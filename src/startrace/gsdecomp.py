@@ -6,13 +6,13 @@ function into a divergence ``sum_i d_i g_i`` by the marginalize /
 subtract-bump / cumulate recursion; ``bracket_decompose`` converts that
 into Poisson-bracket pairs with cutoff coordinate functions.  Everything
 is double precision: derivatives are 4th-order central differences and
-integrals are composite Simpson rules.
+integrals are composite Simpson rules.  Both Simpson rules, the total
+and the running one, are this module's own numpy code.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 
 class MarginError(ValueError):
@@ -183,11 +183,60 @@ def grid_diff(f, axis):
     return GridFn(f.half_widths, f.points, d, f.margin_cells - 2)
 
 
+def _simpson(y, dx, axis):
+    """Composite Simpson integral of uniform samples along ``axis``.
+
+    Odd ``N`` fits parabolas over intervals ``0..N-2``; even ``N`` fits
+    them over ``0..N-3`` and adds Cartwright's last-interval correction.
+    """
+    n = y.shape[axis]
+    stop = n - 3 if n % 2 == 0 else n - 2
+
+    def at(index):
+        key = [slice(None)] * y.ndim
+        key[axis] = index
+        return y[tuple(key)]
+
+    parts = [at(slice(start, stop + start, 2)) for start in range(3)]
+    result = np.sum(parts[0] + 4.0 * parts[1] + parts[2], axis=axis)
+    result *= dx / 3.0
+    if n % 2 == 0:
+        # Cartwright's weights for spacings h0, h1, evaluated term for term
+        # at h0 = h1 = h; simplified forms such as 5h/12 can round
+        # differently and move grid reports in their last digits
+        h = np.float64(dx)
+        alpha = (2 * h**2 + 3 * h * h) / (6 * (h + h))
+        beta = (h**2 + 3.0 * h * h) / (6 * h)
+        eta = h**3 / (6 * h * (h + h))
+        result += alpha * at(-1) + beta * at(-2) - eta * at(-3)
+    return result
+
+
+def _cumulative_simpson(y, dx, axis):
+    """Running Simpson integral of uniform samples along ``axis``, from 0.
+
+    Interval ``k`` takes the parabola through samples ``k..k+2`` when
+    ``k`` is even and through ``k-1..k+1`` when ``k`` is odd or last.
+    """
+    y = np.swapaxes(y, axis, -1)
+    n = y.shape[-1]
+    d = dx / 3
+    a, b, c = y[..., 0 : n - 2 : 2], y[..., 1 : n - 1 : 2], y[..., 2:n:2]
+    out = np.empty(y.shape)
+    out[..., 0] = 0.0
+    out[..., 1 : n - 1 : 2] = d * (5 * a / 4 + 2 * b - c / 4)
+    out[..., 2:n:2] = d * (5 * c / 4 + 2 * b - a / 4)
+    if n % 2 == 0:
+        out[..., -1] = d * (5 * y[..., -1] / 4 + 2 * y[..., -2] - y[..., -3] / 4)
+    np.cumsum(out, axis=-1, out=out)
+    return np.swapaxes(out, -1, axis)
+
+
 def grid_integrate(f):
     """Composite Simpson integral over the whole box."""
     v = f.values
     for axis in reversed(range(f.dimension)):
-        v = simpson(v, dx=f.h[axis], axis=axis)
+        v = _simpson(v, f.h[axis], axis)
     return float(v)
 
 
@@ -199,7 +248,7 @@ def grid_cumulative(f, axis):
     """
     if not 0 <= axis < f.dimension:
         raise ValueError("axis out of range")
-    c = cumulative_simpson(f.values, dx=f.h[axis], axis=axis, initial=0)
+    c = _cumulative_simpson(f.values, f.h[axis], axis)
     return GridFn(f.half_widths, f.points, c, f.margin_cells)
 
 
@@ -346,7 +395,7 @@ def _axis_ramp_values(f, axis):
     h = f.h[axis]
     x = np.linspace(-w, w, f.points)
     r = _bump_profile(x / (w / 2))
-    ramp = cumulative_simpson(r, dx=h, initial=0)
+    ramp = _cumulative_simpson(r, h, 0)
     ramp = ramp / ramp[-1]
     r_d = np.zeros_like(ramp)
     r_d[2:-2] = (-ramp[4:] + 8 * ramp[3:-1] - 8 * ramp[1:-3] + ramp[:-4]) / (12 * h)
@@ -366,7 +415,7 @@ def _gs_recurse(u):
     ramp, r_d = _axis_ramp_values(u, axis)
     shape = [1] * u.dimension
     shape[axis] = u.points
-    cum = cumulative_simpson(u.values, dx=u.h[axis], axis=axis, initial=0)
+    cum = _cumulative_simpson(u.values, u.h[axis], axis)
     tail = np.asarray(cum[..., -1])  # running-rule marginal of u
     g_last = GridFn(
         u.half_widths,

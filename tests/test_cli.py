@@ -197,6 +197,13 @@ def test_parse_exp_argument_constraints():
         parse_expression("exp(dq1)")
 
 
+def test_parse_exp_degree_fault_wins_in_any_term_order():
+    # a cubic term is reported even when a mixed quadratic term is present
+    for text in ("exp(q1*p1 + q1^3)", "exp(q1^3 + q1*p1)"):
+        with pytest.raises(ParseError, match="exp argument must be at most quadratic"):
+            parse_expression(text)
+
+
 def test_parse_type_mixing_rejected():
     with pytest.raises(ParseError):
         parse_expression("dq1 + exp(-|x|^2)")

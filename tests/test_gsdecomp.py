@@ -11,6 +11,8 @@ from startrace.gsdecomp import (
     GridFn,
     MarginError,
     NonzeroIntegralError,
+    _cumulative_simpson,
+    _simpson,
     bracket_decompose,
     bracket_residual,
     brw_residual,
@@ -104,6 +106,23 @@ def test_integrate_odd_function():
     prof = np.where(np.abs(x) < 2, np.cos(np.pi * np.clip(x / 2, -1, 1) / 2) ** 8, 0.0)
     f = GridFn((3.0,), 257, x * prof, 10)
     assert abs(grid_integrate(f)) <= 1e-12
+
+
+@pytest.mark.parametrize("length", [15, 16, 255, 256])
+def test_simpson_rules_match_reference(length):
+    # every bit, along each axis, for odd and even sample counts
+    integrate = pytest.importorskip("scipy.integrate")
+    rng = np.random.default_rng(length)
+    dx = 6.0 / (length - 1)
+    for y in (rng.standard_normal(length), rng.standard_normal((length, length + 1))):
+        for axis in range(y.ndim):
+            assert np.array_equal(
+                _simpson(y, dx, axis), integrate.simpson(y, dx=dx, axis=axis)
+            )
+            assert np.array_equal(
+                _cumulative_simpson(y, dx, axis),
+                integrate.cumulative_simpson(y, dx=dx, axis=axis, initial=0),
+            )
 
 
 def test_diff_needs_margin_headroom():

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import mpmath
 
@@ -23,6 +26,22 @@ def test_exact_layers_bind_no_mpmath():
             if value is mpmath or getattr(value, "__module__", "").startswith("mpmath")
         ]
         assert bound == [], name
+
+
+def test_grid_run_loads_no_scipy():
+    # the grid layer's Simpson rules are numpy code: no run needs scipy
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from startrace.cli import main\n"
+        "status = main(['run', 'brw-bracket', '--format', 'text'])\n"
+        "print('scipy' in sys.modules, status)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.splitlines()[-1] == "False 0"
 
 
 def _traced_targets():

@@ -7,10 +7,11 @@ can run.  The process exit status is 0 exactly when every case passes.
 
 Expression grammar, loosest to tightest binding: sums ``a + b - c``,
 bidifferential pairing ``left | right``, products ``a*b`` (composition
-for operators), powers ``a^k``.  Atoms are rationals ``3/4``, variables
-``q1 p2``, partials ``dq1 dp2``, the squared radius ``|x|^2``, ``exp``
-of a polynomial whose quadratic part is a multiple of ``|x|^2``, and
-parenthesized subexpressions.  A leading minus is allowed on any term.
+for operators), powers ``a^k`` with ``k <= MAX_EXPONENT``.  Atoms are
+rationals ``3/4``, variables ``q1 p2``, partials ``dq1 dp2``, the
+squared radius ``|x|^2``, ``exp`` of a polynomial whose quadratic part
+is a multiple of ``|x|^2``, and parenthesized subexpressions.  A leading
+minus is allowed on any term.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from startrace.gsdecomp import (
     plateau_generate,
     tapered_generate,
 )
-from startrace.poly import PhaseSpace, Poly, mat_identity, mat_mul
+from startrace.poly import MAX_EXPONENT, PhaseSpace, Poly, mat_identity, mat_mul
 from startrace.star import canonical_euler, closedness_integral, moyal_construct
 from startrace.trace import (
     InconsistentTracesError,
@@ -183,6 +184,9 @@ class _Parser:
             tok = self._take()
             if tok[0] != "number" or "/" in tok[1]:
                 raise ParseError("exponent must be a natural number", tok[2])
+            # the length test keeps int() off digit strings of any size
+            if len(tok[1].lstrip("0")) > len(str(MAX_EXPONENT)) or int(tok[1]) > MAX_EXPONENT:
+                raise ParseError(f"exponent must be at most {MAX_EXPONENT}", tok[2])
             value = self._power(value, int(tok[1]))
         return value
 
@@ -850,10 +854,12 @@ def main(argv=None):
     if args.command == "parse":
         try:
             value = parse_expression(args.expression, args.n)
+            # str() of a rational past the int string limit raises ValueError
+            text = f"{_kind_name(value)}: {value}"
         except (ParseError, ValueError) as err:
             print(f"parse error: {err}", file=sys.stderr)
             return 2
-        print(f"{_kind_name(value)}: {value}")
+        print(text)
         return 0
     try:
         sc = Scenario(

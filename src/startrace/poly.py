@@ -1,12 +1,25 @@
 """Exact polynomial coefficient functions on flat phase space.
 
 Coordinates on R^{2n} are ordered ``q1..qn, p1..pn`` and coefficients are
-``fractions.Fraction``, so every operation here is exact.  The Poisson
-bracket follows the convention
+rational, so every operation here is exact.  The Poisson bracket follows
+the convention
 
     {f, g} = sum_i  df/dp_i dg/dq_i - df/dq_i dg/dp_i
 
 which makes ``{v, q_i} = dv/dp_i`` hold literally and gives ``{q, p} = -1``.
+
+A :class:`Poly` is stored as integers: each monomial is one packed int
+key, with ``_FIELD`` bits per axis, axis ``i`` at bit ``_FIELD*i``, and
+each coefficient is an int numerator over one shared positive
+denominator, kept gcd-reduced.  A product adds keys and multiplies ints;
+a derivative shifts a key and scales by the exponent field.  Every
+arithmetic result is built by the trusted constructor ``Poly._trusted``,
+which only drops zeros and reduces by the gcd; only the public
+constructor checks exponent tuples.  ``MAX_EXPONENT`` bounds the exponent
+of one coordinate: the public constructor rejects more, and a product
+that passes it raises ``ValueError`` from its guard bits.  ``Poly.terms``
+decodes the same polynomial to exponent tuples and ``Fraction``s for the
+printer, the parser and the Gaussian layer.
 
 :class:`PolyCombination` is the one normal form of sums with polynomial
 coefficients, shared by ``GaussFn``, ``DiffOp`` and ``BiDiffOp``.
@@ -26,7 +39,20 @@ n-ary ``sum`` classmethods build a sum of many objects in one dict.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from functools import cache
+from math import comb, gcd, lcm
+from types import MappingProxyType
+
+MAX_EXPONENT = 255
+"""The largest exponent of one coordinate in a :class:`Poly` monomial."""
+
+# A packed key gives each axis a field of _FIELD bits: the low bits hold
+# an exponent up to MAX_EXPONENT (2^8 - 1) and the top bit is the guard.
+# The sum of two fields stays below 2 * 2^8, inside its own field, so a
+# product of two valid keys never carries into the next axis, and its
+# guard bit is set exactly when that exponent passes MAX_EXPONENT.
+_FIELD = MAX_EXPONENT.bit_length() + 1
+_MASK = (1 << _FIELD) - 1
 
 
 class PhaseSpace:
@@ -73,6 +99,32 @@ def _pairs(source):
     return source if items is None else items()
 
 
+def _pack(space, exps):
+    """The packed key of an exponent tuple: ``sum_i exps[i] << (_FIELD*i)``.
+
+    Raises ``ValueError`` unless ``exps`` has one int in
+    ``0..MAX_EXPONENT`` per coordinate."""
+    if len(exps) != space.dim or not all(
+        isinstance(e, int) and 0 <= e <= MAX_EXPONENT for e in exps
+    ):
+        raise ValueError(f"bad exponent tuple {exps!r}")
+    key = 0
+    for i, e in enumerate(exps):
+        key |= e << (_FIELD * i)
+    return key
+
+
+def _unpack(key, dim):
+    """The exponent tuple of a packed key on ``dim`` axes."""
+    return tuple((key >> (_FIELD * i)) & _MASK for i in range(dim))
+
+
+@cache
+def _guard_bits(dim):
+    """The guard bit of every axis field of a packed key on ``dim`` axes."""
+    return sum(1 << (_FIELD * i + _FIELD - 1) for i in range(dim))
+
+
 def _monomial_text(space, exps, prefix=""):
     """``q1^2*p1`` for exponents ``(2, 1)``; ``dq1^2*dp1`` with ``prefix="d"``."""
     return "*".join(
@@ -114,49 +166,91 @@ def _scaled(text, symbol):
 class Poly:
     """Polynomial in the phase-space coordinates with rational coefficients.
 
-    ``terms`` maps exponent tuples (length ``2n``, axis order ``q1..qn p1..pn``)
-    to nonzero Fractions.  The constructor takes a mapping or a stream of
-    ``(exps, c)`` pairs; it adds the coefficients of repeated exponents and
-    drops zero sums.  Instances are immutable once built: nothing
-    writes to ``terms`` after ``__init__``, so derivatives cached in the
-    ``_jet`` slot (see :func:`_diff_multi`) stay valid for the object's life,
-    and so does the hash cached in ``_hash``: a Poly keys each ``GaussFn``
-    term by its exponent, and the same exponent meets many dict lookups.
+    A Poly stores integer numerators over one shared denominator:
+    ``nums`` maps packed monomial keys (see :func:`_pack`) to nonzero ints
+    and ``den`` is a positive int, so the coefficient of a monomial is
+    ``nums[key] / den``.  The pair is kept in canonical form,
+    ``gcd(den, *nums.values()) == 1`` and ``den == 1`` for zero, so equal
+    polynomials have equal ``nums`` and ``den`` and ``==`` is a dict
+    comparison.  ``terms`` is the same polynomial decoded, a read-only
+    mapping from exponent tuples (length ``2n``, axis order
+    ``q1..qn p1..pn``) to nonzero Fractions, built on first use.
+
+    The public constructor takes a mapping or a stream of ``(exps, c)``
+    pairs; it adds the coefficients of repeated exponents, drops zero sums
+    and rejects an exponent tuple of the wrong length or with an entry
+    outside ``0..MAX_EXPONENT``.  Every arithmetic result is built by
+    :meth:`_trusted` instead, which only drops zeros and reduces by the
+    gcd: its keys are valid by construction, and products check the guard
+    bits of their keys once per result.
+
+    Instances are immutable once built: nothing writes to ``nums`` or
+    ``den`` after construction, so the decoded ``terms``, derivatives
+    cached in the ``_jet`` slot (see :func:`_diff_multi`) and the hash
+    cached in ``_hash`` stay valid for the object's life.  A Poly keys each
+    ``GaussFn`` term by its exponent, and the same exponent meets many dict
+    lookups.
     """
 
-    __slots__ = ("space", "terms", "_jet", "_hash")
+    __slots__ = ("space", "nums", "den", "_terms", "_jet", "_hash")
 
     def __init__(self, space, terms):
         merged = {}
         for exps, c in _pairs(terms):
             c = _as_fraction(c)
             merged[exps] = merged[exps] + c if exps in merged else c
-        clean = {}
-        for exps, c in merged.items():
-            if c:
-                if len(exps) != space.dim or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent tuple {exps!r}")
-                clean[tuple(exps)] = c
+        merged = {exps: c for exps, c in merged.items() if c}
+        den = lcm(*(c.denominator for c in merged.values()))
+        nums = {
+            _pack(space, exps): c.numerator * (den // c.denominator)
+            for exps, c in merged.items()
+        }
+        self._settle(space, nums, den)
+
+    def _settle(self, space, nums, den):
+        """Store ``nums / den`` in canonical form: zeros dropped, gcd 1."""
+        if 0 in nums.values():
+            nums = {k: v for k, v in nums.items() if v}
+        if den != 1:
+            if not nums:
+                den = 1
+            else:
+                g = gcd(den, *nums.values())
+                if g != 1:
+                    den //= g
+                    nums = {k: v // g for k, v in nums.items()}
         self.space = space
-        self.terms = clean
+        self.nums = nums
+        self.den = den
+        self._terms = None
         self._jet = None
         self._hash = None
+
+    @classmethod
+    def _trusted(cls, space, nums, den):
+        """The Poly ``nums / den`` on ``space``, with no key checked.
+
+        ``nums`` maps packed keys whose fields are all at most
+        ``MAX_EXPONENT`` to ints (zeros allowed), and ``den > 0``.  This is
+        the one constructor of every arithmetic result."""
+        out = cls.__new__(cls)
+        out._settle(space, nums, den)
+        return out
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, space):
-        return cls(space, {})
+        return cls._trusted(space, {}, 1)
 
     @classmethod
     def constant(cls, space, c):
-        return cls(space, {(0,) * space.dim: _as_fraction(c)})
+        c = _as_fraction(c)
+        return cls._trusted(space, {0: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, space, name):
-        exps = [0] * space.dim
-        exps[space.axis(name)] = 1
-        return cls(space, {tuple(exps): Fraction(1)})
+        return cls._trusted(space, {1 << (_FIELD * space.axis(name)): 1}, 1)
 
     @classmethod
     def monomial(cls, space, exps, c=Fraction(1)):
@@ -164,28 +258,43 @@ class Poly:
 
     @classmethod
     def sum(cls, space, polys):
-        """``sum(polys, Poly.zero(space))``, merged in one dict."""
-
-        def pairs():
-            for p in polys:
-                if not isinstance(p, Poly):
-                    raise TypeError(f"cannot add {type(p).__name__} to a polynomial")
-                if p.space != space:
-                    raise ValueError("polynomials live on different phase spaces")
-                yield from p.terms.items()
-
-        return cls(space, pairs())
+        """``sum(polys, Poly.zero(space))``, merged in one dict over the
+        least common denominator."""
+        polys = list(polys)
+        for p in polys:
+            if not isinstance(p, Poly):
+                raise TypeError(f"cannot add {type(p).__name__} to a polynomial")
+            if p.space is not space and p.space != space:
+                raise ValueError("polynomials live on different phase spaces")
+        den = lcm(*(p.den for p in polys))
+        out = {}
+        for p in polys:
+            scale = den // p.den
+            for k, v in p.nums.items():
+                out[k] = out[k] + v * scale if k in out else v * scale
+        return cls._trusted(space, out, den)
 
     # -- inspection ---------------------------------------------------
 
+    @property
+    def terms(self):
+        """Read-only ``{exponent tuple: Fraction}``, decoded once."""
+        terms = self._terms
+        if terms is None:
+            dim, den = self.space.dim, self.den
+            terms = self._terms = MappingProxyType(
+                {_unpack(k, dim): Fraction(v, den) for k, v in self.nums.items()}
+            )
+        return terms
+
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def constant_term(self):
-        return self.terms.get((0,) * self.space.dim, Fraction(0))
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def _check_space(self, other):
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise ValueError("polynomials live on different phase spaces")
 
     # -- ring operations ----------------------------------------------
@@ -196,26 +305,32 @@ class Poly:
         return Poly.sum(self.space, (self, other))
 
     def __neg__(self):
-        return Poly(self.space, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.space, {k: -v for k, v in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return Poly(self.space, {e: v * c for e, v in self.terms.items()})
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            m = other.numerator
+            return Poly._trusted(
+                self.space, {k: v * m for k, v in self.nums.items()}, self.den * other.denominator
+            )
         self._check_space(other)
-        return Poly(
-            self.space,
-            (
-                (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
-                for ea, ca in self.terms.items()
-                for eb, cb in other.terms.items()
-            ),
-        )
+        out = {}
+        b = other.nums.items()
+        for ka, va in self.nums.items():
+            for kb, vb in b:
+                k = ka + kb
+                out[k] = out[k] + va * vb if k in out else va * vb
+        guard = 0
+        for k in out:
+            guard |= k
+        if guard & _guard_bits(self.space.dim):
+            raise ValueError(f"a product exceeds MAX_EXPONENT = {MAX_EXPONENT} along an axis")
+        return Poly._trusted(self.space, out, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -236,14 +351,16 @@ class Poly:
         """Partial derivative along an axis index or coordinate name."""
         if isinstance(axis, str):
             axis = self.space.axis(axis)
-        return Poly(
-            self.space,
-            (
-                (exps[:axis] + (exps[axis] - 1,) + exps[axis + 1 :], c * exps[axis])
-                for exps, c in self.terms.items()
-                if exps[axis]
-            ),
-        )
+        if not 0 <= axis < self.space.dim:
+            raise IndexError(f"axis {axis} out of range")
+        shift = _FIELD * axis
+        unit = 1 << shift
+        out = {}
+        for k, v in self.nums.items():
+            e = (k >> shift) & _MASK
+            if e:
+                out[k - unit] = v * e
+        return Poly._trusted(self.space, out, self.den)
 
     def diff_multi(self, alpha):
         """``d^alpha self`` through the shared derivative jet (:func:`_diff_multi`)."""
@@ -280,44 +397,56 @@ class Poly:
     def translate(self, shifts):
         """Pull back along ``x -> x + a``: returns ``f(x + a)``.
 
-        Each monomial expands binomially, one axis at a time:
-        ``(x_i + a_i)^e = sum_k C(e, k) a_i^(e-k) x_i^k``.  ``shifts`` must
-        have one entry per coordinate.
+        Each monomial expands binomially, one axis at a time.  With
+        ``a_i = n/d`` and ``E`` the top exponent along axis ``i``, the
+        result takes the denominator ``d^E`` and ``x_i^e`` the integer row
+        ``d^E (x_i + n/d)^e = sum_k C(e, k) n^(e-k) d^(E-e+k) x_i^k``.
+        ``shifts`` must have one entry per coordinate.
         """
         a = [_as_fraction(v) for v in shifts]
         if len(a) != self.space.dim:
             raise ValueError("shift vector has wrong length")
-        if not any(a):
+        if not any(a) or not self.nums:
             return self
-        rows = [{} for _ in a]  # per axis: e -> [(k, C(e, k) a^(e-k))]
-        out = []
-        for exps, c in self.terms.items():
-            partial = [((), c)]
-            for axis, e in enumerate(exps):
-                ai = a[axis]
-                if not e or not ai:
-                    partial = [(key + (e,), v) for key, v in partial]
-                    continue
-                row = rows[axis].get(e)
+        den = self.den
+        axes = []  # per shifted axis: (shift, n, d, E, {e: row})
+        for axis, ai in enumerate(a):
+            if ai:
+                shift = _FIELD * axis
+                top = max((k >> shift) & _MASK for k in self.nums)
+                den *= ai.denominator**top
+                axes.append((shift, ai.numerator, ai.denominator, top, {}))
+        out = {}
+        for key, v in self.nums.items():
+            partial = [(key, v)]
+            for shift, n, d, top, rows in axes:
+                e = (key >> shift) & _MASK
+                row = rows.get(e)
                 if row is None:
-                    row = rows[axis][e] = [
-                        (k, comb(e, k) * ai ** (e - k)) for k in range(e + 1)
+                    row = rows[e] = [
+                        ((k - e) << shift, comb(e, k) * n ** (e - k) * d ** (top - e + k))
+                        for k in range(e + 1)
                     ]
-                partial = [(key + (k,), v * w) for key, v in partial for k, w in row]
-            out += partial
-        return Poly(self.space, out)
+                partial = [(pk + dk, pv * w) for pk, pv in partial for dk, w in row]
+            for k, w in partial:
+                out[k] = out[k] + w if k in out else w
+        return Poly._trusted(self.space, out, den)
 
     # -- comparison / rendering ---------------------------------------
 
     def __eq__(self, other):
-        # the caches ``_jet`` and ``_hash`` take no part in equality
+        # the caches ``_terms``, ``_jet`` and ``_hash`` take no part in equality
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.space == other.space and self.terms == other.terms
+        return (
+            self.den == other.den
+            and self.nums == other.nums
+            and (self.space is other.space or self.space == other.space)
+        )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.space, tuple(sorted(self.terms.items()))))
+            self._hash = hash((self.space, self.den, frozenset(self.nums.items())))
         return self._hash
 
     def __str__(self):

@@ -25,7 +25,7 @@ from startrace.diffop import BiDiffOp, DiffOp
 from startrace.equiv import random_equivalence, transport_star
 from startrace.gaussfn import GaussFn
 from startrace.gsdecomp import grid_diff, tapered_generate
-from startrace.poly import PhaseSpace, Poly
+from startrace.poly import MAX_EXPONENT, PhaseSpace, Poly
 from startrace.star import moyal_construct
 
 SPACE1 = PhaseSpace(1)
@@ -415,6 +415,30 @@ def test_main_failing_case_gives_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "expression, message",
+    [
+        # each of these ran unbounded or ended in a traceback before
+        ("2^3000000", f"exponent must be at most {MAX_EXPONENT}"),
+        ("q1^99999999999999999999", f"exponent must be at most {MAX_EXPONENT}"),
+        ("dq1^40000", f"exponent must be at most {MAX_EXPONENT}"),
+        (f"exp(-|x|^2)^{MAX_EXPONENT + 1}", f"exponent must be at most {MAX_EXPONENT}"),
+        ("q1^" + "9" * 5000, f"exponent must be at most {MAX_EXPONENT}"),
+        # a product that passes the limit along one axis
+        (f"(q1^{MAX_EXPONENT} + 1)*q1", f"MAX_EXPONENT = {MAX_EXPONENT}"),
+        # a rational too long to print
+        (f"(2^{MAX_EXPONENT})^{MAX_EXPONENT}", "integer string conversion"),
+    ],
+)
+def test_main_parse_oversized_exponent_gives_exit_two(expression, message, capsys):
+    assert main(["parse", expression]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.count("\n") == 1, err
+    assert message in err
+    assert main(["parse", f"q1^{MAX_EXPONENT}*p1^000{MAX_EXPONENT}"]) == 0
+    assert capsys.readouterr().out == f"polynomial: q1^{MAX_EXPONENT}*p1^{MAX_EXPONENT}\n"
+
+
 def test_main_bad_inputs_give_exit_two(tmp_path, capsys):
     assert main(["run", "transport-trace", "--equiv", "/no/such/file.json"]) == 2
     assert "error" in capsys.readouterr().err
@@ -447,6 +471,8 @@ def test_main_bad_inputs_give_exit_two(tmp_path, capsys):
         (["transport-trace", "--equiv"], [{"order": 1, "expression": 5}]),
         (["transport-trace", "--equiv"], [{"order": 1.5, "expression": "p1*dq1"}]),
         (["transport-trace", "--equiv"], [{"order": True, "expression": "p1*dq1"}]),
+        # an exponent past MAX_EXPONENT, which would otherwise run for minutes
+        (["transport-trace", "--equiv"], [{"order": 1, "expression": "dq1^40000"}]),
         (["gs-decompose", "--grid"], dict(grid, points_per_axis="x")),
         (["gs-decompose", "--grid"], dict(grid, dimension="1")),
         (["gs-decompose", "--grid"], dict(grid, half_widths=[[3.0]])),

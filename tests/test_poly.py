@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from startrace.equiv import is_symplectic
 from startrace.formal import FormalScalar
 from startrace.gaussfn import GaussFn, IntegralValue
 from startrace.poly import (
+    MAX_EXPONENT,
     PhaseSpace,
     Poly,
     mat_det,
@@ -356,3 +358,131 @@ def test_poly_combination_classes_do_not_mix():
     assert GaussFn.zero(space) != DiffOp.zero(space)
     with pytest.raises(ValueError):
         d + DiffOp.identity(PhaseSpace(2))
+
+
+# -- the packed-monomial, integer-numerator kernel ---------------------
+
+
+def _clean(d):
+    return {e: c for e, c in d.items() if c}
+
+
+def _ref_add(*ds):
+    out = {}
+    for d in ds:
+        for e, c in d.items():
+            out[e] = out.get(e, 0) + c
+    return _clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return _clean(out)
+
+
+def _ref_substitute(f, dim, images):
+    """``f`` with ``x_i`` replaced by the ``{exps: Fraction}`` ``images[i]``."""
+    zero = (0,) * dim
+    terms = []
+    for exps, c in f.items():
+        acc = {zero: c}
+        for image, e in zip(images, exps):
+            for _ in range(e):
+                acc = _ref_mul(acc, image)
+        terms.append(acc)
+    return _ref_add(*terms)
+
+
+def _unit(dim, i):
+    return tuple(int(k == i) for k in range(dim))
+
+
+def _assert_canonical(p):
+    assert p.den > 0 and 0 not in p.nums.values()
+    assert gcd(p.den, *p.nums.values()) == 1
+    assert p.nums or p.den == 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_fraction_dict_model(n, data):
+    space = PhaseSpace(n)
+    dim = space.dim
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    a, b = data.draw(polys(space)), data.draw(polys(space))
+    ra, rb = dict(a.terms), dict(b.terms)
+    c = data.draw(rational)
+    shift = data.draw(st.lists(rational, min_size=dim, max_size=dim))
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    row = st.lists(small, min_size=dim, max_size=dim)
+    m = data.draw(st.lists(row, min_size=dim, max_size=dim))
+    zero = (0,) * dim
+    checks = [
+        (a + b, _ref_add(ra, rb)),
+        (a - b, _ref_add(ra, {e: -v for e, v in rb.items()})),
+        (a * b, _ref_mul(ra, rb)),
+        (c * a, _clean({e: c * v for e, v in ra.items()})),
+        (a * c, _clean({e: c * v for e, v in ra.items()})),
+        (-a, {e: -v for e, v in ra.items()}),
+        (Poly.sum(space, [a, b, a]), _ref_add(ra, rb, ra)),
+        (
+            a.translate(shift),
+            _ref_substitute(ra, dim, [{_unit(dim, i): 1, zero: s} for i, s in enumerate(shift)]),
+        ),
+        (
+            a.pullback_linear(m),
+            _ref_substitute(
+                ra, dim, [_clean({_unit(dim, j): v for j, v in enumerate(r)}) for r in m]
+            ),
+        ),
+    ]
+    for axis in range(dim):
+        want = {
+            e[:axis] + (e[axis] - 1,) + e[axis + 1 :]: v * e[axis]
+            for e, v in ra.items()
+            if e[axis]
+        }
+        checks.append((a.diff(axis), want))
+    for got, want in checks + [(a, ra), (b, rb)]:
+        _assert_canonical(got)
+        assert got.terms == want
+        assert all(type(v) is F for v in got.terms.values())
+        assert got.constant_term() == want.get(zero, 0)
+    # the same pairs in any order give one equal, equally hashed Poly
+    exps = st.tuples(*[st.integers(0, 3)] * dim)
+    pairs = data.draw(st.lists(st.tuples(exps, rational), max_size=8))
+    shuffled = data.draw(st.permutations(pairs))
+    x, y = Poly(space, pairs), Poly(space, shuffled)
+    _assert_canonical(x)
+    assert x == y and hash(x) == hash(y) and x.nums == y.nums and x.den == y.den
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_exponent_limit_is_guarded(n):
+    space = PhaseSpace(n)
+    dim = space.dim
+    q, p = Poly.variable(space, "q1"), Poly.variable(space, f"p{n}")
+    one = Poly.constant(space, 1)
+    top = q**MAX_EXPONENT
+    assert top.terms == {(MAX_EXPONENT,) + (0,) * (dim - 1): 1}
+    with pytest.raises(ValueError, match=f"MAX_EXPONENT = {MAX_EXPONENT}"):
+        top * q
+    with pytest.raises(ValueError, match=f"MAX_EXPONENT = {MAX_EXPONENT}"):
+        (q + one) * top * (p + one)
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        Poly(space, {(MAX_EXPONENT + 1,) + (0,) * (dim - 1): 1})
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        Poly.monomial(space, (0,) * (dim - 1) + (MAX_EXPONENT + 1,))
+    # the next axis's field is left alone: no carry out of a full field
+    assert (top * p).terms == {(MAX_EXPONENT,) + (0,) * (dim - 2) + (1,): 1}
+    both = top * p**MAX_EXPONENT
+    assert both.terms == {(MAX_EXPONENT,) + (0,) * (dim - 2) + (MAX_EXPONENT,): 1}
+    assert both.diff(0).terms == {
+        (MAX_EXPONENT - 1,) + (0,) * (dim - 2) + (MAX_EXPONENT,): MAX_EXPONENT
+    }
+    assert all(top.diff(axis).is_zero() for axis in range(1, dim))

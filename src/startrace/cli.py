@@ -754,6 +754,8 @@ def _run_brw_bracket(sc):
     phi = tapered_generate(2, 3.0, 256, 1.8, 14)
     if sc.grid_path is not None:
         u0 = load_grid(sc.grid_path)
+        if u0.dimension != 2:
+            raise ValueError("brw-bracket needs a 2D (q, p) grid")
     else:
         rng = random.Random(sc.seed)
         u0 = GridFn(phi.half_widths, phi.points, np.zeros_like(phi.values), 10)

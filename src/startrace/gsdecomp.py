@@ -8,6 +8,17 @@ into Poisson-bracket pairs with cutoff coordinate functions.  Everything
 is double precision: derivatives are 4th-order central differences and
 integrals are composite Simpson rules.  Both Simpson rules, the total
 and the running one, are this module's own numpy code.
+
+Every :class:`GridFn` holds exact zeros on its margin band: the
+constructor checks the band against ``MARGIN_SNAP_TOL`` (NaN fails) and
+snaps it to 0.0.  ``grid_diff`` relies on this.  It reads its stencil
+operands as shifted slices of the flat C-order buffer, where one step
+along an axis is a fixed offset; a read that leaves the axis lands on
+margin zeros, which is what a wrapping roll would read, so the result is
+bit-identical to the roll formula.  The public constructor copies and
+validates what callers pass; results this module has just allocated go
+through ``GridFn._result``, which keeps the margin check but takes the
+array as it is.
 """
 
 from __future__ import annotations
@@ -30,6 +41,9 @@ MARGIN_SNAP_TOL = 1e-7
 # decomposition pairs whose left entry stays below this (relative) size
 # are dropped as numerically zero
 DROP_TOL = 1e-9
+# elements per pass of the blocked kernels (the grid_diff stencil, the
+# running Simpson rule): a block of each operand and temporary stays in cache
+_BLOCK = 1 << 15
 
 
 class GridFn:
@@ -46,27 +60,32 @@ class GridFn:
         half_widths = tuple(float(w) for w in half_widths)
         if not half_widths or any(w <= 0 for w in half_widths):
             raise ValueError("half widths must be positive")
-        dimension = len(half_widths)
         if margin_cells < MIN_MARGIN:
             raise MarginError(f"margin must be at least {MIN_MARGIN} cells")
         if points <= 2 * margin_cells + 4:
             raise ValueError("grid too small for its margins")
         values = np.asarray(values, dtype=float)
-        if values.shape != (points,) * dimension:
+        if values.shape != (points,) * len(half_widths):
             raise ValueError("value array shape does not match the grid")
-        values = values.copy()
-        for axis in range(dimension):
-            for band in (
-                np.moveaxis(values, axis, 0)[:margin_cells],
-                np.moveaxis(values, axis, 0)[points - margin_cells :],
-            ):
-                worst = float(np.max(np.abs(band))) if band.size else 0.0
-                if worst > MARGIN_SNAP_TOL:
-                    raise MarginError(
-                        f"values reach {worst:.3e} on the declared margin"
-                    )
-                band[...] = 0.0
-        self.dimension = dimension
+        self._fill(half_widths, points, values.copy(), margin_cells)
+
+    @classmethod
+    def _result(cls, half_widths, points, values, margin_cells):
+        """A GridFn that takes ownership of ``values``, a float array this
+        module has just allocated on the grid of ``half_widths``/``points``.
+
+        No shape check, and no copy unless ``values`` is not C-contiguous
+        (a running integral along a leading axis), since ``grid_diff``
+        reads the flat C-order buffer.  The margin is still checked and
+        snapped.
+        """
+        f = object.__new__(cls)
+        f._fill(half_widths, points, np.ascontiguousarray(values), margin_cells)
+        return f
+
+    def _fill(self, half_widths, points, values, margin_cells):
+        _snap_margin(values, margin_cells)
+        self.dimension = len(half_widths)
         self.half_widths = half_widths
         self.points = points
         self.margin_cells = margin_cells
@@ -94,24 +113,30 @@ class GridFn:
     def __add__(self, other):
         self._check_compat(other)
         margin = min(self.margin_cells, other.margin_cells)
-        return GridFn(self.half_widths, self.points, self.values + other.values, margin)
+        return GridFn._result(
+            self.half_widths, self.points, self.values + other.values, margin
+        )
 
     def __sub__(self, other):
         self._check_compat(other)
         margin = min(self.margin_cells, other.margin_cells)
-        return GridFn(self.half_widths, self.points, self.values - other.values, margin)
+        return GridFn._result(
+            self.half_widths, self.points, self.values - other.values, margin
+        )
 
     def __neg__(self):
-        return GridFn(self.half_widths, self.points, -self.values, self.margin_cells)
+        return GridFn._result(
+            self.half_widths, self.points, -self.values, self.margin_cells
+        )
 
     def __mul__(self, other):
         if isinstance(other, GridFn):
             self._check_compat(other)
             margin = max(self.margin_cells, other.margin_cells)
-            return GridFn(
+            return GridFn._result(
                 self.half_widths, self.points, self.values * other.values, margin
             )
-        return GridFn(
+        return GridFn._result(
             self.half_widths, self.points, self.values * float(other), self.margin_cells
         )
 
@@ -157,30 +182,65 @@ class GridFn:
 
 
 def _number_array(value, name):
-    """A JSON list of numbers as a float array; anything else is a ValueError."""
+    """A JSON list of finite numbers as a float array; anything else
+    (``json`` also reads ``NaN`` and ``Infinity``) is a ValueError."""
     array = np.asarray(value) if isinstance(value, list) else None
     if array is None or array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be a list of numbers")
-    return array.astype(float, copy=False)
+    array = array.astype(float, copy=False)
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} must be finite numbers")
+    return array
+
+
+def _snap_margin(values, margin_cells):
+    """Check that ``values`` (nearly) vanish on the margin band, then zero it.
+
+    A NaN on the band fails the check like any sample above the tolerance.
+    """
+    points = values.shape[0]
+    for axis in range(values.ndim):
+        moved = np.moveaxis(values, axis, 0)
+        for band in (moved[:margin_cells], moved[points - margin_cells :]):
+            worst = float(np.max(np.abs(band))) if band.size else 0.0
+            if not worst <= MARGIN_SNAP_TOL:
+                raise MarginError(f"values reach {worst:.3e} on the declared margin")
+            band[...] = 0.0
 
 
 # -- calculus ---------------------------------------------------------
 
 
 def grid_diff(f, axis):
-    """4th-order central difference along an axis; costs two margin cells."""
+    """4th-order central difference along an axis; costs two margin cells.
+
+    ``(-v[i+2] + 8 v[i+1] - 8 v[i-1] + v[i-2]) / 12h`` on the flat buffer,
+    where one step along ``axis`` is ``step`` elements.  A read that leaves
+    the axis lands on margin zeros, so no wrap or padding is needed.
+    """
     if not 0 <= axis < f.dimension:
         raise ValueError("axis out of range")
     if f.margin_cells - 2 < MIN_MARGIN:
         raise MarginError("margin too thin to differentiate")
-    v = f.values
-    d = (
-        -np.roll(v, -2, axis)
-        + 8 * np.roll(v, -1, axis)
-        - 8 * np.roll(v, 1, axis)
-        + np.roll(v, 2, axis)
-    ) / (12 * f.h[axis])
-    return GridFn(f.half_widths, f.points, d, f.margin_cells - 2)
+    v = f.values.reshape(-1)
+    step = f.values.strides[axis] // f.values.itemsize
+    scale = 12 * f.h[axis]
+    out = np.zeros(v.size)
+    tmp = np.empty(min(_BLOCK, v.size))
+    end = v.size - 2 * step
+    for start in range(2 * step, end, _BLOCK):
+        stop = min(start + _BLOCK, end)
+        d, t = out[start:stop], tmp[: stop - start]
+        np.negative(v[start + 2 * step : stop + 2 * step], out=d)
+        np.multiply(v[start + step : stop + step], 8, out=t)
+        d += t
+        np.multiply(v[start - step : stop - step], 8, out=t)
+        d -= t
+        d += v[start - 2 * step : stop - 2 * step]
+        d /= scale
+    return GridFn._result(
+        f.half_widths, f.points, out.reshape(f.values.shape), f.margin_cells - 2
+    )
 
 
 def _simpson(y, dx, axis):
@@ -198,7 +258,15 @@ def _simpson(y, dx, axis):
         return y[tuple(key)]
 
     parts = [at(slice(start, stop + start, 2)) for start in range(3)]
-    result = np.sum(parts[0] + 4.0 * parts[1] + parts[2], axis=axis)
+    if axis == 0:
+        result = np.sum(parts[0] + 4.0 * parts[1] + parts[2], axis=0)
+    else:
+        # a block of leading rows at a time keeps the summand in cache
+        result = np.empty(y.shape[:axis] + y.shape[axis + 1 :])
+        rows = max(1, _BLOCK * y.shape[0] // y.size)
+        for start in range(0, y.shape[0], rows):
+            p0, p1, p2 = (p[start : start + rows] for p in parts)
+            np.sum(p0 + 4.0 * p1 + p2, axis=axis, out=result[start : start + rows])
     result *= dx / 3.0
     if n % 2 == 0:
         # Cartwright's weights for spacings h0, h1, evaluated term for term
@@ -217,18 +285,24 @@ def _cumulative_simpson(y, dx, axis):
 
     Interval ``k`` takes the parabola through samples ``k..k+2`` when
     ``k`` is even and through ``k-1..k+1`` when ``k`` is odd or last.
+    Rows along ``axis`` are taken a block at a time, so the temporaries
+    stay in cache.
     """
     y = np.swapaxes(y, axis, -1)
     n = y.shape[-1]
     d = dx / 3
-    a, b, c = y[..., 0 : n - 2 : 2], y[..., 1 : n - 1 : 2], y[..., 2:n:2]
     out = np.empty(y.shape)
-    out[..., 0] = 0.0
-    out[..., 1 : n - 1 : 2] = d * (5 * a / 4 + 2 * b - c / 4)
-    out[..., 2:n:2] = d * (5 * c / 4 + 2 * b - a / 4)
-    if n % 2 == 0:
-        out[..., -1] = d * (5 * y[..., -1] / 4 + 2 * y[..., -2] - y[..., -3] / 4)
-    np.cumsum(out, axis=-1, out=out)
+    rows, out_rows = y.reshape(-1, n), out.reshape(-1, n)
+    step = max(1, _BLOCK // n)
+    for start in range(0, len(rows), step):
+        r, o = rows[start : start + step], out_rows[start : start + step]
+        a, b, c = r[:, 0 : n - 2 : 2], r[:, 1 : n - 1 : 2], r[:, 2:n:2]
+        o[:, 0] = 0.0
+        o[:, 1 : n - 1 : 2] = d * (5 * a / 4 + 2 * b - c / 4)
+        o[:, 2:n:2] = d * (5 * c / 4 + 2 * b - a / 4)
+        if n % 2 == 0:
+            o[:, -1] = d * (5 * r[:, -1] / 4 + 2 * r[:, -2] - r[:, -3] / 4)
+        np.cumsum(o, axis=1, out=o)
     return np.swapaxes(out, -1, axis)
 
 
@@ -249,7 +323,7 @@ def grid_cumulative(f, axis):
     if not 0 <= axis < f.dimension:
         raise ValueError("axis out of range")
     c = _cumulative_simpson(f.values, f.h[axis], axis)
-    return GridFn(f.half_widths, f.points, c, f.margin_cells)
+    return GridFn._result(f.half_widths, f.points, c, f.margin_cells)
 
 
 def grid_translate(f, cells):
@@ -259,10 +333,14 @@ def grid_translate(f, cells):
     margin = f.margin_cells - max(abs(int(c)) for c in cells) if cells else f.margin_cells
     if margin < MIN_MARGIN:
         raise MarginError("translation pushes the support into the margin")
-    v = f.values
-    for axis, c in enumerate(cells):
-        v = np.roll(v, int(c), axis)
-    return GridFn(f.half_widths, f.points, v, margin)
+    # the samples that a roll would wrap round are margin zeros: drop them
+    src, dst = [], []
+    for c in map(int, cells):
+        src.append(slice(max(-c, 0), f.points - max(c, 0)))
+        dst.append(slice(max(c, 0), f.points - max(-c, 0)))
+    v = np.zeros(f.values.shape)
+    v[tuple(dst)] = f.values[tuple(src)]
+    return GridFn._result(f.half_widths, f.points, v, margin)
 
 
 # -- canonical profiles -----------------------------------------------
@@ -417,7 +495,7 @@ def _gs_recurse(u):
     shape[axis] = u.points
     cum = _cumulative_simpson(u.values, u.h[axis], axis)
     tail = np.asarray(cum[..., -1])  # running-rule marginal of u
-    g_last = GridFn(
+    g_last = GridFn._result(
         u.half_widths,
         u.points,
         cum - tail[..., np.newaxis] * ramp.reshape(shape),
@@ -427,7 +505,7 @@ def _gs_recurse(u):
         return [g_last]
     w = GridFn(u.half_widths[:axis], u.points, tail, u.margin_cells)
     out = [
-        GridFn(
+        GridFn._result(
             u.half_widths,
             u.points,
             g.values[..., np.newaxis] * r_d.reshape(shape),
@@ -458,10 +536,11 @@ def decomposition_residual(u, parts):
     """Sup-norm of ``u - sum_i d_i parts[i]``."""
     if len(parts) != u.dimension:
         raise ValueError("need one part per axis")
-    acc = u
+    acc = u.values.copy()
     for axis, g in enumerate(parts):
-        acc = acc - grid_diff(g, axis)
-    return acc.sup_norm()
+        u._check_compat(g)
+        acc -= grid_diff(g, axis).values
+    return float(np.max(np.abs(acc, out=acc)))
 
 
 # -- bracket decomposition --------------------------------------------
@@ -494,8 +573,9 @@ def bracket_decompose(u):
     """
     if u.dimension != 2:
         raise ValueError("bracket decomposition is defined on 2D (q, p) grids")
-    scale = max(1.0, u.sup_norm())
-    if u.sup_norm() <= DROP_TOL * scale:
+    norm = u.sup_norm()
+    scale = max(1.0, norm)
+    if norm <= DROP_TOL * scale:
         total = grid_integrate(u)
         if abs(total) > integral_tolerance(u):
             raise NonzeroIntegralError("total integral exceeds tolerance")
@@ -513,10 +593,10 @@ def bracket_decompose(u):
     )
     q = u.axis_coordinates(0)
     p = u.axis_coordinates(1)
-    sq = GridFn(
+    sq = GridFn._result(
         u.half_widths, u.points, cutoff.values * q[:, np.newaxis], cutoff.margin_cells
     )
-    sp = GridFn(
+    sp = GridFn._result(
         u.half_widths, u.points, cutoff.values * p[np.newaxis, :], cutoff.margin_cells
     )
     pairs = [(g_p, sq), (-g_q, sp)]
@@ -526,10 +606,11 @@ def bracket_decompose(u):
 
 def bracket_residual(u, pairs):
     """Sup-norm of ``u - sum_j {a_j, b_j}``."""
-    acc = u
+    acc = u.values.copy()
     for a, b in pairs:
-        acc = acc - grid_bracket(a, b)
-    return acc.sup_norm()
+        u._check_compat(a)
+        acc -= grid_bracket(a, b).values
+    return float(np.max(np.abs(acc, out=acc)))
 
 
 def brw_residual(u, phi, density):

@@ -1,6 +1,7 @@
 """Expression grammar, scenario reports, and the console entry point."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -477,10 +478,23 @@ def test_main_bad_inputs_give_exit_two(tmp_path, capsys):
         (["gs-decompose", "--grid"], dict(grid, dimension="1")),
         (["gs-decompose", "--grid"], dict(grid, half_widths=[[3.0]])),
         (["gs-decompose", "--grid"], dict(grid, values=[None] * 128)),
+        # bracket decomposition is defined on 2D (q, p) grids only
+        (["brw-bracket", "--grid"], grid),
     ]:
         path = tmp_path / f"input-{len(bad_runs)}.json"
         path.write_text(json.dumps(data))
         bad_runs.append(args + [str(path)])
+    # json reads NaN and Infinity: a non-finite sample is bad input for
+    # either grid scenario.  Inside the support, NaN gave "sup: nan" and
+    # Infinity an infinite total integral; NaN on the margin was snapped to 0.
+    plane = grid_diff(tapered_generate(2, 3.0, 40, 1.2, 10), 1).to_dict()
+    center = 20 * 40 + 21
+    for index, value in [(center, math.nan), (center, math.inf), (0, math.nan)]:
+        values = list(plane["values"])
+        values[index] = value
+        path = tmp_path / f"input-{len(bad_runs)}.json"
+        path.write_text(json.dumps(dict(plane, values=values)))
+        bad_runs += [[name, "--grid", str(path)] for name in ("gs-decompose", "brw-bracket")]
     for args in bad_runs:
         assert main(["run", *args]) == 2, args
         err = capsys.readouterr().err

@@ -4,6 +4,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import tapered_bump
 
@@ -55,6 +58,19 @@ def test_margin_is_enforced():
         GridFn((3.0,), 64, np.zeros(64), 4)
     with pytest.raises(ValueError):
         GridFn((3.0,), 20, np.zeros(20), 8)
+    nan_on_margin = np.zeros(64)
+    nan_on_margin[1] = np.nan
+    with pytest.raises(MarginError):
+        GridFn((3.0,), 64, nan_on_margin, 8)
+
+
+def test_trusted_results_keep_the_margin_check():
+    # NaN * 0 lands on the wider margin of a product and must not be snapped
+    v = np.zeros(64)
+    v[9] = np.nan
+    f = GridFn((3.0,), 64, v, 8)
+    with pytest.raises(MarginError):
+        f * zero_grid(64, 1, margin=10)
 
 
 def test_margin_noise_is_snapped():
@@ -74,6 +90,36 @@ def test_json_round_trip():
     bad["values"][0] = 1.0
     with pytest.raises(MarginError):
         GridFn.from_dict(bad)
+
+
+def test_public_constructor_copies():
+    v = np.zeros(64)
+    v[32] = 1.0
+    f = GridFn((3.0,), 64, v, 8)
+    v[32] = 5.0
+    assert f.values[32] == 1.0
+    assert not np.shares_memory(f.values, v)
+
+
+def test_results_never_alias_their_inputs():
+    f = tapered_bump(64, 2, 1.2, margin_cells=12)
+    g = grid_translate(f, (2, -1))
+    u = grid_diff(f, 0)
+    results = [
+        f + g,
+        f - g,
+        -f,
+        2 * f,
+        f * g,
+        g,
+        u,
+        grid_cumulative(u, 0),
+        *gs_decompose(u),
+    ]
+    for r in results:
+        for x in (f, g, u):
+            if r is not x:
+                assert not np.shares_memory(r.values, x.values)
 
 
 def test_translate_guards_margin():
@@ -123,6 +169,40 @@ def test_simpson_rules_match_reference(length):
                 _cumulative_simpson(y, dx, axis),
                 integrate.cumulative_simpson(y, dx=dx, axis=axis, initial=0),
             )
+
+
+def roll_diff(f, axis):
+    """The 4th-order stencil written with wrapping rolls: the reference."""
+    v = f.values
+    return (
+        -np.roll(v, -2, axis)
+        + 8 * np.roll(v, -1, axis)
+        - 8 * np.roll(v, 1, axis)
+        + np.roll(v, 2, axis)
+    ) / (12 * f.h[axis])
+
+
+# (dimension, points) at the thinnest margin grid_diff accepts: per
+# dimension, a grid under one stencil block (_BLOCK = 2^15 elements) and one
+# of several blocks whose flat length (40000, 40000, 64000) is not a multiple
+# of the block
+STENCIL_MARGIN = 7
+STENCIL_GRIDS = [(1, 24), (1, 40000), (2, 24), (2, 200), (3, 20), (3, 40)]
+
+
+@pytest.mark.parametrize("dimension, points", STENCIL_GRIDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_flat_stencil_matches_roll_formula(dimension, points, data):
+    samples = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    inner = (points - 2 * STENCIL_MARGIN,) * dimension
+    values = np.zeros((points,) * dimension)
+    values[(slice(STENCIL_MARGIN, points - STENCIL_MARGIN),) * dimension] = data.draw(
+        arrays(np.float64, inner, elements=samples)
+    )
+    f = GridFn((3.0,) * dimension, points, values, STENCIL_MARGIN)
+    for axis in range(dimension):
+        assert np.array_equal(grid_diff(f, axis).values, roll_diff(f, axis))
 
 
 def test_diff_needs_margin_headroom():

@@ -105,6 +105,45 @@ def _tokenize(text):
     return tokens
 
 
+POWER_TERM_BUDGET = 1 << 16
+"""The most terms a parsed power ``a^k`` may be bound to build."""
+
+POWER_BIT_BUDGET = 1 << 16
+"""The most bits the coefficients of a parsed power may be bound to reach."""
+
+
+def _power_bounds(value, k):
+    """``(terms, bits)`` bounds on ``value^k`` for a rational, polynomial,
+    Gaussian or operator, read before the power is computed.
+
+    A rational's power has ``k`` times its bits.  A sum of ``t`` monomials
+    raised to ``k`` has at most ``C(t-1+k, k)`` terms, one per multiset of
+    factors, whose coefficients gain at most ``k*log2(t)`` bits from the
+    multinomials.  An operator's power counts ``C(t+k, k)``, since normal
+    ordering fills in every lower order too.  A polynomial or operator
+    power also has at most ``prod_i (k*e_i + 1)`` terms, with ``e_i`` the
+    top exponent (of a coordinate or a partial) along axis ``i``, which
+    is the smaller bound when monomial products collide.
+    """
+    if isinstance(value, Fraction):
+        return 1, k * max(value.numerator.bit_length(), value.denominator.bit_length())
+    if isinstance(value, Poly):
+        polys, monomials = [value], list(value.terms)
+    elif isinstance(value, DiffOp):
+        polys = list(value.coeffs.values())
+        monomials = [e + alpha for alpha, p in value.coeffs.items() for e in p.terms]
+    else:
+        polys, monomials = list(value.coeffs.values()), []
+    nums = [v for p in polys for v in p.nums.values()]
+    t = max(1, len(nums))
+    sizes = [abs(v).bit_length() for v in nums] + [p.den.bit_length() for p in polys]
+    bits = max(sizes, default=0)
+    terms = math.comb(t + k, k) if isinstance(value, DiffOp) else math.comb(t - 1 + k, k)
+    if monomials:
+        terms = min(terms, math.prod(k * max(axis) + 1 for axis in zip(*monomials)))
+    return terms, k * (bits + (t - 1).bit_length())
+
+
 class _Parser:
     """Recursive descent over the token list; ``|`` binds between ``+``
     and ``*`` so a pairing's sides are products, not sums."""
@@ -276,6 +315,19 @@ class _Parser:
         return a * b
 
     def _power(self, value, k):
+        if isinstance(value, BiDiffOp):
+            raise ParseError("cannot raise a pairing to a power", self.last_pos)
+        terms, bits = _power_bounds(value, k)
+        if terms > POWER_TERM_BUDGET:
+            raise ParseError(
+                f"power may build {terms} terms, over the budget of {POWER_TERM_BUDGET}",
+                self.last_pos,
+            )
+        if bits > POWER_BIT_BUDGET:
+            raise ParseError(
+                f"power may build {bits}-bit coefficients, over the budget of {POWER_BIT_BUDGET}",
+                self.last_pos,
+            )
         if isinstance(value, (Fraction, Poly)):
             return value**k
         if isinstance(value, GaussFn):
@@ -283,12 +335,10 @@ class _Parser:
             for _ in range(k):
                 out = out * value
             return out
-        if isinstance(value, DiffOp):
-            out = DiffOp.identity(self.space)
-            for _ in range(k):
-                out = out.compose(value)
-            return out
-        raise ParseError("cannot raise a pairing to a power", self.last_pos)
+        out = DiffOp.identity(self.space)
+        for _ in range(k):
+            out = out.compose(value)
+        return out
 
     def _pair(self, left, right):
         left, right = self._as_op(left), self._as_op(right)

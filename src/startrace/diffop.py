@@ -2,11 +2,19 @@
 
 Operators are kept in normal form with every derivative to the right of
 its coefficient, as :class:`~startrace.poly.PolyCombination` sums keyed by
-derivative multi-indices.  Composition and adjoints are single Leibniz
-passes; all arithmetic is exact.
+derivative multi-indices.  All arithmetic is exact.
 
-Operators reach derivatives of their arguments only through
-``diff_multi``, which memoizes a derivative jet on each Poly or GaussFn:
+Every object here has a derivative jet, as Polys and GaussFns do:
+``diff_multi(alpha)`` is ``d^alpha o A`` for a :class:`DiffOp` and
+``d^alpha o B`` for a :class:`BiDiffOp`, built one axis at a time by the
+Leibniz rule for one derivative, merging like terms after each step, and
+memoized on the operator (:func:`startrace.poly._diff_multi`).
+Compositions read these jets instead of enumerating multinomial splits:
+``A o C = sum_alpha a_alpha (d^alpha o C)``, and ``S o B`` and
+``B o (S_left (x) S_right)`` likewise, so an operator composed with many
+others builds each of its derivatives once.
+
+Operators reach derivatives of their arguments through the same jets:
 every partial derivative of an operand is taken once, however many terms,
 cochains or products ask for it.  :meth:`BiDiffOp.apply` also groups its
 terms by left multi-index, so it multiplies by each ``d^alpha u`` once.
@@ -15,7 +23,6 @@ terms by left multi-index, so it multiplies by each ``d^alpha u`` once.
 from __future__ import annotations
 
 from itertools import chain
-from math import comb
 
 from startrace.poly import Poly, PolyCombination, _monomial_text, _scaled
 
@@ -30,27 +37,13 @@ def _check_alpha(space, alpha):
     return tuple(alpha)
 
 
-def _sub(alpha, gamma):
-    return tuple(a - g for a, g in zip(alpha, gamma))
-
-
 def _add(alpha, beta):
     return tuple(a + b for a, b in zip(alpha, beta))
 
 
-def _binom(alpha, gamma):
-    out = 1
-    for a, g in zip(alpha, gamma):
-        out *= comb(a, g)
-    return out
-
-
-def _sub_indices(alpha):
-    """All gamma with 0 <= gamma <= alpha componentwise."""
-    out = [()]
-    for a in alpha:
-        out = [g + (i,) for g in out for i in range(a + 1)]
-    return out
+def _bump(alpha, axis):
+    """``alpha + e_axis``."""
+    return alpha[:axis] + (alpha[axis] + 1,) + alpha[axis + 1 :]
 
 
 class DiffOp(PolyCombination):
@@ -86,23 +79,31 @@ class DiffOp(PolyCombination):
             self.space, (poly * f.diff_multi(alpha) for alpha, poly in self.coeffs.items())
         )
 
-    def compose(self, other):
-        """Normal form of ``self o other`` via the generalized Leibniz rule.
+    def diff(self, axis):
+        """``d_i o self``: each term ``a d^alpha`` gives
+        ``(d_i a) d^alpha + a d^(alpha + e_i)``."""
+        if isinstance(axis, str):
+            axis = self.space.axis(axis)
+        return DiffOp._trusted(
+            self.space,
+            chain.from_iterable(
+                ((alpha, a.diff(axis)), (_bump(alpha, axis), a))
+                for alpha, a in self.coeffs.items()
+            ),
+        )
 
-        ``d^alpha o b = sum_{gamma <= alpha} binom(alpha, gamma)
-        (d^{alpha-gamma} b) d^gamma``.
-        """
+    def compose(self, other):
+        """Normal form of ``self o other``: ``sum_alpha a_alpha (d^alpha o other)``,
+        with ``d^alpha o other`` read from ``other``'s jet."""
         if not isinstance(other, DiffOp):
             raise TypeError("compose expects a DiffOp")
         self._check_space(other)
-        return DiffOp(
+        return DiffOp._trusted(
             self.space,
             (
-                (_add(gamma, beta), a * db * _binom(alpha, gamma))
+                (beta, a * b)
                 for alpha, a in self.coeffs.items()
-                for beta, b in other.coeffs.items()
-                for gamma in _sub_indices(alpha)
-                if not (db := b.diff_multi(_sub(alpha, gamma))).is_zero()
+                for beta, b in other.diff_multi(alpha).coeffs.items()
             ),
         )
 
@@ -111,8 +112,7 @@ class DiffOp(PolyCombination):
         return DiffOp.sum(
             self.space,
             (
-                DiffOp(self.space, {alpha: Poly.constant(self.space, (-1) ** sum(alpha))})
-                .compose(DiffOp.mult(a))
+                DiffOp.mult(a).diff_multi(alpha) * (-1) ** sum(alpha)
                 for alpha, a in self.coeffs.items()
             ),
         )
@@ -127,24 +127,11 @@ class DiffOp(PolyCombination):
         return (sum(alpha), alpha)
 
 
-def _three_way_splits(delta):
-    """Yield ``(d1, d2, d3, multinomial)`` with ``d1+d2+d3 = delta``."""
-    splits = [((), (), (), 1)]
-    for k in delta:
-        nxt = []
-        for d1, d2, d3, m in splits:
-            for i in range(k + 1):
-                for j in range(k - i + 1):
-                    nxt.append(
-                        (
-                            d1 + (i,),
-                            d2 + (j,),
-                            d3 + (k - i - j,),
-                            m * comb(k, i) * comb(k - i, j),
-                        )
-                    )
-        splits = nxt
-    return splits
+def _check_transport(b, s):
+    """Raise unless ``s`` is a DiffOp on the phase space of ``b``."""
+    if not isinstance(s, DiffOp):
+        raise TypeError("transports must be DiffOps")
+    b._check_space(s)
 
 
 class BiDiffOp(PolyCombination):
@@ -179,38 +166,58 @@ class BiDiffOp(PolyCombination):
     def antisym(self):
         """``B^-(u,v) = B(u,v) - B(v,u)`` as a slot swap in normal form."""
         swapped = (((beta, alpha), -poly) for (alpha, beta), poly in self.coeffs.items())
-        return BiDiffOp(self.space, chain(self.coeffs.items(), swapped))
+        return BiDiffOp._trusted(self.space, chain(self.coeffs.items(), swapped))
 
-    def conjugate(self, s_out, s_left, s_right):
-        """Normal form of ``(u,v) -> S_out(B(S_left u, S_right v))``."""
-        for s in (s_out, s_left, s_right):
-            if not isinstance(s, DiffOp):
-                raise TypeError("conjugate expects DiffOp transports")
-            self._check_space(s)
-        pairs = []
-        for (alpha, beta), c in self.coeffs.items():
-            left = DiffOp(self.space, {alpha: Poly.constant(self.space, 1)}).compose(
-                s_left
-            )
-            right = DiffOp(self.space, {beta: Poly.constant(self.space, 1)}).compose(
-                s_right
-            )
-            pairs += (
-                ((gamma, eps), c * dl * dr)
-                for gamma, dl in left.coeffs.items()
-                for eps, dr in right.coeffs.items()
-            )
-        inner = BiDiffOp(self.space, pairs)
-        return BiDiffOp(
+    def diff(self, axis):
+        """``d_i o self`` by the Leibniz rule: each term ``c d^alpha (x) d^beta``
+        gives ``(d_i c) d^alpha (x) d^beta + c d^(alpha + e_i) (x) d^beta
+        + c d^alpha (x) d^(beta + e_i)``."""
+        if isinstance(axis, str):
+            axis = self.space.axis(axis)
+        return BiDiffOp._trusted(
             self.space,
-            (
-                ((_add(gamma, d2), _add(eps, d3)), s * dc * mult)
-                for delta, s in s_out.coeffs.items()
-                for (gamma, eps), c in inner.coeffs.items()
-                for d1, d2, d3, mult in _three_way_splits(delta)
-                if not (dc := c.diff_multi(d1)).is_zero()
+            chain.from_iterable(
+                (
+                    ((alpha, beta), c.diff(axis)),
+                    ((_bump(alpha, axis), beta), c),
+                    ((alpha, _bump(beta, axis)), c),
+                )
+                for (alpha, beta), c in self.coeffs.items()
             ),
         )
+
+    def precompose(self, s_left, s_right):
+        """Normal form of ``(u,v) -> B(S_left u, S_right v)``: each term
+        ``c d^alpha (x) d^beta`` becomes ``c (d^alpha o S_left) (x)
+        (d^beta o S_right)``, read from the transports' jets."""
+        for s in (s_left, s_right):
+            _check_transport(self, s)
+        pairs = []
+        for (alpha, beta), c in self.coeffs.items():
+            right = s_right.diff_multi(beta).coeffs.items()
+            for gamma, left in s_left.diff_multi(alpha).coeffs.items():
+                cl = c * left
+                pairs += (((gamma, eps), cl * r) for eps, r in right)
+        return BiDiffOp._trusted(self.space, pairs)
+
+    def postcompose(self, s_out):
+        """Normal form of ``(u,v) -> S_out(B(u, v))``:
+        ``sum_delta s_delta (d^delta o B)``, read from this operator's jet."""
+        _check_transport(self, s_out)
+        return BiDiffOp._trusted(
+            self.space,
+            (
+                (key, s * c)
+                for delta, s in s_out.coeffs.items()
+                for key, c in self.diff_multi(delta).coeffs.items()
+            ),
+        )
+
+    def conjugate(self, s_out, s_left, s_right):
+        """Normal form of ``(u,v) -> S_out(B(S_left u, S_right v))``; every
+        transport is checked before any work."""
+        _check_transport(self, s_out)
+        return self.precompose(s_left, s_right).postcompose(s_out)
 
     @staticmethod
     def _order(key):

@@ -141,16 +141,23 @@ def transport_star(t, s):
     inv = equiv_invert(t).series()
     fwd = t.series()
     base = {0: s.cochain(0), **s.cochains}
-    cochains = {
-        m: BiDiffOp.sum(
+    # P_j = sum_{r+b+c=j} C_r o (T_b (x) T_c), then C'_m = sum_{a+j=m} S_a o P_j:
+    # every S_a reads the one jet of each P_j
+    inner = {
+        j: BiDiffOp.sum(
             s.space,
             (
-                op.conjugate(s_a, t_b, fwd[m - a - r - b])
-                for a, s_a in inv.items()
-                for r, op in base.items()
+                c_r.precompose(t_b, fwd[j - r - b])
+                for r, c_r in base.items()
                 for b, t_b in fwd.items()
-                if m - a - r - b in fwd
+                if j - r - b in fwd
             ),
+        )
+        for j in range(trunc + 1)
+    }
+    cochains = {
+        m: BiDiffOp.sum(
+            s.space, (inner[m - a].postcompose(s_a) for a, s_a in inv.items() if a <= m)
         )
         for m in range(1, trunc + 1)
     }

@@ -223,16 +223,12 @@ class GaussFn(PolyCombination):
     exponents ``-t/2*|x|^2 + b.x + c`` of :meth:`term` print as such;
     linear pullbacks may make any other.  Purely polynomial terms
     (``Q`` of degree below 2) are allowed so the class absorbs products
-    with coefficient functions.  Like :class:`~startrace.poly.Poly`, an
-    instance is immutable once built and caches its derivatives in
-    ``_jet``, which takes no part in ``==`` or ``hash``.
+    with coefficient functions.  Products, derivatives and translations
+    keep exponents valid, so they build through the trusted constructor;
+    only the public constructor and linear pullbacks check them.
     """
 
-    __slots__ = ("_jet",)
-
-    def __init__(self, space, coeffs):
-        super().__init__(space, coeffs)
-        self._jet = None
+    __slots__ = ()
 
     @staticmethod
     def _key(space, q):
@@ -267,11 +263,11 @@ class GaussFn(PolyCombination):
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            return GaussFn(self.space, {q: p * other for q, p in self.coeffs.items()})
+            return GaussFn._trusted(self.space, {q: p * other for q, p in self.coeffs.items()})
         if not isinstance(other, GaussFn):
             return super().__mul__(other)
         self._check_space(other)
-        return GaussFn(
+        return GaussFn._trusted(
             self.space,
             (
                 (q1 + q2, p1 * p2)
@@ -286,7 +282,7 @@ class GaussFn(PolyCombination):
         """Partial derivative ``(dP + P*dQ) * exp(Q)`` of each term."""
         if isinstance(axis, str):
             axis = self.space.axis(axis)
-        return GaussFn(
+        return GaussFn._trusted(
             self.space,
             chain.from_iterable(
                 ((q, p.diff(axis)), (q, p * q.diff(axis))) for q, p in self.coeffs.items()
@@ -295,12 +291,14 @@ class GaussFn(PolyCombination):
 
     def diff_multi(self, alpha):
         """``d^alpha self`` through the shared derivative jet
-        (:func:`startrace.poly._diff_multi`)."""
+        (:func:`startrace.poly._diff_multi`).  The class defines it again,
+        apart from :meth:`PolyCombination.diff_multi`, so that Gaussian
+        derivatives can be wrapped and counted apart from operator ones."""
         return _diff_multi(self, alpha)
 
     def translate(self, shifts):
         """Pull back along ``x -> x + a``: ``P(x + a) * exp(Q(x + a))``."""
-        return GaussFn(
+        return GaussFn._trusted(
             self.space,
             ((q.translate(shifts), p.translate(shifts)) for q, p in self.coeffs.items()),
         )

@@ -98,7 +98,11 @@ class GridFn:
         return np.linspace(-self.half_widths[axis], self.half_widths[axis], self.points)
 
     def sup_norm(self):
-        return float(np.max(np.abs(self.values)))
+        """``max |values|`` without an ``abs`` copy of the array; a NaN
+        propagates, and ``+ 0.0`` turns a ``-0.0`` into ``0.0`` as ``abs``
+        would."""
+        values = self.values
+        return float(np.maximum(values.max(), -values.min())) + 0.0
 
     def _check_compat(self, other):
         if (

@@ -22,7 +22,9 @@ decodes the same polynomial to exponent tuples and ``Fraction``s for the
 printer, the parser and the Gaussian layer.
 
 :class:`PolyCombination` is the one normal form of sums with polynomial
-coefficients, shared by ``GaussFn``, ``DiffOp`` and ``BiDiffOp``.
+coefficients, shared by ``GaussFn``, ``DiffOp`` and ``BiDiffOp``.  Like
+``Poly``, it builds every arithmetic result by a trusted constructor,
+``PolyCombination._trusted``, and keeps a derivative jet.
 
 It is also the one printer of rational combinations: ``_monomial_text``,
 ``_signed_sum`` (``2*x - y + 1/2``, for Poly, exponents and series) and
@@ -465,14 +467,26 @@ class PolyCombination:
     ``(key, poly)`` pairs: the Polys of keys that normalize alike merge
     through one :meth:`Poly.sum` and zero sums drop, so equality is a
     dictionary comparison.  Different subclasses never add or compare equal.
+
+    Every arithmetic result is built by :meth:`_trusted` instead, which
+    merges and drops zeros but calls no ``_key``: its keys are valid by
+    construction.  Like :class:`Poly`, an instance is immutable once built
+    and caches the derivatives its subclass's ``diff`` gives in the
+    ``_jet`` slot (see :func:`_diff_multi`), which takes no part in ``==``
+    or ``hash``.
     """
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = ("space", "coeffs", "_jet")
 
     def __init__(self, space, coeffs):
+        key = self._key
+        self._settle(space, ((key(space, k), poly) for k, poly in _pairs(coeffs)))
+
+    def _settle(self, space, pairs):
+        """Store ``pairs`` merged by key, with zero sums dropped."""
         groups = {}
-        for key, poly in _pairs(coeffs):
-            groups.setdefault(self._key(space, key), []).append(poly)
+        for key, poly in pairs:
+            groups.setdefault(key, []).append(poly)
         clean = {}
         for key, polys in groups.items():
             poly = polys[0] if len(polys) == 1 else Poly.sum(space, polys)
@@ -480,10 +494,24 @@ class PolyCombination:
                 clean[key] = poly
         self.space = space
         self.coeffs = clean
+        self._jet = None
+
+    @classmethod
+    def _trusted(cls, space, pairs):
+        """The combination of ``(key, poly)`` pairs on ``space``, with no
+        key normalized or checked.
+
+        Keys must already be in the form ``_key`` returns and the Polys
+        must live on ``space``; repeated keys merge and zero sums drop as
+        in the public constructor.  This is the one constructor of every
+        arithmetic result."""
+        out = cls.__new__(cls)
+        out._settle(space, _pairs(pairs))
+        return out
 
     @classmethod
     def zero(cls, space):
-        return cls(space, {})
+        return cls._trusted(space, ())
 
     @classmethod
     def sum(cls, space, items):
@@ -497,10 +525,15 @@ class PolyCombination:
                     raise ValueError("operands live on different phase spaces")
                 yield from x.coeffs.items()
 
-        return cls(space, pairs())
+        return cls._trusted(space, pairs())
 
     def is_zero(self):
         return not self.coeffs
+
+    def diff_multi(self, alpha):
+        """``d^alpha`` through the derivative jet (:func:`_diff_multi`): of
+        the function for a ``GaussFn``, ``d^alpha o self`` for an operator."""
+        return _diff_multi(self, alpha)
 
     def _check_space(self, other):
         if self.space != other.space:
@@ -512,15 +545,14 @@ class PolyCombination:
         return type(self).sum(self.space, (self, other))
 
     def __neg__(self):
-        return type(self)(self.space, {k: -p for k, p in self.coeffs.items()})
+        return self._trusted(self.space, {k: -p for k, p in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return type(self)(self.space, {k: p * c for k, p in self.coeffs.items()})
+            return self._trusted(self.space, {k: p * other for k, p in self.coeffs.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -547,15 +579,19 @@ class PolyCombination:
 
 
 def _diff_multi(f, alpha):
-    """``d^alpha f`` for a :class:`Poly` or ``GaussFn``, memoized in ``f``'s jet.
+    """``d^alpha f`` for a :class:`Poly` or :class:`PolyCombination`,
+    memoized in ``f``'s jet.
 
-    The jet (the ``_jet`` slot) maps each nonzero multi-index reached so far
-    to its derivative.  ``d^alpha`` is taken axis by axis in coordinate
-    order, one ``.diff`` per step, and every prefix on that path is kept,
-    so a later request sharing a prefix pays only for the steps past it.
-    The operands of one star product meet every cochain through this one
-    jet, so each partial derivative of an operand is taken once.  ``d^0 f``
-    is ``f`` itself and is not stored, so no object refers to itself.
+    ``f.diff(axis)`` gives one derivative: of a function for ``Poly`` and
+    ``GaussFn``, and ``d_axis o f`` for an operator.  The jet (the ``_jet``
+    slot) maps each nonzero multi-index reached so far to its derivative.
+    ``d^alpha`` is taken axis by axis in coordinate order, one ``.diff``
+    per step, and every prefix on that path is kept, so a later request
+    sharing a prefix pays only for the steps past it.  The operands of one
+    star product meet every cochain through this one jet, so each partial
+    derivative of an operand is taken once; an operator composed with many
+    others builds each ``d^alpha o A`` once.  ``d^0 f`` is ``f`` itself and
+    is not stored, so no object refers to itself.
     """
     key = tuple(alpha)
     jet = f._jet

@@ -1,12 +1,19 @@
 from fractions import Fraction
 from math import factorial
 
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from startrace.diffop import DiffOp
 from startrace.equiv import Equivalence
 from startrace.gaussfn import GaussFn
 from startrace.poly import Poly, mat_identity, mat_mul
+
+# Hypothesis's explain phase re-runs a shrunk failing example hundreds of
+# times to mark which draws it could vary; with exact arithmetic that took
+# about a minute per failure, so failures are reported without it.
+settings.register_profile("startrace", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("startrace")
 
 
 def random_poly(rng, space, max_degree=3, n_terms=4, allow_constant=True):

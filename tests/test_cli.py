@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,11 @@ from hypothesis import strategies as st
 from conftest import gauss_fns, multi_indices, polys, random_poly, tapered_bump
 
 from startrace.cli import (
+    POWER_BIT_BUDGET,
+    POWER_TERM_BUDGET,
     SCENARIOS,
     ParseError,
+    _power_bounds,
     Scenario,
     emit_report,
     load_equivalence,
@@ -203,6 +207,29 @@ def test_parse_exp_degree_fault_wins_in_any_term_order():
     for text in ("exp(q1*p1 + q1^3)", "exp(q1^3 + q1*p1)"):
         with pytest.raises(ParseError, match="exp argument must be at most quadratic"):
             parse_expression(text)
+
+
+def test_parse_power_budget():
+    # a rational's bits times k: 3^255 has 405 bits, and 405 * 161 fits
+    assert 405 * 161 <= POWER_BIT_BUDGET < 405 * 162
+    assert parse_expression("(3^255)^161") == Fraction(3) ** (255 * 161)
+    for text in ("(3^255)^162", "(q1 - q1 + 3^255)^162"):
+        with pytest.raises(ParseError, match="bit coefficients, over the budget"):
+            parse_expression(text)
+    # t = 4 monomials: C(t-1+k, k) terms fit at k = 71, not at k = 72
+    four = parse_expression("q1 + p1 + q2 + p2", 2)
+    assert _power_bounds(four, 71)[0] == math.comb(74, 71) <= POWER_TERM_BUDGET
+    with pytest.raises(ParseError, match=f"{math.comb(75, 72)} terms, over the budget"):
+        parse_expression("(q1 + p1 + q2 + p2)^72", 2)
+    # colliding products: at most 5*50 + 1 terms along the one axis, not C(55, 50)
+    assert len(parse_expression("(1 + q1 + q1^2 + q1^3 + q1^4 + q1^5)^50").nums) == 251
+    # operators count every lower order; zeros and small powers still parse
+    assert _power_bounds(parse_expression("dq1 + q1"), 3)[0] == math.comb(5, 3)
+    with pytest.raises(ParseError, match="terms, over the budget"):
+        parse_expression("(dq1 + q1 + dp1 + p1)^60")
+    assert parse_expression("(q1 - q1)^3") == Poly.zero(SPACE1)
+    assert parse_expression("(dq1 - dq1)^0") == DiffOp.identity(SPACE1)
+    assert parse_expression("(q1 + 1)^2") == parse_expression("q1^2 + 2*q1 + 1")
 
 
 def test_parse_type_mixing_rejected():
@@ -438,6 +465,23 @@ def test_main_parse_oversized_exponent_gives_exit_two(expression, message, capsy
     assert message in err
     assert main(["parse", f"q1^{MAX_EXPONENT}*p1^000{MAX_EXPONENT}"]) == 0
     assert capsys.readouterr().out == f"polynomial: q1^{MAX_EXPONENT}*p1^{MAX_EXPONENT}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["parse", "--n", "3", "(q1+q2+q3+p1+p2+p3+1)^255"], "terms, over the budget"),
+        (["parse", "((2^255)^255)^255"], "bit coefficients, over the budget"),
+    ],
+)
+def test_main_parse_over_budget_power_gives_exit_two(argv, message, capsys):
+    # refused before the power is computed
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.count("\n") == 1, err
+    assert message in err
 
 
 def test_main_bad_inputs_give_exit_two(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -84,6 +85,69 @@ def test_compose_agrees_with_sequential_apply():
             ab = a.compose(b)
             for mono in monomial_basis(space, 3 if n == 2 else 6):
                 assert ab.apply(mono) == a.apply(b.apply(mono))
+
+
+def small_polys(space):
+    """Hypothesis strategy: nonzero polynomials of one or two terms, so that
+    a failing draw is small from the start and shrinks fast."""
+    exps = st.tuples(*[st.integers(0, 2)] * space.dim)
+    coeffs = st.sampled_from([Fraction(c, d) for c in (1, -1, 2, -2) for d in (1, 2)])
+    return st.dictionaries(exps, coeffs, min_size=1, max_size=2).map(lambda t: Poly(space, t))
+
+
+def diffops(space, top=2):
+    """Hypothesis strategy: nonzero operators of one to three terms, orders
+    <= top per axis."""
+    terms = st.dictionaries(multi_indices(space, top), small_polys(space), min_size=1, max_size=3)
+    return terms.map(lambda d: DiffOp(space, d))
+
+
+def leibniz_compose(a, b):
+    """``a o b`` term by term through the generalized Leibniz rule
+    ``d^alpha o c = sum_{gamma <= alpha} binom(alpha, gamma) (d^{alpha-gamma} c) d^gamma``,
+    with every derivative taken by repeated ``.diff``: the oracle of the
+    jet-based ``compose``."""
+    pairs = []
+    for alpha, ca in a.coeffs.items():
+        for beta, cb in b.coeffs.items():
+            for gamma in itertools.product(*(range(x + 1) for x in alpha)):
+                rest = tuple(x - g for x, g in zip(alpha, gamma))
+                weight = math.prod(math.comb(x, g) for x, g in zip(alpha, gamma))
+                key = tuple(g + y for g, y in zip(gamma, beta))
+                pairs.append((key, ca * iterated_diff(cb, rest) * weight))
+    return DiffOp(a.space, pairs)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_compose_matches_leibniz_oracle(n, data):
+    space = PhaseSpace(n)
+    a, b = data.draw(diffops(space)), data.draw(diffops(space))
+    assert a.compose(b) == leibniz_compose(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_operator_jets_are_derivatives_after_the_operator(n, data):
+    # d^delta o A and d^delta o B, read from the jets, against d^delta of the value
+    space = PhaseSpace(n)
+    index = multi_indices(space, top=1)
+    a = data.draw(diffops(space, top=1))
+    keys = st.tuples(index, index)
+    b = BiDiffOp(
+        space, data.draw(st.dictionaries(keys, small_polys(space), min_size=1, max_size=2))
+    )
+    shifts = st.lists(st.integers(-1, 1), min_size=space.dim, max_size=space.dim)
+    gauss = st.builds(lambda p, s: GaussFn.term(space, p, 1, s), small_polys(space), shifts)
+    u, v = data.draw(gauss), data.draw(gauss)
+    delta = data.draw(index.filter(any))
+    assert a.diff_multi(delta).apply(u) == iterated_diff(a.apply(u), delta)
+    assert b.diff_multi(delta).apply(u, v) == iterated_diff(b.apply(u, v), delta)
+    # a jet entry is the iterated single derivative, and is built once
+    assert b.diff_multi(delta) == iterated_diff(b, delta)
+    assert b.diff_multi(delta) is b.diff_multi(delta)
 
 
 def test_adjoint_examples(space):
@@ -210,11 +274,24 @@ def test_conjugate_agrees_with_application():
             s_left = random_diffop(rng, space, max_order=2, n_terms=2)
             s_right = random_diffop(rng, space, max_order=2, n_terms=2)
             conj = b.conjugate(s_out, s_left, s_right)
+            pre, post = b.precompose(s_left, s_right), b.postcompose(s_out)
             for _ in range(3):
                 u = random_poly(rng, space, 3, n_terms=3)
                 v = random_poly(rng, space, 3, n_terms=3)
-                want = s_out.apply(b.apply(s_left.apply(u), s_right.apply(v)))
-                assert conj.apply(u, v) == want
+                inner = b.apply(s_left.apply(u), s_right.apply(v))
+                assert pre.apply(u, v) == inner
+                assert post.apply(u, v) == s_out.apply(b.apply(u, v))
+                assert conj.apply(u, v) == s_out.apply(inner)
+
+
+def test_conjugate_rejects_bad_transports(space):
+    b = BiDiffOp.product_cochain(space)
+    ident = DiffOp.identity(space)
+    for args in [(b, ident, ident), (ident, ident, Poly.constant(space, 1))]:
+        with pytest.raises(TypeError):
+            b.conjugate(*args)
+    with pytest.raises(ValueError, match="phase spaces"):
+        b.conjugate(ident, DiffOp.identity(PhaseSpace(2)), ident)
 
 
 def test_diffop_rendering_order(space):

@@ -9,7 +9,7 @@ import pytest
 from conftest import hamiltonian_flow, random_poly, rational_rotation
 from test_gaussfn import random_gauss
 
-from startrace.diffop import DiffOp
+from startrace.diffop import BiDiffOp, DiffOp
 from startrace.equiv import (
     Equivalence,
     density_from_equivalence,
@@ -113,6 +113,35 @@ def test_transport_matches_conjugation(n, seed):
         routed = s.apply(star_multiply(moyal, t.apply(u), t.apply(v)))
         common = min(direct.trunc_order, routed.trunc_order)
         assert direct.truncate(common) == routed.truncate(common)
+
+
+@pytest.mark.parametrize("trunc", [1, 2, 3, 4])
+def test_transport_matches_one_pass_conjugate_sum(trunc):
+    # C'_m = sum_{a+r+b+c=m} S_a o C_r o (T_b (x) T_c), one conjugate per
+    # quadruple, against the two-stage build through P_j; the second base
+    # product has polynomial cochains
+    space = PhaseSpace(1)
+    t = random_equivalence(space, trunc, seed=80 + trunc)
+    inv, fwd = equiv_invert(t).series(), t.series()
+    moyal = moyal_construct(space, trunc)
+    other = transport_star(random_equivalence(space, trunc, seed=90 + trunc), moyal)
+    for s in (moyal, other):
+        base = {0: s.cochain(0), **s.cochains}
+        want = {
+            m: BiDiffOp.sum(
+                space,
+                (
+                    c_r.conjugate(s_a, t_b, fwd[m - a - r - b])
+                    for a, s_a in inv.items()
+                    for r, c_r in base.items()
+                    for b, t_b in fwd.items()
+                    if m - a - r - b in fwd
+                ),
+            )
+            for m in range(1, trunc + 1)
+        }
+        got = transport_star(t, s).cochains
+        assert got == {m: c for m, c in want.items() if not c.is_zero()}
 
 
 def test_transport_keeps_unit():

@@ -1,5 +1,6 @@
 """Grid decompositions: margins, calculus, divergence and bracket splits."""
 
+import math
 import random
 
 import numpy as np
@@ -80,6 +81,22 @@ def test_margin_noise_is_snapped():
     f = GridFn((3.0,), 64, v, 8)
     assert f.values[1] == 0.0
     assert f.values[40] == 0.5
+
+
+def test_sup_norm_is_the_float_of_abs_max():
+    rng = np.random.default_rng(3)
+    v = np.zeros(64)
+    v[10:54] = rng.normal(size=44)
+    signed_zeros = np.where(np.arange(64) % 2, 0.0, -0.0)
+    for values in (v, -v, np.abs(v), -np.zeros(64), signed_zeros):
+        f = GridFn((3.0,), 64, values, 8)
+        want = float(np.max(np.abs(f.values)))
+        got = f.sup_norm()
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    v[30] = np.nan
+    assert math.isnan(GridFn((3.0,), 64, v, 8).sup_norm())
+    v[30] = -np.inf
+    assert GridFn((3.0,), 64, v, 8).sup_norm() == math.inf
 
 
 def test_json_round_trip():

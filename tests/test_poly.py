@@ -275,6 +275,61 @@ def test_poly_combination_normal_form(kind, n, data):
     assert (0 * a).is_zero() and F(1, 2) * a + a * F(1, 2) == a
 
 
+def _kind_results(kind, space, a, b, data):
+    """Arithmetic results particular to one combination class."""
+    if kind == "gauss":
+        p = data.draw(polys(space))
+        return [a * b, a * p, a.translate([F(1, 2)] * space.dim)]
+    if kind == "diffop":
+        return [a.compose(b), a.adjoint()]
+    ops = st.lists(st.tuples(multi_indices(space, 1), polys(space)), max_size=2)
+    s, t = (DiffOp(space, data.draw(ops)) for _ in range(2))
+    return [a.antisym(), a.precompose(s, t), a.postcompose(s)]
+
+
+@pytest.mark.parametrize("kind", sorted(COMBINATIONS))
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_trusted_results_equal_public_ones(kind, n, data):
+    cls, keys, _, normalize = COMBINATIONS[kind]
+    space = PhaseSpace(n)
+    entries = st.lists(st.tuples(keys(space), polys(space)), max_size=3)
+    pairs = data.draw(entries)
+    a, b = cls(space, pairs), cls(space, data.draw(entries))
+    assert cls._trusted(space, ((normalize(k), p) for k, p in pairs)) == a
+    axis = data.draw(st.integers(0, space.dim - 1))
+    results = [-a, a * F(-2, 3), a + b, cls.sum(space, [a, b, a]), a.diff(axis)]
+    for got in results + _kind_results(kind, space, a, b, data):
+        public = cls(space, got.coeffs.items())
+        # a jet filled on one side and empty on the other takes no part
+        got.diff_multi((0,) * (space.dim - 1) + (1,))
+        assert got._jet and public._jet is None
+        assert got == public and public == got and hash(got) == hash(public)
+
+
+Q1 = Poly.variable(PhaseSpace(1), "q1")
+
+
+@pytest.mark.parametrize(
+    "cls, good, bad",
+    [
+        (DiffOp, (0, 0), (1,)),
+        (DiffOp, (0, 0), (0, 0, 0)),
+        (DiffOp, (0, 0), (-1, 1)),
+        (BiDiffOp, ((0, 0), (0, 0)), ((1, 0), (0,))),
+        (BiDiffOp, ((0, 0), (0, 0)), ((0, -1), (0, 0))),
+        (GaussFn, Q1 - Q1, Q1**3),
+        (GaussFn, Q1 - Q1, Q1**2),
+    ],
+)
+def test_public_constructors_still_check_keys(cls, good, bad):
+    one = Poly.constant(PhaseSpace(1), 1)
+    for pairs in ({bad: one}, [(good, one), (bad, one)]):
+        with pytest.raises(ValueError, match="multi-index|degree|grow"):
+            cls(PhaseSpace(1), pairs)
+
+
 def _scalar_cases(space):
     """Kind -> (constructor from pairs, key strategy, value strategy, the
     stored mapping, whether a merged pair is stored)."""

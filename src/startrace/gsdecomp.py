@@ -11,17 +11,31 @@ and the running one, are this module's own numpy code.
 
 Every :class:`GridFn` holds exact zeros on its margin band: the
 constructor checks the band against ``MARGIN_SNAP_TOL`` (NaN fails) and
-snaps it to 0.0.  ``grid_diff`` relies on this.  It reads its stencil
-operands as shifted slices of the flat C-order buffer, where one step
-along an axis is a fixed offset; a read that leaves the axis lands on
+snaps it to 0.0.  The derivative kernels rely on this.  They read the
+stencil operands as shifted slices of the flat C-order buffer, where one
+step along an axis is a fixed offset; a read that leaves the axis lands on
 margin zeros, which is what a wrapping roll would read, so the result is
 bit-identical to the roll formula.  The public constructor copies and
 validates what callers pass; results this module has just allocated go
 through ``GridFn._result``, which keeps the margin check but takes the
 array as it is.
+
+The kernels run ``_BLOCK`` flat elements at a time, so no full-size
+temporary is written and read back: ``grid_diff`` and ``grid_bracket``
+fill one output array, and the two residuals subtract each term's block
+from a block of ``u`` and keep only its peak.  Each element sees the same
+floating-point operations in the same order as the composed formulas
+(``grid_diff(a, 1) * grid_diff(b, 0) - ...``), so every result is
+bit-identical to them.  Those formulas margin-checked each intermediate
+``GridFn``; the blocked kernels need not, because a stencil on a band
+reads only margin zeros and so is exactly 0.0 there, and a product or
+difference of such terms is 0.0 as well while its other factor is
+finite.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -64,10 +78,10 @@ class GridFn:
             raise MarginError(f"margin must be at least {MIN_MARGIN} cells")
         if points <= 2 * margin_cells + 4:
             raise ValueError("grid too small for its margins")
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float, order="C")
         if values.shape != (points,) * len(half_widths):
             raise ValueError("value array shape does not match the grid")
-        self._fill(half_widths, points, values.copy(), margin_cells)
+        self._fill(half_widths, points, values, margin_cells)
 
     @classmethod
     def _result(cls, half_widths, points, values, margin_cells):
@@ -75,9 +89,9 @@ class GridFn:
         module has just allocated on the grid of ``half_widths``/``points``.
 
         No shape check, and no copy unless ``values`` is not C-contiguous
-        (a running integral along a leading axis), since ``grid_diff``
-        reads the flat C-order buffer.  The margin is still checked and
-        snapped.
+        (a running integral along a leading axis), since the derivative
+        kernels read the flat C-order buffer.  The margin is still checked
+        and snapped.
         """
         f = object.__new__(cls)
         f._fill(half_widths, points, np.ascontiguousarray(values), margin_cells)
@@ -206,7 +220,8 @@ def _snap_margin(values, margin_cells):
     for axis in range(values.ndim):
         moved = np.moveaxis(values, axis, 0)
         for band in (moved[:margin_cells], moved[points - margin_cells :]):
-            worst = float(np.max(np.abs(band))) if band.size else 0.0
+            # max |band| without an abs copy, as in sup_norm
+            worst = float(np.maximum(band.max(), -band.min())) if band.size else 0.0
             if not worst <= MARGIN_SNAP_TOL:
                 raise MarginError(f"values reach {worst:.3e} on the declared margin")
             band[...] = 0.0
@@ -215,36 +230,84 @@ def _snap_margin(values, margin_cells):
 # -- calculus ---------------------------------------------------------
 
 
+def _blocks(size):
+    """``(start, stop)`` of each ``_BLOCK``-element pass over ``size`` elements."""
+    for start in range(0, size, _BLOCK):
+        yield start, min(start + _BLOCK, size)
+
+
+def _scratch(count, size):
+    """``count`` block buffers for passes over ``size`` elements."""
+    return [np.empty(min(_BLOCK, size)) for _ in range(count)]
+
+
+def _check_differentiable(f):
+    if f.margin_cells - 2 < MIN_MARGIN:
+        raise MarginError("margin too thin to differentiate")
+
+
+def _stencil(f, axis, start, stop, out, scratch):
+    """The ``grid_diff`` stencil on flat elements ``start:stop`` into ``out``.
+
+    The stencil runs on the flat buffer, where one step along ``axis`` is
+    ``step`` elements, with ``scratch[0]`` as the temporary.  Its first sum
+    is taken as ``8 v[i+1] - v[i+2]``, which IEEE addition makes the same
+    float as ``-v[i+2] + 8 v[i+1]`` in one pass fewer.  An element within
+    two steps of either end of the buffer, where a read would leave it,
+    lies on the margin and gets 0.0.
+    """
+    v = f.values.reshape(-1)
+    step = f.values.strides[axis] // f.values.itemsize
+    lo = min(max(start, 2 * step), stop)
+    hi = max(min(stop, v.size - 2 * step), lo)
+    out[: lo - start] = 0.0
+    out[hi - start :] = 0.0
+    d, t = out[lo - start : hi - start], scratch[0][: hi - lo]
+    np.multiply(v[lo + step : hi + step], 8, out=d)
+    d -= v[lo + 2 * step : hi + 2 * step]
+    np.multiply(v[lo - step : hi - step], 8, out=t)
+    d -= t
+    d += v[lo - 2 * step : hi - 2 * step]
+    d /= 12 * f.h[axis]
+
+
 def grid_diff(f, axis):
     """4th-order central difference along an axis; costs two margin cells.
 
-    ``(-v[i+2] + 8 v[i+1] - 8 v[i-1] + v[i-2]) / 12h`` on the flat buffer,
-    where one step along ``axis`` is ``step`` elements.  A read that leaves
-    the axis lands on margin zeros, so no wrap or padding is needed.
+    ``(-v[i+2] + 8 v[i+1] - 8 v[i-1] + v[i-2]) / 12h`` along the axis.  A
+    read that leaves the axis lands on margin zeros, so no wrap or padding
+    is needed.
     """
     if not 0 <= axis < f.dimension:
         raise ValueError("axis out of range")
-    if f.margin_cells - 2 < MIN_MARGIN:
-        raise MarginError("margin too thin to differentiate")
-    v = f.values.reshape(-1)
-    step = f.values.strides[axis] // f.values.itemsize
-    scale = 12 * f.h[axis]
-    out = np.zeros(v.size)
-    tmp = np.empty(min(_BLOCK, v.size))
-    end = v.size - 2 * step
-    for start in range(2 * step, end, _BLOCK):
-        stop = min(start + _BLOCK, end)
-        d, t = out[start:stop], tmp[: stop - start]
-        np.negative(v[start + 2 * step : stop + 2 * step], out=d)
-        np.multiply(v[start + step : stop + step], 8, out=t)
-        d += t
-        np.multiply(v[start - step : stop - step], 8, out=t)
-        d -= t
-        d += v[start - 2 * step : stop - 2 * step]
-        d /= scale
+    _check_differentiable(f)
+    out = np.empty(f.values.size)
+    scratch = _scratch(1, out.size)
+    for start, stop in _blocks(out.size):
+        _stencil(f, axis, start, stop, out[start:stop], scratch)
     return GridFn._result(
         f.half_widths, f.points, out.reshape(f.values.shape), f.margin_cells - 2
     )
+
+
+def _residual_sup(u, terms):
+    """``max |u - sum(terms)|``, a block at a time, subtracting in order.
+
+    Each term writes its flat elements ``start:stop`` into ``out`` when
+    called as ``term(start, stop, out, scratch)``, with up to three
+    ``scratch`` buffers.
+    """
+    v = u.values.reshape(-1)
+    acc, term, *scratch = _scratch(5, v.size)
+    peaks = []
+    for start, stop in _blocks(v.size):
+        r, s = acc[: stop - start], term[: stop - start]
+        r[...] = v[start:stop]
+        for write in terms:
+            write(start, stop, s, scratch)
+            r -= s
+        peaks.append(np.max(np.abs(r, out=r)))
+    return float(np.max(peaks))
 
 
 def _simpson(y, dx, axis):
@@ -387,12 +450,15 @@ def _broadcast(value, dimension):
     return out
 
 
-def _axis_profile_product(half_widths, points, per_axis):
-    values = np.ones((points,) * len(half_widths))
-    for axis, profile in enumerate(per_axis):
-        shape = [1] * len(half_widths)
-        shape[axis] = points
-        values = values * profile.reshape(shape)
+def _axis_profile_product(per_axis):
+    """Outer product of one profile per axis, multiplied in axis order.
+
+    Only the last multiply writes a full-size array; the copy keeps a
+    one-axis product from handing out its profile.
+    """
+    values = per_axis[0].copy()
+    for profile in per_axis[1:]:
+        values = np.multiply.outer(values, profile)
     return values
 
 
@@ -413,9 +479,10 @@ def _unit_product_bump(
     for axis in range(dimension):
         x = np.linspace(-half_widths[axis], half_widths[axis], points_per_axis)
         profiles.append(profile(x / support[axis]))
-    values = _axis_profile_product(half_widths, points_per_axis, profiles)
-    f = GridFn(half_widths, points_per_axis, values, margin_cells)
-    return f * (1.0 / grid_integrate(f))
+    values = _axis_profile_product(profiles)
+    f = GridFn._result(half_widths, points_per_axis, values, margin_cells)
+    values *= 1.0 / grid_integrate(f)
+    return GridFn._result(half_widths, points_per_axis, values, margin_cells)
 
 
 def bump_generate(dimension, half_widths, points_per_axis, support, margin_cells=8):
@@ -456,8 +523,8 @@ def plateau_generate(dimension, half_widths, points_per_axis, support, margin_ce
             raise MarginError("no room for the cutoff to decay inside the margin")
         x = np.abs(np.linspace(-half_widths[axis], half_widths[axis], points_per_axis))
         profiles.append(_plateau_profile((support[axis] + d - x) / d))
-    values = _axis_profile_product(half_widths, points_per_axis, profiles)
-    return GridFn(half_widths, points_per_axis, values, margin_cells)
+    values = _axis_profile_product(profiles)
+    return GridFn._result(half_widths, points_per_axis, values, margin_cells)
 
 
 # -- derivative decomposition -----------------------------------------
@@ -495,24 +562,24 @@ def integral_tolerance(f):
 def _gs_recurse(u):
     axis = u.dimension - 1
     ramp, r_d = _axis_ramp_values(u, axis)
-    shape = [1] * u.dimension
-    shape[axis] = u.points
     cum = _cumulative_simpson(u.values, u.h[axis], axis)
-    tail = np.asarray(cum[..., -1])  # running-rule marginal of u
-    g_last = GridFn._result(
-        u.half_widths,
-        u.points,
-        cum - tail[..., np.newaxis] * ramp.reshape(shape),
-        u.margin_cells,
-    )
+    rows = cum.reshape(-1, u.points)  # a view: cum is C-contiguous
+    # the running-rule marginal of u, copied before cum is overwritten
+    tail = rows[:, -1].copy()
+    step = max(1, _BLOCK // u.points)
+    for start in range(0, len(rows), step):
+        rows[start : start + step] -= tail[start : start + step, np.newaxis] * ramp
+    g_last = GridFn._result(u.half_widths, u.points, cum, u.margin_cells)
     if u.dimension == 1:
         return [g_last]
-    w = GridFn(u.half_widths[:axis], u.points, tail, u.margin_cells)
+    w = GridFn._result(
+        u.half_widths[:axis], u.points, tail.reshape(cum.shape[:-1]), u.margin_cells
+    )
     out = [
         GridFn._result(
             u.half_widths,
             u.points,
-            g.values[..., np.newaxis] * r_d.reshape(shape),
+            g.values[..., np.newaxis] * r_d,
             min(g.margin_cells, u.margin_cells),
         )
         for g in _gs_recurse(w)
@@ -540,27 +607,56 @@ def decomposition_residual(u, parts):
     """Sup-norm of ``u - sum_i d_i parts[i]``."""
     if len(parts) != u.dimension:
         raise ValueError("need one part per axis")
-    acc = u.values.copy()
-    for axis, g in enumerate(parts):
+    for g in parts:
         u._check_compat(g)
-        acc -= grid_diff(g, axis).values
-    return float(np.max(np.abs(acc, out=acc)))
+        _check_differentiable(g)
+    terms = [partial(_stencil, g, axis) for axis, g in enumerate(parts)]
+    return _residual_sup(u, terms)
 
 
 # -- bracket decomposition --------------------------------------------
 
 
-def grid_bracket(a, b):
-    """Poisson bracket ``da/dp db/dq - da/dq db/dp`` on a 2D (q, p) grid."""
+def _check_bracket(a, b):
     if a.dimension != 2 or b.dimension != 2:
         raise ValueError("brackets need 2D grid functions")
-    return grid_diff(a, 1) * grid_diff(b, 0) - grid_diff(a, 0) * grid_diff(b, 1)
+    _check_differentiable(a)
+    _check_differentiable(b)
+    a._check_compat(b)
+
+
+def _bracket_block(a, b, start, stop, out, scratch):
+    """``{a, b}`` on flat elements ``start:stop`` into ``out``."""
+    d, e = (buf[: stop - start] for buf in scratch[:2])
+    _stencil(a, 1, start, stop, d, scratch[2:])
+    _stencil(b, 0, start, stop, e, scratch[2:])
+    np.multiply(d, e, out=out)
+    _stencil(a, 0, start, stop, d, scratch[2:])
+    _stencil(b, 1, start, stop, e, scratch[2:])
+    d *= e
+    out -= d
+
+
+def grid_bracket(a, b):
+    """Poisson bracket ``da/dp db/dq - da/dq db/dp`` on a 2D (q, p) grid."""
+    _check_bracket(a, b)
+    out = np.empty(a.values.size)
+    scratch = _scratch(3, out.size)
+    for start, stop in _blocks(out.size):
+        _bracket_block(a, b, start, stop, out[start:stop], scratch)
+    return GridFn._result(
+        a.half_widths,
+        a.points,
+        out.reshape(a.values.shape),
+        max(a.margin_cells, b.margin_cells) - 2,
+    )
 
 
 def _support_halfwidth(f, axis, tol):
     """Largest |coordinate| along an axis where ``f`` exceeds ``tol``."""
-    moved = np.moveaxis(np.abs(f.values), axis, 0).reshape(f.points, -1)
-    hit = np.nonzero(np.max(moved, axis=1) > tol)[0]
+    others = tuple(i for i in range(f.dimension) if i != axis)
+    peak = np.maximum(f.values.max(axis=others), -f.values.min(axis=others))
+    hit = np.nonzero(peak > tol)[0]
     if hit.size == 0:
         return 0.0
     x = f.axis_coordinates(axis)
@@ -597,24 +693,25 @@ def bracket_decompose(u):
     )
     q = u.axis_coordinates(0)
     p = u.axis_coordinates(1)
-    sq = GridFn._result(
-        u.half_widths, u.points, cutoff.values * q[:, np.newaxis], cutoff.margin_cells
-    )
     sp = GridFn._result(
         u.half_widths, u.points, cutoff.values * p[np.newaxis, :], cutoff.margin_cells
     )
-    pairs = [(g_p, sq), (-g_q, sp)]
+    # the cutoff and g_q are this call's own arrays: reuse them in place
+    cutoff.values *= q[:, np.newaxis]
+    sq = GridFn._result(u.half_widths, u.points, cutoff.values, cutoff.margin_cells)
+    np.negative(g_q.values, out=g_q.values)
+    minus_g_q = GridFn._result(u.half_widths, u.points, g_q.values, g_q.margin_cells)
+    pairs = [(g_p, sq), (minus_g_q, sp)]
     keep_tol = DROP_TOL * scale
     return [(a, b) for a, b in pairs if a.sup_norm() > keep_tol]
 
 
 def bracket_residual(u, pairs):
     """Sup-norm of ``u - sum_j {a_j, b_j}``."""
-    acc = u.values.copy()
     for a, b in pairs:
         u._check_compat(a)
-        acc -= grid_bracket(a, b).values
-    return float(np.max(np.abs(acc, out=acc)))
+        _check_bracket(a, b)
+    return _residual_sup(u, [partial(_bracket_block, a, b) for a, b in pairs])
 
 
 def brw_residual(u, phi, density):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from startrace.gsdecomp import (
     GridFn,
     MarginError,
     NonzeroIntegralError,
+    _BLOCK,
+    _axis_profile_product,
     _cumulative_simpson,
     _simpson,
     bracket_decompose,
@@ -29,6 +32,7 @@ from startrace.gsdecomp import (
     grid_translate,
     gs_decompose,
     plateau_generate,
+    tapered_generate,
 )
 
 
@@ -118,10 +122,21 @@ def test_public_constructor_copies():
     assert not np.shares_memory(f.values, v)
 
 
+def test_public_constructor_stores_c_order():
+    # the derivative kernels read the flat C-order buffer
+    v = np.zeros((64, 64))
+    v[20:40, 30:34] = np.arange(80.0).reshape(20, 4)
+    f = GridFn((3.0, 3.0), 64, v.T, 8)
+    assert f.values.flags.c_contiguous
+    assert np.array_equal(f.values, v.T)
+    assert np.array_equal(grid_diff(f, 1).values, roll_diff(f, 1))
+
+
 def test_results_never_alias_their_inputs():
     f = tapered_bump(64, 2, 1.2, margin_cells=12)
     g = grid_translate(f, (2, -1))
     u = grid_diff(f, 0)
+    pairs = bracket_decompose(u)
     results = [
         f + g,
         f - g,
@@ -132,11 +147,19 @@ def test_results_never_alias_their_inputs():
         u,
         grid_cumulative(u, 0),
         *gs_decompose(u),
+        grid_bracket(f, g),
+        *(h for pair in pairs for h in pair),
+        bump_generate(2, 3.0, 64, 1.2, 12),
+        tapered_generate(2, 3.0, 64, 1.2, 12),
+        plateau_generate(2, 3.0, 64, 1.2, 12),
     ]
-    for r in results:
-        for x in (f, g, u):
+    assert len(pairs) == 2
+    for i, r in enumerate(results):
+        for x in (f, g, u, *results[:i]):
             if r is not x:
                 assert not np.shares_memory(r.values, x.values)
+    profile = np.linspace(0.0, 1.0, 64)
+    assert not np.shares_memory(_axis_profile_product([profile]), profile)
 
 
 def test_translate_guards_margin():
@@ -199,6 +222,31 @@ def roll_diff(f, axis):
     ) / (12 * f.h[axis])
 
 
+def composed_bracket(a, b):
+    """The bracket composed of whole-grid derivatives: the reference."""
+    if a.dimension != 2 or b.dimension != 2:
+        raise ValueError("brackets need 2D grid functions")
+    return grid_diff(a, 1) * grid_diff(b, 0) - grid_diff(a, 0) * grid_diff(b, 1)
+
+
+def composed_bracket_residual(u, pairs):
+    acc = u.values.copy()
+    for a, b in pairs:
+        u._check_compat(a)
+        acc -= composed_bracket(a, b).values
+    return float(np.max(np.abs(acc)))
+
+
+def composed_decomposition_residual(u, parts):
+    if len(parts) != u.dimension:
+        raise ValueError("need one part per axis")
+    acc = u.values.copy()
+    for axis, g in enumerate(parts):
+        u._check_compat(g)
+        acc -= grid_diff(g, axis).values
+    return float(np.max(np.abs(acc)))
+
+
 # (dimension, points) at the thinnest margin grid_diff accepts: per
 # dimension, a grid under one stencil block (_BLOCK = 2^15 elements) and one
 # of several blocks whose flat length (40000, 40000, 64000) is not a multiple
@@ -220,6 +268,99 @@ def test_flat_stencil_matches_roll_formula(dimension, points, data):
     f = GridFn((3.0,) * dimension, points, values, STENCIL_MARGIN)
     for axis in range(dimension):
         assert np.array_equal(grid_diff(f, axis).values, roll_diff(f, axis))
+
+
+@pytest.mark.parametrize("dimension, points", STENCIL_GRIDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_blocked_kernels_match_composed_formulas(dimension, points, data, seed):
+    # up to seven operands: drawn arrays that large overrun hypothesis's
+    # data budget, so each operand's samples come from the drawn seed, at a
+    # drawn scale and margin; margins differ between operands, so the bands
+    # of the terms differ too
+    rng = np.random.default_rng(seed)
+    margins = st.integers(STENCIL_MARGIN, min(STENCIL_MARGIN + 2, (points - 5) // 2))
+
+    def draw():
+        margin = data.draw(margins)
+        inner = (slice(margin, points - margin),) * dimension
+        values = np.zeros((points,) * dimension)
+        values[inner] = rng.standard_normal(values[inner].shape)
+        values *= 10.0 ** data.draw(st.integers(-6, 6))
+        return GridFn((3.0,) * dimension, points, values, margin)
+
+    u = draw()
+    parts = [draw() for _ in range(dimension)]
+    want = composed_decomposition_residual(u, parts)
+    assert decomposition_residual(u, parts) == want
+    if dimension != 2:
+        return
+    pairs = [(draw(), draw()) for _ in range(data.draw(st.integers(1, 2)))]
+    for a, b in pairs:
+        blocked, composed = grid_bracket(a, b), composed_bracket(a, b)
+        assert blocked.margin_cells == composed.margin_cells
+        assert blocked.values.tobytes() == composed.values.tobytes()
+    assert bracket_residual(u, pairs) == composed_bracket_residual(u, pairs)
+
+
+def raised(call, *args):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+def test_blocked_kernels_raise_as_composed_formulas():
+    flat = zero_grid(64, 2, margin=10)
+    line = zero_grid(64, 1, margin=10)
+    narrow = zero_grid(64, 2, half_width=2.0, margin=10)
+    thin = zero_grid(64, 2, margin=6)  # differentiating leaves 4 < MIN_MARGIN
+    operands = [
+        (line, flat),
+        (flat, line),
+        (flat, narrow),
+        (flat, thin),
+        (thin, narrow),
+    ]
+    for a, b in operands:
+        assert raised(grid_bracket, a, b) == raised(composed_bracket, a, b)
+    residual_cases = [(flat, [(flat, flat), pair]) for pair in operands]
+    residual_cases += [(narrow, [(flat, flat)]), (line, [(flat, flat)])]
+    for u, pairs in residual_cases:
+        want = raised(composed_bracket_residual, u, pairs)
+        assert raised(bracket_residual, u, pairs) == want
+    for parts in ([flat], [flat, narrow], [flat, thin], [thin, narrow], [line, flat]):
+        want = raised(composed_decomposition_residual, flat, parts)
+        assert raised(decomposition_residual, flat, parts) == want
+
+
+def traced_peak(call, *args):
+    """Peak bytes that numpy and Python allocate during ``call(*args)``."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_kernels_allocate_no_full_size_temporaries():
+    # one 512^2 array is 8 block buffers, so each bound below fails as soon
+    # as a full-size temporary comes back
+    u = random_zero_integral(random.Random(5), 512)
+    array = u.values.nbytes
+    blocks = 6 * _BLOCK * u.values.itemsize
+    parts = gs_decompose(u)
+    pairs = bracket_decompose(u)
+    assert array == 8 * _BLOCK * u.values.itemsize and len(pairs) == 2
+    assert traced_peak(decomposition_residual, u, parts) <= blocks
+    assert traced_peak(bracket_residual, u, pairs) <= blocks
+    assert traced_peak(grid_bracket, *pairs[0]) <= array + blocks
+    assert traced_peak(grid_diff, u, 0) <= array + blocks
+    assert traced_peak(gs_decompose, u) <= 2 * array + blocks
+    assert traced_peak(bracket_decompose, u) <= 4 * array + blocks
+    for generate in (tapered_generate, plateau_generate):
+        assert traced_peak(generate, 2, 3.0, 512, 1.8, 14) <= array + blocks
 
 
 def test_diff_needs_margin_headroom():

@@ -1,13 +1,29 @@
 """Differential and bidifferential operators with polynomial coefficients.
 
 Operators are kept in normal form with every derivative to the right of
-its coefficient, as :class:`~startrace.poly.PolyCombination` sums keyed by
-derivative multi-indices.  All arithmetic is exact.
+its coefficient, and stored flat, in the layout of
+:class:`~startrace.poly.Poly`: one dict from packed int keys to int
+numerators over one shared, gcd-reduced denominator.  A key holds the
+coefficient monomial in its lowest ``dim`` fields, so ``key & mono_mask``
+is exactly the Poly key of that monomial; above them comes the
+derivative multi-index ``alpha``, and for a :class:`BiDiffOp` the right
+multi-index ``beta`` above ``alpha``.  Every field is ``_FIELD`` bits
+wide with a guard bit, so the sum of two valid keys never carries into
+the next field, and one OR-reduce over a result's keys checks every
+exponent and derivative order against ``MAX_EXPONENT``.  Equality is a
+dict comparison and the hash is cached.
 
-Every object here has a derivative jet, as Polys and GaussFns do:
+Every operation is int arithmetic on keys: multiplying by a coefficient
+monomial adds its key, ``d_i`` lowers a monomial field (scaled by the
+exponent) or raises a derivative field, and swapping the two slots of a
+BiDiffOp swaps its two multi-index fields.  Like terms merge in the one
+dict.  ``coeffs`` is the public view, ``{alpha: Poly}`` for a DiffOp and
+``{(alpha, beta): Poly}`` for a BiDiffOp, decoded once and cached for the
+printer, the parser and callers that read single terms.
+
+Every operator has a derivative jet, as Polys and GaussFns do:
 ``diff_multi(alpha)`` is ``d^alpha o A`` for a :class:`DiffOp` and
-``d^alpha o B`` for a :class:`BiDiffOp`, built one axis at a time by the
-Leibniz rule for one derivative, merging like terms after each step, and
+``d^alpha o B`` for a :class:`BiDiffOp`, built one axis at a time and
 memoized on the operator (:func:`startrace.poly._diff_multi`).
 Compositions read these jets instead of enumerating multinomial splits:
 ``A o C = sum_alpha a_alpha (d^alpha o C)``, and ``S o B`` and
@@ -16,48 +32,209 @@ others builds each of its derivatives once.
 
 Operators reach derivatives of their arguments through the same jets:
 every partial derivative of an operand is taken once, however many terms,
-cochains or products ask for it.  :meth:`BiDiffOp.apply` also groups its
-terms by left multi-index, so it multiplies by each ``d^alpha u`` once.
+cochains or products ask for it.  Application is fused: the products of
+coefficients and operand derivatives accumulate in one numerator dict per
+output exponent, and :meth:`BiDiffOp.apply` groups its terms by left
+multi-index, so it multiplies by each ``d^alpha u`` once.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from math import lcm
+from types import MappingProxyType
 
-from startrace.poly import Poly, PolyCombination, _monomial_text, _scaled
-
-
-def _zero_alpha(space):
-    return (0,) * space.dim
+from startrace.poly import (
+    _FIELD,
+    _MASK,
+    Poly,
+    _check_guard,
+    _Combination,
+    _Packed,
+    _lcm_sum,
+    _monomial_text,
+    _pack,
+    _pairs,
+    _scaled,
+    _unpack,
+)
 
 
 def _check_alpha(space, alpha):
-    if len(alpha) != space.dim or any(a < 0 for a in alpha):
-        raise ValueError(f"bad derivative multi-index {alpha!r}")
-    return tuple(alpha)
+    """The packed fields of a derivative multi-index, at bit 0.
+
+    Raises ``ValueError("bad derivative multi-index ...")`` unless ``alpha``
+    has one int in ``0..MAX_EXPONENT`` per coordinate."""
+    return _pack(space, tuple(alpha), "derivative multi-index")
 
 
-def _add(alpha, beta):
-    return tuple(a + b for a, b in zip(alpha, beta))
+def _parts(f):
+    """``[(exponent, nums, den)]`` of a function: one per GaussFn term, or
+    ``[(None, nums, den)]`` for a Poly."""
+    if isinstance(f, Poly):
+        return [(None, f.nums, f.den)]
+    return [(q, p.nums, p.den) for q, p in f.coeffs.items()]
 
 
-def _bump(alpha, axis):
-    """``alpha + e_axis``."""
-    return alpha[:axis] + (alpha[axis] + 1,) + alpha[axis + 1 :]
+def _combine(pairs):
+    """``sum_i L_i * F_i`` for pairs ``(L_i, lden_i, F_i)`` of packed sums.
+
+    ``L_i`` is ``{exponent: nums}`` over ``lden_i`` and ``F_i`` a list of
+    ``(exponent, nums, den)`` parts; exponents are Polys or ``None`` for
+    zero, and add, while keys add and numerators multiply.  Returns the
+    sum as ``({exponent: nums}, den)`` over the lcm of the products of
+    denominators, not reduced.  The caller checks the guard bits of the
+    result's keys, which are sums of two keys.
+    """
+    den = lcm(*(lden * d for _, lden, parts in pairs for _, _, d in parts))
+    out = {}
+    exps = {}
+    for left, lden, parts in pairs:
+        for q, nums, d in parts:
+            scale = den // (lden * d)
+            items = nums.items()
+            for ql, lnums in left.items():
+                if ql is None or q is None:
+                    s = q if ql is None else ql
+                else:
+                    s = exps.get((ql, q))
+                    if s is None:
+                        s = exps[(ql, q)] = ql + q
+                acc = out.get(s)
+                if acc is None:
+                    acc = out[s] = {}
+                for m, c in lnums.items():
+                    c *= scale
+                    for k, v in items:
+                        k += m
+                        acc[k] = acc[k] + c * v if k in acc else c * v
+    return out, den
 
 
-class DiffOp(PolyCombination):
+def _function(space, out, den, gauss):
+    """The function ``sum_q (out[q] / den) exp(q)``: a Poly when ``gauss``
+    is None, else an instance of the Gaussian class ``gauss``."""
+    for nums in out.values():
+        _check_guard(nums, space.dim, "a product")
+    polys = {q: Poly._trusted(space, nums, den) for q, nums in out.items()}
+    if gauss is None:
+        return polys.get(None) or Poly.zero(space)
+    return gauss._trusted(space, polys)
+
+
+class _Operator(_Packed, _Combination):
+    """What DiffOp and BiDiffOp share beyond the packed storage and linear
+    structure of ``Poly``: the public constructor, the guard check, the
+    decoded view and ``d_i o``.
+
+    Keys are laid out as in the module docstring.  ``_slots`` is the
+    number of multi-index fields above the monomial, and the hooks
+    ``_encode`` and ``_decode`` turn a public key into those fields and
+    back.
+
+    The public constructor takes a mapping or a stream of ``(key, poly)``
+    pairs; it checks every key, adds the Polys of repeated keys and drops
+    zero sums.  Every arithmetic result is built by ``_trusted``, or by
+    :meth:`_checked` where a key may pass ``MAX_EXPONENT``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, space, coeffs):
+        shift = _FIELD * space.dim
+        parts = []
+        for key, poly in _pairs(coeffs):
+            hi = self._encode(space, key) << shift
+            if not isinstance(poly, Poly):
+                raise TypeError(f"operator coefficients must be Polys, got {type(poly).__name__}")
+            if poly.space != space:
+                raise ValueError("operands live on different phase spaces")
+            parts.append(({hi + k: v for k, v in poly.nums.items()}, poly.den))
+        self._settle(space, *_lcm_sum(parts))
+
+    @classmethod
+    def _checked(cls, space, nums, den):
+        """``_trusted`` for keys that are sums of two valid keys: raises
+        ``ValueError`` naming ``MAX_EXPONENT`` if one passed it."""
+        _check_guard(nums, (cls._slots + 1) * space.dim, "an operator product")
+        return cls._trusted(space, nums, den)
+
+    # -- inspection ---------------------------------------------------
+
+    def _groups(self):
+        """``{fields: {monomial key: num}}``: the terms grouped by their
+        multi-index fields, shifted down to bit 0."""
+        shift = _FIELD * self.space.dim
+        mask = (1 << shift) - 1
+        groups = {}
+        for k, v in self.nums.items():
+            hi = k >> shift
+            group = groups.get(hi)
+            if group is None:
+                groups[hi] = {k & mask: v}
+            else:
+                group[k & mask] = v
+        return groups
+
+    @property
+    def coeffs(self):
+        """Read-only ``{key: Poly}``, decoded once."""
+        coeffs = self._view
+        if coeffs is None:
+            space, den = self.space, self.den
+            coeffs = self._view = MappingProxyType(
+                {
+                    self._decode(hi, space.dim): Poly._trusted(space, monos, den)
+                    for hi, monos in self._groups().items()
+                }
+            )
+        return coeffs
+
+    # -- calculus -----------------------------------------------------
+
+    def diff(self, axis):
+        """``d_i o self`` by the Leibniz rule: each term ``c d^alpha`` (or
+        ``c d^alpha (x) d^beta``) gives ``(d_i c) d^alpha`` plus ``c`` times
+        the term with one multi-index raised by ``e_i``, once per slot."""
+        if isinstance(axis, str):
+            axis = self.space.axis(axis)
+        dim = self.space.dim
+        if not 0 <= axis < dim:
+            raise IndexError(f"axis {axis} out of range")
+        shift = _FIELD * axis
+        unit = 1 << shift
+        bumps = [unit << (_FIELD * dim * s) for s in range(1, self._slots + 1)]
+        out = {}
+        for k, v in self.nums.items():
+            e = (k >> shift) & _MASK
+            if e:
+                j = k - unit
+                out[j] = out[j] + v * e if j in out else v * e
+            for b in bumps:
+                j = k + b
+                out[j] = out[j] + v if j in out else v
+        return self._checked(self.space, out, self.den)
+
+    def _left_sum(self, terms, den):
+        """``sum_i m_i (D_i)``, ``m_i`` a ``{monomial key: num}`` over
+        ``den`` and ``D_i`` an operator of this class, in one dict."""
+        out, d = _combine([({None: m}, 1, [(None, op.nums, op.den)]) for m, op in terms])
+        return self._checked(self.space, out.get(None, {}), den * d)
+
+
+class DiffOp(_Operator):
     """``sum_alpha a_alpha(x) d^alpha`` acting on Poly or GaussFn inputs."""
 
     __slots__ = ()
 
-    _key = staticmethod(_check_alpha)
+    _slots = 1
+    _encode = staticmethod(_check_alpha)
+    _decode = staticmethod(_unpack)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def identity(cls, space):
-        return cls(space, {_zero_alpha(space): Poly.constant(space, 1)})
+        return cls._trusted(space, {0: 1}, 1)
 
     @classmethod
     def partial(cls, space, axis, k=1):
@@ -69,28 +246,22 @@ class DiffOp(PolyCombination):
 
     @classmethod
     def mult(cls, poly):
-        """Multiplication operator ``f -> poly * f``."""
-        return cls(poly.space, {_zero_alpha(poly.space): poly})
+        """Multiplication operator ``f -> poly * f``: its keys are the Poly's."""
+        return cls._trusted(poly.space, poly.nums, poly.den)
 
     # -- action -------------------------------------------------------
 
     def apply(self, f):
-        return type(f).sum(
-            self.space, (poly * f.diff_multi(alpha) for alpha, poly in self.coeffs.items())
+        """``sum_alpha a_alpha d^alpha f``, with ``d^alpha f`` from ``f``'s jet,
+        accumulated in one numerator dict per exponent of ``f``."""
+        space = self.space
+        out, den = _combine(
+            [
+                ({None: monos}, 1, _parts(f.diff_multi(_unpack(hi, space.dim))))
+                for hi, monos in self._groups().items()
+            ]
         )
-
-    def diff(self, axis):
-        """``d_i o self``: each term ``a d^alpha`` gives
-        ``(d_i a) d^alpha + a d^(alpha + e_i)``."""
-        if isinstance(axis, str):
-            axis = self.space.axis(axis)
-        return DiffOp._trusted(
-            self.space,
-            chain.from_iterable(
-                ((alpha, a.diff(axis)), (_bump(alpha, axis), a))
-                for alpha, a in self.coeffs.items()
-            ),
-        )
+        return _function(space, out, self.den * den, None if isinstance(f, Poly) else type(f))
 
     def compose(self, other):
         """Normal form of ``self o other``: ``sum_alpha a_alpha (d^alpha o other)``,
@@ -98,24 +269,21 @@ class DiffOp(PolyCombination):
         if not isinstance(other, DiffOp):
             raise TypeError("compose expects a DiffOp")
         self._check_space(other)
-        return DiffOp._trusted(
-            self.space,
-            (
-                (beta, a * b)
-                for alpha, a in self.coeffs.items()
-                for beta, b in other.diff_multi(alpha).coeffs.items()
-            ),
+        dim = self.space.dim
+        return other._left_sum(
+            [(monos, other.diff_multi(_unpack(hi, dim))) for hi, monos in self._groups().items()],
+            self.den,
         )
 
     def adjoint(self):
         """Formal adjoint: ``(a d^alpha)* = (-1)^{|alpha|} d^alpha o a``."""
-        return DiffOp.sum(
-            self.space,
-            (
-                DiffOp.mult(a).diff_multi(alpha) * (-1) ** sum(alpha)
-                for alpha, a in self.coeffs.items()
-            ),
-        )
+        space = self.space
+        terms = []
+        for hi, monos in self._groups().items():
+            alpha = _unpack(hi, space.dim)
+            mult = DiffOp._trusted(space, monos, self.den)
+            terms.append(mult.diff_multi(alpha) * (-1) ** sum(alpha))
+        return DiffOp.sum(space, terms)
 
     # -- rendering ----------------------------------------------------
 
@@ -134,83 +302,109 @@ def _check_transport(b, s):
     b._check_space(s)
 
 
-class BiDiffOp(PolyCombination):
+class BiDiffOp(_Operator):
     """``sum a_{alpha,beta}(x) (d^alpha tensor d^beta)`` on pairs of inputs."""
 
     __slots__ = ()
 
+    _slots = 2
+
     @staticmethod
-    def _key(space, key):
+    def _encode(space, key):
         alpha, beta = key
-        return (_check_alpha(space, alpha), _check_alpha(space, beta))
+        return _check_alpha(space, alpha) | _check_alpha(space, beta) << (_FIELD * space.dim)
+
+    @staticmethod
+    def _decode(hi, dim):
+        shift = _FIELD * dim
+        return (_unpack(hi & ((1 << shift) - 1), dim), _unpack(hi >> shift, dim))
 
     @classmethod
     def product_cochain(cls, space):
         """C_0: the pointwise product ``(u, v) -> u v``."""
-        z = _zero_alpha(space)
-        return cls(space, {(z, z): Poly.constant(space, 1)})
+        return cls._trusted(space, {0: 1}, 1)
 
     def apply(self, u, v):
         """``B(u, v) = sum_alpha d^alpha u * (sum_beta a_{alpha,beta} d^beta v)``.
 
-        Terms are grouped by their left multi-index, so each distinct
-        ``alpha`` costs one product with ``d^alpha u``; the derivatives of
-        both operands come from their jets (:meth:`Poly.diff_multi`).
+        Terms are grouped by their left multi-index: each row
+        ``sum_beta a_{alpha,beta} d^beta v`` accumulates in one numerator
+        dict per exponent of ``v``, and then each output exponent's
+        polynomial in one dict, so each distinct ``alpha`` costs one pass
+        over ``d^alpha u`` and no Poly is built per term.  The derivatives
+        of both operands come from their jets.  The result is a GaussFn
+        when either operand is one.
         """
+        space = self.space
+        if not self.nums:
+            return type(u).zero(space)
+        dim = space.dim
+        shift = _FIELD * dim
+        mask = (1 << shift) - 1
         rows = {}
-        for (alpha, beta), poly in self.coeffs.items():
-            rows.setdefault(alpha, []).append(v.diff_multi(beta) * poly)
-        terms = [u.diff_multi(alpha) * type(v).sum(self.space, r) for alpha, r in rows.items()]
-        return type(terms[0] if terms else u).sum(self.space, terms)
+        for hi, monos in self._groups().items():
+            rows.setdefault(hi & mask, []).append(
+                ({None: monos}, 1, _parts(v.diff_multi(_unpack(hi >> shift, dim))))
+            )
+        pairs = []
+        for a, row in rows.items():
+            sums, den = _combine(row)
+            for nums in sums.values():
+                _check_guard(nums, dim, "a product")
+            pairs.append((sums, den, _parts(u.diff_multi(_unpack(a, dim)))))
+        out, den = _combine(pairs)
+        gauss = next((type(f) for f in (u, v) if not isinstance(f, Poly)), None)
+        return _function(space, out, self.den * den, gauss)
 
     def antisym(self):
-        """``B^-(u,v) = B(u,v) - B(v,u)`` as a slot swap in normal form."""
-        swapped = (((beta, alpha), -poly) for (alpha, beta), poly in self.coeffs.items())
-        return BiDiffOp._trusted(self.space, chain(self.coeffs.items(), swapped))
-
-    def diff(self, axis):
-        """``d_i o self`` by the Leibniz rule: each term ``c d^alpha (x) d^beta``
-        gives ``(d_i c) d^alpha (x) d^beta + c d^(alpha + e_i) (x) d^beta
-        + c d^alpha (x) d^(beta + e_i)``."""
-        if isinstance(axis, str):
-            axis = self.space.axis(axis)
-        return BiDiffOp._trusted(
-            self.space,
-            chain.from_iterable(
-                (
-                    ((alpha, beta), c.diff(axis)),
-                    ((_bump(alpha, axis), beta), c),
-                    ((alpha, _bump(beta, axis)), c),
-                )
-                for (alpha, beta), c in self.coeffs.items()
-            ),
-        )
+        """``B^-(u,v) = B(u,v) - B(v,u)`` as a swap of the two multi-index
+        fields of every key."""
+        shift = _FIELD * self.space.dim
+        mask = (1 << shift) - 1
+        out = dict(self.nums)
+        for k, v in self.nums.items():
+            j = (k & mask) | (k >> shift & mask) << (2 * shift) | (k >> (2 * shift)) << shift
+            out[j] = out[j] - v if j in out else -v
+        return BiDiffOp._trusted(self.space, out, self.den)
 
     def precompose(self, s_left, s_right):
         """Normal form of ``(u,v) -> B(S_left u, S_right v)``: each term
         ``c d^alpha (x) d^beta`` becomes ``c (d^alpha o S_left) (x)
-        (d^beta o S_right)``, read from the transports' jets."""
+        (d^beta o S_right)``, read from the transports' jets.
+
+        Terms sharing ``beta`` first merge ``c (d^alpha o S_left)`` in one
+        dict; the right factor's keys then move their multi-index up to the
+        right slot and add on."""
         for s in (s_left, s_right):
             _check_transport(self, s)
+        dim = self.space.dim
+        shift = _FIELD * dim
+        mask = (1 << shift) - 1
+        lefts = {}
+        for hi, monos in self._groups().items():
+            left = s_left.diff_multi(_unpack(hi & mask, dim))
+            lefts.setdefault(hi >> shift, []).append(
+                ({None: monos}, 1, [(None, left.nums, left.den)])
+            )
         pairs = []
-        for (alpha, beta), c in self.coeffs.items():
-            right = s_right.diff_multi(beta).coeffs.items()
-            for gamma, left in s_left.diff_multi(alpha).coeffs.items():
-                cl = c * left
-                pairs += (((gamma, eps), cl * r) for eps, r in right)
-        return BiDiffOp._trusted(self.space, pairs)
+        for b, terms in lefts.items():
+            sums, den = _combine(terms)
+            half = sums.get(None, {})
+            _check_guard(half, 2 * dim, "an operator product")
+            right = s_right.diff_multi(_unpack(b, dim))
+            moved = {(k & mask) | (k >> shift) << (2 * shift): v for k, v in right.nums.items()}
+            pairs.append(({None: half}, den, [(None, moved, right.den)]))
+        out, den = _combine(pairs)
+        return BiDiffOp._checked(self.space, out.get(None, {}), self.den * den)
 
     def postcompose(self, s_out):
         """Normal form of ``(u,v) -> S_out(B(u, v))``:
         ``sum_delta s_delta (d^delta o B)``, read from this operator's jet."""
         _check_transport(self, s_out)
-        return BiDiffOp._trusted(
-            self.space,
-            (
-                (key, s * c)
-                for delta, s in s_out.coeffs.items()
-                for key, c in self.diff_multi(delta).coeffs.items()
-            ),
+        dim = self.space.dim
+        return self._left_sum(
+            [(monos, self.diff_multi(_unpack(hi, dim))) for hi, monos in s_out._groups().items()],
+            s_out.den,
         )
 
     def conjugate(self, s_out, s_left, s_right):
@@ -229,7 +423,7 @@ class BiDiffOp(PolyCombination):
         scales a pairing only by rationals."""
         lhs, rhs = (_monomial_text(self.space, alpha, "d") for alpha in key)
         text = str(poly)
-        if set(poly.terms) == {_zero_alpha(self.space)}:
+        if set(poly.nums) == {0}:
             return _scaled(text, f"({lhs or '1'} | {rhs or '1'})")
         left = _scaled(text, lhs) if lhs else f"({text})" if " " in text else text
         return f"({left} | {rhs or '1'})"

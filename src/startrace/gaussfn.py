@@ -4,7 +4,7 @@ Functions here stand in for compactly supported test functions: they
 are closed under products, derivatives and linear pullbacks,
 they integrate to exactly representable values, and integration by parts
 never produces boundary terms.  A :class:`GaussFn` is a finite sum of
-terms ``P(x) * exp(Q(x))`` with rational data, kept in the shared
+terms ``P(x) * exp(Q(x))`` with rational data, kept in the
 :class:`~startrace.poly.PolyCombination` normal form keyed by the
 exponent ``Q``, a :class:`~startrace.poly.Poly` of degree at most 2.
 Products add exponents, derivatives give ``(dP + P*dQ) * exp(Q)``, and
@@ -291,9 +291,9 @@ class GaussFn(PolyCombination):
 
     def diff_multi(self, alpha):
         """``d^alpha self`` through the shared derivative jet
-        (:func:`startrace.poly._diff_multi`).  The class defines it again,
-        apart from :meth:`PolyCombination.diff_multi`, so that Gaussian
-        derivatives can be wrapped and counted apart from operator ones."""
+        (:func:`startrace.poly._diff_multi`).  The class defines its own,
+        as Polys and operators share theirs, so that Gaussian derivatives
+        can be wrapped and counted apart from the others."""
         return _diff_multi(self, alpha)
 
     def translate(self, shifts):

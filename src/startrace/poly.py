@@ -21,21 +21,30 @@ that passes it raises ``ValueError`` from its guard bits.  ``Poly.terms``
 decodes the same polynomial to exponent tuples and ``Fraction``s for the
 printer, the parser and the Gaussian layer.
 
-:class:`PolyCombination` is the one normal form of sums with polynomial
-coefficients, shared by ``GaussFn``, ``DiffOp`` and ``BiDiffOp``.  Like
-``Poly``, it builds every arithmetic result by a trusted constructor,
-``PolyCombination._trusted``, and keeps a derivative jet.
+The operators of :mod:`startrace.diffop` are stored the same way, with
+their derivative fields packed above the monomial ones.  One base class,
+``_Packed``, holds that storage for both: the canonical form, the trusted
+constructor, negation, scalar products, ``==`` and the cached hash.
+:func:`_lcm_sum` (a sum over the least common denominator) and
+:func:`_check_guard` (the guard-bit check) serve both layouts too.
 
-It is also the one printer of rational combinations: ``_monomial_text``,
-``_signed_sum`` (``2*x - y + 1/2``, for Poly, exponents and series) and
-``PolyCombination.__str__``, which subclasses steer through the hooks
-``_symbol`` (or ``_term``) and ``_order``.
+:class:`PolyCombination` is the normal form of ``GaussFn``: a sum of
+Polys keyed by exponents.  Like ``Poly``, it builds every arithmetic
+result by a trusted constructor, ``PolyCombination._trusted``, and keeps
+a derivative jet.
 
-Constructors are where sums merge.  ``Poly`` and ``PolyCombination`` take
-a mapping or any iterable of ``(key, value)`` pairs whose keys may repeat;
-they add the values of repeated keys and drop zero sums, so every sum in
-the package is a stream of pairs handed to one constructor, and the
-n-ary ``sum`` classmethods build a sum of many objects in one dict.
+This module is also the one printer of rational combinations:
+``_monomial_text``, ``_signed_sum`` (``2*x - y + 1/2``, for Poly,
+exponents and series) and ``_Combination.__str__``, which ``GaussFn`` and
+the operators steer through the hooks ``_symbol`` (or ``_term``) and
+``_order`` from their decoded ``coeffs``.
+
+Constructors are where sums merge.  ``Poly``, ``PolyCombination`` and the
+operators take a mapping or any iterable of ``(key, value)`` pairs whose
+keys may repeat; they add the values of repeated keys and drop zero
+sums, so every sum in the package is a stream of pairs handed to one
+constructor, and the n-ary ``sum`` classmethods build a sum of many
+objects in one dict.
 """
 
 from __future__ import annotations
@@ -101,15 +110,15 @@ def _pairs(source):
     return source if items is None else items()
 
 
-def _pack(space, exps):
+def _pack(space, exps, what="exponent tuple"):
     """The packed key of an exponent tuple: ``sum_i exps[i] << (_FIELD*i)``.
 
-    Raises ``ValueError`` unless ``exps`` has one int in
+    Raises ``ValueError("bad <what> ...")`` unless ``exps`` has one int in
     ``0..MAX_EXPONENT`` per coordinate."""
     if len(exps) != space.dim or not all(
         isinstance(e, int) and 0 <= e <= MAX_EXPONENT for e in exps
     ):
-        raise ValueError(f"bad exponent tuple {exps!r}")
+        raise ValueError(f"bad {what} {exps!r}")
     key = 0
     for i, e in enumerate(exps):
         key |= e << (_FIELD * i)
@@ -125,6 +134,30 @@ def _unpack(key, dim):
 def _guard_bits(dim):
     """The guard bit of every axis field of a packed key on ``dim`` axes."""
     return sum(1 << (_FIELD * i + _FIELD - 1) for i in range(dim))
+
+
+def _check_guard(keys, fields, what):
+    """Raise ``ValueError`` if a key sets the guard bit of one of its
+    ``fields`` lowest fields, that is if ``keys`` came from sums of valid
+    keys and one sum passed ``MAX_EXPONENT``."""
+    acc = 0
+    for k in keys:
+        acc |= k
+    if acc & _guard_bits(fields):
+        raise ValueError(f"{what} exceeds MAX_EXPONENT = {MAX_EXPONENT} along an axis")
+
+
+def _lcm_sum(parts):
+    """``(nums, den)`` of the sum of ``(nums_i, den_i)`` fractions over the
+    least common denominator, merged in one dict and not reduced."""
+    parts = list(parts)
+    den = lcm(*(d for _, d in parts))
+    out = {}
+    for nums, d in parts:
+        scale = den // d
+        for k, v in nums.items():
+            out[k] = out[k] + v * scale if k in out else v * scale
+    return out, den
 
 
 def _monomial_text(space, exps, prefix=""):
@@ -165,16 +198,117 @@ def _scaled(text, symbol):
     return f"({text})*{symbol}" if " " in text else f"{text}*{symbol}"
 
 
-class Poly:
+class _Packed:
+    """Packed int keys to int numerators over one shared denominator.
+
+    ``nums`` maps packed keys to nonzero ints and ``den`` is a positive
+    int, kept in canonical form, ``gcd(den, *nums.values()) == 1`` and
+    ``den == 1`` for zero, so equal values have equal ``nums`` and ``den``
+    and ``==`` is a dict comparison.  This is the storage of :class:`Poly`
+    and of the operators of :mod:`startrace.diffop`, which differ in what
+    their keys hold.  Instances are immutable once built, so the decoded
+    view cached in ``_view``, the jet and the hash take no part in
+    equality.  Values of different classes never compare equal.
+    """
+
+    __slots__ = ("space", "nums", "den", "_view", "_jet", "_hash")
+
+    def _settle(self, space, nums, den):
+        """Store ``nums / den`` in canonical form: zeros dropped, gcd 1."""
+        if 0 in nums.values():
+            nums = {k: v for k, v in nums.items() if v}
+        if den != 1:
+            if not nums:
+                den = 1
+            else:
+                g = gcd(den, *nums.values())
+                if g != 1:
+                    den //= g
+                    nums = {k: v // g for k, v in nums.items()}
+        self.space = space
+        self.nums = nums
+        self.den = den
+        self._view = self._jet = self._hash = None
+
+    @classmethod
+    def _trusted(cls, space, nums, den):
+        """The value ``nums / den`` on ``space``, with no key checked.
+
+        ``nums`` maps packed keys whose fields are all at most
+        ``MAX_EXPONENT`` to ints (zeros allowed), and ``den > 0``.  This is
+        the one constructor of every arithmetic result."""
+        out = cls.__new__(cls)
+        out._settle(space, nums, den)
+        return out
+
+    @classmethod
+    def zero(cls, space):
+        return cls._trusted(space, {}, 1)
+
+    @classmethod
+    def sum(cls, space, items):
+        """``sum(items, cls.zero(space))``, merged in one dict over the
+        least common denominator."""
+        items = list(items)
+        for x in items:
+            if type(x) is not cls:
+                raise TypeError(f"cannot add {type(x).__name__} to {cls.__name__}")
+            if x.space is not space and x.space != space:
+                raise ValueError("operands live on different phase spaces")
+        return cls._trusted(space, *_lcm_sum((x.nums, x.den) for x in items))
+
+    def is_zero(self):
+        return not self.nums
+
+    def diff_multi(self, alpha):
+        """``d^alpha`` through the derivative jet (:func:`_diff_multi`): of
+        the function for a Poly, ``d^alpha o self`` for an operator."""
+        return _diff_multi(self, alpha)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self).sum(self.space, (self, other))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._trusted(self.space, {k: -v for k, v in self.nums.items()}, self.den)
+
+    def __mul__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        m = other.numerator
+        return self._trusted(
+            self.space, {k: v * m for k, v in self.nums.items()}, self.den * other.denominator
+        )
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.den == other.den
+            and self.nums == other.nums
+            and (self.space is other.space or self.space == other.space)
+        )
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.space, self.den, frozenset(self.nums.items())))
+        return self._hash
+
+
+class Poly(_Packed):
     """Polynomial in the phase-space coordinates with rational coefficients.
 
-    A Poly stores integer numerators over one shared denominator:
-    ``nums`` maps packed monomial keys (see :func:`_pack`) to nonzero ints
-    and ``den`` is a positive int, so the coefficient of a monomial is
-    ``nums[key] / den``.  The pair is kept in canonical form,
-    ``gcd(den, *nums.values()) == 1`` and ``den == 1`` for zero, so equal
-    polynomials have equal ``nums`` and ``den`` and ``==`` is a dict
-    comparison.  ``terms`` is the same polynomial decoded, a read-only
+    A Poly stores integer numerators over one shared denominator in the
+    canonical form of :class:`_Packed`: ``nums`` maps packed monomial keys
+    (see :func:`_pack`) to nonzero ints, so the coefficient of a monomial
+    is ``nums[key] / den``.  ``terms`` is the same polynomial decoded, a read-only
     mapping from exponent tuples (length ``2n``, axis order
     ``q1..qn p1..pn``) to nonzero Fractions, built on first use.
 
@@ -194,7 +328,7 @@ class Poly:
     lookups.
     """
 
-    __slots__ = ("space", "nums", "den", "_terms", "_jet", "_hash")
+    __slots__ = ()
 
     def __init__(self, space, terms):
         merged = {}
@@ -209,41 +343,7 @@ class Poly:
         }
         self._settle(space, nums, den)
 
-    def _settle(self, space, nums, den):
-        """Store ``nums / den`` in canonical form: zeros dropped, gcd 1."""
-        if 0 in nums.values():
-            nums = {k: v for k, v in nums.items() if v}
-        if den != 1:
-            if not nums:
-                den = 1
-            else:
-                g = gcd(den, *nums.values())
-                if g != 1:
-                    den //= g
-                    nums = {k: v // g for k, v in nums.items()}
-        self.space = space
-        self.nums = nums
-        self.den = den
-        self._terms = None
-        self._jet = None
-        self._hash = None
-
-    @classmethod
-    def _trusted(cls, space, nums, den):
-        """The Poly ``nums / den`` on ``space``, with no key checked.
-
-        ``nums`` maps packed keys whose fields are all at most
-        ``MAX_EXPONENT`` to ints (zeros allowed), and ``den > 0``.  This is
-        the one constructor of every arithmetic result."""
-        out = cls.__new__(cls)
-        out._settle(space, nums, den)
-        return out
-
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, space):
-        return cls._trusted(space, {}, 1)
 
     @classmethod
     def constant(cls, space, c):
@@ -258,39 +358,18 @@ class Poly:
     def monomial(cls, space, exps, c=Fraction(1)):
         return cls(space, {tuple(exps): _as_fraction(c)})
 
-    @classmethod
-    def sum(cls, space, polys):
-        """``sum(polys, Poly.zero(space))``, merged in one dict over the
-        least common denominator."""
-        polys = list(polys)
-        for p in polys:
-            if not isinstance(p, Poly):
-                raise TypeError(f"cannot add {type(p).__name__} to a polynomial")
-            if p.space is not space and p.space != space:
-                raise ValueError("polynomials live on different phase spaces")
-        den = lcm(*(p.den for p in polys))
-        out = {}
-        for p in polys:
-            scale = den // p.den
-            for k, v in p.nums.items():
-                out[k] = out[k] + v * scale if k in out else v * scale
-        return cls._trusted(space, out, den)
-
     # -- inspection ---------------------------------------------------
 
     @property
     def terms(self):
         """Read-only ``{exponent tuple: Fraction}``, decoded once."""
-        terms = self._terms
+        terms = self._view
         if terms is None:
             dim, den = self.space.dim, self.den
-            terms = self._terms = MappingProxyType(
+            terms = self._view = MappingProxyType(
                 {_unpack(k, dim): Fraction(v, den) for k, v in self.nums.items()}
             )
         return terms
-
-    def is_zero(self):
-        return not self.nums
 
     def constant_term(self):
         return Fraction(self.nums.get(0, 0), self.den)
@@ -301,25 +380,9 @@ class Poly:
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return Poly.sum(self.space, (self, other))
-
-    def __neg__(self):
-        return Poly._trusted(self.space, {k: -v for k, v in self.nums.items()}, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            m = other.numerator
-            return Poly._trusted(
-                self.space, {k: v * m for k, v in self.nums.items()}, self.den * other.denominator
-            )
+            return super().__mul__(other)
         self._check_space(other)
         out = {}
         b = other.nums.items()
@@ -327,17 +390,8 @@ class Poly:
             for kb, vb in b:
                 k = ka + kb
                 out[k] = out[k] + va * vb if k in out else va * vb
-        guard = 0
-        for k in out:
-            guard |= k
-        if guard & _guard_bits(self.space.dim):
-            raise ValueError(f"a product exceeds MAX_EXPONENT = {MAX_EXPONENT} along an axis")
+        _check_guard(out, self.space.dim, "a product")
         return Poly._trusted(self.space, out, self.den * other.den)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
 
     def __pow__(self, k):
         if k < 0:
@@ -363,10 +417,6 @@ class Poly:
             if e:
                 out[k - unit] = v * e
         return Poly._trusted(self.space, out, self.den)
-
-    def diff_multi(self, alpha):
-        """``d^alpha self`` through the shared derivative jet (:func:`_diff_multi`)."""
-        return _diff_multi(self, alpha)
 
     def evaluate(self, point):
         """Evaluate at a point; exact for rational input, duck-typed otherwise."""
@@ -434,22 +484,7 @@ class Poly:
                 out[k] = out[k] + w if k in out else w
         return Poly._trusted(self.space, out, den)
 
-    # -- comparison / rendering ---------------------------------------
-
-    def __eq__(self, other):
-        # the caches ``_terms``, ``_jet`` and ``_hash`` take no part in equality
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return (
-            self.den == other.den
-            and self.nums == other.nums
-            and (self.space is other.space or self.space == other.space)
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.space, self.den, frozenset(self.nums.items())))
-        return self._hash
+    # -- rendering ----------------------------------------------------
 
     def __str__(self):
         terms = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
@@ -459,14 +494,45 @@ class Poly:
         return f"Poly({self})"
 
 
-class PolyCombination:
-    """Finite sum ``sum_key coeffs[key] * e_key`` with Poly coefficients.
+class _Combination:
+    """What every finite sum ``sum_key coeffs[key] * e_key`` with Poly
+    coefficients shares, however it stores them: the printer and the
+    space check.
+
+    Subclasses provide ``space``, ``coeffs`` (a mapping from keys to
+    nonzero Polys), the printing hooks ``_order`` and ``_symbol`` (or
+    ``_term``), and the arithmetic.
+    """
+
+    __slots__ = ()
+
+    def _check_space(self, other):
+        if self.space != other.space:
+            raise ValueError("operands live on different phase spaces")
+
+    def __str__(self):
+        coeffs = self.coeffs
+        keys = sorted(coeffs, key=self._order)
+        return " + ".join(self._term(key, coeffs[key]) for key in keys) or "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+    def _term(self, key, poly):
+        """One summand: the polynomial times the subclass's ``_symbol(key)``."""
+        return _scaled(str(poly), self._symbol(key))
+
+
+class PolyCombination(_Combination):
+    """Finite sum ``sum_key coeffs[key] * e_key`` with Poly coefficients,
+    stored as a dict: the normal form of ``GaussFn``.
 
     ``coeffs`` maps keys, normalized by the subclass hook ``_key(space, key)``,
     to nonzero Polys.  The constructor takes a mapping or a stream of
     ``(key, poly)`` pairs: the Polys of keys that normalize alike merge
-    through one :meth:`Poly.sum` and zero sums drop, so equality is a
-    dictionary comparison.  Different subclasses never add or compare equal.
+    over their least common denominator and zero sums drop, so equality
+    is a dictionary comparison.  Different subclasses never add or
+    compare equal.
 
     Every arithmetic result is built by :meth:`_trusted` instead, which
     merges and drops zeros but calls no ``_key``: its keys are valid by
@@ -483,14 +549,18 @@ class PolyCombination:
         self._settle(space, ((key(space, k), poly) for k, poly in _pairs(coeffs)))
 
     def _settle(self, space, pairs):
-        """Store ``pairs`` merged by key, with zero sums dropped."""
+        """Store ``pairs`` merged by key, with zero sums dropped: the
+        numerators of a repeated key add over the lcm of its denominators."""
         groups = {}
         for key, poly in pairs:
             groups.setdefault(key, []).append(poly)
         clean = {}
         for key, polys in groups.items():
-            poly = polys[0] if len(polys) == 1 else Poly.sum(space, polys)
-            if not poly.is_zero():
+            if len(polys) == 1:
+                poly = polys[0]
+            else:
+                poly = Poly._trusted(space, *_lcm_sum((p.nums, p.den) for p in polys))
+            if poly.nums:
                 clean[key] = poly
         self.space = space
         self.coeffs = clean
@@ -530,15 +600,6 @@ class PolyCombination:
     def is_zero(self):
         return not self.coeffs
 
-    def diff_multi(self, alpha):
-        """``d^alpha`` through the derivative jet (:func:`_diff_multi`): of
-        the function for a ``GaussFn``, ``d^alpha o self`` for an operator."""
-        return _diff_multi(self, alpha)
-
-    def _check_space(self, other):
-        if self.space != other.space:
-            raise ValueError("operands live on different phase spaces")
-
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -566,20 +627,9 @@ class PolyCombination:
     def __hash__(self):
         return hash((self.space, frozenset(self.coeffs.items())))
 
-    def __str__(self):
-        keys = sorted(self.coeffs, key=self._order)
-        return " + ".join(self._term(key, self.coeffs[key]) for key in keys) or "0"
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self})"
-
-    def _term(self, key, poly):
-        """One summand: the polynomial times the subclass's ``_symbol(key)``."""
-        return _scaled(str(poly), self._symbol(key))
-
 
 def _diff_multi(f, alpha):
-    """``d^alpha f`` for a :class:`Poly` or :class:`PolyCombination`,
+    """``d^alpha f`` for a :class:`Poly`, a ``GaussFn`` or an operator,
     memoized in ``f``'s jet.
 
     ``f.diff(axis)`` gives one derivative: of a function for ``Poly`` and

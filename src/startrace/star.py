@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from startrace.diffop import BiDiffOp, DiffOp, _add
+from startrace.diffop import BiDiffOp, DiffOp
 from startrace.formal import FormalScalar
 from startrace.gaussfn import GaussFn, IntegralValue, gauss_integrate_exact
 from startrace.poly import Poly
@@ -96,20 +96,19 @@ def moyal_construct(space, trunc_order):
     """Moyal star product truncated at ``trunc_order``."""
     if trunc_order < 1:
         raise ValueError("truncation order must be at least 1")
-    symbol = poisson_cochain(space).coeffs.items()
+    symbol = poisson_cochain(space).nums.items()
     cochains = {}
-    power = BiDiffOp.product_cochain(space)
+    power = BiDiffOp.product_cochain(space).nums
     for k in range(1, trunc_order + 1):
-        # P^k: the symbols of constant-coefficient operators multiply
-        power = BiDiffOp(
-            space,
-            (
-                ((_add(alpha, a), _add(beta, b)), c * sign)
-                for (alpha, beta), c in power.coeffs.items()
-                for (a, b), sign in symbol
-            ),
-        )
-        cochains[k] = power * Fraction(1, 2**k * factorial(k))
+        # P^k: the symbols of constant-coefficient operators multiply, so
+        # their keys add
+        nxt = {}
+        for key, c in power.items():
+            for s, sign in symbol:
+                j = key + s
+                nxt[j] = nxt[j] + c * sign if j in nxt else c * sign
+        cochains[k] = BiDiffOp._checked(space, nxt, 2**k * factorial(k))
+        power = nxt
     return StarProduct(space, trunc_order, cochains)
 
 

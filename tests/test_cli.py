@@ -484,6 +484,21 @@ def test_main_parse_over_budget_power_gives_exit_two(argv, message, capsys):
     assert message in err
 
 
+def test_main_oversized_derivative_order_gives_exit_two(tmp_path, capsys):
+    # T^-1 holds d^400, past MAX_EXPONENT: the operator product raises at
+    # once, where the run used to take about 20 s and pass because the
+    # order cancels out of the report
+    path = tmp_path / "equiv.json"
+    path.write_text(json.dumps([{"order": 1, "expression": "dq1^200"}]))
+    start = time.perf_counter()
+    argv = ["run", "transport-trace", "--n", "1", "--order", "2", "--equiv", str(path)]
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"MAX_EXPONENT = {MAX_EXPONENT}" in err
+
+
 def test_main_bad_inputs_give_exit_two(tmp_path, capsys):
     assert main(["run", "transport-trace", "--equiv", "/no/such/file.json"]) == 2
     assert "error" in capsys.readouterr().err

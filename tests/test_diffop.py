@@ -102,6 +102,23 @@ def diffops(space, top=2):
     return terms.map(lambda d: DiffOp(space, d))
 
 
+def bidiffops(space, top=1):
+    """Hypothesis strategy: nonzero bidifferential operators of one or two
+    terms, orders <= top per axis in each slot."""
+    index = multi_indices(space, top)
+    terms = st.dictionaries(st.tuples(index, index), small_polys(space), min_size=1, max_size=2)
+    return terms.map(lambda d: BiDiffOp(space, d))
+
+
+def operands(kind, space):
+    """Hypothesis strategy: small polynomials, or one-term Gaussians
+    ``P exp(-|x|^2/2 + b.x)`` with integer ``b``."""
+    if kind == "poly":
+        return small_polys(space)
+    shifts = st.lists(st.integers(-1, 1), min_size=space.dim, max_size=space.dim)
+    return st.builds(lambda p, b: GaussFn.term(space, p, 1, b), small_polys(space), shifts)
+
+
 def leibniz_compose(a, b):
     """``a o b`` term by term through the generalized Leibniz rule
     ``d^alpha o c = sum_{gamma <= alpha} binom(alpha, gamma) (d^{alpha-gamma} c) d^gamma``,
@@ -148,6 +165,58 @@ def test_operator_jets_are_derivatives_after_the_operator(n, data):
     # a jet entry is the iterated single derivative, and is built once
     assert b.diff_multi(delta) == iterated_diff(b, delta)
     assert b.diff_multi(delta) is b.diff_multi(delta)
+
+
+@pytest.mark.parametrize("kind", ["poly", "gauss"])
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_operator_laws_on_drawn_operands(kind, n, data):
+    # every composite the packed kernel builds acts as the composite of actions
+    space = PhaseSpace(n)
+    a, c = data.draw(diffops(space, top=1)), data.draw(diffops(space, top=1))
+    s, t = data.draw(diffops(space, top=1)), data.draw(diffops(space, top=1))
+    b = data.draw(bidiffops(space))
+    u, v = data.draw(operands(kind, space)), data.draw(operands(kind, space))
+    assert a.compose(c).apply(u) == a.apply(c.apply(u))
+    assert b.precompose(s, t).apply(u, v) == b.apply(s.apply(u), t.apply(v))
+    assert b.postcompose(s).apply(u, v) == s.apply(b.apply(u, v))
+    assert b.antisym().apply(u, v) == b.apply(u, v) - b.apply(v, u)
+    if kind == "gauss":
+        lhs = gauss_integrate_exact(a.adjoint().apply(u) * v)
+        assert (lhs - gauss_integrate_exact(u * a.apply(v))).is_zero()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_operator_kernel_builds_no_poly_per_key(n, data):
+    # the operator algebra works on packed keys alone: a return to one Poly
+    # per operator key shows up here as Poly constructions
+    space = PhaseSpace(n)
+    a, c = data.draw(diffops(space)), data.draw(diffops(space))
+    s, t = data.draw(diffops(space, top=1)), data.draw(diffops(space, top=1))
+    b = data.draw(bidiffops(space))
+    axis = data.draw(st.integers(0, space.dim - 1))
+    built = []
+    init, trusted = Poly.__init__, Poly._trusted.__func__
+
+    def counted_init(self, *args):
+        built.append("__init__")
+        init(self, *args)
+
+    def counted_trusted(cls, *args):
+        built.append("_trusted")
+        return trusted(cls, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Poly, "__init__", counted_init)
+        mp.setattr(Poly, "_trusted", classmethod(counted_trusted))
+        a.diff(axis), a.compose(c), b.diff(axis)
+        b.precompose(s, t), b.postcompose(s), b.antisym()
+        assert built == []
+        Poly.constant(space, 1)
+        assert built == ["_trusted"]
 
 
 def test_adjoint_examples(space):

@@ -35,12 +35,13 @@ every partial derivative of an operand is taken once, however many terms,
 cochains or products ask for it.  Application is fused: the products of
 coefficients and operand derivatives accumulate in one numerator dict per
 output exponent, and :meth:`BiDiffOp.apply` groups its terms by left
-multi-index, so it multiplies by each ``d^alpha u`` once.
+multi-index, so it multiplies by each ``d^alpha u`` once.  The product
+kernel itself (``_combine``, with ``_parts`` and ``_function``) lives in
+:mod:`startrace.poly`, where Polys and GaussFns use it too.
 """
 
 from __future__ import annotations
 
-from math import lcm
 from types import MappingProxyType
 
 from startrace.poly import (
@@ -49,11 +50,14 @@ from startrace.poly import (
     Poly,
     _check_guard,
     _Combination,
+    _combine,
+    _function,
     _Packed,
     _lcm_sum,
     _monomial_text,
     _pack,
     _pairs,
+    _parts,
     _scaled,
     _unpack,
 )
@@ -65,60 +69,6 @@ def _check_alpha(space, alpha):
     Raises ``ValueError("bad derivative multi-index ...")`` unless ``alpha``
     has one int in ``0..MAX_EXPONENT`` per coordinate."""
     return _pack(space, tuple(alpha), "derivative multi-index")
-
-
-def _parts(f):
-    """``[(exponent, nums, den)]`` of a function: one per GaussFn term, or
-    ``[(None, nums, den)]`` for a Poly."""
-    if isinstance(f, Poly):
-        return [(None, f.nums, f.den)]
-    return [(q, p.nums, p.den) for q, p in f.coeffs.items()]
-
-
-def _combine(pairs):
-    """``sum_i L_i * F_i`` for pairs ``(L_i, lden_i, F_i)`` of packed sums.
-
-    ``L_i`` is ``{exponent: nums}`` over ``lden_i`` and ``F_i`` a list of
-    ``(exponent, nums, den)`` parts; exponents are Polys or ``None`` for
-    zero, and add, while keys add and numerators multiply.  Returns the
-    sum as ``({exponent: nums}, den)`` over the lcm of the products of
-    denominators, not reduced.  The caller checks the guard bits of the
-    result's keys, which are sums of two keys.
-    """
-    den = lcm(*(lden * d for _, lden, parts in pairs for _, _, d in parts))
-    out = {}
-    exps = {}
-    for left, lden, parts in pairs:
-        for q, nums, d in parts:
-            scale = den // (lden * d)
-            items = nums.items()
-            for ql, lnums in left.items():
-                if ql is None or q is None:
-                    s = q if ql is None else ql
-                else:
-                    s = exps.get((ql, q))
-                    if s is None:
-                        s = exps[(ql, q)] = ql + q
-                acc = out.get(s)
-                if acc is None:
-                    acc = out[s] = {}
-                for m, c in lnums.items():
-                    c *= scale
-                    for k, v in items:
-                        k += m
-                        acc[k] = acc[k] + c * v if k in acc else c * v
-    return out, den
-
-
-def _function(space, out, den, gauss):
-    """The function ``sum_q (out[q] / den) exp(q)``: a Poly when ``gauss``
-    is None, else an instance of the Gaussian class ``gauss``."""
-    for nums in out.values():
-        _check_guard(nums, space.dim, "a product")
-    polys = {q: Poly._trusted(space, nums, den) for q, nums in out.items()}
-    if gauss is None:
-        return polys.get(None) or Poly.zero(space)
-    return gauss._trusted(space, polys)
 
 
 class _Operator(_Packed, _Combination):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 from startrace.diffop import BiDiffOp, DiffOp
 from startrace.formal import FormalScalar
@@ -20,7 +21,7 @@ from startrace.gaussfn import (
     gauss_integrate_bigfloat,
     gauss_pullback_linear,
 )
-from startrace.poly import Poly, _as_fraction, mat_mul, mat_transpose
+from startrace.poly import Poly, _square_matrix
 from startrace.star import EulerDerivation, StarProduct, _apply_series
 from startrace.trace import TraceFunctional
 
@@ -228,9 +229,25 @@ def symplectic_form_matrix(space):
 
 
 def is_symplectic(space, m):
-    rows = [[_as_fraction(v) for v in row] for row in m]
-    j = symplectic_form_matrix(space)
-    return mat_mul(mat_transpose(rows), mat_mul(j, rows)) == j
+    """True iff ``m^T J m = J`` for ``J = symplectic_form_matrix(space)``.
+
+    The denominators clear once: with ``L`` their lcm and ``a = L m`` in
+    ints, ``J`` having one nonzero per row gives ``L^2 (m^T J m)_xy =
+    sum_i a_{i,x} a_{n+i,y} - a_{n+i,x} a_{i,y}``.  ``m^T J m`` is
+    antisymmetric, so the entries above the diagonal decide.  Raises
+    ``ValueError`` unless ``m`` is ``dim x dim``.
+    """
+    rows = _square_matrix(space, m)
+    scale = lcm(*(v.denominator for row in rows for v in row))
+    a = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    n, unit = space.n, scale * scale
+    top, bottom = a[:n], a[n:]
+    return all(
+        sum(t[x] * u[y] - u[x] * t[y] for t, u in zip(top, bottom))
+        == (unit if y == x + n else 0)
+        for x in range(space.dim)
+        for y in range(x + 1, space.dim)
+    )
 
 
 def symplectic_automorphism_check(m, u):

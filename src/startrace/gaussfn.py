@@ -9,9 +9,23 @@ terms ``P(x) * exp(Q(x))`` with rational data, kept in the
 exponent ``Q``, a :class:`~startrace.poly.Poly` of degree at most 2.
 Products add exponents, derivatives give ``(dP + P*dQ) * exp(Q)``, and
 translations and linear pullbacks pull ``P`` and ``Q`` back alike.
+
+The arithmetic runs on the packed integers of the Polys (see
+:mod:`startrace.poly`), with no ``Fraction`` and no intermediate Poly per
+monomial.  A product goes through the product kernel that Polys and
+operators share (:func:`startrace.poly._combine`): exponents add once
+per pair of terms, keys add and numerators multiply.  A derivative
+builds one numerator dict per term, ``dP + P*dQ`` over
+``P.den * dQ.den``, with ``dQ`` from the exponent's own jet.  The
+exponent's widths, cross terms and linear part are read from its packed
+keys.
+
 :func:`gauss_integrate_exact` integrates every term by one formula: the
-term is brought to one width ``w_i`` per axis, where ``x_i^e`` has the
-Gaussian moment ``(e-1)!!/w_i^(e/2)``.
+term is brought to one width ``w_i = a_i/d_i`` per axis, where ``x_i^e``
+has the Gaussian moment ``(e-1)!!/w_i^(e/2)``.  The moments are integer
+rows, ``(2h-1)!! d_i^h a_i^(top_i-h)`` for ``e = 2h``, over one common
+``prod_i a_i^top_i``; an AND with a parity mask drops the odd monomials,
+the even ones add into one int, and each term builds one ``Fraction``.
 
 Exact integrals land in :class:`IntegralValue`, the ring of values
 ``pi^k * sum_j r_j e^{s_j}`` with rational ``r_j, s_j``.  Its zero test
@@ -23,17 +37,25 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 
 import mpmath
 
 from startrace.poly import (
+    _FIELD,
+    _MASK,
     Poly,
     PolyCombination,
     _as_fraction,
+    _check_guard,
+    _combine,
     _diff_multi,
+    _function,
     _pairs,
+    _parts,
     _signed_sum,
+    _square_matrix,
     mat_det,
     mat_identity,
     mat_transpose,
@@ -186,23 +208,28 @@ def _exponent(space, t, b, c):
 def _quadratic_parts(q):
     """``(w, cross, b, c)`` for an exponent ``q = x^T A x/2 + b.x + c``:
     ``w`` is the diagonal of ``-A`` and ``cross`` lists its off-diagonal
-    entries ``(i, j, -A_ij)`` with ``i < j``."""
-    d = q.space.dim
+    entries ``(i, j, -A_ij)`` with ``i < j``.
+
+    Read from the packed keys: a nonzero key of degree at most 2 has a
+    top axis ``j`` holding 1 or 2, and whatever lies below that field is
+    the ``x_i`` of a cross term ``x_i x_j``."""
+    d, den = q.space.dim, q.den
     widths = [Fraction(0)] * d
     b = [Fraction(0)] * d
     c = Fraction(0)
     cross = []
-    for exps, coeff in q.terms.items():
-        deg = sum(exps)
-        if deg == 0:
-            c = coeff
-        elif deg == 1:
-            b[exps.index(1)] = coeff
-        elif 2 in exps:
-            widths[exps.index(2)] = -2 * coeff
+    for k, v in q.nums.items():
+        if not k:
+            c = Fraction(v, den)
+            continue
+        j = (k.bit_length() - 1) // _FIELD
+        low = k & ((1 << (_FIELD * j)) - 1)
+        if low:
+            cross.append(((low.bit_length() - 1) // _FIELD, j, Fraction(-v, den)))
+        elif k >> (_FIELD * j) == 2:
+            widths[j] = Fraction(-2 * v, den)
         else:
-            i = exps.index(1)
-            cross.append((i, exps.index(1, i + 1), -coeff))
+            b[j] = Fraction(v, den)
     return widths, cross, b, c
 
 
@@ -262,32 +289,49 @@ class GaussFn(PolyCombination):
     # -- arithmetic ---------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            return GaussFn._trusted(self.space, {q: p * other for q, p in self.coeffs.items()})
-        if not isinstance(other, GaussFn):
+        """The product with a GaussFn or a Poly, through the packed product
+        kernel (:func:`startrace.poly._combine`): exponents add once per
+        pair of terms, keys add and numerators multiply, and the
+        polynomials of each output exponent accumulate in one dict."""
+        if not isinstance(other, (Poly, GaussFn)):
             return super().__mul__(other)
         self._check_space(other)
-        return GaussFn._trusted(
-            self.space,
-            (
-                (q1 + q2, p1 * p2)
-                for q1, p1 in self.coeffs.items()
-                for q2, p2 in other.coeffs.items()
-            ),
-        )
+        parts = _parts(other)
+        out, den = _combine([({q: p.nums}, p.den, parts) for q, p in self.coeffs.items()])
+        return _function(self.space, out, den, GaussFn)
 
     # -- calculus -----------------------------------------------------
 
     def diff(self, axis):
-        """Partial derivative ``(dP + P*dQ) * exp(Q)`` of each term."""
+        """Partial derivative ``(dP + P*dQ) * exp(Q)`` of each term, built
+        as one numerator dict over ``P.den * dQ.den`` per term: ``dP``
+        lowers a field of ``P``'s keys, and ``P*dQ`` adds the keys of
+        ``dQ``, which comes from the exponent's own jet, so each exponent
+        is differentiated once per axis however many jets share it."""
         if isinstance(axis, str):
             axis = self.space.axis(axis)
-        return GaussFn._trusted(
-            self.space,
-            chain.from_iterable(
-                ((q, p.diff(axis)), (q, p * q.diff(axis))) for q, p in self.coeffs.items()
-            ),
-        )
+        space = self.space
+        if not 0 <= axis < space.dim:
+            raise IndexError(f"axis {axis} out of range")
+        shift = _FIELD * axis
+        unit = 1 << shift
+        alpha = (0,) * axis + (1,) + (0,) * (space.dim - axis - 1)
+        terms = {}
+        for q, p in self.coeffs.items():
+            dq = q.diff_multi(alpha)
+            qden, dq = dq.den, dq.nums.items()
+            out = {}
+            for k, v in p.nums.items():
+                e = (k >> shift) & _MASK
+                if e:
+                    out[k - unit] = v * e * qden
+            for ka, va in p.nums.items():
+                for kb, vb in dq:
+                    k = ka + kb
+                    out[k] = out[k] + va * vb if k in out else va * vb
+            _check_guard(out, space.dim, "a derivative")
+            terms[q] = Poly._trusted(space, out, p.den * qden)
+        return GaussFn._trusted(space, terms)
 
     def diff_multi(self, alpha):
         """``d^alpha self`` through the shared derivative jet
@@ -330,6 +374,13 @@ class GaussFn(PolyCombination):
         """Isotropic exponents first, sorted as ``(t, b, c)``."""
         iso = isotropic_exponent(q)
         return (0, iso) if iso is not None else (1, sorted(q.terms.items()))
+
+
+@cache
+def _parity_mask(dim):
+    """The lowest bit of every axis field of a packed key on ``dim`` axes:
+    a key ANDs to zero with it exactly when every exponent is even."""
+    return sum(1 << (_FIELD * i) for i in range(dim))
 
 
 def _double_factorial(k):
@@ -388,26 +439,52 @@ def _diagonal_integral(n, poly, widths, b, c):
     = r e^s pi^n``: the shift ``mu_i = b_i/w_i`` leaves ``s = c + sum_i
     b_i^2/(2 w_i)``, ``x_i^e`` has centered moment ``(e-1)!!/w_i^(e/2)``
     for even ``e``, and the Gaussian gives ``(2 pi)^n / sqrt(prod_i w_i)``.
+
+    The sum runs in ints on the shifted polynomial's packed keys.  One AND
+    with the parity mask drops every monomial with an odd exponent.  With
+    ``w_i = a_i/d_i`` and ``T_i`` the top half-exponent ``h = e/2`` along
+    axis ``i``, the moment of ``x_i^(2h)`` is ``row_i[h] / a_i^T_i`` with
+    the int row ``row_i[h] = (2h-1)!! d_i^h a_i^(T_i-h)``, so each term
+    adds its numerator times one row entry per axis to one int.  ``T_i``
+    is read from the OR of the even keys, which bounds the top from above
+    and lets one pass find all of them.
     """
     if any(w <= 0 for w in widths):
         raise NonIntegrableError("term with a width <= 0 has no convergent integral")
-    mu = tuple(bi / w for bi, w in zip(b, widths))
-    s = c + sum(bi * m for bi, m in zip(b, mu)) / 2
-    acc = Fraction(0)
-    for exps, r in poly.translate(mu).terms.items():
-        if any(e % 2 for e in exps):
-            continue
-        for w, e in zip(widths, exps):
-            if e:
-                r = r * _double_factorial(e - 1) / w ** (e // 2)
-        acc += r
-    vol = math.prod(widths)
-    num, den = math.isqrt(vol.numerator), math.isqrt(vol.denominator)
-    if num * num != vol.numerator or den * den != vol.denominator:
+    mu = [bi / w if bi else 0 for bi, w in zip(b, widths)]
+    s = c + sum((bi * m for bi, m in zip(b, mu) if bi), Fraction(0)) / 2
+    shifted = poly.translate(mu)
+    odd = _parity_mask(len(widths))
+    even = []
+    tops = 0  # the OR of the even keys: each field bounds that axis's top
+    for k, v in shifted.nums.items():
+        if not k & odd:
+            even.append((k, v))
+            tops |= k
+    den = shifted.den
+    rows = []  # per axis with a nonzero top: (shift, row)
+    for axis, w in enumerate(widths):
+        shift = _FIELD * axis + 1
+        top = (tops >> shift) & (_MASK >> 1)
+        if top:
+            a, d = w.numerator, w.denominator
+            row = [_double_factorial(2 * h - 1) * d**h * a ** (top - h) for h in range(top + 1)]
+            rows.append((shift, row))
+            den *= a**top
+    acc = 0
+    for k, v in even:
+        for shift, row in rows:
+            v *= row[(k >> shift) & (_MASK >> 1)]
+        acc += v
+    vol = Fraction(
+        math.prod(w.numerator for w in widths), math.prod(w.denominator for w in widths)
+    )
+    num, root = math.isqrt(vol.numerator), math.isqrt(vol.denominator)
+    if num * num != vol.numerator or root * root != vol.denominator:
         raise ArithmeticError(
             f"sqrt(det(-A)) = sqrt({vol}) is irrational, so the integral is not exact"
         )
-    return s, acc * 2**n * den / num
+    return s, Fraction(acc * 2**n * root, den * num)
 
 
 def gauss_integrate_bigfloat(a, precision=50):
@@ -417,7 +494,7 @@ def gauss_integrate_bigfloat(a, precision=50):
 
 def gauss_pullback_linear(a, m):
     """Pull back along ``x -> m x``: ``P(m x) * exp(Q(m x))`` term by term."""
-    rows = [[_as_fraction(v) for v in row] for row in m]
+    rows = _square_matrix(a.space, m)
     if mat_det(rows) == 0:
         raise ValueError("pullback matrix is singular")
     return GaussFn(

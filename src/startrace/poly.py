@@ -19,7 +19,7 @@ constructor checks exponent tuples.  ``MAX_EXPONENT`` bounds the exponent
 of one coordinate: the public constructor rejects more, and a product
 that passes it raises ``ValueError`` from its guard bits.  ``Poly.terms``
 decodes the same polynomial to exponent tuples and ``Fraction``s for the
-printer, the parser and the Gaussian layer.
+printer, the parser and evaluation.
 
 The operators of :mod:`startrace.diffop` are stored the same way, with
 their derivative fields packed above the monomial ones.  One base class,
@@ -27,6 +27,14 @@ their derivative fields packed above the monomial ones.  One base class,
 constructor, negation, scalar products, ``==`` and the cached hash.
 :func:`_lcm_sum` (a sum over the least common denominator) and
 :func:`_check_guard` (the guard-bit check) serve both layouts too.
+
+The product kernel lives here as well, so that Polys, ``GaussFn`` and
+the operators share it with no import cycle: :func:`_combine` multiplies
+packed sums, adding keys and multiplying numerators, and adding the
+exponents of Gaussian terms once per pair; :func:`_parts` reads a
+function into its operands and :func:`_function` builds the result,
+checking its guard bits.  ``Poly.__mul__``, ``GaussFn.__mul__``, operator
+application and composition all go through it.
 
 :class:`PolyCombination` is the normal form of ``GaussFn``: a sum of
 Polys keyed by exponents.  Like ``Poly``, it builds every arithmetic
@@ -384,14 +392,9 @@ class Poly(_Packed):
         if not isinstance(other, Poly):
             return super().__mul__(other)
         self._check_space(other)
-        out = {}
-        b = other.nums.items()
-        for ka, va in self.nums.items():
-            for kb, vb in b:
-                k = ka + kb
-                out[k] = out[k] + va * vb if k in out else va * vb
-        _check_guard(out, self.space.dim, "a product")
-        return Poly._trusted(self.space, out, self.den * other.den)
+        return Poly._trusted(
+            self.space, _times(self.nums, other.nums, self.space.dim), self.den * other.den
+        )
 
     def __pow__(self, k):
         if k < 0:
@@ -430,21 +433,42 @@ class Poly(_Packed):
         return Fraction(0) if total is None else total
 
     def pullback_linear(self, matrix):
-        """Pull back along ``x -> M x``: returns ``f(M x)``."""
-        rows = [[_as_fraction(v) for v in row] for row in matrix]
-        if len(rows) != self.space.dim or any(len(r) != self.space.dim for r in rows):
-            raise ValueError("matrix shape must match the phase-space dimension")
-        d = self.space.dim
-        units = [tuple(int(i == k) for i in range(d)) for k in range(d)]
-        subs = [Poly(self.space, zip(units, row)) for row in rows]
-        terms = []
-        for exps, c in self.terms.items():
-            term = Poly.constant(self.space, c)
-            for sub, e in zip(subs, exps):
+        """Pull back along ``x -> M x``: returns ``f(M x)``.
+
+        The denominators of ``M`` clear once: with ``L`` their lcm, ``x_i``
+        becomes the int linear form ``sum_j (L M_ij) x_j`` over ``L``.  A
+        monomial of degree ``g`` expands into a product of powers of these
+        forms, each power built once, scaled by ``L^(D-g)`` for the top
+        degree ``D``, so the result has the one denominator ``den * L^D``.
+        """
+        space = self.space
+        dim = space.dim
+        rows = _square_matrix(space, matrix)
+        scale = lcm(*(v.denominator for row in rows for v in row))
+        forms = [
+            {1 << (_FIELD * j): v.numerator * scale // v.denominator for j, v in enumerate(r) if v}
+            for r in rows
+        ]
+        powers = {}
+
+        def power(axis, e):
+            got = powers.get((axis, e))
+            if got is None:
+                got = forms[axis] if e == 1 else _times(power(axis, e - 1), forms[axis], dim)
+                powers[(axis, e)] = got
+            return got
+
+        exps = {k: _unpack(k, dim) for k in self.nums}
+        top = max(map(sum, exps.values()), default=0)
+        out = {}
+        for k, v in self.nums.items():
+            term = {0: v * scale ** (top - sum(exps[k]))}
+            for axis, e in enumerate(exps[k]):
                 if e:
-                    term = term * sub**e
-            terms.append(term)
-        return Poly.sum(self.space, terms)
+                    term = _times(term, power(axis, e), dim)
+            for j, w in term.items():
+                out[j] = out[j] + w if j in out else w
+        return Poly._trusted(space, out, self.den * scale**top)
 
     def translate(self, shifts):
         """Pull back along ``x -> x + a``: returns ``f(x + a)``.
@@ -663,6 +687,68 @@ def _diff_multi(f, alpha):
     return out
 
 
+def _parts(f):
+    """``[(exponent, nums, den)]`` of a function: one per GaussFn term, or
+    ``[(None, nums, den)]`` for a Poly."""
+    if isinstance(f, Poly):
+        return [(None, f.nums, f.den)]
+    return [(q, p.nums, p.den) for q, p in f.coeffs.items()]
+
+
+def _combine(pairs):
+    """``sum_i L_i * F_i`` for pairs ``(L_i, lden_i, F_i)`` of packed sums.
+
+    ``L_i`` is ``{exponent: nums}`` over ``lden_i`` and ``F_i`` a list of
+    ``(exponent, nums, den)`` parts; exponents are Polys or ``None`` for
+    zero, and add, while keys add and numerators multiply.  Returns the
+    sum as ``({exponent: nums}, den)`` over the lcm of the products of
+    denominators, not reduced.  The caller checks the guard bits of the
+    result's keys, which are sums of two keys.
+    """
+    den = lcm(*(lden * d for _, lden, parts in pairs for _, _, d in parts))
+    out = {}
+    exps = {}
+    for left, lden, parts in pairs:
+        for q, nums, d in parts:
+            scale = den // (lden * d)
+            items = nums.items()
+            for ql, lnums in left.items():
+                if ql is None or q is None:
+                    s = q if ql is None else ql
+                else:
+                    s = exps.get((ql, q))
+                    if s is None:
+                        s = exps[(ql, q)] = ql + q
+                acc = out.get(s)
+                if acc is None:
+                    acc = out[s] = {}
+                for m, c in lnums.items():
+                    c *= scale
+                    for k, v in items:
+                        k += m
+                        acc[k] = acc[k] + c * v if k in acc else c * v
+    return out, den
+
+
+def _times(a, b, dim):
+    """The product of two ``{packed key: int}`` dicts on ``dim`` axes, with
+    its guard bits checked."""
+    nums = _combine([({None: a}, 1, [(None, b, 1)])])[0][None]
+    _check_guard(nums, dim, "a product")
+    return nums
+
+
+def _function(space, out, den, gauss):
+    """The function ``sum_q (out[q] / den) exp(q)``: a Poly when ``gauss``
+    is None, else an instance of the Gaussian class ``gauss``."""
+    for nums in out.values():
+        _check_guard(nums, space.dim, "a product")
+    polys = {q: Poly._trusted(space, nums, den) for q, nums in out.items()}
+    if gauss is None:
+        return polys.get(None) or Poly.zero(space)
+    return gauss._trusted(space, polys)
+
+
 def poisson_bracket(f, g):
     """{f, g} with the sign convention fixed in the module docstring."""
     if not isinstance(f, Poly) or not isinstance(g, Poly):
@@ -675,6 +761,17 @@ def poisson_bracket(f, g):
 
 
 # -- exact dense matrices over Fraction --------------------------------
+
+def _square_matrix(space, m):
+    """The rows of ``m`` as Fractions; ``ValueError`` unless ``m`` is
+    ``dim x dim`` on ``space``."""
+    rows = [[_as_fraction(v) for v in row] for row in m]
+    if len(rows) != space.dim or any(len(r) != space.dim for r in rows):
+        raise ValueError(
+            f"matrix shape must match the phase-space dimension: need {space.dim}x{space.dim}"
+        )
+    return rows
+
 
 def mat_identity(d):
     return [

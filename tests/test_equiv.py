@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import hamiltonian_flow, random_poly, rational_rotation
+from conftest import hamiltonian_flow, plane_product, random_poly, rational_rotation
 from test_gaussfn import random_gauss
 
 from startrace.diffop import BiDiffOp, DiffOp
@@ -24,7 +26,7 @@ from startrace.equiv import (
 )
 from startrace.formal import FormalScalar
 from startrace.gaussfn import GaussFn, gauss_integrate_exact, gauss_pullback_linear
-from startrace.poly import PhaseSpace, Poly, poisson_bracket
+from startrace.poly import PhaseSpace, Poly, mat_mul, mat_transpose, poisson_bracket
 from startrace.star import (
     associativity_residual,
     canonical_euler,
@@ -359,6 +361,57 @@ def test_automorphism_check_rejects_non_symplectic():
     space = PhaseSpace(1)
     with pytest.raises(ValueError):
         symplectic_automorphism_check([[2, 0], [0, 2]], GaussFn.gaussian(space, 1))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [[[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1, 0]], [[1, 0], [0]], [[1]], []],
+    ids=["extra-row", "extra-column", "ragged", "one-by-one", "empty"],
+)
+def test_matrix_of_the_wrong_shape_is_rejected(m):
+    # zip used to truncate the extra row, so is_symplectic said True and the
+    # checks behind it died with IndexError
+    space = PhaseSpace(1)
+    u = GaussFn.gaussian(space, 1)
+    for check in (
+        lambda: is_symplectic(space, m),
+        lambda: symplectic_automorphism_check(m, u),
+        lambda: gauss_pullback_linear(u, m),
+    ):
+        with pytest.raises(ValueError, match="matrix shape must match"):
+            check()
+
+
+RATIONAL_ENTRY = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_int_symplectic_test_matches_matrix_products(n, data):
+    space = PhaseSpace(n)
+    d = space.dim
+    j = symplectic_form_matrix(space)
+    step = st.tuples(
+        st.sampled_from(["shear-q", "shear-p", "squeeze", "scale-q"]),
+        st.integers(0, n - 1),
+        RATIONAL_ENTRY.filter(bool),
+    )
+    drawn = st.lists(st.lists(RATIONAL_ENTRY, min_size=d, max_size=d), min_size=d, max_size=d)
+    steps = data.draw(st.lists(step, min_size=1, max_size=3))
+    built = plane_product(space, steps)
+    rotated = mat_mul(built, rational_rotation(space, data.draw(st.integers(0, n - 1))))
+    # one entry moved: a near miss that only a full check rejects
+    nudged = [row[:] for row in rotated]
+    x, y = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    nudged[x][y] += data.draw(RATIONAL_ENTRY)
+    for m in (data.draw(drawn), built, rotated, nudged):
+        assert is_symplectic(space, m) == (mat_mul(mat_transpose(m), mat_mul(j, m)) == j)
+    # shears, squeezes and rotations are symplectic; scale-q alone is not
+    if all(kind != "scale-q" for kind, _, _ in steps):
+        assert is_symplectic(space, rotated)
+    if len(steps) == 1 and steps[0][0] == "scale-q" and steps[0][2] != 1:
+        assert not is_symplectic(space, rotated)
 
 
 def test_symplectic_pullback_is_star_automorphism():

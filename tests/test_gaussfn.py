@@ -18,7 +18,7 @@ from startrace.gaussfn import (
     gauss_pullback_linear,
     isotropic_exponent,
 )
-from startrace.poly import PhaseSpace, Poly, mat_det
+from startrace.poly import MAX_EXPONENT, PhaseSpace, Poly, mat_det
 
 
 @pytest.fixture
@@ -378,3 +378,155 @@ def test_exponent_rendering(space):
     assert str(sheared + g) == (
         "exp(-|x|^2 - q1 - 3*p1 - 1/2) + exp(-q1^2 - 2*q1*p1 - 2*p1^2)"
     )
+
+
+# -- the packed kernels against the formulas they replace -----------------
+
+
+def pulled_back_gauss(space):
+    """Hypothesis strategy: a drawn term, pulled back by a product of shears
+    and squeezes near the identity, so its exponent is anisotropic."""
+    step = st.tuples(
+        st.sampled_from(["shear-q", "shear-p", "squeeze"]),
+        st.integers(0, space.n - 1),
+        st.sampled_from([F(-1, 2), F(1, 2), F(2, 3), F(3, 2)]),
+    )
+    return st.tuples(shifted_gauss(space), st.lists(step, min_size=1, max_size=2)).map(
+        lambda fs: gauss_pullback_linear(fs[0], plane_product(space, fs[1]))
+    )
+
+
+def gauss_operands(space):
+    """Hypothesis strategy: sums of up to two terms, isotropic or pulled back,
+    with polynomial parts too."""
+    term = st.one_of(
+        shifted_gauss(space),
+        pulled_back_gauss(space),
+        polys(space).map(GaussFn.from_poly),
+    )
+    return st.lists(term, max_size=2).map(lambda ts: sum(ts, GaussFn.zero(space)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_packed_diff_and_product_match_poly_formulas(n, data):
+    space = PhaseSpace(n)
+    f, g = data.draw(gauss_operands(space)), data.draw(gauss_operands(space))
+    poly = data.draw(polys(space))
+    axis = data.draw(st.integers(0, space.dim - 1))
+    # (dP + P dQ) exp(Q), summed by the public constructor from Poly operations
+    want = GaussFn(
+        space,
+        [(q, p.diff(axis)) for q, p in f.coeffs.items()]
+        + [(q, p * q.diff(axis)) for q, p in f.coeffs.items()],
+    )
+    assert f.diff(axis) == want
+    # exponents add and polynomials multiply, term by term
+    product = GaussFn(
+        space, [(q1 + q2, p1 * p2) for q1, p1 in f.coeffs.items() for q2, p2 in g.coeffs.items()]
+    )
+    assert f * g == product
+    assert f * poly == poly * f == GaussFn(space, [(q, p * poly) for q, p in f.coeffs.items()])
+    for got in (f.diff(axis), f * g, f * poly):
+        for p in got.coeffs.values():
+            assert p.den > 0 and 0 not in p.nums.values()
+            assert math.gcd(p.den, *p.nums.values()) == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_exact_integral_matches_hermite_oracle(data):
+    # width-one terms, shifted or pulled back near the identity: the
+    # integer moment rows against 40-node Gauss-Hermite quadrature
+    space = PhaseSpace(1)
+    poly = data.draw(polys(space))
+    entry = st.sampled_from([F(-1, 2), F(0), F(1, 3), F(1)])
+    b = data.draw(st.lists(entry, min_size=2, max_size=2))
+    c = data.draw(st.sampled_from([F(0), F(-1, 2), F(1)]))
+    f = GaussFn.term(space, poly, 1, b, c)
+    kind = data.draw(st.sampled_from(["shifted", "shear", "squeeze"]))
+    if kind != "shifted":
+        s = data.draw(st.sampled_from([F(-1, 2), F(1, 3), F(1, 2)]))
+        step = ("shear-q", 0, s) if kind == "shear" else ("squeeze", 0, 1 + s / 2)
+        f = gauss_pullback_linear(f, plane_product(space, [step]))
+        assert all(isotropic_exponent(q) is None for q in f.coeffs)
+    got = gauss_integrate_exact(f).as_mpf(30)
+    oracle = hermite_oracle(f)
+    assert abs(got - oracle) < mpmath.mpf("1e-9") * (1 + abs(oracle))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gaussian_kernels_keep_the_exponent_guard(n):
+    space = PhaseSpace(n)
+    dim = space.dim
+    q, p = Poly.variable(space, "q1"), Poly.variable(space, f"p{n}")
+    top = p**MAX_EXPONENT
+    g = GaussFn.gaussian(space, 1)
+    # exp(-|x|^2/2 - q1*pn): d/dq1 multiplies P = pn^255 by -pn
+    (q0,) = g.coeffs
+    cross = GaussFn(space, {q0 - q * p: top})
+    with pytest.raises(ValueError, match=f"MAX_EXPONENT = {MAX_EXPONENT}"):
+        cross.diff(0)
+    # where dQ has no part, the derivative only lowers the top exponent
+    b = (1,) + (0,) * (dim - 1)
+    lowered = GaussFn.term(space, MAX_EXPONENT * p ** (MAX_EXPONENT - 1), 0, b)
+    assert GaussFn.term(space, top, 0, b).diff(dim - 1) == lowered
+    with pytest.raises(ValueError, match=f"MAX_EXPONENT = {MAX_EXPONENT}"):
+        (top * g) * (p * g)
+    with pytest.raises(ValueError, match=f"MAX_EXPONENT = {MAX_EXPONENT}"):
+        (top * g) * p
+    with pytest.raises(ValueError, match=f"MAX_EXPONENT = {MAX_EXPONENT}"):
+        p * (top * g)
+    # a full field does not carry into the next axis
+    both = (top * g) * (q**MAX_EXPONENT * g)
+    (poly,) = both.coeffs.values()
+    assert poly.terms == {(MAX_EXPONENT,) + (0,) * (dim - 2) + (MAX_EXPONENT,): 1}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_gaussian_kernels_build_nothing_per_monomial(n, data):
+    # a derivative builds one Poly per term and a product none on the way,
+    # neither builds a Fraction, and an integral builds as many Fractions
+    # for a many-monomial P as for P = 1
+    space = PhaseSpace(n)
+    f, g = data.draw(gauss_operands(space)), data.draw(gauss_operands(space))
+    poly = data.draw(polys(space).filter(lambda p: not p.is_zero()))
+    axis = data.draw(st.integers(0, space.dim - 1))
+    f.diff(axis)  # the exponents keep their derivatives in their jets
+    h = data.draw(st.one_of(shifted_gauss(space), pulled_back_gauss(space)))
+    q = next(iter(h.coeffs), None)
+    built = []
+    new, trusted, mul = F.__new__, Poly._trusted.__func__, Poly.__mul__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append("Fraction")
+        return new(cls, *args, **kwargs)
+
+    def counted_trusted(cls, *args):
+        built.append("Poly")
+        return trusted(cls, *args)
+
+    def counted_mul(self, other):
+        if isinstance(other, Poly):
+            built.append("Poly.__mul__")
+        return mul(self, other)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(F, "__new__", staticmethod(counted_new))
+        mp.setattr(Poly, "_trusted", classmethod(counted_trusted))
+        mp.setattr(Poly, "__mul__", counted_mul)
+        f.diff(axis)
+        assert built == ["Poly"] * len(f.coeffs)
+        built.clear()
+        f * g, f * poly, poly * f
+        assert "Fraction" not in built and "Poly.__mul__" not in built
+        if q is not None:
+            counts = []
+            for p in (Poly.constant(space, 1), poly):
+                built.clear()
+                gauss_integrate_exact(GaussFn(space, {q: p}))
+                counts.append(built.count("Fraction"))
+            assert counts[0] == counts[1]

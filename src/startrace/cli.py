@@ -580,15 +580,19 @@ def _random_gauss(rng, space):
     return GaussFn.term(space, poly, t, b, 0)
 
 
+def _gauss_pairs(space, seed):
+    """Seeded probe pairs ``(u, v)``, drawn one pair at a time from one ``rng``."""
+    rng = random.Random(seed)
+    while True:
+        yield _random_gauss(rng, space), _random_gauss(rng, space)
+
+
 def _gaussian_pair_cases(space, tau, product, seed):
     """``tau`` against star commutators of three seeded Gaussian pairs."""
-    rng = random.Random(seed)
-    cases = []
-    for i in range(3):
-        u, v = _random_gauss(rng, space), _random_gauss(rng, space)
-        res = trace_residual(tau, product, u, v)
-        cases.append(_series_case(f"gaussian-pair-{i}", res))
-    return cases
+    return [
+        _series_case(f"gaussian-pair-{i}", trace_residual(tau, product, u, v))
+        for i, (u, v) in zip(range(3), _gauss_pairs(space, seed))
+    ]
 
 
 def _probe_cases(space, tau, d):
@@ -722,10 +726,8 @@ def _run_proportionality(sc):
 def _run_strongly_closed(sc):
     space = PhaseSpace(sc.n)
     product = moyal_construct(space, sc.trunc_order)
-    rng = random.Random(sc.seed)
     cases = []
-    for i in range(3):
-        u, v = _random_gauss(rng, space), _random_gauss(rng, space)
+    for i, (u, v) in zip(range(3), _gauss_pairs(space, sc.seed)):
         residuals = {}
         ok = True
         for r in range(1, sc.trunc_order + 1):
@@ -747,8 +749,7 @@ def _run_trk_conditions(sc):
         ("moyal", moyal_trace(space, trunc), base),
         ("transported", density_from_equivalence(t), transport_star(t, base)),
     ]
-    rng = random.Random(sc.seed + 1)
-    u, v = _random_gauss(rng, space), _random_gauss(rng, space)
+    u, v = next(_gauss_pairs(space, sc.seed + 1))
     cases = []
     for label, tau, product in setups:
         values = trk_residual(tau, product, u, v)

@@ -46,10 +46,9 @@ from types import MappingProxyType
 
 from startrace.poly import (
     _FIELD,
-    _MASK,
     Poly,
+    _axis,
     _check_guard,
-    _Combination,
     _combine,
     _function,
     _Packed,
@@ -71,10 +70,10 @@ def _check_alpha(space, alpha):
     return _pack(space, tuple(alpha), "derivative multi-index")
 
 
-class _Operator(_Packed, _Combination):
-    """What DiffOp and BiDiffOp share beyond the packed storage and linear
-    structure of ``Poly``: the public constructor, the guard check, the
-    decoded view and ``d_i o``.
+class _Operator(_Packed):
+    """What DiffOp and BiDiffOp share beyond the packed storage, linear
+    structure and ``d_i o`` (``diff``) of ``Poly``: the public
+    constructor and the decoded view.
 
     Keys are laid out as in the module docstring.  ``_slots`` is the
     number of multi-index fields above the monomial, and the hooks
@@ -84,7 +83,7 @@ class _Operator(_Packed, _Combination):
     The public constructor takes a mapping or a stream of ``(key, poly)``
     pairs; it checks every key, adds the Polys of repeated keys and drops
     zero sums.  Every arithmetic result is built by ``_trusted``, or by
-    :meth:`_checked` where a key may pass ``MAX_EXPONENT``.
+    ``_checked`` where a key may pass ``MAX_EXPONENT``.
     """
 
     __slots__ = ()
@@ -96,17 +95,9 @@ class _Operator(_Packed, _Combination):
             hi = self._encode(space, key) << shift
             if not isinstance(poly, Poly):
                 raise TypeError(f"operator coefficients must be Polys, got {type(poly).__name__}")
-            if poly.space != space:
-                raise ValueError("operands live on different phase spaces")
+            poly._check_space(space)
             parts.append(({hi + k: v for k, v in poly.nums.items()}, poly.den))
         self._settle(space, *_lcm_sum(parts))
-
-    @classmethod
-    def _checked(cls, space, nums, den):
-        """``_trusted`` for keys that are sums of two valid keys: raises
-        ``ValueError`` naming ``MAX_EXPONENT`` if one passed it."""
-        _check_guard(nums, (cls._slots + 1) * space.dim, "an operator product")
-        return cls._trusted(space, nums, den)
 
     # -- inspection ---------------------------------------------------
 
@@ -139,31 +130,6 @@ class _Operator(_Packed, _Combination):
             )
         return coeffs
 
-    # -- calculus -----------------------------------------------------
-
-    def diff(self, axis):
-        """``d_i o self`` by the Leibniz rule: each term ``c d^alpha`` (or
-        ``c d^alpha (x) d^beta``) gives ``(d_i c) d^alpha`` plus ``c`` times
-        the term with one multi-index raised by ``e_i``, once per slot."""
-        if isinstance(axis, str):
-            axis = self.space.axis(axis)
-        dim = self.space.dim
-        if not 0 <= axis < dim:
-            raise IndexError(f"axis {axis} out of range")
-        shift = _FIELD * axis
-        unit = 1 << shift
-        bumps = [unit << (_FIELD * dim * s) for s in range(1, self._slots + 1)]
-        out = {}
-        for k, v in self.nums.items():
-            e = (k >> shift) & _MASK
-            if e:
-                j = k - unit
-                out[j] = out[j] + v * e if j in out else v * e
-            for b in bumps:
-                j = k + b
-                out[j] = out[j] + v if j in out else v
-        return self._checked(self.space, out, self.den)
-
     def _left_sum(self, terms, den):
         """``sum_i m_i (D_i)``, ``m_i`` a ``{monomial key: num}`` over
         ``den`` and ``D_i`` an operator of this class, in one dict."""
@@ -188,10 +154,8 @@ class DiffOp(_Operator):
 
     @classmethod
     def partial(cls, space, axis, k=1):
-        if isinstance(axis, str):
-            axis = space.axis(axis)
         alpha = [0] * space.dim
-        alpha[axis] = k
+        alpha[_axis(space, axis)] = k
         return cls(space, {tuple(alpha): Poly.constant(space, 1)})
 
     @classmethod
@@ -218,7 +182,7 @@ class DiffOp(_Operator):
         with ``d^alpha o other`` read from ``other``'s jet."""
         if not isinstance(other, DiffOp):
             raise TypeError("compose expects a DiffOp")
-        self._check_space(other)
+        self._check_space(other.space)
         dim = self.space.dim
         return other._left_sum(
             [(monos, other.diff_multi(_unpack(hi, dim))) for hi, monos in self._groups().items()],
@@ -249,7 +213,7 @@ def _check_transport(b, s):
     """Raise unless ``s`` is a DiffOp on the phase space of ``b``."""
     if not isinstance(s, DiffOp):
         raise TypeError("transports must be DiffOps")
-    b._check_space(s)
+    s._check_space(b.space)
 
 
 class BiDiffOp(_Operator):

@@ -22,7 +22,7 @@ from startrace.gaussfn import (
     gauss_pullback_linear,
 )
 from startrace.poly import Poly, _square_matrix
-from startrace.star import EulerDerivation, StarProduct, _apply_series
+from startrace.star import EulerDerivation, StarProduct, _apply_series, _orders
 from startrace.trace import TraceFunctional
 
 
@@ -34,17 +34,9 @@ class Equivalence:
     def __init__(self, space, trunc_order, ops):
         if trunc_order < 1:
             raise ValueError("truncation order must be at least 1")
-        clean = {}
-        for k, op in ops.items():
-            if not 1 <= k <= trunc_order:
-                raise ValueError(f"operator order {k} outside 1..{trunc_order}")
-            if op.space != space:
-                raise ValueError("operator lives on the wrong phase space")
-            if not op.is_zero():
-                clean[k] = op
         self.space = space
         self.trunc_order = trunc_order
-        self.ops = clean
+        self.ops = _orders(space, ops, "operator", trunc_order)
 
     @classmethod
     def identity(cls, space, trunc_order):

@@ -4,11 +4,13 @@ Functions here stand in for compactly supported test functions: they
 are closed under products, derivatives and linear pullbacks,
 they integrate to exactly representable values, and integration by parts
 never produces boundary terms.  A :class:`GaussFn` is a finite sum of
-terms ``P(x) * exp(Q(x))`` with rational data, kept in the
-:class:`~startrace.poly.PolyCombination` normal form keyed by the
-exponent ``Q``, a :class:`~startrace.poly.Poly` of degree at most 2.
-Products add exponents, derivatives give ``(dP + P*dQ) * exp(Q)``, and
-translations and linear pullbacks pull ``P`` and ``Q`` back alike.
+terms ``P(x) * exp(Q(x))`` with rational data, stored as a dict from
+the exponent ``Q``, a :class:`~startrace.poly.Poly` of degree at most 2,
+to the Poly ``P``.  It shares ``+``, ``-``, the space check and the
+printer with Polys and the operators, through their common root
+``_Combination`` in :mod:`startrace.poly`.  Products add exponents,
+derivatives give ``(dP + P*dQ) * exp(Q)``, and translations and linear
+pullbacks pull ``P`` and ``Q`` back alike.
 
 The arithmetic runs on the packed integers of the Polys (see
 :mod:`startrace.poly`), with no ``Fraction`` and no intermediate Poly per
@@ -46,12 +48,14 @@ from startrace.poly import (
     _FIELD,
     _MASK,
     Poly,
-    PolyCombination,
     _as_fraction,
+    _axis,
     _check_guard,
+    _Combination,
     _combine,
     _diff_multi,
     _function,
+    _lcm_sum,
     _pairs,
     _parts,
     _signed_sum,
@@ -241,34 +245,99 @@ def isotropic_exponent(q):
     return widths[0], tuple(b), c
 
 
-class GaussFn(PolyCombination):
+class GaussFn(_Combination):
     """Finite sum of terms ``P(x) * exp(Q(x))``.
 
     ``coeffs`` maps each exponent ``Q``, a :class:`~startrace.poly.Poly` of
     degree at most 2 with no positive pure-square coefficient, to its
-    polynomial ``P``; terms sharing an exponent are merged.  The isotropic
-    exponents ``-t/2*|x|^2 + b.x + c`` of :meth:`term` print as such;
-    linear pullbacks may make any other.  Purely polynomial terms
-    (``Q`` of degree below 2) are allowed so the class absorbs products
-    with coefficient functions.  Products, derivatives and translations
-    keep exponents valid, so they build through the trusted constructor;
-    only the public constructor and linear pullbacks check them.
+    nonzero polynomial ``P``.  The isotropic exponents
+    ``-t/2*|x|^2 + b.x + c`` of :meth:`term` print as such; linear
+    pullbacks may make any other.  Purely polynomial terms (``Q`` of
+    degree below 2) are allowed so the class absorbs products with
+    coefficient functions.
+
+    The public constructor takes a mapping or a stream of ``(Q, P)``
+    pairs and checks every exponent and polynomial; the polynomials of equal exponents
+    merge over their least common denominator and zero sums drop, so
+    equality is a dictionary comparison.  Products, derivatives and
+    translations keep exponents valid, so they build through the trusted
+    constructor :meth:`_trusted`, which checks nothing; only the public
+    constructor and linear pullbacks check exponents.  Like a Poly, an
+    instance is immutable once built and caches its derivatives in the
+    ``_jet`` slot (see :func:`startrace.poly._diff_multi`), which takes no
+    part in ``==`` or ``hash``.
     """
 
-    __slots__ = ()
+    __slots__ = ("space", "coeffs", "_jet")
 
-    @staticmethod
-    def _key(space, q):
-        if not isinstance(q, Poly):
-            raise TypeError(f"exponent must be a Poly, got {type(q).__name__}")
-        if q.space != space:
-            raise ValueError("exponent lives on a different phase space")
-        for exps, coeff in q.terms.items():
-            if sum(exps) > 2:
-                raise ValueError("exponent must have degree at most 2")
-            if 2 in exps and coeff > 0:
-                raise ValueError("exponent must not grow along a coordinate axis")
-        return q
+    def __init__(self, space, coeffs):
+        pairs = list(_pairs(coeffs))
+        for q, p in pairs:
+            if not isinstance(q, Poly):
+                raise TypeError(f"exponent must be a Poly, got {type(q).__name__}")
+            if q.space != space:
+                raise ValueError("exponent lives on a different phase space")
+            for exps, coeff in q.terms.items():
+                if sum(exps) > 2:
+                    raise ValueError("exponent must have degree at most 2")
+                if 2 in exps and coeff > 0:
+                    raise ValueError("exponent must not grow along a coordinate axis")
+            if not isinstance(p, Poly):
+                raise TypeError(f"GaussFn coefficients must be Polys, got {type(p).__name__}")
+            p._check_space(space)
+        self._settle(space, pairs)
+
+    def _settle(self, space, pairs):
+        """Store ``pairs`` merged by exponent, with zero sums dropped: the
+        numerators of a repeated exponent add over the lcm of their
+        denominators."""
+        groups = {}
+        for q, poly in pairs:
+            groups.setdefault(q, []).append(poly)
+        clean = {}
+        for q, polys in groups.items():
+            if len(polys) == 1:
+                poly = polys[0]
+            else:
+                poly = Poly._trusted(space, *_lcm_sum((p.nums, p.den) for p in polys))
+            if poly.nums:
+                clean[q] = poly
+        self.space = space
+        self.coeffs = clean
+        self._jet = None
+
+    @classmethod
+    def _trusted(cls, space, pairs):
+        """The sum of ``(Q, P)`` pairs on ``space``, with no exponent checked.
+
+        The exponents must be valid and every Poly must live on ``space``;
+        repeated exponents merge and zero sums drop as in the public
+        constructor.  This is the one constructor of every arithmetic
+        result."""
+        out = cls.__new__(cls)
+        out._settle(space, _pairs(pairs))
+        return out
+
+    @classmethod
+    def sum(cls, space, items):
+        """``sum(items, cls.zero(space))``, merged in one dict."""
+        return cls._trusted(
+            space, (qp for x in cls._operands(space, items) for qp in x.coeffs.items())
+        )
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __neg__(self):
+        return self._trusted(self.space, {q: -p for q, p in self.coeffs.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.space == other.space and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.space, frozenset(self.coeffs.items())))
 
     # -- constructors -------------------------------------------------
 
@@ -289,13 +358,16 @@ class GaussFn(PolyCombination):
     # -- arithmetic ---------------------------------------------------
 
     def __mul__(self, other):
-        """The product with a GaussFn or a Poly, through the packed product
-        kernel (:func:`startrace.poly._combine`): exponents add once per
-        pair of terms, keys add and numerators multiply, and the
-        polynomials of each output exponent accumulate in one dict."""
+        """The product with a rational, or with a GaussFn or a Poly through
+        the packed product kernel (:func:`startrace.poly._combine`):
+        exponents add once per pair of terms, keys add and numerators
+        multiply, and the polynomials of each output exponent accumulate in
+        one dict."""
+        if isinstance(other, (int, Fraction)):
+            return self._trusted(self.space, {q: p * other for q, p in self.coeffs.items()})
         if not isinstance(other, (Poly, GaussFn)):
-            return super().__mul__(other)
-        self._check_space(other)
+            return NotImplemented
+        self._check_space(other.space)
         parts = _parts(other)
         out, den = _combine([({q: p.nums}, p.den, parts) for q, p in self.coeffs.items()])
         return _function(self.space, out, den, GaussFn)
@@ -308,11 +380,8 @@ class GaussFn(PolyCombination):
         lowers a field of ``P``'s keys, and ``P*dQ`` adds the keys of
         ``dQ``, which comes from the exponent's own jet, so each exponent
         is differentiated once per axis however many jets share it."""
-        if isinstance(axis, str):
-            axis = self.space.axis(axis)
         space = self.space
-        if not 0 <= axis < space.dim:
-            raise IndexError(f"axis {axis} out of range")
+        axis = _axis(space, axis)
         shift = _FIELD * axis
         unit = 1 << shift
         alpha = (0,) * axis + (1,) + (0,) * (space.dim - axis - 1)

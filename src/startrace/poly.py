@@ -24,9 +24,11 @@ printer, the parser and evaluation.
 The operators of :mod:`startrace.diffop` are stored the same way, with
 their derivative fields packed above the monomial ones.  One base class,
 ``_Packed``, holds that storage for both: the canonical form, the trusted
-constructor, negation, scalar products, ``==`` and the cached hash.
-:func:`_lcm_sum` (a sum over the least common denominator) and
-:func:`_check_guard` (the guard-bit check) serve both layouts too.
+constructor, negation, scalar products, ``==``, the cached hash and
+``diff``, which is one Leibniz rule for a Poly (no derivative fields)
+and for the operators.  :func:`_lcm_sum` (a sum over the least common
+denominator) and :func:`_check_guard` (the guard-bit check) serve both
+layouts too.
 
 The product kernel lives here as well, so that Polys, ``GaussFn`` and
 the operators share it with no import cycle: :func:`_combine` multiplies
@@ -36,10 +38,11 @@ function into its operands and :func:`_function` builds the result,
 checking its guard bits.  ``Poly.__mul__``, ``GaussFn.__mul__``, operator
 application and composition all go through it.
 
-:class:`PolyCombination` is the normal form of ``GaussFn``: a sum of
-Polys keyed by exponents.  Like ``Poly``, it builds every arithmetic
-result by a trusted constructor, ``PolyCombination._trusted``, and keeps
-a derivative jet.
+``_Combination`` is the root of every exact sum class, ``Poly``, the
+operators and ``GaussFn`` (which stores Polys keyed by exponents): it
+holds the space check, the operand check of the n-ary ``sum``, ``+``,
+``-``, the right scalar product and the printer.  :func:`_axis` reads
+the axis of every ``diff``.
 
 This module is also the one printer of rational combinations:
 ``_monomial_text``, ``_signed_sum`` (``2*x - y + 1/2``, for Poly,
@@ -47,7 +50,7 @@ exponents and series) and ``_Combination.__str__``, which ``GaussFn`` and
 the operators steer through the hooks ``_symbol`` (or ``_term``) and
 ``_order`` from their decoded ``coeffs``.
 
-Constructors are where sums merge.  ``Poly``, ``PolyCombination`` and the
+Constructors are where sums merge.  ``Poly``, ``GaussFn`` and the
 operators take a mapping or any iterable of ``(key, value)`` pairs whose
 keys may repeat; they add the values of repeated keys and drop zero
 sums, so every sum in the package is a stream of pairs handed to one
@@ -206,7 +209,73 @@ def _scaled(text, symbol):
     return f"({text})*{symbol}" if " " in text else f"{text}*{symbol}"
 
 
-class _Packed:
+class _Combination:
+    """The root of every exact sum class: ``Poly``, ``GaussFn`` and the
+    operators.  It holds what they share however they store their terms:
+    the space check, the operand check of ``sum``, ``+``, ``-``, the
+    right scalar product and the printer.
+
+    Subclasses provide ``space``, the classmethod ``sum``, ``__neg__``
+    and ``__mul__``.  The printer reads
+    ``coeffs`` (a mapping from keys to nonzero Polys) and the hooks
+    ``_order`` and ``_symbol`` (or ``_term``); ``Poly`` prints itself.
+    """
+
+    __slots__ = ()
+
+    def _check_space(self, space):
+        """Raise ``ValueError`` unless this value lives on ``space``."""
+        if self.space is not space and self.space != space:
+            raise ValueError("operands live on different phase spaces")
+
+    @classmethod
+    def _operands(cls, space, items):
+        """``items``, each checked to be a ``cls`` on ``space``."""
+        for x in items:
+            if type(x) is not cls:
+                raise TypeError(f"cannot add {type(x).__name__} to {cls.__name__}")
+            x._check_space(space)
+            yield x
+
+    @classmethod
+    def zero(cls, space):
+        return cls.sum(space, ())
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self).sum(self.space, (self, other))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __str__(self):
+        coeffs = self.coeffs
+        keys = sorted(coeffs, key=self._order)
+        return " + ".join(self._term(key, coeffs[key]) for key in keys) or "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+    def _term(self, key, poly):
+        """One summand: the polynomial times the subclass's ``_symbol(key)``."""
+        return _scaled(str(poly), self._symbol(key))
+
+
+def _axis(space, axis):
+    """The index of an axis given by index or coordinate name: ``KeyError``
+    for an unknown name, ``IndexError`` for an index outside ``0..dim-1``."""
+    if isinstance(axis, str):
+        return space.axis(axis)
+    if not 0 <= axis < space.dim:
+        raise IndexError(f"axis {axis} out of range")
+    return axis
+
+
+class _Packed(_Combination):
     """Packed int keys to int numerators over one shared denominator.
 
     ``nums`` maps packed keys to nonzero ints and ``den`` is a positive
@@ -214,9 +283,11 @@ class _Packed:
     ``den == 1`` for zero, so equal values have equal ``nums`` and ``den``
     and ``==`` is a dict comparison.  This is the storage of :class:`Poly`
     and of the operators of :mod:`startrace.diffop`, which differ in what
-    their keys hold.  Instances are immutable once built, so the decoded
-    view cached in ``_view``, the jet and the hash take no part in
-    equality.  Values of different classes never compare equal.
+    their keys hold: the monomial fields, then ``_slots`` multi-index
+    fields above them (none for a Poly).  Instances are immutable once
+    built, so the decoded view cached in ``_view``, the jet and the hash
+    take no part in equality.  Values of different classes never compare
+    equal.
     """
 
     __slots__ = ("space", "nums", "den", "_view", "_jet", "_hash")
@@ -250,36 +321,48 @@ class _Packed:
         return out
 
     @classmethod
-    def zero(cls, space):
-        return cls._trusted(space, {}, 1)
+    def _checked(cls, space, nums, den):
+        """``_trusted`` for keys that are sums of two valid keys: raises
+        ``ValueError`` naming ``MAX_EXPONENT`` if one passed it."""
+        _check_guard(nums, (cls._slots + 1) * space.dim, "an operator product")
+        return cls._trusted(space, nums, den)
 
     @classmethod
     def sum(cls, space, items):
         """``sum(items, cls.zero(space))``, merged in one dict over the
         least common denominator."""
-        items = list(items)
-        for x in items:
-            if type(x) is not cls:
-                raise TypeError(f"cannot add {type(x).__name__} to {cls.__name__}")
-            if x.space is not space and x.space != space:
-                raise ValueError("operands live on different phase spaces")
-        return cls._trusted(space, *_lcm_sum((x.nums, x.den) for x in items))
+        return cls._trusted(
+            space, *_lcm_sum((x.nums, x.den) for x in cls._operands(space, items))
+        )
 
     def is_zero(self):
         return not self.nums
+
+    def diff(self, axis):
+        """``d_i`` along an axis index or coordinate name, by the Leibniz
+        rule: of the function for a Poly, ``d_i o self`` for an operator.
+        Each term ``c`` (or ``c d^alpha``, or ``c d^alpha (x) d^beta``)
+        gives ``d_i c`` in its monomial fields plus ``c`` times the term
+        with one multi-index raised by ``e_i``, once per slot."""
+        space = self.space
+        shift = _FIELD * _axis(space, axis)
+        unit = 1 << shift
+        bumps = [unit << (_FIELD * space.dim * s) for s in range(1, self._slots + 1)]
+        out = {}
+        for k, v in self.nums.items():
+            e = (k >> shift) & _MASK
+            if e:
+                j = k - unit
+                out[j] = out[j] + v * e if j in out else v * e
+            for b in bumps:
+                j = k + b
+                out[j] = out[j] + v if j in out else v
+        return self._checked(space, out, self.den)
 
     def diff_multi(self, alpha):
         """``d^alpha`` through the derivative jet (:func:`_diff_multi`): of
         the function for a Poly, ``d^alpha o self`` for an operator."""
         return _diff_multi(self, alpha)
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return type(self).sum(self.space, (self, other))
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __neg__(self):
         return self._trusted(self.space, {k: -v for k, v in self.nums.items()}, self.den)
@@ -291,9 +374,6 @@ class _Packed:
         return self._trusted(
             self.space, {k: v * m for k, v in self.nums.items()}, self.den * other.denominator
         )
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -337,6 +417,8 @@ class Poly(_Packed):
     """
 
     __slots__ = ()
+
+    _slots = 0
 
     def __init__(self, space, terms):
         merged = {}
@@ -382,16 +464,12 @@ class Poly(_Packed):
     def constant_term(self):
         return Fraction(self.nums.get(0, 0), self.den)
 
-    def _check_space(self, other):
-        if self.space is not other.space and self.space != other.space:
-            raise ValueError("polynomials live on different phase spaces")
-
     # -- ring operations ----------------------------------------------
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return super().__mul__(other)
-        self._check_space(other)
+        self._check_space(other.space)
         return Poly._trusted(
             self.space, _times(self.nums, other.nums, self.space.dim), self.den * other.den
         )
@@ -404,22 +482,7 @@ class Poly(_Packed):
             out = out * self
         return out
 
-    # -- calculus -----------------------------------------------------
-
-    def diff(self, axis):
-        """Partial derivative along an axis index or coordinate name."""
-        if isinstance(axis, str):
-            axis = self.space.axis(axis)
-        if not 0 <= axis < self.space.dim:
-            raise IndexError(f"axis {axis} out of range")
-        shift = _FIELD * axis
-        unit = 1 << shift
-        out = {}
-        for k, v in self.nums.items():
-            e = (k >> shift) & _MASK
-            if e:
-                out[k - unit] = v * e
-        return Poly._trusted(self.space, out, self.den)
+    # -- evaluation and pullbacks -------------------------------------
 
     def evaluate(self, point):
         """Evaluate at a point; exact for rational input, duck-typed otherwise."""
@@ -513,143 +576,6 @@ class Poly(_Packed):
     def __str__(self):
         terms = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
         return _signed_sum((c, _monomial_text(self.space, exps)) for exps, c in terms)
-
-    def __repr__(self):
-        return f"Poly({self})"
-
-
-class _Combination:
-    """What every finite sum ``sum_key coeffs[key] * e_key`` with Poly
-    coefficients shares, however it stores them: the printer and the
-    space check.
-
-    Subclasses provide ``space``, ``coeffs`` (a mapping from keys to
-    nonzero Polys), the printing hooks ``_order`` and ``_symbol`` (or
-    ``_term``), and the arithmetic.
-    """
-
-    __slots__ = ()
-
-    def _check_space(self, other):
-        if self.space != other.space:
-            raise ValueError("operands live on different phase spaces")
-
-    def __str__(self):
-        coeffs = self.coeffs
-        keys = sorted(coeffs, key=self._order)
-        return " + ".join(self._term(key, coeffs[key]) for key in keys) or "0"
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self})"
-
-    def _term(self, key, poly):
-        """One summand: the polynomial times the subclass's ``_symbol(key)``."""
-        return _scaled(str(poly), self._symbol(key))
-
-
-class PolyCombination(_Combination):
-    """Finite sum ``sum_key coeffs[key] * e_key`` with Poly coefficients,
-    stored as a dict: the normal form of ``GaussFn``.
-
-    ``coeffs`` maps keys, normalized by the subclass hook ``_key(space, key)``,
-    to nonzero Polys.  The constructor takes a mapping or a stream of
-    ``(key, poly)`` pairs: the Polys of keys that normalize alike merge
-    over their least common denominator and zero sums drop, so equality
-    is a dictionary comparison.  Different subclasses never add or
-    compare equal.
-
-    Every arithmetic result is built by :meth:`_trusted` instead, which
-    merges and drops zeros but calls no ``_key``: its keys are valid by
-    construction.  Like :class:`Poly`, an instance is immutable once built
-    and caches the derivatives its subclass's ``diff`` gives in the
-    ``_jet`` slot (see :func:`_diff_multi`), which takes no part in ``==``
-    or ``hash``.
-    """
-
-    __slots__ = ("space", "coeffs", "_jet")
-
-    def __init__(self, space, coeffs):
-        key = self._key
-        self._settle(space, ((key(space, k), poly) for k, poly in _pairs(coeffs)))
-
-    def _settle(self, space, pairs):
-        """Store ``pairs`` merged by key, with zero sums dropped: the
-        numerators of a repeated key add over the lcm of its denominators."""
-        groups = {}
-        for key, poly in pairs:
-            groups.setdefault(key, []).append(poly)
-        clean = {}
-        for key, polys in groups.items():
-            if len(polys) == 1:
-                poly = polys[0]
-            else:
-                poly = Poly._trusted(space, *_lcm_sum((p.nums, p.den) for p in polys))
-            if poly.nums:
-                clean[key] = poly
-        self.space = space
-        self.coeffs = clean
-        self._jet = None
-
-    @classmethod
-    def _trusted(cls, space, pairs):
-        """The combination of ``(key, poly)`` pairs on ``space``, with no
-        key normalized or checked.
-
-        Keys must already be in the form ``_key`` returns and the Polys
-        must live on ``space``; repeated keys merge and zero sums drop as
-        in the public constructor.  This is the one constructor of every
-        arithmetic result."""
-        out = cls.__new__(cls)
-        out._settle(space, _pairs(pairs))
-        return out
-
-    @classmethod
-    def zero(cls, space):
-        return cls._trusted(space, ())
-
-    @classmethod
-    def sum(cls, space, items):
-        """``sum(items, cls.zero(space))``, merged in one dict."""
-
-        def pairs():
-            for x in items:
-                if type(x) is not cls:
-                    raise TypeError(f"cannot add {type(x).__name__} to {cls.__name__}")
-                if x.space != space:
-                    raise ValueError("operands live on different phase spaces")
-                yield from x.coeffs.items()
-
-        return cls._trusted(space, pairs())
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return type(self).sum(self.space, (self, other))
-
-    def __neg__(self):
-        return self._trusted(self.space, {k: -p for k, p in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._trusted(self.space, {k: p * other for k, p in self.coeffs.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.space == other.space and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.space, frozenset(self.coeffs.items())))
 
 
 def _diff_multi(f, alpha):
@@ -753,7 +679,7 @@ def poisson_bracket(f, g):
     """{f, g} with the sign convention fixed in the module docstring."""
     if not isinstance(f, Poly) or not isinstance(g, Poly):
         raise TypeError("poisson_bracket expects two Poly operands")
-    f._check_space(g)
+    f._check_space(g.space)
     n = f.space.n
     return Poly.sum(
         f.space, (f.diff(n + i) * g.diff(i) - f.diff(i) * g.diff(n + i) for i in range(n))

@@ -17,12 +17,27 @@ check is exact on the 2-form level.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 
 from startrace.diffop import BiDiffOp, DiffOp
 from startrace.formal import FormalScalar
 from startrace.gaussfn import GaussFn, IntegralValue, gauss_integrate_exact
-from startrace.poly import Poly
+from startrace.poly import Poly, _combine
+
+
+def _orders(space, ops, what, top=inf):
+    """The nonzero operators of an ``{order: op}`` series: raises
+    ``ValueError`` unless every order lies in ``1..top`` and every operator
+    lives on ``space``.  ``what`` names the operators in the messages."""
+    clean = {}
+    for k, op in ops.items():
+        if not 1 <= k <= top:
+            raise ValueError(f"{what} order {k} outside 1..{top}")
+        if op.space != space:
+            raise ValueError(f"{what} lives on the wrong phase space")
+        if not op.is_zero():
+            clean[k] = op
+    return clean
 
 
 def poisson_cochain(space):
@@ -55,14 +70,7 @@ class StarProduct:
     def __init__(self, space, trunc_order, cochains):
         if trunc_order < 1:
             raise ValueError("truncation order must be at least 1")
-        clean = {}
-        for r, op in cochains.items():
-            if not 1 <= r <= trunc_order:
-                raise ValueError(f"cochain order {r} outside 1..{trunc_order}")
-            if op.space != space:
-                raise ValueError("cochain lives on the wrong phase space")
-            if not op.is_zero():
-                clean[r] = op
+        clean = _orders(space, cochains, "cochain", trunc_order)
         minus = {r: op.antisym() for r, op in clean.items()}
         minus = {r: op for r, op in minus.items() if not op.is_zero()}
         if minus.get(1) != poisson_cochain(space):
@@ -96,23 +104,18 @@ def moyal_construct(space, trunc_order):
     """Moyal star product truncated at ``trunc_order``."""
     if trunc_order < 1:
         raise ValueError("truncation order must be at least 1")
-    symbol = poisson_cochain(space).nums.items()
+    symbol = [(None, poisson_cochain(space).nums, 1)]  # coefficients +-1
     cochains = {}
-    power = BiDiffOp.product_cochain(space).nums
+    power = {0: 1}
     for k in range(1, trunc_order + 1):
         # P^k: the symbols of constant-coefficient operators multiply, so
         # their keys add
-        nxt = {}
-        for key, c in power.items():
-            for s, sign in symbol:
-                j = key + s
-                nxt[j] = nxt[j] + c * sign if j in nxt else c * sign
-        cochains[k] = BiDiffOp._checked(space, nxt, 2**k * factorial(k))
-        power = nxt
+        power = _combine([({None: power}, 1, symbol)])[0][None]
+        cochains[k] = BiDiffOp._checked(space, power, 2**k * factorial(k))
     return StarProduct(space, trunc_order, cochains)
 
 
-def _coerce_formal(space, u, trunc_order):
+def _coerce_formal(u, trunc_order):
     if isinstance(u, FormalScalar):
         return u
     if isinstance(u, Poly) or isinstance(u, GaussFn):
@@ -144,8 +147,8 @@ def star_multiply(s, u, v, *, cochains=None):
     """
     if cochains is None:
         cochains = {0: s.cochain(0), **s.cochains}
-    u = _coerce_formal(s.space, u, s.trunc_order)
-    v = _coerce_formal(s.space, v, s.trunc_order)
+    u = _coerce_formal(u, s.trunc_order)
+    v = _coerce_formal(v, s.trunc_order)
     if u.is_zero() or v.is_zero():
         return FormalScalar.zero(min(u.trunc_order, v.trunc_order))
     mu, mv = u.min_degree, v.min_degree
@@ -217,17 +220,9 @@ class EulerDerivation:
         defect = conformality_defect(x)
         if any(not p.is_zero() for p in defect.values()):
             raise ValueError("X does not satisfy L_X Omega = Omega")
-        clean = {}
-        for r, op in (corrections or {}).items():
-            if r < 1:
-                raise ValueError("correction orders start at 1")
-            if op.space != space:
-                raise ValueError("correction lives on the wrong phase space")
-            if not op.is_zero():
-                clean[r] = op
         self.space = space
         self.x = x
-        self.corrections = clean
+        self.corrections = _orders(space, corrections or {}, "correction")
 
     def apply(self, w):
         """Apply to a formal function (FormalScalar over Poly/GaussFn)."""
@@ -293,8 +288,8 @@ def canonical_euler(space):
 def derivation_residual(s, d, u, v):
     """``D(u*v) - D(u)*v - u*D(v)``; zero iff D is a derivation of ``s``
     on the tested pair."""
-    u = _coerce_formal(s.space, u, s.trunc_order)
-    v = _coerce_formal(s.space, v, s.trunc_order)
+    u = _coerce_formal(u, s.trunc_order)
+    v = _coerce_formal(v, s.trunc_order)
     lhs = d.apply(star_multiply(s, u, v))
     rhs = star_multiply(s, d.apply(u), v) + star_multiply(s, u, d.apply(v))
     return lhs - rhs

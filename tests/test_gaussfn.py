@@ -224,6 +224,13 @@ def test_exponent_key_checked(space):
         GaussFn(space, {Poly.zero(PhaseSpace(2)): one})
     with pytest.raises(TypeError):
         GaussFn(space, {(1, (0, 0), 0): one})
+    # the polynomial of a term is checked too: one from another space would
+    # be decoded on the wrong axes
+    zero = Poly.zero(space)
+    with pytest.raises(ValueError, match="operands live on different phase spaces"):
+        GaussFn(space, {zero: Poly.variable(PhaseSpace(2), "q2")})
+    with pytest.raises(TypeError, match="must be Polys"):
+        GaussFn(space, {zero: 3})
 
 
 def test_pullback_orthogonal_stays_isotropic(space):

@@ -74,3 +74,27 @@ def test_traced_names_resolve():
         ):
             wrong.append((span, module_name, path))
     assert wrong == []
+
+
+def _unused_imports(path):
+    """Names that ``path`` imports and never reads, with their lines."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_unused_imports():
+    # the package's __init__.py imports are its re-exports, so it is left out
+    root = pathlib.Path(__file__).resolve().parents[1]
+    files = [p for p in (root / "src" / "startrace").glob("*.py") if p.name != "__init__.py"]
+    files += (root / "tests").glob("*.py")
+    unused = {p.relative_to(root).as_posix(): _unused_imports(p) for p in sorted(files)}
+    assert {path: names for path, names in unused.items() if names} == {}

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -201,7 +202,7 @@ def test_substitution_round_trips(n, data):
     assert f.pullback_linear(m).pullback_linear(mat_inverse(m)) == f
 
 
-# -- the shared PolyCombination normal form ----------------------------
+# -- the shared normal form of GaussFn and the operators --------------
 
 
 def _gauss_keys(space):
@@ -441,6 +442,54 @@ def test_poly_combination_classes_do_not_mix():
     assert GaussFn.zero(space) != DiffOp.zero(space)
     with pytest.raises(ValueError):
         d + DiffOp.identity(PhaseSpace(2))
+    # every class checks the space of its operands with one message
+    other_one = Poly.constant(PhaseSpace(2), 1)
+    other_g = GaussFn.from_poly(other_one)
+    add, mul = operator.add, operator.mul
+    for op, x, y in [
+        (add, one, other_one),
+        (mul, one, other_one),
+        (add, g, other_g),
+        (mul, g, other_g),
+        (mul, g, other_one),
+        (mul, one, other_g),
+    ]:
+        with pytest.raises(ValueError, match="operands live on different phase spaces"):
+            op(x, y)
+    with pytest.raises(ValueError, match="operands live on different phase spaces"):
+        poisson_bracket(one, other_one)
+
+
+@pytest.mark.parametrize("kind", ["poly", "gauss", "diffop", "bidiff"])
+def test_diff_reads_an_axis_by_name_or_index(kind):
+    space = PhaseSpace(2)
+    p = Poly(
+        space,
+        {
+            (1, 0, 0, 0): 1,
+            (0, 2, 0, 0): 2,
+            (0, 0, 3, 0): F(1, 2),
+            (0, 0, 0, 1): -1,
+            (1, 1, 1, 1): 3,
+        },
+    )
+    zero = (0,) * space.dim
+    f = {
+        "poly": p,
+        "gauss": GaussFn.term(space, p, 1, [1, 0, F(1, 2), 0]),
+        "diffop": DiffOp(space, {(1, 0, 0, 2): p, zero: p * p}),
+        "bidiff": BiDiffOp(space, {((1, 0, 0, 0), (0, 1, 0, 0)): p, (zero, zero): -p}),
+    }[kind]
+    derivatives = [f.diff(axis) for axis in range(space.dim)]
+    # the derivatives along different axes differ, so a name read as the
+    # wrong axis shows
+    assert len(set(derivatives)) == space.dim
+    assert [f.diff(name) for name in space.variables] == derivatives
+    for axis in (-1, space.dim):
+        with pytest.raises(IndexError):
+            f.diff(axis)
+    with pytest.raises(KeyError):
+        f.diff("x1")
 
 
 # -- the packed-monomial, integer-numerator kernel ---------------------

@@ -130,11 +130,25 @@ class _Operator(_Packed):
             )
         return coeffs
 
-    def _left_sum(self, terms, den):
-        """``sum_i m_i (D_i)``, ``m_i`` a ``{monomial key: num}`` over
-        ``den`` and ``D_i`` an operator of this class, in one dict."""
-        out, d = _combine([({None: m}, 1, [(None, op.nums, op.den)]) for m, op in terms])
-        return self._checked(self.space, out.get(None, {}), den * d)
+    def _after(self, s):
+        """The :func:`startrace.poly._combine` operands of ``s o self`` for a
+        DiffOp ``s``: ``sum_delta s_delta (d^delta o self)``, with
+        ``d^delta o self`` read from this operator's jet and ``s.den`` in
+        each operand, so that operands of several compositions may share
+        one :meth:`_settled` sum."""
+        dim = self.space.dim
+        return [
+            ({None: monos}, s.den, [(None, d.nums, d.den)])
+            for hi, monos in s._groups().items()
+            for d in (self.diff_multi(_unpack(hi, dim)),)
+        ]
+
+    @classmethod
+    def _settled(cls, space, operands):
+        """The operator ``sum_i L_i * F_i`` of ``_combine`` operands over
+        operator keys, settled once: one gcd and one guard check."""
+        out, den = _combine(operands)
+        return cls._checked(space, out.get(None, {}), den)
 
 
 class DiffOp(_Operator):
@@ -183,11 +197,7 @@ class DiffOp(_Operator):
         if not isinstance(other, DiffOp):
             raise TypeError("compose expects a DiffOp")
         self._check_space(other.space)
-        dim = self.space.dim
-        return other._left_sum(
-            [(monos, other.diff_multi(_unpack(hi, dim))) for hi, monos in self._groups().items()],
-            self.den,
-        )
+        return DiffOp._settled(self.space, other._after(self))
 
     def adjoint(self):
         """Formal adjoint: ``(a d^alpha)* = (-1)^{|alpha|} d^alpha o a``."""
@@ -238,30 +248,41 @@ class BiDiffOp(_Operator):
         """C_0: the pointwise product ``(u, v) -> u v``."""
         return cls._trusted(space, {0: 1}, 1)
 
+    def _rows(self, v):
+        """``{alpha key: terms}``: the row ``R_alpha = sum_beta a_{alpha,beta}
+        d^beta v`` of each left multi-index, as the operands of one
+        :func:`startrace.poly._combine` call, over ``self.den``.  The
+        derivatives of ``v`` come from its jet."""
+        dim = self.space.dim
+        shift = _FIELD * dim
+        mask = (1 << shift) - 1
+        rows = {}
+        parts = {}  # per right multi-index: the parts of d^beta v
+        for hi, monos in self._groups().items():
+            b = hi >> shift
+            part = parts.get(b)
+            if part is None:
+                part = parts[b] = _parts(v.diff_multi(_unpack(b, dim)))
+            rows.setdefault(hi & mask, []).append(({None: monos}, 1, part))
+        return rows
+
     def apply(self, u, v):
         """``B(u, v) = sum_alpha d^alpha u * (sum_beta a_{alpha,beta} d^beta v)``.
 
         Terms are grouped by their left multi-index: each row
-        ``sum_beta a_{alpha,beta} d^beta v`` accumulates in one numerator
-        dict per exponent of ``v``, and then each output exponent's
-        polynomial in one dict, so each distinct ``alpha`` costs one pass
-        over ``d^alpha u`` and no Poly is built per term.  The derivatives
-        of both operands come from their jets.  The result is a GaussFn
-        when either operand is one.
+        ``sum_beta a_{alpha,beta} d^beta v`` (:meth:`_rows`) accumulates in
+        one numerator dict per exponent of ``v``, and then each output
+        exponent's polynomial in one dict, so each distinct ``alpha`` costs
+        one pass over ``d^alpha u`` and no Poly is built per term.  The
+        derivatives of both operands come from their jets.  The result is a
+        GaussFn when either operand is one.
         """
         space = self.space
         if not self.nums:
             return type(u).zero(space)
         dim = space.dim
-        shift = _FIELD * dim
-        mask = (1 << shift) - 1
-        rows = {}
-        for hi, monos in self._groups().items():
-            rows.setdefault(hi & mask, []).append(
-                ({None: monos}, 1, _parts(v.diff_multi(_unpack(hi >> shift, dim))))
-            )
         pairs = []
-        for a, row in rows.items():
+        for a, row in self._rows(v).items():
             sums, den = _combine(row)
             for nums in sums.values():
                 _check_guard(nums, dim, "a product")
@@ -284,13 +305,19 @@ class BiDiffOp(_Operator):
     def precompose(self, s_left, s_right):
         """Normal form of ``(u,v) -> B(S_left u, S_right v)``: each term
         ``c d^alpha (x) d^beta`` becomes ``c (d^alpha o S_left) (x)
-        (d^beta o S_right)``, read from the transports' jets.
+        (d^beta o S_right)``, read from the transports' jets."""
+        for s in (s_left, s_right):
+            _check_transport(self, s)
+        return BiDiffOp._settled(self.space, self._before(s_left, s_right))
+
+    def _before(self, s_left, s_right):
+        """The :func:`startrace.poly._combine` operands of :meth:`precompose`,
+        with ``self.den`` in each, so that several precompositions may share
+        one :meth:`_settled` sum.
 
         Terms sharing ``beta`` first merge ``c (d^alpha o S_left)`` in one
         dict; the right factor's keys then move their multi-index up to the
         right slot and add on."""
-        for s in (s_left, s_right):
-            _check_transport(self, s)
         dim = self.space.dim
         shift = _FIELD * dim
         mask = (1 << shift) - 1
@@ -300,26 +327,21 @@ class BiDiffOp(_Operator):
             lefts.setdefault(hi >> shift, []).append(
                 ({None: monos}, 1, [(None, left.nums, left.den)])
             )
-        pairs = []
+        operands = []
         for b, terms in lefts.items():
             sums, den = _combine(terms)
             half = sums.get(None, {})
             _check_guard(half, 2 * dim, "an operator product")
             right = s_right.diff_multi(_unpack(b, dim))
             moved = {(k & mask) | (k >> shift) << (2 * shift): v for k, v in right.nums.items()}
-            pairs.append(({None: half}, den, [(None, moved, right.den)]))
-        out, den = _combine(pairs)
-        return BiDiffOp._checked(self.space, out.get(None, {}), self.den * den)
+            operands.append(({None: half}, self.den * den, [(None, moved, right.den)]))
+        return operands
 
     def postcompose(self, s_out):
         """Normal form of ``(u,v) -> S_out(B(u, v))``:
         ``sum_delta s_delta (d^delta o B)``, read from this operator's jet."""
         _check_transport(self, s_out)
-        dim = self.space.dim
-        return self._left_sum(
-            [(monos, self.diff_multi(_unpack(hi, dim))) for hi, monos in s_out._groups().items()],
-            s_out.den,
-        )
+        return BiDiffOp._settled(self.space, self._after(s_out))
 
     def conjugate(self, s_out, s_left, s_right):
         """Normal form of ``(u,v) -> S_out(B(S_left u, S_right v))``; every

@@ -134,23 +134,25 @@ def transport_star(t, s):
     inv = equiv_invert(t).series()
     fwd = t.series()
     base = {0: s.cochain(0), **s.cochains}
-    # P_j = sum_{r+b+c=j} C_r o (T_b (x) T_c), then C'_m = sum_{a+j=m} S_a o P_j:
-    # every S_a reads the one jet of each P_j
+    # P_j = sum_{r+b+c=j} C_r o (T_b (x) T_c), then C'_m = sum_{a+j=m} S_a o P_j,
+    # each as one sum over all of its terms, settled once: every S_a reads
+    # the one jet of each P_j
     inner = {
-        j: BiDiffOp.sum(
+        j: BiDiffOp._settled(
             s.space,
-            (
-                c_r.precompose(t_b, fwd[j - r - b])
+            [
+                term
                 for r, c_r in base.items()
                 for b, t_b in fwd.items()
                 if j - r - b in fwd
-            ),
+                for term in c_r._before(t_b, fwd[j - r - b])
+            ],
         )
         for j in range(trunc + 1)
     }
     cochains = {
-        m: BiDiffOp.sum(
-            s.space, (inner[m - a].postcompose(s_a) for a, s_a in inv.items() if a <= m)
+        m: BiDiffOp._settled(
+            s.space, [term for a, s_a in inv.items() if a <= m for term in inner[m - a]._after(s_a)]
         )
         for m in range(1, trunc + 1)
     }

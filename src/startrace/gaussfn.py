@@ -23,11 +23,23 @@ exponent's widths, cross terms and linear part are read from its packed
 keys.
 
 :func:`gauss_integrate_exact` integrates every term by one formula: the
-term is brought to one width ``w_i = a_i/d_i`` per axis, where ``x_i^e``
-has the Gaussian moment ``(e-1)!!/w_i^(e/2)``.  The moments are integer
-rows, ``(2h-1)!! d_i^h a_i^(top_i-h)`` for ``e = 2h``, over one common
-``prod_i a_i^top_i``; an AND with a parity mask drops the odd monomials,
-the even ones add into one int, and each term builds one ``Fraction``.
+term is brought to one width ``w_i = a_i/d_i`` per axis, and the integral
+factorizes per axis into moments of ``x_i^e`` under the Gaussian centered
+at ``mu_i = b_i/w_i``.  :func:`_moment_row` gives them as one row of ints
+per axis over one scale, so the polynomial is integrated as it stands,
+with no shift: each monomial adds its numerator times one row entry per
+axis to one int, and each term builds one ``Fraction``.
+
+The trace functionals integrate by parts on the same rows, because
+Gaussians leave no boundary terms, and build no product and no
+derivative of their operands: :func:`gauss_operator_integrals` gives
+``integral of w_j A_r(u)`` for differential operators ``A_r`` and
+polynomial weights ``w_j``, and :func:`gauss_pair_integrals` gives
+``integral of w_j B_r(u, v)`` for bidifferential ``B_r`` from tables of
+``integral of d^alpha u * x^kappa e^{Q_v}``.  They take single-term
+operands with no cross term in the exponent (every term, for the
+operator form), and return None for any other input, which their callers
+then integrate the way they did before.
 
 Exact integrals land in :class:`IntegralValue`, the ring of values
 ``pi^k * sum_j r_j e^{s_j}`` with rational ``r_j, s_j``.  Its zero test
@@ -39,7 +51,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
 from itertools import chain
 
 import mpmath
@@ -47,6 +58,7 @@ import mpmath
 from startrace.poly import (
     _FIELD,
     _MASK,
+    MAX_EXPONENT,
     Poly,
     _as_fraction,
     _axis,
@@ -55,11 +67,13 @@ from startrace.poly import (
     _combine,
     _diff_multi,
     _function,
+    _key_bits,
     _lcm_sum,
     _pairs,
     _parts,
     _signed_sum,
     _square_matrix,
+    _unpack,
     mat_det,
     mat_identity,
     mat_transpose,
@@ -445,19 +459,88 @@ class GaussFn(_Combination):
         return (0, iso) if iso is not None else (1, sorted(q.terms.items()))
 
 
-@cache
-def _parity_mask(dim):
-    """The lowest bit of every axis field of a packed key on ``dim`` axes:
-    a key ANDs to zero with it exactly when every exponent is even."""
-    return sum(1 << (_FIELD * i) for i in range(dim))
+def _moment_row(w, mu, top):
+    """``(row, scale)``: ``row[e] / scale`` is the moment of ``x^e``, for
+    ``e = 0..top``, under the unit-mass Gaussian ``sqrt(w/2pi) exp(-w (x -
+    mu)^2/2)``.
+
+    The moment is ``sum_{k even <= e} C(e,k) mu^(e-k) (k-1)!! w^(-k/2)``.
+    With ``w = a/d`` and ``mu = p/q``, each of its terms over ``scale =
+    q^top a^(top//2)`` is the int ``C(e,k) p^(e-k) q^(top-e+k) (k-1)!!
+    d^(k/2) a^(top//2-k/2)``, so one row of ints serves every exponent up
+    to ``top`` and no polynomial is shifted.
+    """
+    a, d = w.numerator, w.denominator
+    p, q = mu.numerator, mu.denominator
+    half = top // 2
+    ppow, qpow = [1], [1]
+    for _ in range(top):
+        ppow.append(ppow[-1] * p)
+        qpow.append(qpow[-1] * q)
+    even = []  # (2h-1)!! d^h a^(half-h), the centered part of x^(2h)
+    odd = 1
+    for h in range(half + 1):
+        even.append(odd * d**h * a ** (half - h))
+        odd *= 2 * h + 1
+    row = [
+        sum(
+            math.comb(e, 2 * h) * ppow[e - 2 * h] * qpow[top - e + 2 * h] * even[h]
+            for h in range(e // 2 + 1)
+        )
+        for e in range(top + 1)
+    ]
+    return row, qpow[top] * a**half
 
 
-def _double_factorial(k):
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
+def _moments(p, g, rows, keys, dim):
+    """``{lambda: g * sum_e P[e] prod_i row_i[lambda_i + e_i]}`` for the
+    packed ``keys``: the integrals of ``x^lambda P e^Q`` over the common
+    denominator of the moment ``rows`` of ``e^Q``."""
+    pterms = [(_unpack(k, dim), v * g) for k, v in p.nums.items()]
+    out = {}
+    for k in keys:
+        ks = _unpack(k, dim)
+        acc = 0
+        for es, v in pterms:
+            for row, e, x in zip(rows, es, ks):
+                v *= row[e + x]
+            acc += v
+        out[k] = acc
     return out
+
+
+def _moment_rows(widths, mu, tops):
+    """``(rows, scale)``: the moment row of each axis up to its top, and the
+    product of their scales."""
+    rows, scale = [], 1
+    for w, m, t in zip(widths, mu, tops):
+        row, s = _moment_row(w, m, t)
+        rows.append(row)
+        scale *= s
+    return rows, scale
+
+
+def _gaussian(widths, b, c):
+    """``(s, g, den, mu)`` for ``exp(-sum_i w_i x_i^2/2 + b.x + c)``: its
+    integral over R^{2n} is ``(g/den) e^s pi^n``, and ``mu`` is its center.
+
+    The center ``mu_i = b_i/w_i`` leaves ``s = c + sum_i b_i mu_i/2``, and
+    the Gaussian gives ``(2 pi)^n / sqrt(prod_i w_i)``.  Raises
+    :class:`NonIntegrableError` for a width ``<= 0`` and ``ArithmeticError``
+    when the square root is irrational."""
+    if any(w <= 0 for w in widths):
+        raise NonIntegrableError("term with a width <= 0 has no convergent integral")
+    mu = [bi / w if bi else 0 for bi, w in zip(b, widths)]
+    s = c + sum((bi * m for bi, m in zip(b, mu) if bi), Fraction(0)) / 2
+    vol = Fraction(
+        math.prod(w.numerator for w in widths), math.prod(w.denominator for w in widths)
+    )
+    num, root = math.isqrt(vol.numerator), math.isqrt(vol.denominator)
+    if num * num != vol.numerator or root * root != vol.denominator:
+        raise ArithmeticError(
+            f"sqrt(det(-A)) = sqrt({vol}) is irrational, so the integral is not exact"
+        )
+    return s, 2 ** (len(widths) // 2) * root, num, mu
 
 
 def gauss_integrate_exact(a):
@@ -470,7 +553,7 @@ def gauss_integrate_exact(a):
         raise TypeError("gauss_integrate_exact expects a GaussFn")
     n = a.space.n
     return IntegralValue(
-        n, (_diagonal_integral(n, *_diagonalize(p, q)) for q, p in a.coeffs.items())
+        n, (_diagonal_integral(*_diagonalize(p, q)) for q, p in a.coeffs.items())
     )
 
 
@@ -503,57 +586,265 @@ def _diagonalize(poly, q):
     return poly.pullback_linear(inv_t), widths, tuple(row[d] for row in rows), c
 
 
-def _diagonal_integral(n, poly, widths, b, c):
+def _diagonal_integral(poly, widths, b, c):
     """``(s, r)`` with ``integral of poly * exp(-sum_i w_i x_i^2/2 + b.x + c)
-    = r e^s pi^n``: the shift ``mu_i = b_i/w_i`` leaves ``s = c + sum_i
-    b_i^2/(2 w_i)``, ``x_i^e`` has centered moment ``(e-1)!!/w_i^(e/2)``
-    for even ``e``, and the Gaussian gives ``(2 pi)^n / sqrt(prod_i w_i)``.
+    = r e^s pi^n``, from the shifted moment rows of :func:`_moment_row`.
 
-    The sum runs in ints on the shifted polynomial's packed keys.  One AND
-    with the parity mask drops every monomial with an odd exponent.  With
-    ``w_i = a_i/d_i`` and ``T_i`` the top half-exponent ``h = e/2`` along
-    axis ``i``, the moment of ``x_i^(2h)`` is ``row_i[h] / a_i^T_i`` with
-    the int row ``row_i[h] = (2h-1)!! d_i^h a_i^(T_i-h)``, so each term
-    adds its numerator times one row entry per axis to one int.  ``T_i``
-    is read from the OR of the even keys, which bounds the top from above
-    and lets one pass find all of them.
+    The integral factorizes per axis, so ``poly`` is integrated as it
+    stands (:func:`_moments` at ``lambda = 0``).  The top exponent of each
+    axis is read from the OR of the keys, which bounds it from above and
+    lets one pass find all of them.
     """
-    if any(w <= 0 for w in widths):
-        raise NonIntegrableError("term with a width <= 0 has no convergent integral")
-    mu = [bi / w if bi else 0 for bi, w in zip(b, widths)]
-    s = c + sum((bi * m for bi, m in zip(b, mu) if bi), Fraction(0)) / 2
-    shifted = poly.translate(mu)
-    odd = _parity_mask(len(widths))
-    even = []
-    tops = 0  # the OR of the even keys: each field bounds that axis's top
-    for k, v in shifted.nums.items():
-        if not k & odd:
-            even.append((k, v))
-            tops |= k
-    den = shifted.den
-    rows = []  # per axis with a nonzero top: (shift, row)
-    for axis, w in enumerate(widths):
-        shift = _FIELD * axis + 1
-        top = (tops >> shift) & (_MASK >> 1)
-        if top:
-            a, d = w.numerator, w.denominator
-            row = [_double_factorial(2 * h - 1) * d**h * a ** (top - h) for h in range(top + 1)]
-            rows.append((shift, row))
-            den *= a**top
-    acc = 0
-    for k, v in even:
-        for shift, row in rows:
-            v *= row[(k >> shift) & (_MASK >> 1)]
-        acc += v
-    vol = Fraction(
-        math.prod(w.numerator for w in widths), math.prod(w.denominator for w in widths)
-    )
-    num, root = math.isqrt(vol.numerator), math.isqrt(vol.denominator)
-    if num * num != vol.numerator or root * root != vol.denominator:
-        raise ArithmeticError(
-            f"sqrt(det(-A)) = sqrt({vol}) is irrational, so the integral is not exact"
+    s, g, gden, mu = _gaussian(widths, b, c)
+    dim = len(widths)
+    rows, scale = _moment_rows(widths, mu, _unpack(_key_bits(poly.nums), dim))
+    return s, Fraction(_moments(poly, g, rows, [0], dim)[0], poly.den * gden * scale)
+
+
+# -- trace functionals by parts ---------------------------------------
+
+
+def _diagonal_terms(f):
+    """``[(P, widths, b, c)]`` of a GaussFn whose exponents have no cross
+    term, else None."""
+    if not isinstance(f, GaussFn):
+        return None
+    terms = []
+    for q, p in f.coeffs.items():
+        widths, cross, b, c = _quadratic_parts(q)
+        if cross:
+            return None
+        terms.append((p, widths, b, c))
+    return terms
+
+
+def _one_space(space, ops, weights):
+    """Whether every operator of ``ops`` and every Poly of ``weights`` (two
+    dicts) lives on ``space``."""
+    return all(x.space == space for x in chain(ops.values(), weights.values()))
+
+
+def _values(n, parts):
+    """``{m: IntegralValue}`` from ``{m: [(s, {den: num})]}``."""
+    return {
+        m: IntegralValue(
+            n, ((s, sum(Fraction(v, d) for d, v in sums.items())) for s, sums in items)
         )
-    return s, Fraction(acc * 2**n * root, den * num)
+        for m, items in parts.items()
+    }
+
+
+def gauss_operator_integrals(u, ops, weights, top):
+    """``{m: integral of sum_{r+j=m} w_j * A_r(u)}`` for ``m <= top``, with
+    ``ops = {r: A_r}`` DiffOps and ``weights = {j: w_j}`` Polys, or None
+    when a term of ``u`` has a cross term or no exact integral, or ``u``
+    does not live on the space of ``ops`` and ``weights``.
+
+    No derivative of ``u`` is taken and no product is built.  Integration
+    by parts, ``integral of x^kappa d^alpha u = (-1)^|alpha| (kappa)_alpha
+    integral of x^(kappa - alpha) u`` with the falling factorial
+    ``(kappa)_alpha``, turns each order into one polynomial ``W_m = sum_{r+j=m}
+    A_r^*(w_j)``, built monomial by monomial, and ``integral of u W_m`` reads
+    the moment rows of each term of ``u`` (:func:`_moments`).  Sums stay
+    ints per denominator until the end.
+    """
+    terms = _diagonal_terms(u)
+    if terms is None or not _one_space(u.space, ops, weights):
+        return None
+    try:
+        terms = [(p, widths, _gaussian(widths, b, c)) for p, widths, b, c in terms]
+    except (NonIntegrableError, ArithmeticError):
+        return None
+    dim = u.space.dim
+    adjoint = {}  # {m: {den: {lambda: num}}}
+    for r, op in ops.items():
+        for alpha, monos in op._groups().items():
+            axes = [(_FIELD * i, a) for i, a in enumerate(_unpack(alpha, dim)) if a]
+            sign = -1 if sum(a for _, a in axes) % 2 else 1
+            for j, w in weights.items():
+                if r + j > top:
+                    continue
+                acc = adjoint.setdefault(r + j, {}).setdefault(op.den * w.den, {})
+                for k1, c1 in monos.items():
+                    for k2, c2 in w.nums.items():
+                        k = k1 + k2
+                        f = sign * c1 * c2
+                        for shift, a in axes:
+                            f *= math.perm((k >> shift) & _MASK, a)
+                        if f:
+                            k -= alpha
+                            acc[k] = acc[k] + f if k in acc else f
+    keys = {k for by_den in adjoint.values() for acc in by_den.values() for k in acc}
+    bits = _key_bits(keys)
+    parts = {}
+    for p, widths, (s, g, gden, mu) in terms:
+        tops = [x + y for x, y in zip(_unpack(bits, dim), _unpack(_key_bits(p.nums), dim))]
+        if max(tops) > MAX_EXPONENT:
+            return None
+        rows, scale = _moment_rows(widths, mu, tops)
+        moments = _moments(p, g, rows, keys, dim)
+        den = p.den * gden * scale
+        for m, by_den in adjoint.items():
+            sums = {
+                d * den: sum(v * moments[k] for k, v in acc.items()) for d, acc in by_den.items()
+            }
+            parts.setdefault(m, []).append((s, sums))
+    return _values(u.space.n, parts)
+
+
+def gauss_pair_integrals(u, v, ops, weights, top):
+    """``{m: integral of sum_{r+j=m} w_j * B_r(u, v)}`` for ``m <= top``,
+    with ``ops = {r: B_r}`` BiDiffOps and ``weights = {j: w_j}`` Polys, or
+    None unless ``u`` and ``v`` are single terms ``P e^Q`` with no cross
+    term whose sum has an exact integral, on the space of ``ops`` and
+    ``weights``.
+
+    Neither ``B_r(u, v)``, a derivative of ``u``, nor a product with
+    ``w_j`` is built.  Each ``B_r`` gives its rows ``R_alpha = sum_beta
+    a_{alpha beta} d^beta v = R_alpha(x) e^{Q_v}`` (``BiDiffOp._rows``), and
+    ``integral of w_j B_r(u, v) = sum_alpha sum_kappa (w_j R_alpha)[kappa]
+    phi_alpha(kappa)`` with the table ``phi_alpha(kappa) = integral of
+    d^alpha u * x^kappa e^{Q_v}``.  Integration by parts gives
+
+        phi_{alpha+e_i}(kappa) = -kappa_i phi_alpha(kappa-e_i)
+                                 - b_i phi_alpha(kappa) + w_i phi_alpha(kappa+e_i)
+
+    for ``Q_v = -sum_i w_i x_i^2/2 + b.x + c``, and ``phi_0(kappa) = sum_e
+    P_u[e] M(kappa + e)`` from the moment rows of ``e^{Q_u + Q_v}``.
+
+    The left multi-indices are visited in the order of their packed keys,
+    a preorder of the tree whose parent of ``alpha`` lowers its lowest
+    nonzero axis, and each table is filled only on the ``kappa`` asked of
+    it, by recursion down that path.  A table lives while the traversal is
+    inside its subtree, and each ``alpha`` is contracted as soon as its
+    table exists, from rows of every order built at that moment and then
+    dropped.  Entries are ints over one denominator per ``alpha``: the
+    moments over their row scales, times ``lcm(den b_i, den w_i)`` per step
+    along axis ``i``.
+    """
+    tu, tv = _diagonal_terms(u), _diagonal_terms(v)
+    if tu is None or tv is None or len(tu) != 1 or len(tv) != 1:
+        return None
+    if u.space != v.space or not _one_space(u.space, ops, weights):
+        return None
+    ((pu, wu, bu, cu),), ((pv, wv, bv, cv),) = tu, tv
+    (qv,) = v.coeffs
+    dim = u.space.dim
+    widths = [x + y for x, y in zip(wu, wv)]
+    try:
+        s, g, gden, mu = _gaussian(widths, [x + y for x, y in zip(bu, bv)], cu + cv)
+    except (NonIntegrableError, ArithmeticError):
+        return None
+    ops = {r: op for r, op in ops.items() if r <= top}
+    weights = [(j, list(w.nums.items()), w.den) for j, w in weights.items() if j <= top]
+    # per axis, a table reaches kappa_i at most the sum of the top fields of
+    # the cochains (monomial, alpha and beta: d^beta v raises x_i by beta_i
+    # at most), of the weights, and of P_v; the moments add P_u's
+    bits = _key_bits(k for op in ops.values() for k in op.nums)
+    lam = _key_bits(k for _, ws, _ in weights for k, _ in ws)
+    fields = [_unpack(bits >> (_FIELD * dim * slot), dim) for slot in range(3)]
+    fields += [_unpack(x, dim) for x in (lam, _key_bits(pu.nums), _key_bits(pv.nums))]
+    tops = [sum(f) for f in zip(*fields)]
+    if max(tops) > MAX_EXPONENT:
+        return None
+    rows, scale = _moment_rows(widths, mu, tops)
+    den = pu.den * gden * scale
+    steps = []  # per axis of Q_v, with L = lcm(den b_i, den w_i): (e_i, L, L b_i, L w_i)
+    for i, (b, w) in enumerate(zip(bv, wv)):
+        lc = math.lcm(b.denominator, w.denominator)
+        bc, wc = lc // b.denominator * b.numerator, lc // w.denominator * w.numerator
+        steps.append((1 << (_FIELD * i), lc, bc, wc))
+
+    def step(node):
+        return steps[((node & -node).bit_length() - 1) // _FIELD]
+
+    tables = {}
+
+    def fill(alpha, need):
+        """The table of ``alpha``, with every key of ``need`` filled."""
+        levels = []
+        node, req = alpha, need
+        while True:
+            table = tables[node]
+            missing = [k for k in req if k not in table]
+            if not missing:
+                break
+            levels.append((node, table, missing))
+            if not node:
+                break
+            unit, _, bc, wc = step(node)
+            shift = unit.bit_length() - 1
+            req = {k - unit for k in missing if (k >> shift) & _MASK}
+            if bc:
+                req.update(missing)
+            if wc:
+                req.update([k + unit for k in missing])
+            node -= unit
+        for node, table, missing in reversed(levels):
+            if not node:
+                table.update(_moments(pu, g, rows, missing, dim))
+                continue
+            unit, lc, bc, wc = step(node)
+            shift = unit.bit_length() - 1
+            parent = tables[node - unit]
+            for k in missing:
+                e = (k >> shift) & _MASK
+                val = wc * parent[k + unit] if wc else 0
+                if bc:
+                    val -= bc * parent[k]
+                if e:
+                    val -= lc * e * parent[k - unit]
+                table[k] = val
+        return tables[alpha]
+
+    # per order r: the weights it meets, and the keys lambda of their monomials
+    meets = {}
+    for r in ops:
+        met = [w for w in weights if r + w[0] <= top]
+        meets[r] = met, sorted({k for _, ws, _ in met for k, _ in ws})
+    by_alpha = {}
+    for r, op in ops.items():
+        for alpha, terms in op._rows(v).items():
+            by_alpha.setdefault(alpha, []).append((r, terms, op.den))
+    sums = {}
+    for alpha in sorted(by_alpha):
+        # keep the tables of the path from alpha down to 0, drop the rest
+        node, lscale, path = alpha, 1, {}
+        while node:
+            path[node] = tables.get(node, {})
+            unit, lc, _, _ = step(node)
+            lscale *= lc
+            node -= unit
+        path[0] = tables.get(0, {})
+        tables = path
+        here = []
+        need = set()
+        for r, terms, oden in by_alpha.pop(alpha):
+            out, rden = _combine(terms)
+            nums = out.get(qv)
+            if not nums:  # every d^beta v of the row vanishes
+                continue
+            here.append((r, nums, rden * oden * lscale))
+            for lk in meets[r][1]:
+                need.update([k + lk for k in nums] if lk else nums)
+        table = fill(alpha, need)
+        # sum_kappa R[kappa] phi(kappa + lambda) once per lambda; each weight
+        # w_j = sum_lambda c_lambda x^lambda is then a short sum of those
+        for r, nums, rden in here:
+            met, lams = meets[r]
+            dots = {}
+            for lk in lams:
+                acc = 0
+                for k, c in nums.items():
+                    acc += c * table[k + lk]
+                dots[lk] = acc
+            for j, ws, wden in met:
+                val = sum(c * dots[lk] for lk, c in ws)
+                if val:
+                    by_den = sums.setdefault(r + j, {})
+                    d = rden * wden * den
+                    by_den[d] = by_den.get(d, 0) + val
+    return _values(u.space.n, {m: [(s, by_den)] for m, by_den in sums.items()})
 
 
 def gauss_integrate_bigfloat(a, precision=50):

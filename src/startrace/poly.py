@@ -147,14 +147,19 @@ def _guard_bits(dim):
     return sum(1 << (_FIELD * i + _FIELD - 1) for i in range(dim))
 
 
+def _key_bits(keys):
+    """The OR of packed keys: each field bounds that field's top."""
+    bits = 0
+    for k in keys:
+        bits |= k
+    return bits
+
+
 def _check_guard(keys, fields, what):
     """Raise ``ValueError`` if a key sets the guard bit of one of its
     ``fields`` lowest fields, that is if ``keys`` came from sums of valid
     keys and one sum passed ``MAX_EXPONENT``."""
-    acc = 0
-    for k in keys:
-        acc |= k
-    if acc & _guard_bits(fields):
+    if _key_bits(keys) & _guard_bits(fields):
         raise ValueError(f"{what} exceeds MAX_EXPONENT = {MAX_EXPONENT} along an axis")
 
 

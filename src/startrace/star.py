@@ -21,7 +21,12 @@ from math import factorial, inf
 
 from startrace.diffop import BiDiffOp, DiffOp
 from startrace.formal import FormalScalar
-from startrace.gaussfn import GaussFn, IntegralValue, gauss_integrate_exact
+from startrace.gaussfn import (
+    GaussFn,
+    IntegralValue,
+    gauss_integrate_exact,
+    gauss_pair_integrals,
+)
 from startrace.poly import Poly, _combine
 
 
@@ -192,7 +197,10 @@ def closedness_integral(s, r, u, v):
     exact Gaussian integral.  Vanishes for all r iff ``s`` is strongly
     closed on the tested pairs.  ``C_r^-`` comes from the cache
     ``s.minus``; orders outside ``0..trunc_order`` raise ``ValueError``,
-    and ``C_0^-`` is zero.
+    and ``C_0^-`` is zero.  Single-term operands with no cross term are
+    integrated by parts on moment tables
+    (:func:`~startrace.gaussfn.gauss_pair_integrals`), with no
+    ``C_r^-(u, v)`` built; others are applied and integrated.
     """
     if not isinstance(u, GaussFn) or not isinstance(v, GaussFn):
         raise TypeError("closedness_integral expects GaussFn operands")
@@ -201,6 +209,9 @@ def closedness_integral(s, r, u, v):
     minus = s.minus.get(r)
     if minus is None:
         return IntegralValue.zero()
+    vals = gauss_pair_integrals(u, v, {r: minus}, {0: Poly.constant(s.space, 1)}, r)
+    if vals is not None:
+        return vals.get(r, IntegralValue.zero())
     return gauss_integrate_exact(minus.apply(u, v))
 
 

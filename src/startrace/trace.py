@@ -9,14 +9,34 @@ the prefactor exponent (``-n`` in standard form).  On the flat chart
 ``Omega^n/n!`` is exactly the Lebesgue measure, so every evaluation is an
 exact Gaussian integral.  The order-k functionals ``tau_k(u) = integral of
 u rho_k dV`` drive the order-by-order trace conditions.
+
+Gaussians leave no boundary terms, so :func:`trace_eval`,
+:func:`trace_residual` (and with it :func:`trk_residual`) and
+:func:`normalization_residual` integrate by parts on moment rows (see
+:mod:`startrace.gaussfn`) and build no product ``u rho``, no commutator
+``C_r^-(u, v)`` and no ``D'_r u``.  They give the same exact values as
+building each integrand first, which ``_trace_eval_by_products``,
+``_trace_residual_by_commutator`` and
+``_normalization_residual_by_derivatives`` still do: for operands with a
+cross term in the exponent, pairs of several terms, an irrational
+``sqrt(prod_i w_i)``, and densities that do not start at ``nu^0`` (or,
+for pairs, stop below the product's order).  The tests compare the two.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
+from startrace.diffop import DiffOp
 from startrace.formal import FormalScalar
-from startrace.gaussfn import GaussFn, IntegralValue, gauss_integrate_exact
+from startrace.gaussfn import (
+    GaussFn,
+    IntegralValue,
+    gauss_integrate_exact,
+    gauss_operator_integrals,
+    gauss_pair_integrals,
+)
 from startrace.poly import Poly
 from startrace.star import star_commutator
 
@@ -93,7 +113,24 @@ def trace_eval(t, u):
 
     Returns a FormalScalar over :class:`IntegralValue`.  Raises
     ``NonIntegrableError`` if any order of ``u * rho`` fails to decay.
+
+    A GaussFn whose exponents have no cross term, under a density that
+    starts at ``nu^0``, is integrated against each ``rho_j`` on its moment
+    rows (:func:`~startrace.gaussfn.gauss_operator_integrals`), with no
+    product built; any other input takes :func:`_trace_eval_by_products`.
     """
+    rho = t.density
+    if rho.min_degree == 0:
+        one = {0: DiffOp.identity(t.space)}
+        vals = gauss_operator_integrals(u, one, rho.coeffs, rho.trunc_order)
+        if vals is not None:
+            return FormalScalar(vals, rho.trunc_order).shift(t.prefactor_exponent)
+    return _trace_eval_by_products(t, u)
+
+
+def _trace_eval_by_products(t, u):
+    """:func:`trace_eval` by building ``u * rho`` and integrating each order:
+    the path of every input the moment rows do not take, and their oracle."""
     u = _coerce_gauss_formal(t.space, u, t.density.trunc_order)
     rho = FormalScalar(
         {k: GaussFn.from_poly(c) for k, c in t.density.coeffs.items()},
@@ -111,9 +148,25 @@ def trace_eval(t, u):
 def trace_residual(t, s, u, v):
     """``tau(u*v) - tau(v*u)``; identically zero iff tau is a trace on the pair.
 
-    ``tau`` is linear, so the commutator is integrated once.
+    The order-m coefficient is ``sum_{r+j=m} integral of rho_j C_r^-(u, v)``.
+    For single-term GaussFns with no cross term, and a density with
+    coefficients at orders ``0..K`` of the product, it is integrated by
+    parts on moment tables (:func:`~startrace.gaussfn.gauss_pair_integrals`),
+    with no commutator built.  Any other input takes
+    :func:`_trace_residual_by_commutator`.
     """
-    return trace_eval(t, star_commutator(s, u, v))
+    rho = t.density
+    if rho.min_degree == 0 and rho.trunc_order == s.trunc_order:
+        vals = gauss_pair_integrals(u, v, s.minus, rho.coeffs, s.trunc_order)
+        if vals is not None:
+            return FormalScalar(vals, s.trunc_order).shift(t.prefactor_exponent)
+    return _trace_residual_by_commutator(t, s, u, v)
+
+
+def _trace_residual_by_commutator(t, s, u, v):
+    """:func:`trace_residual` by integrating the star commutator, which applies
+    each cached ``C_r^-`` once: the fallback path and its oracle."""
+    return _trace_eval_by_products(t, star_commutator(s, u, v))
 
 
 def trk_residual(t, s, u, v):
@@ -122,7 +175,7 @@ def trk_residual(t, s, u, v):
 
     These are the ``nu^{k+1+e}`` coefficients of :func:`trace_residual`
     (``e`` the prefactor exponent), because the commutator expands into
-    the ``C_r^-``; one commutator and one integration give every order.
+    the ``C_r^-``; one evaluation gives every order.
     """
     if not isinstance(u, GaussFn) or not isinstance(v, GaussFn):
         raise TypeError("trk_residual expects GaussFn operands")
@@ -206,8 +259,37 @@ def proportionality_factor(t1, t2, probe):
 
 
 def normalization_residual(t, d, u):
-    """``tau(D u) - nu d/dnu tau(u)``; zero iff tau is normalized for D on u."""
+    """``tau(D u) - nu d/dnu tau(u)``; zero iff tau is normalized for D on u.
+
+    For a GaussFn with no cross term, under a density that starts at
+    ``nu^0``, the order-m coefficient ``sum_{r+j=m} integral of rho_j D'_r
+    u - (m+e) integral of rho_m u`` (``D'_0 = X``, ``e`` the prefactor
+    exponent) is integrated by parts on moment rows, with no derivative of
+    ``u`` taken; any other input takes
+    :func:`_normalization_residual_by_derivatives`.
+    """
+    rho = t.density
+    if rho.min_degree == 0:
+        trunc = rho.trunc_order
+        lhs = gauss_operator_integrals(u, {0: d.x, **d.corrections}, rho.coeffs, trunc)
+        one = {0: DiffOp.identity(t.space)}
+        rhs = None if lhs is None else gauss_operator_integrals(u, one, rho.coeffs, trunc)
+        if rhs is not None:
+            e = t.prefactor_exponent
+            return FormalScalar(
+                chain(
+                    ((m + e, val) for m, val in lhs.items()),
+                    ((j + e, val * -(j + e)) for j, val in rhs.items()),
+                ),
+                trunc + e,
+            )
+    return _normalization_residual_by_derivatives(t, d, u)
+
+
+def _normalization_residual_by_derivatives(t, d, u):
+    """:func:`normalization_residual` by applying ``D`` to ``u`` and
+    integrating: the fallback path and its oracle."""
     u = _coerce_gauss_formal(t.space, u, t.density.trunc_order)
-    lhs = trace_eval(t, d.apply(u))
-    rhs = trace_eval(t, u).nu_scale_derivative()
+    lhs = _trace_eval_by_products(t, d.apply(u))
+    rhs = _trace_eval_by_products(t, u).nu_scale_derivative()
     return lhs - rhs

@@ -463,6 +463,41 @@ def test_exact_integral_matches_hermite_oracle(data):
     assert abs(got - oracle) < mpmath.mpf("1e-9") * (1 + abs(oracle))
 
 
+def translated_integral(poly, widths, b, c, root):
+    """``integral of poly exp(-sum_i w_i x_i^2/2 + b.x + c)`` as ``(s, r)``
+    with value ``r e^s pi^n``, taken by translating ``poly`` to the center
+    and keeping its even monomials, each with centered moments
+    ``(e-1)!!/w^(e/2)``; ``root`` is ``sqrt(prod_i w_i)``."""
+    mu = [bi / w for bi, w in zip(b, widths)]
+    s = c + sum(bi * m for bi, m in zip(b, mu)) / 2
+    total = F(0)
+    for exps, coeff in poly.translate(mu).terms.items():
+        if not any(e % 2 for e in exps):
+            for e, w in zip(exps, widths):
+                coeff *= math.prod(range(e - 1, 0, -2)) / w ** (e // 2)
+            total += coeff
+    return s, total * 2 ** (len(widths) // 2) / root
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_moment_rows_match_the_translated_polynomial(n, data):
+    # the unshifted polynomial on shifted moment rows against translating
+    # it first, with shifts whose denominators are not 1 and squeezed widths
+    space = PhaseSpace(n)
+    poly = data.draw(polys(space))
+    t = data.draw(st.sampled_from([F(1, 2), F(1), F(4, 3), F(3)]))
+    scales = data.draw(st.lists(st.sampled_from([F(1), F(2), F(2, 3)]), min_size=n, max_size=n))
+    widths = [t * s * s for s in scales] + [t / (s * s) for s in scales]
+    b = data.draw(st.lists(RATIONAL, min_size=space.dim, max_size=space.dim))
+    c = data.draw(RATIONAL)
+    a = [[-widths[i] if i == j else 0 for j in range(space.dim)] for i in range(space.dim)]
+    f = GaussFn(space, {quadratic(space, a, b, c): poly})
+    want = IntegralValue(n, [translated_integral(poly, widths, b, c, t**n)])
+    assert gauss_integrate_exact(f) == want
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_gaussian_kernels_keep_the_exponent_guard(n):
     space = PhaseSpace(n)

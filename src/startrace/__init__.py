@@ -61,6 +61,7 @@ from startrace.trace import (
     default_probe_battery,
     moyal_trace,
     normalization_residual,
+    operator_trace_residual,
     proportionality_factor,
     standardize,
     trace_eval,
@@ -107,6 +108,7 @@ __all__ = [
     "moyal_construct",
     "moyal_trace",
     "normalization_residual",
+    "operator_trace_residual",
     "plateau_generate",
     "poisson_bracket",
     "proportionality_factor",

@@ -63,6 +63,7 @@ from startrace.trace import (
     default_probe_battery,
     moyal_trace,
     normalization_residual,
+    operator_trace_residual,
     proportionality_factor,
     trace_eval,
     trace_residual,
@@ -588,9 +589,11 @@ def _gauss_pairs(space, seed):
 
 
 def _gaussian_pair_cases(space, tau, product, seed):
-    """``tau`` against star commutators of three seeded Gaussian pairs."""
+    """``tau`` against star commutators of three seeded Gaussian pairs, all
+    read through one :func:`operator_trace_residual`."""
+    ops = operator_trace_residual(tau, product)
     return [
-        _series_case(f"gaussian-pair-{i}", trace_residual(tau, product, u, v))
+        _series_case(f"gaussian-pair-{i}", trace_residual(tau, product, u, v, ops))
         for i, (u, v) in zip(range(3), _gauss_pairs(space, seed))
     ]
 
@@ -726,12 +729,15 @@ def _run_proportionality(sc):
 def _run_strongly_closed(sc):
     space = PhaseSpace(sc.n)
     product = moyal_construct(space, sc.trunc_order)
+    # the order-r closedness integral is order r of the trace residual of
+    # density 1, so every pair reads the transposes (C_r^-)^t_1 built here
+    ops = operator_trace_residual(moyal_trace(space, sc.trunc_order), product)
     cases = []
     for i, (u, v) in zip(range(3), _gauss_pairs(space, sc.seed)):
         residuals = {}
         ok = True
         for r in range(1, sc.trunc_order + 1):
-            val = closedness_integral(product, r, u, v)
+            val = closedness_integral(product, r, u, v, ops)
             residuals[str(r)] = str(val)
             ok = ok and val.is_zero()
         cases.append(Case(f"gaussian-pair-{i}", residuals, ok))

@@ -46,6 +46,7 @@ from types import MappingProxyType
 
 from startrace.poly import (
     _FIELD,
+    _MASK,
     Poly,
     _axis,
     _check_guard,
@@ -248,12 +249,21 @@ class BiDiffOp(_Operator):
         """C_0: the pointwise product ``(u, v) -> u v``."""
         return cls._trusted(space, {0: 1}, 1)
 
-    def _rows(self, v):
-        """``{alpha key: terms}``: the row ``R_alpha = sum_beta a_{alpha,beta}
-        d^beta v`` of each left multi-index, as the operands of one
-        :func:`startrace.poly._combine` call, over ``self.den``.  The
-        derivatives of ``v`` come from its jet."""
-        dim = self.space.dim
+    def apply(self, u, v):
+        """``B(u, v) = sum_alpha d^alpha u * (sum_beta a_{alpha,beta} d^beta v)``.
+
+        Terms are grouped by their left multi-index: each row
+        ``sum_beta a_{alpha,beta} d^beta v`` accumulates in one numerator
+        dict per exponent of ``v``, and then each output exponent's
+        polynomial in one dict, so each distinct ``alpha`` costs one pass
+        over ``d^alpha u`` and no Poly is built per term.  The derivatives
+        of both operands come from their jets.  The result is a GaussFn
+        when either operand is one.
+        """
+        space = self.space
+        if not self.nums:
+            return type(u).zero(space)
+        dim = space.dim
         shift = _FIELD * dim
         mask = (1 << shift) - 1
         rows = {}
@@ -264,25 +274,8 @@ class BiDiffOp(_Operator):
             if part is None:
                 part = parts[b] = _parts(v.diff_multi(_unpack(b, dim)))
             rows.setdefault(hi & mask, []).append(({None: monos}, 1, part))
-        return rows
-
-    def apply(self, u, v):
-        """``B(u, v) = sum_alpha d^alpha u * (sum_beta a_{alpha,beta} d^beta v)``.
-
-        Terms are grouped by their left multi-index: each row
-        ``sum_beta a_{alpha,beta} d^beta v`` (:meth:`_rows`) accumulates in
-        one numerator dict per exponent of ``v``, and then each output
-        exponent's polynomial in one dict, so each distinct ``alpha`` costs
-        one pass over ``d^alpha u`` and no Poly is built per term.  The
-        derivatives of both operands come from their jets.  The result is a
-        GaussFn when either operand is one.
-        """
-        space = self.space
-        if not self.nums:
-            return type(u).zero(space)
-        dim = space.dim
         pairs = []
-        for a, row in self._rows(v).items():
+        for a, row in rows.items():
             sums, den = _combine(row)
             for nums in sums.values():
                 _check_guard(nums, dim, "a product")
@@ -290,6 +283,43 @@ class BiDiffOp(_Operator):
         out, den = _combine(pairs)
         gauss = next((type(f) for f in (u, v) if not isinstance(f, Poly)), None)
         return _function(space, out, self.den * den, gauss)
+
+    def transpose(self, w):
+        """The DiffOp ``B^t_w = sum (-1)^{|alpha|} d^alpha o (a_{alpha,beta} w)
+        o d^beta``, so that ``integral of w B(u, v) = integral of u B^t_w(v)``
+        for operands that leave no boundary terms, as Gaussians do.
+
+        The terms times the Poly ``w`` move ``beta`` down to the DiffOp's
+        slot, giving ``D_alpha = sum_beta a_{alpha,beta} w d^beta`` per left
+        multi-index.  Horner's rule then takes one axis at a time, the last
+        first: the ``D`` whose ``alpha`` differ only in ``alpha_i = k`` merge
+        into ``D_0 - d_i o (D_1 - d_i o (D_2 - ...))``, so every ``d_i`` acts
+        on a merged sum, and all of it stays over one denominator."""
+        if not isinstance(w, Poly):
+            raise TypeError("transpose expects a Poly weight")
+        space = self.space
+        w._check_space(space)
+        shift = _FIELD * space.dim
+        mask = (1 << shift) - 1
+        out, den = _combine([({None: self.nums}, 1, [(None, w.nums, w.den)])])
+        nums = out.get(None, {})
+        _check_guard(nums, space.dim, "an operator product")
+        ops = {}  # {alpha key: numerators of D_alpha}
+        for k, c in nums.items():
+            ops.setdefault(k >> shift & mask, {})[k & mask | k >> (2 * shift) << shift] = c
+        for i in reversed(range(space.dim)):
+            field = _MASK << (_FIELD * i)
+            chains = {}
+            for a, d in ops.items():
+                chains.setdefault(a & ~field, {})[(a & field) >> (_FIELD * i)] = d
+            ops = {}
+            for rest, chain in chains.items():
+                top = max(chain)
+                acc = DiffOp._trusted(space, chain[top], 1)
+                for k in range(top - 1, -1, -1):
+                    acc = DiffOp._trusted(space, chain.get(k, {}), 1) - acc.diff(i)
+                ops[rest] = acc.nums
+        return DiffOp._trusted(space, ops.get(0, {}), self.den * den)
 
     def antisym(self):
         """``B^-(u,v) = B(u,v) - B(v,u)`` as a swap of the two multi-index

@@ -31,15 +31,16 @@ with no shift: each monomial adds its numerator times one row entry per
 axis to one int, and each term builds one ``Fraction``.
 
 The trace functionals integrate by parts on the same rows, because
-Gaussians leave no boundary terms, and build no product and no
-derivative of their operands: :func:`gauss_operator_integrals` gives
-``integral of w_j A_r(u)`` for differential operators ``A_r`` and
-polynomial weights ``w_j``, and :func:`gauss_pair_integrals` gives
-``integral of w_j B_r(u, v)`` for bidifferential ``B_r`` from tables of
-``integral of d^alpha u * x^kappa e^{Q_v}``.  They take single-term
-operands with no cross term in the exponent (every term, for the
-operator form), and return None for any other input, which their callers
-then integrate the way they did before.
+Gaussians leave no boundary terms, and build no product of their
+operands: :func:`gauss_operator_integrals` gives ``integral of w_j
+A_r(u)`` for differential operators ``A_r`` and polynomial weights
+``w_j`` with no derivative of ``u``, and :func:`gauss_pair_integrals`
+gives ``integral of u A_m(v)`` for differential operators ``A_m``, which
+the pair functionals obtain by transposing their bidifferential cochains
+(:meth:`~startrace.diffop.BiDiffOp.transpose`) once for all pairs.  They
+take single-term operands with no cross term in the exponent (every
+term, for the operator form), and return None for any other input, which
+their callers then integrate the way they did before.
 
 Exact integrals land in :class:`IntegralValue`, the ring of values
 ``pi^k * sum_j r_j e^{s_j}`` with rational ``r_j, s_j``.  Its zero test
@@ -618,10 +619,10 @@ def _diagonal_terms(f):
     return terms
 
 
-def _one_space(space, ops, weights):
-    """Whether every operator of ``ops`` and every Poly of ``weights`` (two
-    dicts) lives on ``space``."""
-    return all(x.space == space for x in chain(ops.values(), weights.values()))
+def _one_space(space, *maps):
+    """Whether every value of the dicts ``maps``, operators or Polys, lives
+    on ``space``."""
+    return all(x.space == space for m in maps for x in m.values())
 
 
 def _values(n, parts):
@@ -692,42 +693,25 @@ def gauss_operator_integrals(u, ops, weights, top):
     return _values(u.space.n, parts)
 
 
-def gauss_pair_integrals(u, v, ops, weights, top):
-    """``{m: integral of sum_{r+j=m} w_j * B_r(u, v)}`` for ``m <= top``,
-    with ``ops = {r: B_r}`` BiDiffOps and ``weights = {j: w_j}`` Polys, or
-    None unless ``u`` and ``v`` are single terms ``P e^Q`` with no cross
-    term whose sum has an exact integral, on the space of ``ops`` and
-    ``weights``.
+def gauss_pair_integrals(u, v, ops):
+    """``{m: integral of u A_m(v)}`` for DiffOps ``ops = {m: A_m}``, or None
+    unless ``u`` and ``v`` are single terms ``P e^Q`` with no cross term
+    whose product has an exact integral, on the space of ``ops``.
 
-    Neither ``B_r(u, v)``, a derivative of ``u``, nor a product with
-    ``w_j`` is built.  Each ``B_r`` gives its rows ``R_alpha = sum_beta
-    a_{alpha beta} d^beta v = R_alpha(x) e^{Q_v}`` (``BiDiffOp._rows``), and
-    ``integral of w_j B_r(u, v) = sum_alpha sum_kappa (w_j R_alpha)[kappa]
-    phi_alpha(kappa)`` with the table ``phi_alpha(kappa) = integral of
-    d^alpha u * x^kappa e^{Q_v}``.  Integration by parts gives
-
-        phi_{alpha+e_i}(kappa) = -kappa_i phi_alpha(kappa-e_i)
-                                 - b_i phi_alpha(kappa) + w_i phi_alpha(kappa+e_i)
-
-    for ``Q_v = -sum_i w_i x_i^2/2 + b.x + c``, and ``phi_0(kappa) = sum_e
-    P_u[e] M(kappa + e)`` from the moment rows of ``e^{Q_u + Q_v}``.
-
-    The left multi-indices are visited in the order of their packed keys,
-    a preorder of the tree whose parent of ``alpha`` lowers its lowest
-    nonzero axis, and each table is filled only on the ``kappa`` asked of
-    it, by recursion down that path.  A table lives while the traversal is
-    inside its subtree, and each ``alpha`` is contracted as soon as its
-    table exists, from rows of every order built at that moment and then
-    dropped.  Entries are ints over one denominator per ``alpha``: the
-    moments over their row scales, times ``lcm(den b_i, den w_i)`` per step
-    along axis ``i``.
+    No product with ``u`` is built: ``A_m(v) = R_m(x) e^{Q_v}``, with
+    ``R_m = sum_beta a_beta d^beta v e^{-Q_v}`` from ``v``'s jet, and
+    ``integral of u A_m(v) = sum_kappa R_m[kappa] sum_e P_u[e] M(kappa + e)``
+    with the moment rows ``M`` of ``e^{Q_u + Q_v}``.  The trace identities
+    reach this form by transposing their cochains
+    (:meth:`~startrace.diffop.BiDiffOp.transpose`), so a zero operator
+    costs only the integrability check.
     """
     tu, tv = _diagonal_terms(u), _diagonal_terms(v)
     if tu is None or tv is None or len(tu) != 1 or len(tv) != 1:
         return None
-    if u.space != v.space or not _one_space(u.space, ops, weights):
+    if u.space != v.space or not _one_space(u.space, ops):
         return None
-    ((pu, wu, bu, cu),), ((pv, wv, bv, cv),) = tu, tv
+    ((pu, wu, bu, cu),), ((_, wv, bv, cv),) = tu, tv
     (qv,) = v.coeffs
     dim = u.space.dim
     widths = [x + y for x, y in zip(wu, wv)]
@@ -735,116 +719,32 @@ def gauss_pair_integrals(u, v, ops, weights, top):
         s, g, gden, mu = _gaussian(widths, [x + y for x, y in zip(bu, bv)], cu + cv)
     except (NonIntegrableError, ArithmeticError):
         return None
-    ops = {r: op for r, op in ops.items() if r <= top}
-    weights = [(j, list(w.nums.items()), w.den) for j, w in weights.items() if j <= top]
-    # per axis, a table reaches kappa_i at most the sum of the top fields of
-    # the cochains (monomial, alpha and beta: d^beta v raises x_i by beta_i
-    # at most), of the weights, and of P_v; the moments add P_u's
-    bits = _key_bits(k for op in ops.values() for k in op.nums)
-    lam = _key_bits(k for _, ws, _ in weights for k, _ in ws)
-    fields = [_unpack(bits >> (_FIELD * dim * slot), dim) for slot in range(3)]
-    fields += [_unpack(x, dim) for x in (lam, _key_bits(pu.nums), _key_bits(pv.nums))]
-    tops = [sum(f) for f in zip(*fields)]
+    images = {}  # {m: (R_m, den)}
+    for m, op in ops.items():
+        out, den = _combine(
+            [
+                ({None: monos}, 1, _parts(v.diff_multi(_unpack(b, dim))))
+                for b, monos in op._groups().items()
+            ]
+        )
+        if out.get(qv):  # else every d^beta v of the operator vanishes
+            images[m] = out[qv], den * op.den
+    if not images:
+        return {}
+    keys = {k for nums, _ in images.values() for k in nums}
+    tops = [x + y for x, y in zip(_unpack(_key_bits(keys), dim), _unpack(_key_bits(pu.nums), dim))]
     if max(tops) > MAX_EXPONENT:
         return None
     rows, scale = _moment_rows(widths, mu, tops)
+    moments = _moments(pu, g, rows, keys, dim)
     den = pu.den * gden * scale
-    steps = []  # per axis of Q_v, with L = lcm(den b_i, den w_i): (e_i, L, L b_i, L w_i)
-    for i, (b, w) in enumerate(zip(bv, wv)):
-        lc = math.lcm(b.denominator, w.denominator)
-        bc, wc = lc // b.denominator * b.numerator, lc // w.denominator * w.numerator
-        steps.append((1 << (_FIELD * i), lc, bc, wc))
-
-    def step(node):
-        return steps[((node & -node).bit_length() - 1) // _FIELD]
-
-    tables = {}
-
-    def fill(alpha, need):
-        """The table of ``alpha``, with every key of ``need`` filled."""
-        levels = []
-        node, req = alpha, need
-        while True:
-            table = tables[node]
-            missing = [k for k in req if k not in table]
-            if not missing:
-                break
-            levels.append((node, table, missing))
-            if not node:
-                break
-            unit, _, bc, wc = step(node)
-            shift = unit.bit_length() - 1
-            req = {k - unit for k in missing if (k >> shift) & _MASK}
-            if bc:
-                req.update(missing)
-            if wc:
-                req.update([k + unit for k in missing])
-            node -= unit
-        for node, table, missing in reversed(levels):
-            if not node:
-                table.update(_moments(pu, g, rows, missing, dim))
-                continue
-            unit, lc, bc, wc = step(node)
-            shift = unit.bit_length() - 1
-            parent = tables[node - unit]
-            for k in missing:
-                e = (k >> shift) & _MASK
-                val = wc * parent[k + unit] if wc else 0
-                if bc:
-                    val -= bc * parent[k]
-                if e:
-                    val -= lc * e * parent[k - unit]
-                table[k] = val
-        return tables[alpha]
-
-    # per order r: the weights it meets, and the keys lambda of their monomials
-    meets = {}
-    for r in ops:
-        met = [w for w in weights if r + w[0] <= top]
-        meets[r] = met, sorted({k for _, ws, _ in met for k, _ in ws})
-    by_alpha = {}
-    for r, op in ops.items():
-        for alpha, terms in op._rows(v).items():
-            by_alpha.setdefault(alpha, []).append((r, terms, op.den))
-    sums = {}
-    for alpha in sorted(by_alpha):
-        # keep the tables of the path from alpha down to 0, drop the rest
-        node, lscale, path = alpha, 1, {}
-        while node:
-            path[node] = tables.get(node, {})
-            unit, lc, _, _ = step(node)
-            lscale *= lc
-            node -= unit
-        path[0] = tables.get(0, {})
-        tables = path
-        here = []
-        need = set()
-        for r, terms, oden in by_alpha.pop(alpha):
-            out, rden = _combine(terms)
-            nums = out.get(qv)
-            if not nums:  # every d^beta v of the row vanishes
-                continue
-            here.append((r, nums, rden * oden * lscale))
-            for lk in meets[r][1]:
-                need.update([k + lk for k in nums] if lk else nums)
-        table = fill(alpha, need)
-        # sum_kappa R[kappa] phi(kappa + lambda) once per lambda; each weight
-        # w_j = sum_lambda c_lambda x^lambda is then a short sum of those
-        for r, nums, rden in here:
-            met, lams = meets[r]
-            dots = {}
-            for lk in lams:
-                acc = 0
-                for k, c in nums.items():
-                    acc += c * table[k + lk]
-                dots[lk] = acc
-            for j, ws, wden in met:
-                val = sum(c * dots[lk] for lk, c in ws)
-                if val:
-                    by_den = sums.setdefault(r + j, {})
-                    d = rden * wden * den
-                    by_den[d] = by_den.get(d, 0) + val
-    return _values(u.space.n, {m: [(s, by_den)] for m, by_den in sums.items()})
+    return _values(
+        u.space.n,
+        {
+            m: [(s, {d * den: sum(c * moments[k] for k, c in nums.items())})]
+            for m, (nums, d) in images.items()
+        },
+    )
 
 
 def gauss_integrate_bigfloat(a, precision=50):

@@ -190,17 +190,19 @@ def associativity_residual(s, u, v, w):
     return left - right
 
 
-def closedness_integral(s, r, u, v):
+def closedness_integral(s, r, u, v, ops=None):
     """``integral of C_r^-(u, v)`` over R^{2n} with the Liouville volume.
 
     ``Omega^n/n!`` is the Lebesgue measure of the chart, so this is an
     exact Gaussian integral.  Vanishes for all r iff ``s`` is strongly
     closed on the tested pairs.  ``C_r^-`` comes from the cache
     ``s.minus``; orders outside ``0..trunc_order`` raise ``ValueError``,
-    and ``C_0^-`` is zero.  Single-term operands with no cross term are
-    integrated by parts on moment tables
-    (:func:`~startrace.gaussfn.gauss_pair_integrals`), with no
-    ``C_r^-(u, v)`` built; others are applied and integrated.
+    and ``C_0^-`` is zero.  Single-term operands with no cross term give
+    ``integral of u L_r(v)`` (:func:`~startrace.gaussfn.gauss_pair_integrals`)
+    for the transpose ``L_r = (C_r^-)^t_1``, with no ``C_r^-(u, v)`` built;
+    ``ops`` holds the nonzero ``L_r`` when the caller shares them between
+    pairs, as the trace residual of density 1 does.  Others are applied
+    and integrated.
     """
     if not isinstance(u, GaussFn) or not isinstance(v, GaussFn):
         raise TypeError("closedness_integral expects GaussFn operands")
@@ -209,7 +211,9 @@ def closedness_integral(s, r, u, v):
     minus = s.minus.get(r)
     if minus is None:
         return IntegralValue.zero()
-    vals = gauss_pair_integrals(u, v, {r: minus}, {0: Poly.constant(s.space, 1)}, r)
+    if ops is None:
+        ops = {r: minus.transpose(Poly.constant(s.space, 1))}
+    vals = gauss_pair_integrals(u, v, {r: ops[r]} if r in ops else {})
     if vals is not None:
         return vals.get(r, IntegralValue.zero())
     return gauss_integrate_exact(minus.apply(u, v))

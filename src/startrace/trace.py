@@ -10,13 +10,15 @@ the prefactor exponent (``-n`` in standard form).  On the flat chart
 exact Gaussian integral.  The order-k functionals ``tau_k(u) = integral of
 u rho_k dV`` drive the order-by-order trace conditions.
 
-Gaussians leave no boundary terms, so :func:`trace_eval`,
-:func:`trace_residual` (and with it :func:`trk_residual`) and
+Gaussians leave no boundary terms, so :func:`trace_eval` and
 :func:`normalization_residual` integrate by parts on moment rows (see
-:mod:`startrace.gaussfn`) and build no product ``u rho``, no commutator
-``C_r^-(u, v)`` and no ``D'_r u``.  They give the same exact values as
-building each integrand first, which ``_trace_eval_by_products``,
-``_trace_residual_by_commutator`` and
+:mod:`startrace.gaussfn`) and build no product ``u rho`` and no ``D'_r
+u``; :func:`trace_residual` (and with it :func:`trk_residual`) integrates
+``u L_m(v)`` for the operators ``L_m`` of :func:`operator_trace_residual`,
+which transpose the commutator cochains against the density once for
+all pairs, and builds no commutator ``C_r^-(u, v)``.  They give the
+same exact values as building each integrand first, which
+``_trace_eval_by_products``, ``_trace_residual_by_commutator`` and
 ``_normalization_residual_by_derivatives`` still do: for operands with a
 cross term in the exponent, pairs of several terms, an irrational
 ``sqrt(prod_i w_i)``, and densities that do not start at ``nu^0`` (or,
@@ -145,19 +147,43 @@ def _trace_eval_by_products(t, u):
     return FormalScalar(vals, prod.trunc_order).shift(t.prefactor_exponent)
 
 
-def trace_residual(t, s, u, v):
+def operator_trace_residual(t, s):
+    """``{m: L_m}`` for ``m <= K``, the product's order, with the operator
+    ``L_m = sum_{r+j=m} (C_r^-)^t_{rho_j}`` kept where it is nonzero.
+
+    Integration by parts (:meth:`~startrace.diffop.BiDiffOp.transpose`)
+    gives ``integral of rho_j C_r^-(u, v) = integral of u
+    (C_r^-)^t_{rho_j}(v)`` for every pair that leaves no boundary terms, so
+    order ``m + e`` of ``tau(u*v) - tau(v*u)`` is ``integral of u L_m(v)``
+    and ``rho`` is a trace density through order K exactly when the result
+    is empty.  Each cached ``C_r^-`` is transposed once per ``rho_j``.
+    """
+    by_order = {}
+    for r, minus in s.minus.items():
+        for j, w in t.density.coeffs.items():
+            if r + j <= s.trunc_order:
+                by_order.setdefault(r + j, []).append(minus.transpose(w))
+    ops = {m: DiffOp.sum(t.space, terms) for m, terms in by_order.items()}
+    return {m: op for m, op in ops.items() if not op.is_zero()}
+
+
+def trace_residual(t, s, u, v, ops=None):
     """``tau(u*v) - tau(v*u)``; identically zero iff tau is a trace on the pair.
 
     The order-m coefficient is ``sum_{r+j=m} integral of rho_j C_r^-(u, v)``.
     For single-term GaussFns with no cross term, and a density with
-    coefficients at orders ``0..K`` of the product, it is integrated by
-    parts on moment tables (:func:`~startrace.gaussfn.gauss_pair_integrals`),
-    with no commutator built.  Any other input takes
+    coefficients at orders ``0..K`` of the product, it is ``integral of u
+    L_m(v)`` with ``ops = {m: L_m}`` from :func:`operator_trace_residual`
+    (built here unless the caller passes it for many pairs), integrated on
+    moment rows (:func:`~startrace.gaussfn.gauss_pair_integrals`) with no
+    commutator built.  Any other input takes
     :func:`_trace_residual_by_commutator`.
     """
     rho = t.density
     if rho.min_degree == 0 and rho.trunc_order == s.trunc_order:
-        vals = gauss_pair_integrals(u, v, s.minus, rho.coeffs, s.trunc_order)
+        if ops is None:
+            ops = operator_trace_residual(t, s)
+        vals = gauss_pair_integrals(u, v, ops)
         if vals is not None:
             return FormalScalar(vals, s.trunc_order).shift(t.prefactor_exponent)
     return _trace_residual_by_commutator(t, s, u, v)
@@ -175,7 +201,8 @@ def trk_residual(t, s, u, v):
 
     These are the ``nu^{k+1+e}`` coefficients of :func:`trace_residual`
     (``e`` the prefactor exponent), because the commutator expands into
-    the ``C_r^-``; one evaluation gives every order.
+    the ``C_r^-``; one evaluation, against one build of the operators
+    ``L_m`` of :func:`operator_trace_residual`, gives every order.
     """
     if not isinstance(u, GaussFn) or not isinstance(v, GaussFn):
         raise TypeError("trk_residual expects GaussFn operands")

@@ -4,7 +4,7 @@ from math import factorial
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
-from startrace.diffop import DiffOp
+from startrace.diffop import BiDiffOp, DiffOp
 from startrace.equiv import Equivalence
 from startrace.gaussfn import GaussFn
 from startrace.poly import Poly, mat_identity, mat_mul
@@ -121,3 +121,28 @@ def hamiltonian_flow(h, trunc_order):
         power = power.compose(bracket)
         ops[k] = power * Fraction(1, factorial(k))
     return Equivalence(space, trunc_order, ops)
+
+
+def record_transposes(monkeypatch):
+    """Wrap ``BiDiffOp.transpose``; the returned list grows by ``(cochain,
+    weight)`` per call."""
+    calls = []
+    original = BiDiffOp.transpose
+
+    def recording(self, w):
+        calls.append((self, w))
+        return original(self, w)
+
+    monkeypatch.setattr(BiDiffOp, "transpose", recording)
+    return calls
+
+
+def transposes_of(tau, s):
+    """The ``(C_r^-, rho_j)`` with ``r + j <= K`` that one build of the
+    operator trace residual of ``tau`` and ``s`` transposes, once each."""
+    return [
+        (minus, w)
+        for r, minus in s.minus.items()
+        for j, w in tau.density.coeffs.items()
+        if r + j <= s.trunc_order
+    ]

@@ -1,14 +1,24 @@
-"""The trace functionals integrated by parts on moment tables, against the
-paths that build commutators, products and derivatives, kept as oracles."""
+"""The trace functionals integrated by parts, against the paths that build
+commutators, products and derivatives, kept as oracles.
 
+``trace_eval`` and ``normalization_residual`` read moment rows.  The pair
+functionals read the transposes ``B^t_w`` of the commutator cochains
+(``BiDiffOp.transpose``), summed per order into the operators ``L_m`` of
+``operator_trace_residual``, which vanish for a true trace density and
+are built once per functional and product, however many pairs meet them.
+"""
+
+from collections import Counter
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import plane_product, polys
+from conftest import plane_product, polys, record_transposes, transposes_of
 from startrace import cli
+from startrace.cli import Scenario, run_scenario
 from startrace.diffop import BiDiffOp, DiffOp
 from startrace.equiv import (
     density_from_equivalence,
@@ -20,6 +30,7 @@ from startrace.formal import FormalScalar
 from startrace.gaussfn import (
     GaussFn,
     IntegralValue,
+    NonIntegrableError,
     gauss_integrate_exact,
     gauss_operator_integrals,
     gauss_pair_integrals,
@@ -35,10 +46,12 @@ from startrace.trace import (
     default_probe_battery,
     moyal_trace,
     normalization_residual,
+    operator_trace_residual,
     trace_eval,
     trace_residual,
     trk_residual,
 )
+from test_diffop import bidiffops
 from test_gaussfn import quadratic
 
 RATIONAL = st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -117,15 +130,93 @@ def test_pair_residuals_match_the_commutator(n, data):
     for t in (tau, perturbed(space, tau, data)):
         got = trace_residual(t, s, u, v)
         assert got == _trace_residual_by_commutator(t, s, u, v)
+        assert got == trace_residual(t, s, u, v, operator_trace_residual(t, s))
         assert got.trunc_order == order + t.prefactor_exponent
         e = t.prefactor_exponent
         assert trk_residual(t, s, u, v) == [
             got.get(k + 1 + e) or IntegralValue.zero() for k in range(order)
         ]
-    assert gauss_pair_integrals(u, v, s.minus, tau.density.coeffs, order) is not None
+    assert operator_trace_residual(tau, s) == {}
+    assert gauss_pair_integrals(u, v, {}) == {}
     for r in range(order + 1):
         want = gauss_integrate_exact(s.minus[r].apply(u, v)) if r in s.minus else None
         assert closedness_integral(s, r, u, v) == (want or IntegralValue.zero())
+
+
+@lru_cache
+def cochains(n, seed):
+    """The cochains and commutator cochains of the Moyal product at K = 3,
+    or of its transport by ``random_equivalence`` at ``seed``."""
+    space = PhaseSpace(n)
+    s = moyal_construct(space, 3)
+    if seed is not None:
+        s = transport_star(random_equivalence(space, 3, seed), s)
+    return list(s.cochains.values()) + list(s.minus.values())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_transpose_moves_the_weight_onto_one_operand(n, data):
+    # integral of w B(u, v) = integral of u B^t_w(v), exactly, for B a Moyal
+    # or transported cochain or a drawn operator with polynomial coefficients
+    space = PhaseSpace(n)
+    source = data.draw(st.sampled_from(["moyal", "transported", "drawn"]))
+    if source == "drawn":
+        b = data.draw(bidiffops(space, top=2))
+    else:
+        seed = None if source == "moyal" else data.draw(st.integers(0, 20))
+        b = data.draw(st.sampled_from(cochains(n, seed)))
+    w = data.draw(polys(space))
+    scales = data.draw(squeezes(space))
+    u, v = data.draw(diagonal_term(space, scales)), data.draw(diagonal_term(space, scales))
+    bt = b.transpose(w)
+    want = gauss_integrate_exact(GaussFn.from_poly(w) * b.apply(u, v))
+    assert gauss_integrate_exact(u * bt.apply(v)) == want
+    assert gauss_pair_integrals(u, v, {0: bt}).get(0, IntegralValue.zero()) == want
+    # term by term: (-1)^|alpha| d^alpha o (a_{alpha,beta} w) o d^beta
+    terms = [
+        DiffOp(space, {beta: c * w}).diff_multi(alpha) * (-1) ** sum(alpha)
+        for (alpha, beta), c in b.coeffs.items()
+    ]
+    assert bt == DiffOp.sum(space, terms)
+
+
+@pytest.mark.parametrize("n, order", [(1, 4), (1, 6), (2, 4), (3, 4)])
+def test_operator_residual_vanishes_for_true_densities(n, order):
+    space = PhaseSpace(n)
+    moyal = moyal_construct(space, order)
+    assert operator_trace_residual(moyal_trace(space, order), moyal) == {}
+    for seed in range(3):
+        t = random_equivalence(space, order, seed)
+        tau, s = density_from_equivalence(t), transport_star(t, moyal)
+        assert operator_trace_residual(tau, s) == {}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_operator_residual_controls_fire(n):
+    # rho + nu^2 q1 breaks the trace identity from order 3, and the Moyal
+    # density 1 breaks it against a transported product (seeds 0 and 1;
+    # at seed 2 the transported density is a constant series, still a
+    # trace); each pair's residual is nonzero at exactly the orders where
+    # L_m is
+    space = PhaseSpace(n)
+    moyal = moyal_construct(space, 4)
+    bump = FormalScalar({2: Poly.variable(space, "q1")}, 4)
+    for seed in range(3):
+        t = random_equivalence(space, 4, seed)
+        s, tau = transport_star(t, moyal), density_from_equivalence(t)
+        bumped = TraceFunctional(space, tau.density + bump, tau.prefactor_exponent)
+        for f in [bumped, moyal_trace(space, 4)] if seed < 2 else [bumped]:
+            ops = operator_trace_residual(f, s)
+            assert ops and min(ops) == (3 if f is bumped else 4)
+            if f is bumped and seed == 0:
+                assert sorted(ops) == [3, 4]
+            for _, (u, v) in zip(range(3), cli._gauss_pairs(space, seed)):
+                got = trace_residual(f, s, u, v, ops)
+                assert got == _trace_residual_by_commutator(f, s, u, v)
+                e = f.prefactor_exponent
+                assert {m - e for m, c in got.coeffs.items() if not c.is_zero()} == set(ops)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -176,8 +267,9 @@ def test_normalization_matches_the_derivatives(n, data):
 
 
 def test_flat_operands_match_the_commutator():
-    # v flat along an axis (a polynomial, or a Gaussian in q alone): rows of
-    # B_r whose every d^beta v vanishes have nothing to contract
+    # v flat along an axis (a polynomial, or a Gaussian in q alone): terms of
+    # L_m whose every d^beta v vanishes have nothing to integrate.  The true
+    # densities have no L_m at all; the bumped ones do
     space = PhaseSpace(1)
     q, p = Poly.variable(space, "q1"), Poly.variable(space, "p1")
     u = GaussFn(space, {quadratic(space, [[-1, 0], [0, -4]], [F(1, 2), 0], 1): q + p})
@@ -192,11 +284,15 @@ def test_flat_operands_match_the_commutator():
     bump = FormalScalar({1: q * q + p, 2: q}, 3)
     nonzero = 0
     for tau, s in setups:
+        assert operator_trace_residual(tau, s) == {}
         taus = [tau, TraceFunctional(space, tau.density + bump, tau.prefactor_exponent)]
+        closed = operator_trace_residual(moyal_trace(space, 3), s)
         for a, b in [(u, w) for w in flat] + [(w, u) for w in flat]:
-            assert gauss_pair_integrals(a, b, s.minus, tau.density.coeffs, 3) is not None
             for t in taus:
-                got = trace_residual(t, s, a, b)
+                ops = operator_trace_residual(t, s)
+                assert gauss_pair_integrals(a, b, ops) is not None
+                got = trace_residual(t, s, a, b, ops)
+                assert got == trace_residual(t, s, a, b)
                 assert got == _trace_residual_by_commutator(t, s, a, b)
                 nonzero += not got.is_zero()
             for r in range(4):
@@ -204,13 +300,17 @@ def test_flat_operands_match_the_commutator():
                 want = minus.apply(a, b) if minus is not None else None
                 want = gauss_integrate_exact(want) if want is not None else IntegralValue.zero()
                 assert closedness_integral(s, r, a, b) == want
+                assert closedness_integral(s, r, a, b, closed) == want
     assert nonzero
 
 
 def test_operands_outside_the_tables_take_the_oracle():
+    # tau is the density of s, so every L_m is zero: a pair outside the
+    # tables must still give the oracle's value or error, never a 0
     space = PhaseSpace(1)
     s = transport_star(random_equivalence(space, 3, 4), moyal_construct(space, 3))
     tau = density_from_equivalence(random_equivalence(space, 3, 4))
+    assert operator_trace_residual(tau, s) == {}
     q, p = Poly.variable(space, "q1"), Poly.variable(space, "p1")
     u = GaussFn.term(space, q + Poly.constant(space, 1), 1, [1, 0], F(1, 2))
     v = GaussFn.term(space, p * p, 2, [0, F(1, 2)])
@@ -218,17 +318,28 @@ def test_operands_outside_the_tables_take_the_oracle():
     two_terms = u + GaussFn.gaussian(space, 3)
     # widths (2, 1) and (1, 1) sum to (3, 2): sqrt(6) is irrational
     squeezed = GaussFn(space, {quadratic(space, [[-2, 0], [0, -1]]): Poly.constant(space, 1)})
-    for a, b in [(sheared, v), (v, sheared), (two_terms, v), (u, two_terms), (squeezed, u)]:
-        assert gauss_pair_integrals(a, b, s.minus, tau.density.coeffs, 3) is None
+    # a Gaussian in q alone times a polynomial does not decay along p
+    q_only = GaussFn(space, {quadratic(space, [[-3, 0], [0, 0]], [0, F(1, 3)]): p * p})
+    pairs = [(sheared, v), (v, sheared), (two_terms, v), (u, two_terms), (squeezed, u)]
+    pairs += [(GaussFn.from_poly(p), q_only), (q_only, GaussFn.from_poly(q * p))]
+    closed = operator_trace_residual(moyal_trace(space, 3), s)
+    for a, b in pairs:
+        assert gauss_pair_integrals(a, b, {}) is None
         want = outcome(_trace_residual_by_commutator, tau, s, a, b)
         assert outcome(trace_residual, tau, s, a, b) == want
+        assert outcome(trace_residual, tau, s, a, b, {}) == want
         for r in range(4):
             minus = s.minus.get(r)
             want = IntegralValue.zero() if minus is None else outcome(
                 gauss_integrate_exact, minus.apply(a, b)
             )
             assert outcome(closedness_integral, s, r, a, b) == want
-    assert outcome(trace_residual, tau, s, squeezed, u) is ArithmeticError
+            assert outcome(closedness_integral, s, r, a, b, closed) == want
+            assert outcome(closedness_integral, s, r, a, b, {}) == want
+    assert outcome(trace_residual, tau, s, squeezed, u, {}) is ArithmeticError
+    for a, b in pairs[-2:]:
+        assert outcome(trace_residual, tau, s, a, b, {}) is NonIntegrableError
+        assert outcome(closedness_integral, s, 1, a, b, {}) is NonIntegrableError
     # windows the tables do not cover: a density starting above nu^0, and
     # one truncated below the product's order
     shifted = tau.scale_by_series(FormalScalar({1: F(1)}, 3))
@@ -262,8 +373,26 @@ def test_cli_pair_and_probe_cases_apply_no_operator(monkeypatch, n):
         raise AssertionError("an operator was applied")
 
     monkeypatch.setattr(BiDiffOp, "apply", refuse)
-    monkeypatch.setattr(DiffOp, "apply", refuse)
+    transposes = record_transposes(monkeypatch)
+    # the three pairs of a case list share one transpose of each (C_r^-, rho_j)
     for tau, product, d in setups:
-        cases = cli._gaussian_pair_cases(space, tau, product, 0)
-        cases += cli._probe_cases(space, tau, d)
+        transposes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(DiffOp, "apply", refuse)
+            cases = cli._gaussian_pair_cases(space, tau, product, 0)
+            cases += cli._probe_cases(space, tau, d)
         assert len(cases) == 11 and all(case.passed for case in cases)
+        assert Counter(transposes) == Counter(transposes_of(tau, product))
+    # and so does every scenario run: one build per (functional, product),
+    # with the closedness integrals read as the residual of density 1
+    moyal_once = Counter(transposes_of(moyal_trace(space, 3), moyal))
+    transported = Counter(transposes_of(setups[1][0], setups[1][1]))
+    for name, want in [
+        ("moyal-trace", moyal_once),
+        ("strongly-closed", moyal_once),
+        ("transport-trace", transported),
+        ("trk-conditions", moyal_once + transported),
+    ]:
+        transposes.clear()
+        assert run_scenario(Scenario(name, n=n, trunc_order=3)).all_pass()
+        assert Counter(transposes) == want, name

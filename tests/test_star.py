@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gauss_fns, random_poly, rational_rotation
+from conftest import gauss_fns, random_poly, rational_rotation, record_transposes, transposes_of
 from startrace.cli import Scenario, run_scenario
 from startrace.diffop import BiDiffOp, DiffOp
 from startrace.equiv import density_from_equivalence, random_equivalence, transport_star
@@ -201,7 +202,7 @@ def test_commutator_applies_each_cached_cochain_once(monkeypatch, moyal, space):
     setups = [(moyal, moyal_trace(space, 4)), (sp, density_from_equivalence(t))]
     antisym = count_calls(monkeypatch, "antisym")
     apply = count_calls(monkeypatch, "apply")
-    rows = count_calls(monkeypatch, "_rows")
+    transposes = record_transposes(monkeypatch)
     # Moyal's even C_r^- vanish: only C_1^- and C_3^- are applied
     star_commutator(moyal, u, v)
     assert len(apply) == 2
@@ -210,22 +211,28 @@ def test_commutator_applies_each_cached_cochain_once(monkeypatch, moyal, space):
     assert sorted(sp.minus) == [1, 2, 3, 4]
     assert len(apply) == 4
     apply.clear()
-    rows.clear()
+    # the integrals apply no cochain: they transpose each cached C_r^- and
+    # read the pair against the transposes.  A closedness integral
+    # transposes its own C_r^- against 1; trk_residual transposes each
+    # C_r^- once per density coefficient rho_j with r + j <= K, and takes
+    # every order k from that one build
+    one = Poly.constant(space, 1)
     for s, tau in setups:
         for r in range(0, 5):
             closedness_integral(s, r, u, v)
+        assert transposes == [(s.minus[r], one) for r in sorted(s.minus)]
+        transposes.clear()
         trk_residual(tau, s, u, v)
+        assert Counter(transposes) == Counter(transposes_of(tau, s))
+        transposes.clear()
     assert antisym == []
-    # the integrals read each cached C_r^- through its rows, once per
-    # residual, and apply none: trk_residual takes every order k from one
-    # read of each, so 2 + 4 reads for the closedness integrals and as many
-    # again for the conditions
     assert apply == []
-    assert len(rows) == 12
-    rows.clear()
     run_scenario(Scenario("trk-conditions", n=1, trunc_order=4))
     assert apply == []
-    assert len(rows) == 6
+    t0 = random_equivalence(space, 4, seed=0)
+    want = transposes_of(moyal_trace(space, 4), moyal)
+    want += transposes_of(density_from_equivalence(t0), transport_star(t0, moyal))
+    assert Counter(transposes) == Counter(want)
 
 
 def test_moyal_associativity_on_monomials():

@@ -22,13 +22,15 @@ builds one numerator dict per term, ``dP + P*dQ`` over
 exponent's widths, cross terms and linear part are read from its packed
 keys.
 
-:func:`gauss_integrate_exact` integrates every term by one formula: the
-term is brought to one width ``w_i = a_i/d_i`` per axis, and the integral
-factorizes per axis into moments of ``x_i^e`` under the Gaussian centered
-at ``mu_i = b_i/w_i``.  :func:`_moment_row` gives them as one row of ints
-per axis over one scale, so the polynomial is integrated as it stands,
-with no shift: each monomial adds its numerator times one row entry per
-axis to one int, and each term builds one ``Fraction``.
+Every exact integral takes one path, :func:`_term_integrals`: a term
+``P e^Q`` is brought to one width ``w_i = a_i/d_i`` per axis by a
+substitution of Jacobian 1, and the integral factorizes per axis into
+moments of ``x_i^e`` under the Gaussian centered at ``mu_i = b_i/w_i``.
+:func:`_moment_row` gives them as one row of ints per axis over one scale,
+so the polynomial is integrated as it stands, with no shift: each monomial
+adds its numerator times one row entry per axis to one int.  The rows of a
+term are built once and read for every polynomial weight it meets.
+:func:`gauss_integrate_exact` integrates each term against the weight 1.
 
 The trace functionals integrate by parts on the same rows, because
 Gaussians leave no boundary terms, and build no product of their
@@ -38,9 +40,12 @@ A_r(u)`` for differential operators ``A_r`` and polynomial weights
 gives ``integral of u A_m(v)`` for differential operators ``A_m``, which
 the pair functionals obtain by transposing their bidifferential cochains
 (:meth:`~startrace.diffop.BiDiffOp.transpose`) once for all pairs.  They
-take single-term operands with no cross term in the exponent (every
-term, for the operator form), and return None for any other input, which
-their callers then integrate the way they did before.
+take every GaussFn, with any number of terms and cross terms in the
+exponents, and raise where an integral is not exact: ``TypeError`` for an
+operand that is not a GaussFn, ``ValueError`` for a phase-space mismatch
+or a moment row past ``MAX_EXPONENT``, and :class:`NonIntegrableError` or
+``ArithmeticError`` for a term, or pair of terms, with no convergent or no
+rational integral, even where its weight is zero.
 
 Exact integrals land in :class:`IntegralValue`, the ring of values
 ``pi^k * sum_j r_j e^{s_j}`` with rational ``r_j, s_j``.  Its zero test
@@ -545,31 +550,60 @@ def _gaussian(widths, b, c):
 
 
 def gauss_integrate_exact(a):
-    """Exact integral of a GaussFn over R^{2n} as an :class:`IntegralValue`.
-
-    Each term is brought to diagonal widths by :func:`_diagonalize` and
-    integrated by :func:`_diagonal_integral`.
-    """
-    if not isinstance(a, GaussFn):
-        raise TypeError("gauss_integrate_exact expects a GaussFn")
-    n = a.space.n
-    return IntegralValue(
-        n, (_diagonal_integral(*_diagonalize(p, q)) for q, p in a.coeffs.items())
-    )
+    """Exact integral of a GaussFn over R^{2n} as an :class:`IntegralValue`:
+    each term integrated against the weight 1 by :func:`_term_integrals`."""
+    space = _space([a])
+    one = {0: Poly.constant(space, 1)}
+    return IntegralValue(space.n, (_term_integrals(p, q, one)[0] for q, p in a.coeffs.items()))
 
 
-def _diagonalize(poly, q):
-    """``(poly(L^-T y), D, L^-1 b, c)`` for ``q = x^T A x/2 + b.x + c`` and
-    ``-A = L D L^T`` with L unit lower; ``L = I`` when A is diagonal.
+def _space(fns, *maps):
+    """The phase space of the GaussFns ``fns``: raises ``TypeError`` for an
+    operand that is not a GaussFn and ``ValueError`` unless every operand,
+    and every operator or Poly in the dicts ``maps``, lives on one space."""
+    for f in fns:
+        if not isinstance(f, GaussFn):
+            raise TypeError(f"expected a GaussFn operand, got {type(f).__name__}")
+    space = fns[0].space
+    for x in chain(fns, *(m.values() for m in maps)):
+        x._check_space(space)
+    return space
+
+
+def _tops(p, keys, dim):
+    """The top exponent of each axis of the moment rows that integrate
+    ``P`` against weights with the packed ``keys``; raises ``ValueError``
+    when one passes ``MAX_EXPONENT``.
+
+    The OR of the keys bounds each of their fields from above, so the rows
+    read it, and the fields are compared one by one only when that bound
+    passes ``MAX_EXPONENT``."""
+    tops = [x + y for x, y in zip(_unpack(_key_bits(keys), dim), _unpack(_key_bits(p.nums), dim))]
+    if max(tops) > MAX_EXPONENT:
+        for shift in range(0, _FIELD * dim, _FIELD):
+            top = max(((k >> shift) & _MASK for k in keys), default=0)
+            if top + max((k >> shift) & _MASK for k in p.nums) > MAX_EXPONENT:
+                raise ValueError(
+                    f"a moment row exceeds MAX_EXPONENT = {MAX_EXPONENT} along an axis"
+                )
+    return tops
+
+
+def _diagonalize(q):
+    """``(inv_t, widths, L^-1 b, c)`` for ``q = x^T A x/2 + b.x + c`` and
+    ``-A = L D L^T`` with L unit lower and the widths on the diagonal of D:
+    the substitution ``x = inv_t y`` with ``inv_t = L^-T`` takes ``q`` to
+    ``-sum_i w_i y_i^2/2 + (L^-1 b).y + c`` with Jacobian 1, and ``inv_t``
+    is None when A is diagonal.
 
     Elimination without pivoting takes ``-A`` to ``D L^T``, and the identity
-    and ``b`` to ``L^-1`` and ``L^-1 b``.  The substitution ``x = L^-T y``
-    has Jacobian 1.  Pivot k is the ratio of the k-th and (k-1)-th leading
-    minors, so a pivot ``<= 0`` is Sylvester's test failing.
+    and ``b`` to ``L^-1`` and ``L^-1 b``.  Pivot k is the ratio of the k-th
+    and (k-1)-th leading minors, so a pivot ``<= 0`` is Sylvester's test
+    failing.
     """
     widths, cross, b, c = _quadratic_parts(q)
     if not cross:
-        return poly, widths, b, c
+        return None, widths, b, c
     d = q.space.dim
     minus_a = [[w if i == j else Fraction(0) for j in range(d)] for i, w in enumerate(widths)]
     for i, j, v in cross:
@@ -584,79 +618,69 @@ def _diagonalize(poly, q):
                 row[:] = [x - f * y for x, y in zip(row, pivot_row)]
     inv_t = mat_transpose([row[d + 1 :] for row in rows])
     widths = tuple(row[k] for k, row in enumerate(rows))
-    return poly.pullback_linear(inv_t), widths, tuple(row[d] for row in rows), c
+    return inv_t, widths, tuple(row[d] for row in rows), c
 
 
-def _diagonal_integral(poly, widths, b, c):
-    """``(s, r)`` with ``integral of poly * exp(-sum_i w_i x_i^2/2 + b.x + c)
-    = r e^s pi^n``, from the shifted moment rows of :func:`_moment_row`.
+def _term_integrals(p, q, weights):
+    """``{m: (s, r)}`` with ``integral of W_m P e^Q = r e^s pi^n`` for the
+    polynomial weights ``{m: W_m}``: the one integration of every exact
+    integral and trace functional.
 
-    The integral factorizes per axis, so ``poly`` is integrated as it
-    stands (:func:`_moments` at ``lambda = 0``).  The top exponent of each
-    axis is read from the OR of the keys, which bounds it from above and
-    lets one pass find all of them.
+    ``Q`` is brought to diagonal widths by :func:`_diagonalize`, and ``P``
+    and every ``W_m`` are pulled back along its substitution.  The integral
+    then factorizes per axis into moments about the Gaussian's center, so
+    the moment rows of :func:`_moment_row` are built once, up to the top
+    exponent of ``P`` plus that of the weights on each axis, and
+    ``integral of x^lambda P e^Q`` (:func:`_moments`) is read for every key
+    ``lambda`` of the weights.  The Gaussian is checked first, so a term
+    with no convergent or no exact integral raises even when ``weights`` is
+    empty, and a row past ``MAX_EXPONENT`` raises ``ValueError``.
     """
+    inv_t, widths, b, c = _diagonalize(q)
     s, g, gden, mu = _gaussian(widths, b, c)
+    if not weights:
+        return {}
+    if inv_t is not None:
+        p = p.pullback_linear(inv_t)
+        weights = {m: w.pullback_linear(inv_t) for m, w in weights.items()}
     dim = len(widths)
-    rows, scale = _moment_rows(widths, mu, _unpack(_key_bits(poly.nums), dim))
-    return s, Fraction(_moments(poly, g, rows, [0], dim)[0], poly.den * gden * scale)
+    keys = {k for w in weights.values() for k in w.nums}
+    rows, scale = _moment_rows(widths, mu, _tops(p, keys, dim))
+    moments = _moments(p, g, rows, keys, dim)
+    den = p.den * gden * scale
+    return {
+        m: (s, Fraction(sum(v * moments[k] for k, v in w.nums.items()), w.den * den))
+        for m, w in weights.items()
+    }
+
+
+def _integrals(n, parts):
+    """``{m: IntegralValue}`` from a stream of :func:`_term_integrals` results."""
+    values = {}
+    for part in parts:
+        for m, sr in part.items():
+            values.setdefault(m, []).append(sr)
+    return {m: IntegralValue(n, items) for m, items in values.items()}
 
 
 # -- trace functionals by parts ---------------------------------------
 
 
-def _diagonal_terms(f):
-    """``[(P, widths, b, c)]`` of a GaussFn whose exponents have no cross
-    term, else None."""
-    if not isinstance(f, GaussFn):
-        return None
-    terms = []
-    for q, p in f.coeffs.items():
-        widths, cross, b, c = _quadratic_parts(q)
-        if cross:
-            return None
-        terms.append((p, widths, b, c))
-    return terms
-
-
-def _one_space(space, *maps):
-    """Whether every value of the dicts ``maps``, operators or Polys, lives
-    on ``space``."""
-    return all(x.space == space for m in maps for x in m.values())
-
-
-def _values(n, parts):
-    """``{m: IntegralValue}`` from ``{m: [(s, {den: num})]}``."""
-    return {
-        m: IntegralValue(
-            n, ((s, sum(Fraction(v, d) for d, v in sums.items())) for s, sums in items)
-        )
-        for m, items in parts.items()
-    }
-
-
 def gauss_operator_integrals(u, ops, weights, top):
     """``{m: integral of sum_{r+j=m} w_j * A_r(u)}`` for ``m <= top``, with
-    ``ops = {r: A_r}`` DiffOps and ``weights = {j: w_j}`` Polys, or None
-    when a term of ``u`` has a cross term or no exact integral, or ``u``
-    does not live on the space of ``ops`` and ``weights``.
+    ``ops = {r: A_r}`` DiffOps and ``weights = {j: w_j}`` Polys.
 
     No derivative of ``u`` is taken and no product is built.  Integration
     by parts, ``integral of x^kappa d^alpha u = (-1)^|alpha| (kappa)_alpha
     integral of x^(kappa - alpha) u`` with the falling factorial
     ``(kappa)_alpha``, turns each order into one polynomial ``W_m = sum_{r+j=m}
-    A_r^*(w_j)``, built monomial by monomial, and ``integral of u W_m`` reads
-    the moment rows of each term of ``u`` (:func:`_moments`).  Sums stay
-    ints per denominator until the end.
+    A_r^*(w_j)``, built monomial by monomial, and every term of ``u`` is
+    integrated against them (:func:`_term_integrals`).  Raises as that does,
+    and ``TypeError`` or ``ValueError`` for an operand that is not a GaussFn
+    or does not live on the space of ``ops`` and ``weights``.
     """
-    terms = _diagonal_terms(u)
-    if terms is None or not _one_space(u.space, ops, weights):
-        return None
-    try:
-        terms = [(p, widths, _gaussian(widths, b, c)) for p, widths, b, c in terms]
-    except (NonIntegrableError, ArithmeticError):
-        return None
-    dim = u.space.dim
+    space = _space([u], ops, weights)
+    dim = space.dim
     adjoint = {}  # {m: {den: {lambda: num}}}
     for r, op in ops.items():
         for alpha, monos in op._groups().items():
@@ -675,51 +699,31 @@ def gauss_operator_integrals(u, ops, weights, top):
                         if f:
                             k -= alpha
                             acc[k] = acc[k] + f if k in acc else f
-    keys = {k for by_den in adjoint.values() for acc in by_den.values() for k in acc}
-    bits = _key_bits(keys)
-    parts = {}
-    for p, widths, (s, g, gden, mu) in terms:
-        tops = [x + y for x, y in zip(_unpack(bits, dim), _unpack(_key_bits(p.nums), dim))]
-        if max(tops) > MAX_EXPONENT:
-            return None
-        rows, scale = _moment_rows(widths, mu, tops)
-        moments = _moments(p, g, rows, keys, dim)
-        den = p.den * gden * scale
-        for m, by_den in adjoint.items():
-            sums = {
-                d * den: sum(v * moments[k] for k, v in acc.items()) for d, acc in by_den.items()
-            }
-            parts.setdefault(m, []).append((s, sums))
-    return _values(u.space.n, parts)
+    polys = {}
+    for m, by_den in adjoint.items():
+        nums, den = _lcm_sum((acc, d) for d, acc in by_den.items())
+        _check_guard(nums, dim, "an adjoint weight")
+        polys[m] = Poly._trusted(space, nums, den)
+    return _integrals(space.n, (_term_integrals(p, q, polys) for q, p in u.coeffs.items()))
 
 
 def gauss_pair_integrals(u, v, ops):
-    """``{m: integral of u A_m(v)}`` for DiffOps ``ops = {m: A_m}``, or None
-    unless ``u`` and ``v`` are single terms ``P e^Q`` with no cross term
-    whose product has an exact integral, on the space of ``ops``.
+    """``{m: integral of u A_m(v)}`` for DiffOps ``ops = {m: A_m}``.
 
-    No product with ``u`` is built: ``A_m(v) = R_m(x) e^{Q_v}``, with
-    ``R_m = sum_beta a_beta d^beta v e^{-Q_v}`` from ``v``'s jet, and
-    ``integral of u A_m(v) = sum_kappa R_m[kappa] sum_e P_u[e] M(kappa + e)``
-    with the moment rows ``M`` of ``e^{Q_u + Q_v}``.  The trace identities
-    reach this form by transposing their cochains
+    No product with ``u`` is built: each exponent ``Q`` of ``v`` gives
+    ``A_m(v) = sum_Q R_{m,Q}(x) e^Q``, with ``R_{m,Q} = sum_beta a_beta
+    d^beta v`` read from ``v``'s jet, and every (term ``P_u e^{Q_u}`` of
+    ``u``, exponent ``Q`` of ``v``) pair integrates ``R_{m,Q} P_u`` on the
+    moment rows of ``e^{Q_u + Q}`` (:func:`_term_integrals`).  The trace
+    identities reach this form by transposing their cochains
     (:meth:`~startrace.diffop.BiDiffOp.transpose`), so a zero operator
-    costs only the integrability check.
+    costs only the integrability check of each pair.  Raises as
+    :func:`_term_integrals` does, and ``TypeError`` or ``ValueError`` for
+    an operand that is not a GaussFn or a space mismatch.
     """
-    tu, tv = _diagonal_terms(u), _diagonal_terms(v)
-    if tu is None or tv is None or len(tu) != 1 or len(tv) != 1:
-        return None
-    if u.space != v.space or not _one_space(u.space, ops):
-        return None
-    ((pu, wu, bu, cu),), ((_, wv, bv, cv),) = tu, tv
-    (qv,) = v.coeffs
-    dim = u.space.dim
-    widths = [x + y for x, y in zip(wu, wv)]
-    try:
-        s, g, gden, mu = _gaussian(widths, [x + y for x, y in zip(bu, bv)], cu + cv)
-    except (NonIntegrableError, ArithmeticError):
-        return None
-    images = {}  # {m: (R_m, den)}
+    space = _space([u, v], ops)
+    dim = space.dim
+    images = {}  # {Q: {m: R_{m,Q}}}
     for m, op in ops.items():
         out, den = _combine(
             [
@@ -727,23 +731,16 @@ def gauss_pair_integrals(u, v, ops):
                 for b, monos in op._groups().items()
             ]
         )
-        if out.get(qv):  # else every d^beta v of the operator vanishes
-            images[m] = out[qv], den * op.den
-    if not images:
-        return {}
-    keys = {k for nums, _ in images.values() for k in nums}
-    tops = [x + y for x, y in zip(_unpack(_key_bits(keys), dim), _unpack(_key_bits(pu.nums), dim))]
-    if max(tops) > MAX_EXPONENT:
-        return None
-    rows, scale = _moment_rows(widths, mu, tops)
-    moments = _moments(pu, g, rows, keys, dim)
-    den = pu.den * gden * scale
-    return _values(
-        u.space.n,
-        {
-            m: [(s, {d * den: sum(c * moments[k] for k, c in nums.items())})]
-            for m, (nums, d) in images.items()
-        },
+        for q, nums in out.items():
+            _check_guard(nums, dim, "an operator image")
+            images.setdefault(q, {})[m] = Poly._trusted(space, nums, den * op.den)
+    return _integrals(
+        space.n,
+        (
+            _term_integrals(pu, qu + qv, images.get(qv, {}))
+            for qu, pu in u.coeffs.items()
+            for qv in v.coeffs
+        ),
     )
 
 

@@ -21,12 +21,7 @@ from math import factorial, inf
 
 from startrace.diffop import BiDiffOp, DiffOp
 from startrace.formal import FormalScalar
-from startrace.gaussfn import (
-    GaussFn,
-    IntegralValue,
-    gauss_integrate_exact,
-    gauss_pair_integrals,
-)
+from startrace.gaussfn import GaussFn, IntegralValue, gauss_pair_integrals
 from startrace.poly import Poly, _combine
 
 
@@ -197,12 +192,12 @@ def closedness_integral(s, r, u, v, ops=None):
     exact Gaussian integral.  Vanishes for all r iff ``s`` is strongly
     closed on the tested pairs.  ``C_r^-`` comes from the cache
     ``s.minus``; orders outside ``0..trunc_order`` raise ``ValueError``,
-    and ``C_0^-`` is zero.  Single-term operands with no cross term give
-    ``integral of u L_r(v)`` (:func:`~startrace.gaussfn.gauss_pair_integrals`)
-    for the transpose ``L_r = (C_r^-)^t_1``, with no ``C_r^-(u, v)`` built;
-    ``ops`` holds the nonzero ``L_r`` when the caller shares them between
-    pairs, as the trace residual of density 1 does.  Others are applied
-    and integrated.
+    and ``C_0^-`` is zero.  For a nonzero ``C_r^-`` it is ``integral of u
+    L_r(v)`` (:func:`~startrace.gaussfn.gauss_pair_integrals`) for the
+    transpose ``L_r = (C_r^-)^t_1``, with no ``C_r^-(u, v)`` built, for every
+    pair of GaussFns, zero ones included; ``ops`` holds the nonzero ``L_r``
+    when the caller shares them between pairs, as the trace residual of
+    density 1 does.
     """
     if not isinstance(u, GaussFn) or not isinstance(v, GaussFn):
         raise TypeError("closedness_integral expects GaussFn operands")
@@ -214,9 +209,7 @@ def closedness_integral(s, r, u, v, ops=None):
     if ops is None:
         ops = {r: minus.transpose(Poly.constant(s.space, 1))}
     vals = gauss_pair_integrals(u, v, {r: ops[r]} if r in ops else {})
-    if vals is not None:
-        return vals.get(r, IntegralValue.zero())
-    return gauss_integrate_exact(minus.apply(u, v))
+    return vals.get(r, IntegralValue.zero())
 
 
 class EulerDerivation:

@@ -10,19 +10,18 @@ the prefactor exponent (``-n`` in standard form).  On the flat chart
 exact Gaussian integral.  The order-k functionals ``tau_k(u) = integral of
 u rho_k dV`` drive the order-by-order trace conditions.
 
-Gaussians leave no boundary terms, so :func:`trace_eval` and
-:func:`normalization_residual` integrate by parts on moment rows (see
-:mod:`startrace.gaussfn`) and build no product ``u rho`` and no ``D'_r
-u``; :func:`trace_residual` (and with it :func:`trk_residual`) integrates
-``u L_m(v)`` for the operators ``L_m`` of :func:`operator_trace_residual`,
-which transpose the commutator cochains against the density once for
-all pairs, and builds no commutator ``C_r^-(u, v)``.  They give the
-same exact values as building each integrand first, which
-``_trace_eval_by_products``, ``_trace_residual_by_commutator`` and
-``_normalization_residual_by_derivatives`` still do: for operands with a
-cross term in the exponent, pairs of several terms, an irrational
-``sqrt(prod_i w_i)``, and densities that do not start at ``nu^0`` (or,
-for pairs, stop below the product's order).  The tests compare the two.
+Gaussians leave no boundary terms, so every functional integrates by
+parts on the moment tables of :mod:`startrace.gaussfn` and builds no
+product of its operands: :func:`trace_eval` and
+:func:`normalization_residual` integrate each term of ``u`` against the
+adjoint weights ``sum_{r+j=m} D'_r^*(rho_j)``, with no product ``u rho`` and
+no ``D'_r u``, and :func:`trace_residual` (and with it
+:func:`trk_residual`) integrates ``u L_m(v)`` for the operators ``L_m`` of
+:func:`operator_trace_residual`, which transpose the commutator cochains
+against the density once for all pairs, with no commutator ``C_r^-(u,
+v)``.  Every input takes that one path; an operand that is not a GaussFn
+raises ``TypeError``, and a term with no exact integral raises as
+:func:`~startrace.gaussfn.gauss_integrate_exact` does.
 """
 
 from __future__ import annotations
@@ -35,12 +34,10 @@ from startrace.formal import FormalScalar
 from startrace.gaussfn import (
     GaussFn,
     IntegralValue,
-    gauss_integrate_exact,
     gauss_operator_integrals,
     gauss_pair_integrals,
 )
 from startrace.poly import Poly
-from startrace.star import star_commutator
 
 
 class InconsistentTracesError(ValueError):
@@ -100,68 +97,64 @@ def moyal_trace(space, trunc_order):
     return TraceFunctional(space, rho, -space.n)
 
 
-def _coerce_gauss_formal(space, u, trunc_order):
-    if isinstance(u, FormalScalar):
-        return u
-    if isinstance(u, GaussFn):
-        return FormalScalar.constant(u, trunc_order)
-    if isinstance(u, Poly):
-        return FormalScalar.constant(GaussFn.from_poly(u), trunc_order)
-    raise TypeError(f"cannot interpret {type(u).__name__} as an integrand series")
+def _low(f):
+    """The lowest degree of the series ``f``, and 0 for the zero series."""
+    return min(f.coeffs, default=0)
 
 
 def trace_eval(t, u):
     """Evaluate the trace coefficientwise; exact at every order.
 
-    Returns a FormalScalar over :class:`IntegralValue`.  Raises
-    ``NonIntegrableError`` if any order of ``u * rho`` fails to decay.
-
-    A GaussFn whose exponents have no cross term, under a density that
-    starts at ``nu^0``, is integrated against each ``rho_j`` on its moment
-    rows (:func:`~startrace.gaussfn.gauss_operator_integrals`), with no
-    product built; any other input takes :func:`_trace_eval_by_products`.
+    ``u`` is a GaussFn or a series of them.  Returns a FormalScalar over
+    :class:`IntegralValue` in the window of the product ``u * rho`` of
+    FormalScalars, with a GaussFn read as the constant series at the
+    density's order and a zero series read as starting at ``nu^0``: up to
+    ``min(K_u + m_rho, K_rho + m_u)``, shifted by the prefactor exponent.
+    Each coefficient of ``u`` is integrated against every ``rho_j`` on its
+    moment rows (:func:`~startrace.gaussfn.gauss_operator_integrals`), with
+    no product built; raises ``NonIntegrableError`` if a term fails to
+    decay.
     """
     rho = t.density
-    if rho.min_degree == 0:
-        one = {0: DiffOp.identity(t.space)}
-        vals = gauss_operator_integrals(u, one, rho.coeffs, rho.trunc_order)
-        if vals is not None:
-            return FormalScalar(vals, rho.trunc_order).shift(t.prefactor_exponent)
-    return _trace_eval_by_products(t, u)
+    if isinstance(u, FormalScalar):
+        terms, top = u.coeffs.items(), min(u.trunc_order + _low(rho), rho.trunc_order + _low(u))
+    else:
+        terms, top = [(0, u)], rho.trunc_order + min(_low(rho), 0)
+    one = {0: DiffOp.identity(t.space)}
+    return FormalScalar(
+        (
+            (i + m, val)
+            for i, c in terms
+            for m, val in gauss_operator_integrals(c, one, rho.coeffs, top - i).items()
+        ),
+        top,
+    ).shift(t.prefactor_exponent)
 
 
-def _trace_eval_by_products(t, u):
-    """:func:`trace_eval` by building ``u * rho`` and integrating each order:
-    the path of every input the moment rows do not take, and their oracle."""
-    u = _coerce_gauss_formal(t.space, u, t.density.trunc_order)
-    rho = FormalScalar(
-        {k: GaussFn.from_poly(c) for k, c in t.density.coeffs.items()},
-        t.density.trunc_order,
-    )
-    prod = u * rho
-    vals = {}
-    for m, g in prod.coeffs.items():
-        val = gauss_integrate_exact(g)
-        if not val.is_zero():
-            vals[m] = val
-    return FormalScalar(vals, prod.trunc_order).shift(t.prefactor_exponent)
+def _pair_window(t, s):
+    """``min(K + m_rho, K_rho + 1)``: the last order ``m`` at which every
+    ``(C_r^-)^t_{rho_j}`` with ``r + j = m`` is known, because ``C_0^-`` is
+    zero and ``C_r^-`` is known for ``r <= K``."""
+    return min(s.trunc_order + _low(t.density), t.density.trunc_order + 1)
 
 
 def operator_trace_residual(t, s):
-    """``{m: L_m}`` for ``m <= K``, the product's order, with the operator
-    ``L_m = sum_{r+j=m} (C_r^-)^t_{rho_j}`` kept where it is nonzero.
+    """``{m: L_m}`` up to the window ``min(K + m_rho, K_rho + 1)`` of the
+    product's order ``K`` and the density's lowest and last orders, with the
+    operator ``L_m = sum_{r+j=m} (C_r^-)^t_{rho_j}`` kept where it is nonzero.
 
     Integration by parts (:meth:`~startrace.diffop.BiDiffOp.transpose`)
     gives ``integral of rho_j C_r^-(u, v) = integral of u
     (C_r^-)^t_{rho_j}(v)`` for every pair that leaves no boundary terms, so
     order ``m + e`` of ``tau(u*v) - tau(v*u)`` is ``integral of u L_m(v)``
-    and ``rho`` is a trace density through order K exactly when the result
-    is empty.  Each cached ``C_r^-`` is transposed once per ``rho_j``.
+    and ``rho`` is a trace density through that window exactly when the
+    result is empty.  Each cached ``C_r^-`` is transposed once per ``rho_j``.
     """
+    top = _pair_window(t, s)
     by_order = {}
     for r, minus in s.minus.items():
         for j, w in t.density.coeffs.items():
-            if r + j <= s.trunc_order:
+            if r + j <= top:
                 by_order.setdefault(r + j, []).append(minus.transpose(w))
     ops = {m: DiffOp.sum(t.space, terms) for m, terms in by_order.items()}
     return {m: op for m, op in ops.items() if not op.is_zero()}
@@ -170,29 +163,19 @@ def operator_trace_residual(t, s):
 def trace_residual(t, s, u, v, ops=None):
     """``tau(u*v) - tau(v*u)``; identically zero iff tau is a trace on the pair.
 
-    The order-m coefficient is ``sum_{r+j=m} integral of rho_j C_r^-(u, v)``.
-    For single-term GaussFns with no cross term, and a density with
-    coefficients at orders ``0..K`` of the product, it is ``integral of u
-    L_m(v)`` with ``ops = {m: L_m}`` from :func:`operator_trace_residual`
-    (built here unless the caller passes it for many pairs), integrated on
-    moment rows (:func:`~startrace.gaussfn.gauss_pair_integrals`) with no
-    commutator built.  Any other input takes
-    :func:`_trace_residual_by_commutator`.
+    The order-m coefficient is ``sum_{r+j=m} integral of rho_j C_r^-(u, v)``,
+    which is ``integral of u L_m(v)`` with ``ops = {m: L_m}`` from
+    :func:`operator_trace_residual` (built here unless the caller passes it
+    for many pairs), integrated on moment rows
+    (:func:`~startrace.gaussfn.gauss_pair_integrals`) with no commutator
+    built.  The window is that of :func:`operator_trace_residual`, ``min(K
+    + m_rho, K_rho + 1)``, shifted by the prefactor exponent, for every
+    pair, zero operands included.
     """
-    rho = t.density
-    if rho.min_degree == 0 and rho.trunc_order == s.trunc_order:
-        if ops is None:
-            ops = operator_trace_residual(t, s)
-        vals = gauss_pair_integrals(u, v, ops)
-        if vals is not None:
-            return FormalScalar(vals, s.trunc_order).shift(t.prefactor_exponent)
-    return _trace_residual_by_commutator(t, s, u, v)
-
-
-def _trace_residual_by_commutator(t, s, u, v):
-    """:func:`trace_residual` by integrating the star commutator, which applies
-    each cached ``C_r^-`` once: the fallback path and its oracle."""
-    return _trace_eval_by_products(t, star_commutator(s, u, v))
+    if ops is None:
+        ops = operator_trace_residual(t, s)
+    vals = gauss_pair_integrals(u, v, ops)
+    return FormalScalar(vals, _pair_window(t, s)).shift(t.prefactor_exponent)
 
 
 def trk_residual(t, s, u, v):
@@ -204,8 +187,6 @@ def trk_residual(t, s, u, v):
     the ``C_r^-``; one evaluation, against one build of the operators
     ``L_m`` of :func:`operator_trace_residual`, gives every order.
     """
-    if not isinstance(u, GaussFn) or not isinstance(v, GaussFn):
-        raise TypeError("trk_residual expects GaussFn operands")
     res = trace_residual(t, s, u, v)
     e = t.prefactor_exponent
     return [res.get(k + 1 + e) or IntegralValue.zero() for k in range(res.trunc_order - e)]
@@ -288,35 +269,21 @@ def proportionality_factor(t1, t2, probe):
 def normalization_residual(t, d, u):
     """``tau(D u) - nu d/dnu tau(u)``; zero iff tau is normalized for D on u.
 
-    For a GaussFn with no cross term, under a density that starts at
-    ``nu^0``, the order-m coefficient ``sum_{r+j=m} integral of rho_j D'_r
-    u - (m+e) integral of rho_m u`` (``D'_0 = X``, ``e`` the prefactor
-    exponent) is integrated by parts on moment rows, with no derivative of
-    ``u`` taken; any other input takes
-    :func:`_normalization_residual_by_derivatives`.
+    ``u`` is a GaussFn.  The order-m coefficient ``sum_{r+j=m} integral of
+    rho_j D'_r u - (m+e) integral of rho_m u`` (``D'_0 = X``, ``e`` the
+    prefactor exponent) is integrated by parts on moment rows
+    (:func:`~startrace.gaussfn.gauss_operator_integrals`), with no
+    derivative of ``u`` taken, in the window of :func:`trace_eval`.
     """
     rho = t.density
-    if rho.min_degree == 0:
-        trunc = rho.trunc_order
-        lhs = gauss_operator_integrals(u, {0: d.x, **d.corrections}, rho.coeffs, trunc)
-        one = {0: DiffOp.identity(t.space)}
-        rhs = None if lhs is None else gauss_operator_integrals(u, one, rho.coeffs, trunc)
-        if rhs is not None:
-            e = t.prefactor_exponent
-            return FormalScalar(
-                chain(
-                    ((m + e, val) for m, val in lhs.items()),
-                    ((j + e, val * -(j + e)) for j, val in rhs.items()),
-                ),
-                trunc + e,
-            )
-    return _normalization_residual_by_derivatives(t, d, u)
-
-
-def _normalization_residual_by_derivatives(t, d, u):
-    """:func:`normalization_residual` by applying ``D`` to ``u`` and
-    integrating: the fallback path and its oracle."""
-    u = _coerce_gauss_formal(t.space, u, t.density.trunc_order)
-    lhs = _trace_eval_by_products(t, d.apply(u))
-    rhs = _trace_eval_by_products(t, u).nu_scale_derivative()
-    return lhs - rhs
+    trunc = rho.trunc_order + min(_low(rho), 0)
+    lhs = gauss_operator_integrals(u, {0: d.x, **d.corrections}, rho.coeffs, trunc)
+    rhs = gauss_operator_integrals(u, {0: DiffOp.identity(t.space)}, rho.coeffs, trunc)
+    e = t.prefactor_exponent
+    return FormalScalar(
+        chain(
+            ((m + e, val) for m, val in lhs.items()),
+            ((j + e, val * -(j + e)) for j, val in rhs.items()),
+        ),
+        trunc + e,
+    )

@@ -1,11 +1,17 @@
-"""The trace functionals integrated by parts, against the paths that build
-commutators, products and derivatives, kept as oracles.
+"""The trace functionals integrated by parts, against oracles that build
+the commutators, products and derivatives first.
 
-``trace_eval`` and ``normalization_residual`` read moment rows.  The pair
-functionals read the transposes ``B^t_w`` of the commutator cochains
-(``BiDiffOp.transpose``), summed per order into the operators ``L_m`` of
-``operator_trace_residual``, which vanish for a true trace density and
-are built once per functional and product, however many pairs meet them.
+Every functional takes one path: ``trace_eval`` and
+``normalization_residual`` read the moment rows of each term of their
+operand, and the pair functionals read the transposes ``B^t_w`` of the
+commutator cochains (``BiDiffOp.transpose``), summed per order into the
+operators ``L_m`` of ``operator_trace_residual``, which vanish for a true
+trace density and are built once per functional and product, however many
+pairs meet them.  The oracles below build their integrands from public
+pieces only: ``FormalScalar`` products, ``star_commutator``,
+``EulerDerivation.apply`` and ``gauss_integrate_exact``.  Operands with
+cross terms in their exponents, with several terms, and zero operands are
+drawn and compared by outcome, value or error type.
 """
 
 from collections import Counter
@@ -37,12 +43,15 @@ from startrace.gaussfn import (
     gauss_pullback_linear,
 )
 from startrace.poly import PhaseSpace, Poly
-from startrace.star import canonical_euler, closedness_integral, moyal_construct
+from startrace.star import (
+    EulerDerivation,
+    canonical_euler,
+    closedness_integral,
+    moyal_construct,
+    star_commutator,
+)
 from startrace.trace import (
     TraceFunctional,
-    _normalization_residual_by_derivatives,
-    _trace_eval_by_products,
-    _trace_residual_by_commutator,
     default_probe_battery,
     moyal_trace,
     normalization_residual,
@@ -64,6 +73,35 @@ def outcome(fn, *args):
         return fn(*args)
     except (ArithmeticError, ValueError) as err:
         return type(err)
+
+
+def eval_by_products(t, u):
+    """``trace_eval`` by building ``u * rho`` as FormalScalars and integrating
+    each order: a GaussFn ``u`` is the constant series at the density's
+    order."""
+    rho = t.density
+    if not isinstance(u, FormalScalar):
+        u = FormalScalar.constant(u, rho.trunc_order)
+    as_gauss = {k: GaussFn.from_poly(c) for k, c in rho.coeffs.items()}
+    prod = u * FormalScalar(as_gauss, rho.trunc_order)
+    vals = {m: gauss_integrate_exact(g) for m, g in prod.coeffs.items()}
+    return FormalScalar(vals, prod.trunc_order).shift(t.prefactor_exponent)
+
+
+def residual_by_commutator(t, s, comm):
+    """``trace_residual`` by integrating the star commutator ``comm =
+    star_commutator(s, u, v)``, cut to the window ``min(K + m_rho, K_rho +
+    1)``, since ``C_0^-`` is zero."""
+    rho = t.density
+    top = min(s.trunc_order + (rho.min_degree or 0), rho.trunc_order + 1)
+    return eval_by_products(t, comm).truncate(top + t.prefactor_exponent)
+
+
+def normalization_by_derivatives(t, d, u):
+    """``normalization_residual`` by applying ``D`` to the constant series
+    ``u`` and integrating."""
+    u = FormalScalar.constant(u, t.density.trunc_order)
+    return eval_by_products(t, d.apply(u)) - eval_by_products(t, u).nu_scale_derivative()
 
 
 def squeezes(space):
@@ -90,6 +128,34 @@ def diagonal_term(space, scales):
         st.lists(RATIONAL, min_size=space.dim, max_size=space.dim),
         RATIONAL,
     )
+
+
+def shears(space):
+    """Hypothesis strategy: a product of one or two shears of canonical
+    planes.  Pulling terms back along it gives their exponents cross terms;
+    it is symplectic, so the widths' determinant of a term, and of a sum of
+    terms pulled back along the same shear, stays a square."""
+    step = st.tuples(
+        st.sampled_from(["shear-q", "shear-p"]),
+        st.integers(0, space.n - 1),
+        st.sampled_from([F(1, 2), F(-1), F(2, 3)]),
+    )
+    return st.lists(step, min_size=1, max_size=2).map(lambda steps: plane_product(space, steps))
+
+
+def operands(space, scales, data, count):
+    """Draw ``count`` operands, each a sum of one or two terms of
+    :func:`diagonal_term`; all of them are pulled back along one drawn
+    shear, or the first alone, or none."""
+    term = diagonal_term(space, scales)
+    sums = st.lists(term, min_size=1, max_size=2).map(lambda ts: GaussFn.sum(space, ts))
+    fns = [data.draw(sums) for _ in range(count)]
+    mode = data.draw(st.sampled_from(["none", "all", "first"]))
+    if mode != "none":
+        m = data.draw(shears(space))
+        fns = [gauss_pullback_linear(f, m) if i == 0 or mode == "all" else f
+               for i, f in enumerate(fns)]
+    return fns
 
 
 def products(space, order):
@@ -121,26 +187,28 @@ def perturbed(space, tau, data):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_pair_residuals_match_the_commutator(n, data):
+    # sums of one or two terms, with cross terms in u alone or in both
     space = PhaseSpace(n)
     order = data.draw(st.integers(2, 4 if n == 1 else 3))
     s, tau = data.draw(products(space, order))
-    scales = data.draw(squeezes(space))
-    u, v = data.draw(diagonal_term(space, scales)), data.draw(diagonal_term(space, scales))
+    u, v = operands(space, data.draw(squeezes(space)), data, 2)
     v = v * Poly.variable(space, f"p{n}")  # so that v is not u
+    comm = star_commutator(s, u, v)
     for t in (tau, perturbed(space, tau, data)):
-        got = trace_residual(t, s, u, v)
-        assert got == _trace_residual_by_commutator(t, s, u, v)
-        assert got == trace_residual(t, s, u, v, operator_trace_residual(t, s))
-        assert got.trunc_order == order + t.prefactor_exponent
-        e = t.prefactor_exponent
-        assert trk_residual(t, s, u, v) == [
-            got.get(k + 1 + e) or IntegralValue.zero() for k in range(order)
-        ]
+        got = outcome(trace_residual, t, s, u, v)
+        assert got == outcome(residual_by_commutator, t, s, comm)
+        assert got == outcome(trace_residual, t, s, u, v, operator_trace_residual(t, s))
+        if isinstance(got, FormalScalar):
+            assert gauss_pair_integrals(u, v, {}) == {}
+            assert got.trunc_order == order + t.prefactor_exponent
+            e = t.prefactor_exponent
+            assert trk_residual(t, s, u, v) == [
+                got.get(k + 1 + e) or IntegralValue.zero() for k in range(order)
+            ]
     assert operator_trace_residual(tau, s) == {}
-    assert gauss_pair_integrals(u, v, {}) == {}
     for r in range(order + 1):
-        want = gauss_integrate_exact(s.minus[r].apply(u, v)) if r in s.minus else None
-        assert closedness_integral(s, r, u, v) == (want or IntegralValue.zero())
+        want = outcome(gauss_integrate_exact, comm.get(r) or GaussFn.zero(space))
+        assert outcome(closedness_integral, s, r, u, v) == want
 
 
 @lru_cache
@@ -214,7 +282,7 @@ def test_operator_residual_controls_fire(n):
                 assert sorted(ops) == [3, 4]
             for _, (u, v) in zip(range(3), cli._gauss_pairs(space, seed)):
                 got = trace_residual(f, s, u, v, ops)
-                assert got == _trace_residual_by_commutator(f, s, u, v)
+                assert got == residual_by_commutator(f, s, star_commutator(s, u, v))
                 e = f.prefactor_exponent
                 assert {m - e for m, c in got.coeffs.items() if not c.is_zero()} == set(ops)
 
@@ -223,12 +291,13 @@ def test_operator_residual_controls_fire(n):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_trace_eval_matches_the_products(n, data):
-    # multi-term shifted integrands with rational widths and c != 0, under
-    # drawn densities that start at nu^0
+    # multi-term shifted integrands with rational widths and c != 0, their
+    # terms sheared or not, under drawn densities that start at nu^0
     space = PhaseSpace(n)
     term = squeezes(space).flatmap(lambda scales: diagonal_term(space, scales))
-    terms = data.draw(st.lists(term, min_size=1, max_size=3))
-    u = GaussFn.sum(space, terms)
+    sheared = st.tuples(term, shears(space)).map(lambda fm: gauss_pullback_linear(*fm))
+    term = st.one_of(term, sheared)
+    u = GaussFn.sum(space, data.draw(st.lists(term, min_size=1, max_size=3)))
     order = data.draw(st.integers(0, 4))
     density = FormalScalar(
         {0: data.draw(polys(space).filter(lambda p: not p.is_zero()))}
@@ -237,17 +306,21 @@ def test_trace_eval_matches_the_products(n, data):
     )
     tau = TraceFunctional(space, density, data.draw(st.integers(-n, 0)))
     got = outcome(trace_eval, tau, u)
-    assert got == outcome(_trace_eval_by_products, tau, u)
+    assert got == outcome(eval_by_products, tau, u)
     if isinstance(got, FormalScalar):
         assert got.trunc_order == order + tau.prefactor_exponent
+    # and a series of such integrands, read in the product's window
+    series = FormalScalar({0: u, 1: u * Poly.variable(space, "q1")}, order)
+    assert outcome(trace_eval, tau, series) == outcome(eval_by_products, tau, series)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_normalization_matches_the_derivatives(n, data):
-    # the probe battery and a drawn integrand, under the canonical D with the
-    # Moyal trace or under a transported D with its transported density
+    # the probe battery and a drawn integrand of one or two terms, sheared or
+    # not, under the canonical D with the Moyal trace or under a transported
+    # D with its transported density
     space = PhaseSpace(n)
     order = data.draw(st.integers(2, 4 if n == 1 else 3))
     seed = data.draw(st.one_of(st.none(), st.integers(0, 50)))
@@ -258,12 +331,12 @@ def test_normalization_matches_the_derivatives(n, data):
         d, tau = transport_euler(t, d), density_from_equivalence(t)
     if data.draw(st.booleans()):
         tau = perturbed(space, tau, data)
-    term = squeezes(space).flatmap(lambda scales: diagonal_term(space, scales))
-    probes = default_probe_battery(space) + [data.draw(term)]
+    probes = default_probe_battery(space) + operands(space, data.draw(squeezes(space)), data, 1)
     for u in probes:
-        got = normalization_residual(tau, d, u)
-        assert got == _normalization_residual_by_derivatives(tau, d, u)
-        assert got.trunc_order == order + tau.prefactor_exponent
+        got = outcome(normalization_residual, tau, d, u)
+        assert got == outcome(normalization_by_derivatives, tau, d, u)
+        if isinstance(got, FormalScalar):
+            assert got.trunc_order == order + tau.prefactor_exponent
 
 
 def test_flat_operands_match_the_commutator():
@@ -290,10 +363,9 @@ def test_flat_operands_match_the_commutator():
         for a, b in [(u, w) for w in flat] + [(w, u) for w in flat]:
             for t in taus:
                 ops = operator_trace_residual(t, s)
-                assert gauss_pair_integrals(a, b, ops) is not None
                 got = trace_residual(t, s, a, b, ops)
                 assert got == trace_residual(t, s, a, b)
-                assert got == _trace_residual_by_commutator(t, s, a, b)
+                assert got == residual_by_commutator(t, s, star_commutator(s, a, b))
                 nonzero += not got.is_zero()
             for r in range(4):
                 minus = s.minus.get(r)
@@ -305,8 +377,9 @@ def test_flat_operands_match_the_commutator():
 
 
 def test_operands_outside_the_tables_take_the_oracle():
-    # tau is the density of s, so every L_m is zero: a pair outside the
-    # tables must still give the oracle's value or error, never a 0
+    # tau is the density of s, so every L_m is zero: a pair with a cross
+    # term, several terms or no exact integral must still give the oracle's
+    # value or error, never a 0
     space = PhaseSpace(1)
     s = transport_star(random_equivalence(space, 3, 4), moyal_construct(space, 3))
     tau = density_from_equivalence(random_equivalence(space, 3, 4))
@@ -324,8 +397,7 @@ def test_operands_outside_the_tables_take_the_oracle():
     pairs += [(GaussFn.from_poly(p), q_only), (q_only, GaussFn.from_poly(q * p))]
     closed = operator_trace_residual(moyal_trace(space, 3), s)
     for a, b in pairs:
-        assert gauss_pair_integrals(a, b, {}) is None
-        want = outcome(_trace_residual_by_commutator, tau, s, a, b)
+        want = outcome(residual_by_commutator, tau, s, star_commutator(s, a, b))
         assert outcome(trace_residual, tau, s, a, b) == want
         assert outcome(trace_residual, tau, s, a, b, {}) == want
         for r in range(4):
@@ -340,19 +412,145 @@ def test_operands_outside_the_tables_take_the_oracle():
     for a, b in pairs[-2:]:
         assert outcome(trace_residual, tau, s, a, b, {}) is NonIntegrableError
         assert outcome(closedness_integral, s, 1, a, b, {}) is NonIntegrableError
-    # windows the tables do not cover: a density starting above nu^0, and
-    # one truncated below the product's order
+    # a density starting above nu^0, one truncated below the product's
+    # order, and one truncated two orders below it, whose window stops at
+    # K_rho + 1 for every pair
     shifted = tau.scale_by_series(FormalScalar({1: F(1)}, 3))
-    short = moyal_trace(space, 2)
-    for t in (shifted, short):
-        assert trace_residual(t, s, u, v) == _trace_residual_by_commutator(t, s, u, v)
-    assert trace_eval(shifted, sheared) == _trace_eval_by_products(shifted, sheared)
+    for t in (shifted, moyal_trace(space, 2), moyal_trace(space, 1)):
+        assert trace_residual(t, s, u, v) == residual_by_commutator(t, s, star_commutator(s, u, v))
+    assert trace_residual(moyal_trace(space, 1), s, u, v).trunc_order == 2 - 1
+    assert trace_eval(shifted, sheared) == eval_by_products(shifted, sheared)
     d = canonical_euler(space)
-    assert gauss_operator_integrals(sheared, {0: d.x}, tau.density.coeffs, 3) is None
-    for w in (sheared, FormalScalar.constant(u, 3)):
-        assert normalization_residual(tau, d, w) == _normalization_residual_by_derivatives(
-            tau, d, w
-        )
+    for w in (sheared, two_terms):
+        assert normalization_residual(tau, d, w) == normalization_by_derivatives(tau, d, w)
+
+
+def test_zero_operands_keep_the_window():
+    # the CLI's third probe pair at n=3, seed 2 has v = 0; a zero operand
+    # gives the zero series in the window of a nonzero one
+    space = PhaseSpace(3)
+    (u, w), _, (x, zero) = [pair for _, pair in zip(range(3), cli._gauss_pairs(space, 2))]
+    assert zero.is_zero() and not x.is_zero()
+    s = moyal_construct(space, 4)
+    tau = moyal_trace(space, 4)
+    bump = FormalScalar({2: Poly.variable(space, "q1")}, 4)
+    bumped = TraceFunctional(space, tau.density + bump, -3)
+    for t in (tau, bumped):
+        full = trace_residual(t, s, u, w)
+        assert t is tau or not full.is_zero()
+        for a, b in [(x, zero), (zero, x), (zero, zero)]:
+            got = trace_residual(t, s, a, b)
+            assert got.is_zero() and got.trunc_order == full.trunc_order
+            assert trk_residual(t, s, a, b) == [IntegralValue.zero()] * 4
+        got, want = trace_eval(t, zero), trace_eval(t, x)
+        assert got.is_zero() and got.trunc_order == want.trunc_order
+        got = normalization_residual(t, canonical_euler(space), zero)
+        assert got.is_zero() and got.trunc_order == want.trunc_order
+    for r in range(5):
+        assert closedness_integral(s, r, x, zero) == IntegralValue.zero()
+        assert closedness_integral(s, r, zero, x) == IntegralValue.zero()
+    assert run_scenario(Scenario("moyal-trace", n=3, trunc_order=4, seed=2)).all_pass()
+
+
+def test_kernels_raise_for_what_they_cannot_integrate():
+    space, other = PhaseSpace(1), PhaseSpace(2)
+    q, p = Poly.variable(space, "q1"), Poly.variable(space, "p1")
+    g = GaussFn.gaussian(space, 1)
+    one, unit = {0: DiffOp.identity(space)}, {0: Poly.constant(space, 1)}
+    s, tau, d = moyal_construct(space, 2), moyal_trace(space, 2), canonical_euler(space)
+    # an operand that is not a GaussFn
+    for bad in (q, FormalScalar.constant(g, 2), 1):
+        for call in (
+            lambda: gauss_pair_integrals(bad, g, one),
+            lambda: gauss_pair_integrals(g, bad, one),
+            lambda: gauss_operator_integrals(bad, one, unit, 0),
+            lambda: trace_residual(tau, s, g, bad),
+            lambda: normalization_residual(tau, d, bad),
+        ):
+            with pytest.raises(TypeError):
+                call()
+    with pytest.raises(TypeError):
+        trace_eval(tau, q)
+    # operands, operators and weights on different phase spaces
+    far = GaussFn.gaussian(other, 1)
+    for call in (
+        lambda: gauss_pair_integrals(g, far, {}),
+        lambda: gauss_pair_integrals(g, g, {0: DiffOp.identity(other)}),
+        lambda: gauss_operator_integrals(g, {0: DiffOp.identity(other)}, unit, 0),
+        lambda: gauss_operator_integrals(g, one, {0: Poly.constant(other, 1)}, 0),
+        lambda: trace_eval(moyal_trace(other, 2), g),
+        lambda: trace_residual(tau, s, g, far),
+    ):
+        with pytest.raises(ValueError, match="phase space"):
+            call()
+    # a moment row past MAX_EXPONENT, where the product raised before
+    big = GaussFn.term(space, q**200, 1)
+    heavy = TraceFunctional(space, tau.density + FormalScalar({1: q**100}, 2), -1)
+    for call in (
+        lambda: trace_eval(heavy, big),
+        lambda: normalization_residual(heavy, d, big),
+        lambda: gauss_pair_integrals(big, GaussFn.term(space, q**100, 1), one),
+    ):
+        with pytest.raises(ValueError, match="MAX_EXPONENT"):
+            call()
+    assert outcome(eval_by_products, heavy, big) is ValueError
+    # each term pair is integrated, even when its operator image is zero
+    q_only = GaussFn(space, {quadratic(space, [[-3, 0], [0, 0]], [0, F(1, 3)]): p * p})
+    squeezed = GaussFn(space, {quadratic(space, [[-2, 0], [0, -1]]): Poly.constant(space, 1)})
+    for a, b, err in [
+        (g + q_only, GaussFn.from_poly(p), NonIntegrableError),
+        (GaussFn.from_poly(p), g + q_only, NonIntegrableError),
+        (g + squeezed, g, ArithmeticError),
+    ]:
+        with pytest.raises(err):
+            gauss_pair_integrals(a, b, {})
+        with pytest.raises(err):
+            gauss_pair_integrals(a, b, {0: DiffOp.zero(space)})
+    with pytest.raises(NonIntegrableError):
+        gauss_operator_integrals(g + q_only, one, {}, 0)
+    with pytest.raises(ArithmeticError):
+        gauss_operator_integrals(squeezed, {}, unit, 0)
+
+
+def test_functionals_build_no_product(monkeypatch):
+    # sheared, multi-term and zero operands reach the moment tables alone
+    space = PhaseSpace(1)
+    t = random_equivalence(space, 3, 4)
+    s = transport_star(t, moyal_construct(space, 3))
+    tau = density_from_equivalence(t)
+    q, p = Poly.variable(space, "q1"), Poly.variable(space, "p1")
+    bumped = TraceFunctional(space, tau.density + FormalScalar({2: q}, 3), tau.prefactor_exponent)
+    d = transport_euler(t, canonical_euler(space))
+    u = GaussFn.term(space, q + Poly.constant(space, 1), 1, [1, 0], F(1, 2))
+    u = u + GaussFn.gaussian(space, 3)
+    v = GaussFn.term(space, p * p, 2, [0, F(1, 2)])
+    shear = plane_product(space, [("shear-q", 0, F(1, 2)), ("shear-p", 0, F(-1))])
+    zero = GaussFn.zero(space)
+    families = [[u, v, zero], [gauss_pullback_linear(f, shear) for f in (u, v)] + [zero]]
+    series = FormalScalar({0: u, 1: v}, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product, a derivative or an operator image was built")
+
+    for owner, name in [
+        (GaussFn, "__mul__"),
+        (DiffOp, "apply"),
+        (BiDiffOp, "apply"),
+        (EulerDerivation, "apply"),
+    ]:
+        monkeypatch.setattr(owner, name, refuse)
+    nonzero = 0
+    for fns in families:
+        for f in (tau, bumped):
+            for a in fns:
+                nonzero += not trace_eval(f, a).is_zero()
+                normalization_residual(f, d, a)
+                for b in fns:
+                    nonzero += not trace_residual(f, s, a, b).is_zero()
+                    for r in range(4):
+                        closedness_integral(s, r, a, b)
+    trace_eval(tau, series)
+    assert nonzero
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -25,7 +25,6 @@ import re
 import sys
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from startrace.diffop import BiDiffOp, DiffOp
@@ -504,12 +503,48 @@ def _series_case(case_id, series, note=""):
     return Case(case_id, {str(k): str(v) for k, v in sorted(series.items())}, False, note)
 
 
+_LOG2_10 = math.log(10, 2)
+_BITPREC = int(11 * _LOG2_10) + 10
+
+
 def _num_str(x):
+    """A float to 8 significant digits, ``"0"`` for zero, in the bytes of
+    mpmath's ``nstr(mpf(x), 8)``.
+
+    As mpmath does, ``|x| = m 2^e`` is taken to a binary fixed-point int
+    of about ``_BITPREC`` bits, then to a decimal one of ``fixdps`` digits,
+    each step rounding down; the 11 digits that gives are rounded half up
+    on the ninth.  The leading digit's position ``k`` picks fixed-point
+    notation for ``-5 < k < 8`` and ``e+k``/``ek`` otherwise, and trailing
+    zeros go, keeping ``.0``.
+    """
+    x = float(x)
     if x == 0:
         return "0"
-    if not isinstance(x, mpmath.mpf):
-        x = mpmath.mpf(float(x))
-    return mpmath.nstr(x, 8)
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "+inf" if x > 0 else "-inf"
+    m, e = math.frexp(abs(x))
+    man = int(m * 2**53)
+    fixprec = max(_BITPREC - e, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = e - 53 + fixprec
+    fixed = man << shift if shift >= 0 else man >> -shift
+    digits = str(fixed * 10**fixdps >> fixprec)
+    k = len(digits) - fixdps - 1
+    if len(digits) > 8 and digits[8] >= "5":
+        digits = str(int(digits[:8]) + 1)
+        k += len(digits) > 8
+    digits = digits[:8]
+    if -5 < k < 8:
+        digits, split, k = "0" * -k + digits, max(k, 0) + 1, 0
+    else:
+        split = 1
+    body = (digits[:split] + "." + digits[split:]).rstrip("0")
+    sign = "-" if x < 0 else ""
+    suffix = f"e{k:+d}" if k else ""
+    return sign + body + ("0" if body.endswith(".") else "") + suffix
 
 
 # -- scenarios --------------------------------------------------------
@@ -875,7 +910,7 @@ def _run_automorphism_invariance(sc):
         ),
     ]:
         res = symplectic_automorphism_check(m, u)
-        cases.append(Case(case_id, {"residual": _num_str(res)}, res == 0))
+        cases.append(Case(case_id, {"residual": str(res)}, res.is_zero()))
     return Report(sc.name, _base_params(sc), cases)
 
 

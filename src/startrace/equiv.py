@@ -16,11 +16,7 @@ from math import lcm
 
 from startrace.diffop import BiDiffOp, DiffOp
 from startrace.formal import FormalScalar
-from startrace.gaussfn import (
-    GaussFn,
-    gauss_integrate_bigfloat,
-    gauss_pullback_linear,
-)
+from startrace.gaussfn import GaussFn, gauss_integrate_exact, gauss_pullback_linear
 from startrace.poly import Poly, _square_matrix
 from startrace.star import EulerDerivation, StarProduct, _apply_series, _orders
 from startrace.trace import TraceFunctional
@@ -245,14 +241,18 @@ def is_symplectic(space, m):
 
 
 def symplectic_automorphism_check(m, u):
-    """Residual ``|tau_M(u o m) - tau_M(u)|`` at the leading trace order.
+    """Residual ``tau_M(u o m) - tau_M(u)`` at the leading trace order.
 
-    The residual is the integral of ``u o m - u``, taken exactly and only
-    then evaluated to 50 digits, so invariance shows as a literal zero.
-    Raises on non-symplectic input.
+    The residual is the exact integral of ``u o m - u``, an
+    :class:`~startrace.gaussfn.IntegralValue`, so invariance shows as the
+    literal zero value.  It used to be an mpmath float, so this is a break
+    in the public API: test it with ``.is_zero()`` or against
+    ``IntegralValue.zero()``, since an IntegralValue never equals an int
+    (``== 0`` is False even for an invariant map) and ``<`` raises
+    ``TypeError``.  Raises on non-symplectic input.
     """
     if not isinstance(u, GaussFn):
         raise TypeError("symplectic_automorphism_check expects a GaussFn")
     if not is_symplectic(u.space, m):
         raise ValueError("matrix is not symplectic for the fixed form")
-    return abs(gauss_integrate_bigfloat(gauss_pullback_linear(u, m) - u))
+    return gauss_integrate_exact(gauss_pullback_linear(u, m) - u)

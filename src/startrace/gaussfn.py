@@ -34,9 +34,10 @@ term are built once and read for every polynomial weight it meets.
 
 The trace functionals integrate by parts on the same rows, because
 Gaussians leave no boundary terms, and build no product of their
-operands: :func:`gauss_operator_integrals` gives ``integral of w_j
-A_r(u)`` for differential operators ``A_r`` and polynomial weights
-``w_j`` with no derivative of ``u``, and :func:`gauss_pair_integrals`
+operands: :func:`gauss_weight_integrals` gives ``integral of W_m u`` for
+polynomial weights ``W_m``, which :func:`adjoint_weights` builds as
+``sum_{r+j=m} A_r^*(w_j)`` to stand for ``integral of w_j A_r(u)`` with
+no derivative of ``u``, and :func:`gauss_pair_integrals`
 gives ``integral of u A_m(v)`` for differential operators ``A_m``, which
 the pair functionals obtain by transposing their bidifferential cochains
 (:meth:`~startrace.diffop.BiDiffOp.transpose`) once for all pairs.  They
@@ -58,8 +59,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-
-import mpmath
 
 from startrace.poly import (
     _FIELD,
@@ -188,7 +187,10 @@ class IntegralValue:
         return hash((self.pi_power, tuple(sorted(self.terms.items()))))
 
     def as_mpf(self, precision=50):
-        """Evaluate to an mpmath float carrying ``precision`` decimal digits."""
+        """Evaluate to an mpmath float carrying ``precision`` decimal digits;
+        the one method here that loads mpmath."""
+        import mpmath
+
         with mpmath.workdps(precision + 10):
             total = mpmath.mpf(0)
             for s, r in self.terms.items():
@@ -666,20 +668,19 @@ def _integrals(n, parts):
 # -- trace functionals by parts ---------------------------------------
 
 
-def gauss_operator_integrals(u, ops, weights, top):
-    """``{m: integral of sum_{r+j=m} w_j * A_r(u)}`` for ``m <= top``, with
-    ``ops = {r: A_r}`` DiffOps and ``weights = {j: w_j}`` Polys.
+def adjoint_weights(space, ops, weights, top):
+    """``{m: W_m = sum_{r+j=m} A_r^*(w_j)}`` for ``m <= top``, with ``ops =
+    {r: A_r}`` DiffOps and ``weights = {j: w_j}`` Polys on ``space``, so
+    that ``integral of W_m u = integral of sum_{r+j=m} w_j * A_r(u)`` for
+    every GaussFn ``u`` (:func:`gauss_weight_integrals`).
 
-    No derivative of ``u`` is taken and no product is built.  Integration
-    by parts, ``integral of x^kappa d^alpha u = (-1)^|alpha| (kappa)_alpha
-    integral of x^(kappa - alpha) u`` with the falling factorial
-    ``(kappa)_alpha``, turns each order into one polynomial ``W_m = sum_{r+j=m}
-    A_r^*(w_j)``, built monomial by monomial, and every term of ``u`` is
-    integrated against them (:func:`_term_integrals`).  Raises as that does,
-    and ``TypeError`` or ``ValueError`` for an operand that is not a GaussFn
-    or does not live on the space of ``ops`` and ``weights``.
+    Integration by parts, ``integral of x^kappa d^alpha u = (-1)^|alpha|
+    (kappa)_alpha integral of x^(kappa - alpha) u`` with the falling
+    factorial ``(kappa)_alpha``, builds each ``W_m`` monomial by monomial.
+    Raises ``ValueError`` for an operator or weight on another space.
     """
-    space = _space([u], ops, weights)
+    for x in chain(ops.values(), weights.values()):
+        x._check_space(space)
     dim = space.dim
     adjoint = {}  # {m: {den: {lambda: num}}}
     for r, op in ops.items():
@@ -704,7 +705,19 @@ def gauss_operator_integrals(u, ops, weights, top):
         nums, den = _lcm_sum((acc, d) for d, acc in by_den.items())
         _check_guard(nums, dim, "an adjoint weight")
         polys[m] = Poly._trusted(space, nums, den)
-    return _integrals(space.n, (_term_integrals(p, q, polys) for q, p in u.coeffs.items()))
+    return polys
+
+
+def gauss_weight_integrals(u, weights):
+    """``{m: integral of W_m u}`` for Polys ``weights = {m: W_m}``.
+
+    No product is built: every term of ``u`` is integrated against all the
+    weights on one moment table (:func:`_term_integrals`).  Raises as that
+    does, and ``TypeError`` or ``ValueError`` for an operand that is not a
+    GaussFn or does not live on the space of ``weights``.
+    """
+    space = _space([u], weights)
+    return _integrals(space.n, (_term_integrals(p, q, weights) for q, p in u.coeffs.items()))
 
 
 def gauss_pair_integrals(u, v, ops):

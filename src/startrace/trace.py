@@ -27,15 +27,15 @@ raises ``TypeError``, and a term with no exact integral raises as
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 
 from startrace.diffop import DiffOp
 from startrace.formal import FormalScalar
 from startrace.gaussfn import (
     GaussFn,
     IntegralValue,
-    gauss_operator_integrals,
+    adjoint_weights,
     gauss_pair_integrals,
+    gauss_weight_integrals,
 )
 from startrace.poly import Poly
 
@@ -111,7 +111,7 @@ def trace_eval(t, u):
     density's order and a zero series read as starting at ``nu^0``: up to
     ``min(K_u + m_rho, K_rho + m_u)``, shifted by the prefactor exponent.
     Each coefficient of ``u`` is integrated against every ``rho_j`` on its
-    moment rows (:func:`~startrace.gaussfn.gauss_operator_integrals`), with
+    moment rows (:func:`~startrace.gaussfn.gauss_weight_integrals`), with
     no product built; raises ``NonIntegrableError`` if a term fails to
     decay.
     """
@@ -120,12 +120,13 @@ def trace_eval(t, u):
         terms, top = u.coeffs.items(), min(u.trunc_order + _low(rho), rho.trunc_order + _low(u))
     else:
         terms, top = [(0, u)], rho.trunc_order + min(_low(rho), 0)
-    one = {0: DiffOp.identity(t.space)}
     return FormalScalar(
         (
             (i + m, val)
             for i, c in terms
-            for m, val in gauss_operator_integrals(c, one, rho.coeffs, top - i).items()
+            for m, val in gauss_weight_integrals(
+                c, {j: w for j, w in rho.coeffs.items() if j <= top - i}
+            ).items()
         ),
         top,
     ).shift(t.prefactor_exponent)
@@ -271,19 +272,19 @@ def normalization_residual(t, d, u):
 
     ``u`` is a GaussFn.  The order-m coefficient ``sum_{r+j=m} integral of
     rho_j D'_r u - (m+e) integral of rho_m u`` (``D'_0 = X``, ``e`` the
-    prefactor exponent) is integrated by parts on moment rows
-    (:func:`~startrace.gaussfn.gauss_operator_integrals`), with no
-    derivative of ``u`` taken, in the window of :func:`trace_eval`.
+    prefactor exponent) is ``integral of W_m u`` for the one weight ``W_m =
+    sum_{r+j=m} D'_r^*(rho_j) - (m+e) rho_m``
+    (:func:`~startrace.gaussfn.adjoint_weights`), so each term of ``u`` is
+    integrated once, on its moment rows, with no derivative of ``u`` taken,
+    in the window of :func:`trace_eval`.
     """
     rho = t.density
     trunc = rho.trunc_order + min(_low(rho), 0)
-    lhs = gauss_operator_integrals(u, {0: d.x, **d.corrections}, rho.coeffs, trunc)
-    rhs = gauss_operator_integrals(u, {0: DiffOp.identity(t.space)}, rho.coeffs, trunc)
     e = t.prefactor_exponent
+    weights = adjoint_weights(t.space, {0: d.x, **d.corrections}, rho.coeffs, trunc)
+    for m, w in rho.coeffs.items():
+        if m <= trunc:
+            weights[m] = weights.get(m, Poly.zero(t.space)) - w * (m + e)
     return FormalScalar(
-        chain(
-            ((m + e, val) for m, val in lhs.items()),
-            ((j + e, val * -(j + e)) for j, val in rhs.items()),
-        ),
-        trunc + e,
+        ((m + e, val) for m, val in gauss_weight_integrals(u, weights).items()), trunc + e
     )

@@ -3,15 +3,20 @@
 import json
 import math
 import random
+import struct
+import sys
 import time
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gauss_fns, multi_indices, polys, random_poly, tapered_bump
 
+from startrace import cli
 from startrace.cli import (
     POWER_BIT_BUDGET,
     POWER_TERM_BUDGET,
@@ -326,6 +331,43 @@ def test_emit_rejects_unknown_format():
     rep = run_scenario(Scenario("homogeneity"))
     with pytest.raises(ValueError, match="format"):
         emit_report(rep, "yaml")
+
+
+def _grid_residuals(monkeypatch):
+    """The floats that ``gs-decompose`` and ``brw-bracket`` print at seeds
+    0, 5 and 11."""
+    seen = []
+    original = cli._num_str
+
+    def recording(x):
+        seen.append(x)
+        return original(x)
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_num_str", recording)
+        for name in ("gs-decompose", "brw-bracket"):
+            for seed in (0, 5, 11):
+                run_scenario(Scenario(name, seed=seed))
+    return seen
+
+
+def test_num_str_prints_the_bytes_of_nstr(monkeypatch):
+    # the stdlib formatter against mpmath's own, which no run loads
+    rng = random.Random(24)
+    corpus = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, sys.float_info.min]
+    corpus += [sys.float_info.max, -sys.float_info.max, 9.99999995e-07, 99999999.5]
+    corpus += [10.0**k for k in range(-30, 31)] + [-(10.0**k) for k in range(-30, 31)]
+    corpus += [np.float64(x) for x in (1 / 3, -2.5e-7, 123456785.0, 4.01)]
+    corpus += _grid_residuals(monkeypatch)
+    bits = (rng.getrandbits(64).to_bytes(8, "little") for _ in range(50_000))
+    corpus += [struct.unpack("<d", b)[0] for b in bits]
+    corpus += [rng.uniform(-1, 1) * 10.0 ** rng.randint(-12, 12) for _ in range(50_000)]
+
+    def nstr(x):
+        return "0" if x == 0 else mpmath.nstr(mpmath.mpf(float(x)), 8)
+
+    wrong = [(x, cli._num_str(x), nstr(x)) for x in corpus if cli._num_str(x) != nstr(x)]
+    assert wrong == []
 
 
 def test_exact_scenarios_report_literal_zero():

@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +24,7 @@ from startrace.equiv import (
     transport_star,
 )
 from startrace.formal import FormalScalar
-from startrace.gaussfn import GaussFn, gauss_integrate_exact, gauss_pullback_linear
+from startrace.gaussfn import GaussFn, IntegralValue, gauss_integrate_exact, gauss_pullback_linear
 from startrace.poly import PhaseSpace, Poly, mat_mul, mat_transpose, poisson_bracket
 from startrace.star import (
     associativity_residual,
@@ -341,11 +340,13 @@ def test_automorphism_check_exact_paths():
     )
     identity = [[1, 0], [0, 1]]
     quarter_turn = [[0, 1], [-1, 0]]
-    assert symplectic_automorphism_check(identity, u) == 0
-    assert symplectic_automorphism_check(quarter_turn, u) == 0
+    assert symplectic_automorphism_check(identity, u) == IntegralValue.zero()
+    assert symplectic_automorphism_check(quarter_turn, u) == IntegralValue.zero()
 
 
 def test_automorphism_check_bigfloat_paths():
+    # squeezes and shears take the integral through elimination, and the
+    # residual is still the exact zero value
     space = PhaseSpace(1)
     u = (GaussFn.gaussian(space, 1) * Poly.variable(space, "p1")).translate(
         (1, Fraction(-1, 2))
@@ -353,8 +354,12 @@ def test_automorphism_check_bigfloat_paths():
     squeeze = [[Fraction(2), 0], [0, Fraction(1, 2)]]
     shear = [[1, 1], [0, 1]]
     for m in (squeeze, shear):
-        residual = symplectic_automorphism_check(m, u)
-        assert residual < mpmath.mpf("1e-40")
+        assert symplectic_automorphism_check(m, u) == IntegralValue.zero()
+    # control: diag(2, 1) halves a nonzero integral, so the residual is not zero
+    w = u + GaussFn.gaussian(space, 1)
+    stretch = gauss_integrate_exact(gauss_pullback_linear(w, [[2, 0], [0, 1]]) - w)
+    assert stretch == gauss_integrate_exact(w) * Fraction(-1, 2)
+    assert not stretch.is_zero()
 
 
 def test_automorphism_check_rejects_non_symplectic():

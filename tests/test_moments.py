@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import plane_product, polys, record_transposes, transposes_of
-from startrace import cli
+from startrace import cli, gaussfn
 from startrace.cli import Scenario, run_scenario
 from startrace.diffop import BiDiffOp, DiffOp
 from startrace.equiv import (
@@ -37,10 +37,11 @@ from startrace.gaussfn import (
     GaussFn,
     IntegralValue,
     NonIntegrableError,
+    adjoint_weights,
     gauss_integrate_exact,
-    gauss_operator_integrals,
     gauss_pair_integrals,
     gauss_pullback_linear,
+    gauss_weight_integrals,
 )
 from startrace.poly import PhaseSpace, Poly
 from startrace.star import (
@@ -463,7 +464,7 @@ def test_kernels_raise_for_what_they_cannot_integrate():
         for call in (
             lambda: gauss_pair_integrals(bad, g, one),
             lambda: gauss_pair_integrals(g, bad, one),
-            lambda: gauss_operator_integrals(bad, one, unit, 0),
+            lambda: gauss_weight_integrals(bad, unit),
             lambda: trace_residual(tau, s, g, bad),
             lambda: normalization_residual(tau, d, bad),
         ):
@@ -476,8 +477,9 @@ def test_kernels_raise_for_what_they_cannot_integrate():
     for call in (
         lambda: gauss_pair_integrals(g, far, {}),
         lambda: gauss_pair_integrals(g, g, {0: DiffOp.identity(other)}),
-        lambda: gauss_operator_integrals(g, {0: DiffOp.identity(other)}, unit, 0),
-        lambda: gauss_operator_integrals(g, one, {0: Poly.constant(other, 1)}, 0),
+        lambda: adjoint_weights(space, {0: DiffOp.identity(other)}, unit, 0),
+        lambda: adjoint_weights(space, one, {0: Poly.constant(other, 1)}, 0),
+        lambda: gauss_weight_integrals(g, {0: Poly.constant(other, 1)}),
         lambda: trace_eval(moyal_trace(other, 2), g),
         lambda: trace_residual(tau, s, g, far),
     ):
@@ -507,9 +509,9 @@ def test_kernels_raise_for_what_they_cannot_integrate():
         with pytest.raises(err):
             gauss_pair_integrals(a, b, {0: DiffOp.zero(space)})
     with pytest.raises(NonIntegrableError):
-        gauss_operator_integrals(g + q_only, one, {}, 0)
+        gauss_weight_integrals(g + q_only, {})
     with pytest.raises(ArithmeticError):
-        gauss_operator_integrals(squeezed, {}, unit, 0)
+        gauss_weight_integrals(squeezed, adjoint_weights(space, {}, unit, 0))
 
 
 def test_functionals_build_no_product(monkeypatch):
@@ -551,6 +553,31 @@ def test_functionals_build_no_product(monkeypatch):
                         closedness_integral(s, r, a, b)
     trace_eval(tau, series)
     assert nonzero
+
+
+def test_normalization_integrates_each_term_once(monkeypatch):
+    # D's adjoint weights and -(m+e) rho_m fold into one weight per order,
+    # so each term of u meets its moment rows once, not once per side
+    space = PhaseSpace(1)
+    t = random_equivalence(space, 3, 4)
+    d = transport_euler(t, canonical_euler(space))
+    q = Poly.variable(space, "q1")
+    rho = density_from_equivalence(t).density + FormalScalar({2: q}, 3)
+    tau = TraceFunctional(space, rho, -1)
+    u = GaussFn.term(space, q + Poly.constant(space, 1), 1, [1, 0], F(1, 2))
+    u = u + GaussFn.gaussian(space, 3) + GaussFn.term(space, q * q, 2, [0, F(1, 2)])
+    want = normalization_by_derivatives(tau, d, u)
+    assert not want.is_zero()
+    calls = []
+    original = gaussfn._term_integrals
+
+    def counting(p, q, weights):
+        calls.append(q)
+        return original(p, q, weights)
+
+    monkeypatch.setattr(gaussfn, "_term_integrals", counting)
+    assert normalization_residual(tau, d, u) == want
+    assert sorted(calls, key=str) == sorted(u.coeffs, key=str)
 
 
 @pytest.mark.parametrize("n", [1, 2])

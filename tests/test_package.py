@@ -18,7 +18,7 @@ def test_every_public_name_resolves():
 
 
 def test_exact_layers_bind_no_mpmath():
-    for name in ("poly", "formal", "diffop", "star", "trace", "equiv"):
+    for name in ("poly", "formal", "diffop", "gaussfn", "star", "trace", "equiv", "cli"):
         module = importlib.import_module(f"startrace.{name}")
         bound = [
             key
@@ -42,6 +42,26 @@ def test_grid_run_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout.splitlines()[-1] == "False 0"
+
+
+def test_runs_load_no_mpmath():
+    # exact residuals print with str and grid floats with a stdlib port of
+    # nstr, so neither the import nor a run, exact or grid, loads mpmath
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "import startrace.cli\n"
+        "loaded = ['mpmath' in sys.modules]\n"
+        "for name in ('moyal-trace', 'automorphism-invariance', 'gs-decompose'):\n"
+        "    status = startrace.cli.main(['run', name, '--n', '1', '--order', '2'])\n"
+        "    loaded.append(('mpmath' in sys.modules, status))\n"
+        "print(loaded)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.splitlines()[-1] == str([False] + [(False, 0)] * 3)
 
 
 def _traced_targets():

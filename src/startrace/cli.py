@@ -4,20 +4,26 @@
 prints a deterministic report (JSON or text); ``startrace parse``
 round-trips a single expression; ``startrace list-scenarios`` shows what
 can run.  The process exit status is 0 exactly when every case passes.
+``-h``/``--help`` prints :data:`USAGE` and exits 0.  Options take
+``--n 2`` or ``--n=2`` and any unique prefix (``--ord 4``), before or
+after the positional; ``--`` ends the options, so an expression with a
+leading minus goes after it (``startrace parse -- -q1``).  Every usage
+error, bad input file or unparsable expression exits 2 with one
+``error:`` (or ``parse error:``) line on stderr; a failed case exits 1.
 
 Expression grammar, loosest to tightest binding: sums ``a + b - c``,
 bidifferential pairing ``left | right``, products ``a*b`` (composition
 for operators), powers ``a^k`` with ``k <= MAX_EXPONENT``.  Atoms are
 rationals ``3/4``, variables ``q1 p2``, partials ``dq1 dp2``, the
 squared radius ``|x|^2``, ``exp`` of a polynomial whose quadratic part
-is a multiple of ``|x|^2``, and parenthesized subexpressions.  A leading
-minus is allowed on any term.
+is a multiple of ``|x|^2``, and parenthesized subexpressions, nested at
+most ``MAX_NESTING`` deep.  A leading minus is allowed on any term.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
+import getopt
 import json
 import math
 import random
@@ -111,6 +117,11 @@ POWER_TERM_BUDGET = 1 << 16
 POWER_BIT_BUDGET = 1 << 16
 """The most bits the coefficients of a parsed power may be bound to reach."""
 
+MAX_NESTING = 64
+"""The most parentheses and ``exp(`` a parsed expression may nest.  Each
+level is five parser frames, so the bound keeps the descent well inside
+the interpreter's recursion limit (about 190 levels fail without it)."""
+
 
 def _power_bounds(value, k):
     """``(terms, bits)`` bounds on ``value^k`` for a rational, polynomial,
@@ -154,6 +165,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.index = 0
         self.last_pos = 0
+        self.depth = 0
 
     # -- token plumbing ----------------------------------------------
 
@@ -244,14 +256,20 @@ class _Parser:
             return Poly.sum(self.space, (Poly.variable(self.space, x) ** 2 for x in names))
         if kind == "exp":
             self._expect_op("(")
-            inner = self._sum()
-            self._expect_op(")")
-            return self._gauss(inner, pos)
+            return self._gauss(self._nested(pos), pos)
         if kind == "op" and text == "(":
-            inner = self._sum()
-            self._expect_op(")")
-            return inner
+            return self._nested(pos)
         raise ParseError(f"unexpected {text!r}", pos)
+
+    def _nested(self, pos):
+        """The sum inside an open parenthesis, up to its ``)``."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)
+        self.depth += 1
+        inner = self._sum()
+        self._expect_op(")")
+        self.depth -= 1
+        return inner
 
     def _check_index(self, name, pos):
         if not 1 <= int(name[1:]) <= self.space.n:
@@ -389,11 +407,20 @@ def _kind_name(value):
 # -- input files ------------------------------------------------------
 
 
+def _load_json(path):
+    """The JSON value in ``path``; nesting past the decoder's recursion
+    limit is a ``ValueError`` like any other malformed file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def load_equivalence(path, space, trunc_order):
     """Equivalence from JSON: a list of ``{"order": k, "expression": s}``
     entries, or an object with such a list under ``"operators"``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_json(path)
     if isinstance(data, dict):
         data = data.get("operators", [])
     if not isinstance(data, list) or not all(isinstance(e, dict) for e in data):
@@ -417,8 +444,7 @@ def load_equivalence(path, space, trunc_order):
 
 def load_grid(path):
     """GridFn from its JSON dictionary form."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise ValueError("grid file must hold a JSON object")
     return GridFn.from_dict(data)
@@ -917,37 +943,69 @@ def _run_automorphism_invariance(sc):
 # -- entry point ------------------------------------------------------
 
 
-def _build_arg_parser():
-    ap = argparse.ArgumentParser(
-        prog="startrace",
-        description="check star-product trace identities and grid decompositions",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="run one scenario and print its report")
-    run.add_argument("scenario", choices=list(SCENARIOS))
-    run.add_argument("--n", type=int, default=1, help="number of canonical pairs")
-    run.add_argument("--order", type=int, default=4, help="truncation order")
-    run.add_argument("--seed", type=int, default=0, help="seed for random batteries")
-    run.add_argument("--equiv", default=None, help="equivalence JSON file")
-    run.add_argument("--grid", default=None, help="grid JSON file")
-    run.add_argument("--format", choices=("json", "text"), default="json")
-    run.add_argument("--out", default=None, help="write the report here instead of stdout")
-    pp = sub.add_parser("parse", help="parse one expression and echo its canonical form")
-    pp.add_argument("expression")
-    pp.add_argument("--n", type=int, default=1, help="number of canonical pairs")
-    sub.add_parser("list-scenarios", help="list runnable scenario names")
-    return ap
+USAGE = """\
+startrace list-scenarios
+startrace run <scenario> [--n N] [--order K] [--seed S]
+                         [--equiv FILE] [--grid FILE]
+                         [--format json|text] [--out FILE]
+startrace parse <expr> [--n N]
+"""
+"""What ``-h``/``--help`` prints: the README's usage block."""
+
+_COMMANDS = {
+    "run": ["n=", "order=", "seed=", "equiv=", "grid=", "format=", "out=", "help"],
+    "parse": ["n=", "help"],
+    "list-scenarios": ["help"],
+}
+
+
+def _parse_args(argv):
+    """``(command, positional, options)`` for a command line, with the
+    options keyed by long name and ``n``, ``order``, ``seed`` as ints, or
+    None when it asks for help.  A usage error raises ``ValueError``."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None
+    if not argv or argv[0] not in _COMMANDS:
+        raise ValueError(f"expected one of the commands {', '.join(_COMMANDS)}")
+    command = argv[0]
+    try:
+        pairs, positional = getopt.gnu_getopt(argv[1:], "h", _COMMANDS[command])
+    except getopt.GetoptError as err:
+        raise ValueError(str(err)) from None
+    options = {name.lstrip("-"): value for name, value in pairs}
+    if "h" in options or "help" in options:
+        return None
+    want = 0 if command == "list-scenarios" else 1
+    if len(positional) != want:
+        raise ValueError(f"{command} takes {want} positional argument(s), got {len(positional)}")
+    for name in ("n", "order", "seed"):
+        if name in options:
+            try:
+                options[name] = int(options[name])
+            except ValueError:
+                raise ValueError(f"--{name} needs an integer, not {options[name]!r}") from None
+    if options.get("format", "json") not in ("json", "text"):
+        raise ValueError(f"--format must be json or text, not {options['format']!r}")
+    return command, positional, options
 
 
 def main(argv=None):
-    args = _build_arg_parser().parse_args(argv)
-    if args.command == "list-scenarios":
+    try:
+        parsed = _parse_args(sys.argv[1:] if argv is None else argv)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    if parsed is None:
+        sys.stdout.write(USAGE)
+        return 0
+    command, positional, options = parsed
+    if command == "list-scenarios":
         for name, (_, summary, _) in SCENARIOS.items():
             print(f"{name}: {summary}")
         return 0
-    if args.command == "parse":
+    if command == "parse":
         try:
-            value = parse_expression(args.expression, args.n)
+            value = parse_expression(positional[0], options.get("n", 1))
             # str() of a rational past the int string limit raises ValueError
             text = f"{_kind_name(value)}: {value}"
         except (ParseError, ValueError) as err:
@@ -955,25 +1013,26 @@ def main(argv=None):
             return 2
         print(text)
         return 0
+    out = options.get("out")
     try:
         sc = Scenario(
-            args.scenario,
-            n=args.n,
-            trunc_order=args.order,
-            seed=args.seed,
-            equiv_path=args.equiv,
-            grid_path=args.grid,
+            positional[0],
+            n=options.get("n", 1),
+            trunc_order=options.get("order", 4),
+            seed=options.get("seed", 0),
+            equiv_path=options.get("equiv"),
+            grid_path=options.get("grid"),
         )
         # --out opens before the run, so a bad path fails before any work
-        with contextlib.nullcontext() if args.out is None else open(args.out, "wb") as fh:
+        with contextlib.nullcontext() if out is None else open(out, "wb") as fh:
             report = run_scenario(sc)
-            payload = emit_report(report, args.format)
+            payload = emit_report(report, options.get("format", "json"))
             if fh is not None:
                 fh.write(payload)
     except (OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if args.out is None:
+    if out is None:
         sys.stdout.write(payload.decode("utf-8"))
     return 0 if report.all_pass() else 1
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 import random
 import struct
 import sys
@@ -18,6 +19,7 @@ from conftest import gauss_fns, multi_indices, polys, random_poly, tapered_bump
 
 from startrace import cli
 from startrace.cli import (
+    MAX_NESTING,
     POWER_BIT_BUDGET,
     POWER_TERM_BUDGET,
     SCENARIOS,
@@ -175,6 +177,17 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse_expression("q1 p1")
     assert err.value.position == 3
+    # the first parenthesis past MAX_NESTING is the one reported
+    deep = MAX_NESTING * "(" + "q1" + MAX_NESTING * ")"
+    assert parse_expression(deep) == parse_expression("q1")
+    for text, position in [
+        ("(" + deep + ")", MAX_NESTING),
+        ((MAX_NESTING + 1) * "exp(" + "-|x|^2", 4 * MAX_NESTING),
+        ("-q1*" + MAX_NESTING * "exp(" + "(q1", 4 + 4 * MAX_NESTING),
+    ]:
+        with pytest.raises(ParseError, match=f"nest deeper than {MAX_NESTING}") as err:
+            parse_expression(text)
+        assert err.value.position == position, text
 
 
 def test_parse_unknown_axis():
@@ -442,6 +455,44 @@ def test_main_parse(capsys):
 def test_main_parse_error(capsys):
     assert main(["parse", "q7"]) == 2
     assert "parse error" in capsys.readouterr().err
+    # nesting that overflowed the interpreter's stack ended in a traceback
+    for text in [200 * "(" + "q1" + 200 * ")", 200 * "exp(" + "-|x|^2" + 200 * ")"]:
+        assert main(["parse", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and err.count("\n") == 1, err
+        assert f"nest deeper than {MAX_NESTING}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, canonical",
+    [
+        (["run", "moyal-trace", "--n=2", "--order", "2"], ["run", "moyal-trace", "--n", "2", "--order", "2"]),
+        (["run", "moyal-trace", "--ord", "4"], ["run", "moyal-trace", "--order", "4"]),
+        (
+            ["run", "--n", "2", "--format=text", "--order", "2", "homogeneity"],
+            ["run", "homogeneity", "--n", "2", "--order", "2", "--format", "text"],
+        ),
+        (["parse", "--", "-q1"], ["parse", "0 - q1"]),
+        (["parse", "--n=2", "--", "-dp2*q1"], ["parse", "--n", "2", "0 - q1*dp2"]),
+        # help: the usage text on stdout
+        (["-h"], None),
+        (["--help"], None),
+        (["run", "moyal-trace", "-h"], None),
+        (["parse", "--he"], None),
+        (["list-scenarios", "--help"], None),
+    ],
+)
+def test_main_accepts_every_spelling(argv, canonical, capsys):
+    assert main(argv) == 0
+    got = capsys.readouterr()
+    if canonical is None:
+        want = cli.USAGE
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert f"```sh\n{want}```" in readme
+    else:
+        assert main(canonical) == 0
+        want = capsys.readouterr().out
+    assert got.out == want and got.err == ""
 
 
 def test_main_run_writes_report(tmp_path, capsys):
@@ -541,12 +592,47 @@ def test_main_oversized_derivative_order_gives_exit_two(tmp_path, capsys):
     assert f"MAX_EXPONENT = {MAX_EXPONENT}" in err
 
 
-def test_main_bad_inputs_give_exit_two(tmp_path, capsys):
+def test_main_bad_inputs_give_exit_two(tmp_path, monkeypatch, capsys):
     assert main(["run", "transport-trace", "--equiv", "/no/such/file.json"]) == 2
     assert "error" in capsys.readouterr().err
-    with pytest.raises(SystemExit):
-        main(["run", "not-a-scenario"])
-    capsys.readouterr()
+    # usage errors: refused before any work, and no SystemExit escapes main
+    out = tmp_path / "never.json"
+    usage_errors = [
+        [],
+        ["not-a-command"],
+        ["--n", "2", "run", "moyal-trace"],
+        ["run", "not-a-scenario"],
+        ["run"],
+        ["run", "moyal-trace", "homogeneity"],
+        ["parse"],
+        ["parse", "q1", "p1"],
+        ["list-scenarios", "moyal-trace"],
+        ["run", "moyal-trace", "--bogus"],
+        ["run", "moyal-trace", "-x"],
+        ["run", "moyal-trace", "--o", "2"],  # --order or --out
+        ["parse", "--order", "2", "q1"],
+        ["list-scenarios", "--n", "2"],
+        ["run", "moyal-trace", "--n"],
+        ["run", "moyal-trace", "--n", "two"],
+        ["run", "moyal-trace", "--order=1.5"],
+        ["run", "moyal-trace", "--seed", ""],
+        ["parse", "--n", "x", "q1"],
+        ["run", "moyal-trace", "--format", "yaml", "--out", str(out)],
+        ["run", "moyal-trace", "--format=JSON"],
+    ]
+
+    def refuse(*args):
+        raise AssertionError("work began on a usage error")
+
+    with monkeypatch.context() as m:
+        m.setattr("startrace.cli.run_scenario", refuse)
+        m.setattr("startrace.cli.parse_expression", refuse)
+        for argv in usage_errors:
+            assert main(argv) == 2, argv
+            got = capsys.readouterr()
+            assert got.out == "", argv
+            assert got.err.startswith("error: ") and got.err.count("\n") == 1, (argv, got.err)
+    assert not out.exists()
     grid = tapered_generate(1, 3.0, 128, 2.0, 10).to_dict()
     bad_runs = [
         ["moyal-trace", "--order", "0"],
@@ -575,6 +661,8 @@ def test_main_bad_inputs_give_exit_two(tmp_path, capsys):
         (["transport-trace", "--equiv"], [{"order": True, "expression": "p1*dq1"}]),
         # an exponent past MAX_EXPONENT, which would otherwise run for minutes
         (["transport-trace", "--equiv"], [{"order": 1, "expression": "dq1^40000"}]),
+        # nesting past MAX_NESTING ended in a RecursionError traceback, exit 1
+        (["transport-trace", "--equiv"], [{"order": 1, "expression": 300 * "(" + "dq1" + 300 * ")"}]),
         (["gs-decompose", "--grid"], dict(grid, points_per_axis="x")),
         (["gs-decompose", "--grid"], dict(grid, dimension="1")),
         (["gs-decompose", "--grid"], dict(grid, half_widths=[[3.0]])),
@@ -585,6 +673,12 @@ def test_main_bad_inputs_give_exit_two(tmp_path, capsys):
         path = tmp_path / f"input-{len(bad_runs)}.json"
         path.write_text(json.dumps(data))
         bad_runs.append(args + [str(path)])
+    # so did JSON nested past the decoder's recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text(10_000 * "[" + 10_000 * "]")
+    for args in (["transport-trace", "--equiv", str(path)], ["gs-decompose", "--grid", str(path)]):
+        assert main(["run", *args]) == 2
+        assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
     # json reads NaN and Infinity: a non-finite sample is bad input for
     # either grid scenario.  Inside the support, NaN gave "sup: nan" and
     # Infinity an infinite total integral; NaN on the margin was snapped to 0.

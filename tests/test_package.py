@@ -46,22 +46,24 @@ def test_grid_run_loads_no_scipy():
 
 def test_runs_load_no_mpmath():
     # exact residuals print with str and grid floats with a stdlib port of
-    # nstr, so neither the import nor a run, exact or grid, loads mpmath
+    # nstr, so neither the import nor a run, exact or grid, loads mpmath;
+    # the command line is read with getopt, so no run loads argparse or locale
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys\n"
         "import startrace.cli\n"
-        "loaded = ['mpmath' in sys.modules]\n"
+        "names = ('mpmath', 'argparse', 'locale')\n"
+        "loaded = [[n for n in names if n in sys.modules]]\n"
         "for name in ('moyal-trace', 'automorphism-invariance', 'gs-decompose'):\n"
         "    status = startrace.cli.main(['run', name, '--n', '1', '--order', '2'])\n"
-        "    loaded.append(('mpmath' in sys.modules, status))\n"
+        "    loaded.append(([n for n in names if n in sys.modules], status))\n"
         "print(loaded)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert run.stdout.splitlines()[-1] == str([False] + [(False, 0)] * 3)
+    assert run.stdout.splitlines()[-1] == str([[]] + [([], 0)] * 3)
 
 
 def _traced_targets():

@@ -160,7 +160,7 @@ def density_from_equivalence(t):
     one = Poly.constant(t.space, 1)
     shapes = {k: op.apply(one) for k, op in equiv_adjoint(t).ops.items()}
     rho = FormalScalar({0: one, **shapes}, t.trunc_order)
-    return TraceFunctional(t.space, rho, -t.space.n)
+    return TraceFunctional(t.space, rho)
 
 
 def transport_euler(t, d):

@@ -23,6 +23,7 @@ from startrace.diffop import BiDiffOp, DiffOp
 from startrace.formal import FormalScalar
 from startrace.gaussfn import GaussFn, IntegralValue, gauss_pair_integrals
 from startrace.poly import Poly, _combine
+from startrace.trace import moyal_trace, operator_trace_residual
 
 
 def _orders(space, ops, what, top=inf):
@@ -59,13 +60,14 @@ class StarProduct:
     ``cochains`` maps orders ``1..trunc_order`` to :class:`BiDiffOp`;
     missing orders mean a zero cochain.  ``minus`` caches the nonzero
     antisymmetric parts ``C_r^-`` under the same keys, so commutators,
-    trace conditions and closedness integrals build each of them once.
-    Construction verifies that ``C_1^-`` is the Poisson cochain, so every
-    instance is a deformation of the Poisson bracket in the fixed sign
-    convention.
+    trace conditions and closedness integrals build each of them once, and
+    ``residuals`` maps each density met so far to its operators
+    :func:`~startrace.trace.operator_trace_residual`.  Construction verifies
+    that ``C_1^-`` is the Poisson cochain, so every instance is a
+    deformation of the Poisson bracket in the fixed sign convention.
     """
 
-    __slots__ = ("space", "trunc_order", "cochains", "minus")
+    __slots__ = ("space", "trunc_order", "cochains", "minus", "residuals")
 
     def __init__(self, space, trunc_order, cochains):
         if trunc_order < 1:
@@ -79,6 +81,7 @@ class StarProduct:
         self.trunc_order = trunc_order
         self.cochains = clean
         self.minus = minus
+        self.residuals = {}
 
     def cochain(self, r):
         if r == 0:
@@ -185,7 +188,7 @@ def associativity_residual(s, u, v, w):
     return left - right
 
 
-def closedness_integral(s, r, u, v, ops=None):
+def closedness_integral(s, r, u, v):
     """``integral of C_r^-(u, v)`` over R^{2n} with the Liouville volume.
 
     ``Omega^n/n!`` is the Lebesgue measure of the chart, so this is an
@@ -195,19 +198,18 @@ def closedness_integral(s, r, u, v, ops=None):
     and ``C_0^-`` is zero.  For a nonzero ``C_r^-`` it is ``integral of u
     L_r(v)`` (:func:`~startrace.gaussfn.gauss_pair_integrals`) for the
     transpose ``L_r = (C_r^-)^t_1``, with no ``C_r^-(u, v)`` built, for every
-    pair of GaussFns, zero ones included; ``ops`` holds the nonzero ``L_r``
-    when the caller shares them between pairs, as the trace residual of
-    density 1 does.
+    pair of GaussFns, zero ones included: ``L_r`` is order ``r`` of
+    :func:`~startrace.trace.operator_trace_residual` for density 1, which
+    ``s`` builds once for every pair and order, and which the Moyal trace
+    at ``s``'s order shares.
     """
     if not isinstance(u, GaussFn) or not isinstance(v, GaussFn):
         raise TypeError("closedness_integral expects GaussFn operands")
     if not 0 <= r <= s.trunc_order:
         raise ValueError(f"cochain order {r} outside 0..{s.trunc_order}")
-    minus = s.minus.get(r)
-    if minus is None:
+    if r not in s.minus:
         return IntegralValue.zero()
-    if ops is None:
-        ops = {r: minus.transpose(Poly.constant(s.space, 1))}
+    ops = operator_trace_residual(moyal_trace(s.space, s.trunc_order), s)
     vals = gauss_pair_integrals(u, v, {r: ops[r]} if r in ops else {})
     return vals.get(r, IntegralValue.zero())
 

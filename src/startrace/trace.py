@@ -2,10 +2,11 @@
 
 A :class:`TraceFunctional` represents
 
-    tau(u) = nu^e * integral of u(x) rho(x; nu) dV,   dV = Omega^n / n!,
+    tau(u) = nu^-n * integral of u(x) rho(x; nu) dV,   dV = Omega^n / n!,
 
-where ``rho`` is a formal series with polynomial coefficients and ``e`` is
-the prefactor exponent (``-n`` in standard form).  On the flat chart
+where ``rho`` is a formal series with polynomial coefficients.  The
+prefactor is always ``nu^-n``: a factor ``nu^m`` of the functional lives in
+the density, whose series may start at any order.  On the flat chart
 ``Omega^n/n!`` is exactly the Lebesgue measure, so every evaluation is an
 exact Gaussian integral.  The order-k functionals ``tau_k(u) = integral of
 u rho_k dV`` drive the order-by-order trace conditions.
@@ -18,15 +19,16 @@ adjoint weights ``sum_{r+j=m} D'_r^*(rho_j)``, with no product ``u rho`` and
 no ``D'_r u``, and :func:`trace_residual` (and with it
 :func:`trk_residual`) integrates ``u L_m(v)`` for the operators ``L_m`` of
 :func:`operator_trace_residual`, which transpose the commutator cochains
-against the density once for all pairs, with no commutator ``C_r^-(u,
-v)``.  Every input takes that one path; an operand that is not a GaussFn
-raises ``TypeError``, and a term with no exact integral raises as
-:func:`~startrace.gaussfn.gauss_integrate_exact` does.
+against the density once per product, memoized for all pairs, with no
+commutator ``C_r^-(u, v)``.  Every input takes that one path; an operand
+that is not a GaussFn raises ``TypeError``, and a term with no exact
+integral raises as :func:`~startrace.gaussfn.gauss_integrate_exact` does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from startrace.diffop import DiffOp
 from startrace.formal import FormalScalar
@@ -45,11 +47,11 @@ class InconsistentTracesError(ValueError):
 
 
 class TraceFunctional:
-    """Density-defined linear functional ``nu^e * integral(u rho dV)``."""
+    """Density-defined linear functional ``nu^-n * integral(u rho dV)``."""
 
-    __slots__ = ("space", "density", "prefactor_exponent")
+    __slots__ = ("space", "density")
 
-    def __init__(self, space, density, prefactor_exponent):
+    def __init__(self, space, density):
         if not isinstance(density, FormalScalar):
             raise TypeError("density must be a FormalScalar over Poly coefficients")
         for c in density.coeffs.values():
@@ -59,13 +61,10 @@ class TraceFunctional:
                 raise ValueError("density lives on the wrong phase space")
         self.space = space
         self.density = density
-        self.prefactor_exponent = prefactor_exponent
 
     def is_standard(self):
-        return (
-            self.prefactor_exponent == -self.space.n
-            and self.density.get(0) == Poly.constant(self.space, 1)
-            and (self.density.min_degree in (0, None))
+        return self.density.get(0) == Poly.constant(self.space, 1) and (
+            self.density.min_degree in (0, None)
         )
 
     def scale_by_series(self, c):
@@ -74,27 +73,21 @@ class TraceFunctional:
             {k: Poly.constant(self.space, v) for k, v in c.coeffs.items()},
             c.trunc_order,
         )
-        return TraceFunctional(self.space, self.density * as_poly, self.prefactor_exponent)
+        return TraceFunctional(self.space, self.density * as_poly)
 
     def __eq__(self, other):
         if not isinstance(other, TraceFunctional):
             return NotImplemented
-        return (
-            self.space == other.space
-            and self.density == other.density
-            and self.prefactor_exponent == other.prefactor_exponent
-        )
+        return self.space == other.space and self.density == other.density
 
     def __repr__(self):
-        return (
-            f"TraceFunctional(nu^{self.prefactor_exponent} * int(u * ({self.density})))"
-        )
+        return f"TraceFunctional(nu^{-self.space.n} * int(u * ({self.density})))"
 
 
 def moyal_trace(space, trunc_order):
-    """The standard trace with density 1 and prefactor ``nu^-n``."""
+    """The standard trace, with density 1."""
     rho = FormalScalar.constant(Poly.constant(space, 1), trunc_order)
-    return TraceFunctional(space, rho, -space.n)
+    return TraceFunctional(space, rho)
 
 
 def _low(f):
@@ -109,7 +102,7 @@ def trace_eval(t, u):
     :class:`IntegralValue` in the window of the product ``u * rho`` of
     FormalScalars, with a GaussFn read as the constant series at the
     density's order and a zero series read as starting at ``nu^0``: up to
-    ``min(K_u + m_rho, K_rho + m_u)``, shifted by the prefactor exponent.
+    ``min(K_u + m_rho, K_rho + m_u)``, shifted by ``-n``.
     Each coefficient of ``u`` is integrated against every ``rho_j`` on its
     moment rows (:func:`~startrace.gaussfn.gauss_weight_integrals`), with
     no product built; raises ``NonIntegrableError`` if a term fails to
@@ -129,7 +122,7 @@ def trace_eval(t, u):
             ).items()
         ),
         top,
-    ).shift(t.prefactor_exponent)
+    ).shift(-t.space.n)
 
 
 def _pair_window(t, s):
@@ -147,57 +140,61 @@ def operator_trace_residual(t, s):
     Integration by parts (:meth:`~startrace.diffop.BiDiffOp.transpose`)
     gives ``integral of rho_j C_r^-(u, v) = integral of u
     (C_r^-)^t_{rho_j}(v)`` for every pair that leaves no boundary terms, so
-    order ``m + e`` of ``tau(u*v) - tau(v*u)`` is ``integral of u L_m(v)``
+    order ``m - n`` of ``tau(u*v) - tau(v*u)`` is ``integral of u L_m(v)``
     and ``rho`` is a trace density through that window exactly when the
-    result is empty.  Each cached ``C_r^-`` is transposed once per ``rho_j``.
+    result is empty.  Each cached ``C_r^-`` is transposed once per ``rho_j``:
+    the read-only mapping is memoized in ``s.residuals`` under the density,
+    so every later call with an equal density, from any pair, returns it.
     """
-    top = _pair_window(t, s)
-    by_order = {}
-    for r, minus in s.minus.items():
-        for j, w in t.density.coeffs.items():
-            if r + j <= top:
-                by_order.setdefault(r + j, []).append(minus.transpose(w))
-    ops = {m: DiffOp.sum(t.space, terms) for m, terms in by_order.items()}
-    return {m: op for m, op in ops.items() if not op.is_zero()}
+    ops = s.residuals.get(t.density)
+    if ops is None:
+        top = _pair_window(t, s)
+        by_order = {}
+        for r, minus in s.minus.items():
+            for j, w in t.density.coeffs.items():
+                if r + j <= top:
+                    by_order.setdefault(r + j, []).append(minus.transpose(w))
+        sums = {m: DiffOp.sum(t.space, terms) for m, terms in by_order.items()}
+        ops = MappingProxyType({m: op for m, op in sums.items() if not op.is_zero()})
+        s.residuals[t.density] = ops
+    return ops
 
 
-def trace_residual(t, s, u, v, ops=None):
+def trace_residual(t, s, u, v):
     """``tau(u*v) - tau(v*u)``; identically zero iff tau is a trace on the pair.
 
     The order-m coefficient is ``sum_{r+j=m} integral of rho_j C_r^-(u, v)``,
-    which is ``integral of u L_m(v)`` with ``ops = {m: L_m}`` from
-    :func:`operator_trace_residual` (built here unless the caller passes it
-    for many pairs), integrated on moment rows
+    which is ``integral of u L_m(v)`` for the operators ``L_m`` of
+    :func:`operator_trace_residual`, built once per product and density,
+    integrated on moment rows
     (:func:`~startrace.gaussfn.gauss_pair_integrals`) with no commutator
     built.  The window is that of :func:`operator_trace_residual`, ``min(K
-    + m_rho, K_rho + 1)``, shifted by the prefactor exponent, for every
-    pair, zero operands included.
+    + m_rho, K_rho + 1)``, shifted by ``-n``, for every pair, zero operands
+    included.
     """
-    if ops is None:
-        ops = operator_trace_residual(t, s)
-    vals = gauss_pair_integrals(u, v, ops)
-    return FormalScalar(vals, _pair_window(t, s)).shift(t.prefactor_exponent)
+    vals = gauss_pair_integrals(u, v, operator_trace_residual(t, s))
+    return FormalScalar(vals, _pair_window(t, s)).shift(-t.space.n)
 
 
 def trk_residual(t, s, u, v):
     """Order-k trace conditions ``sum_{r=1}^{k+1} tau_{k+1-r}(C_r^-(u, v))``
     for ``k = 0..K-1``, as a list indexed by k.
 
-    These are the ``nu^{k+1+e}`` coefficients of :func:`trace_residual`
-    (``e`` the prefactor exponent), because the commutator expands into
-    the ``C_r^-``; one evaluation, against one build of the operators
-    ``L_m`` of :func:`operator_trace_residual`, gives every order.
+    These are the ``nu^{k+1-n}`` coefficients of :func:`trace_residual`,
+    because the commutator expands into the ``C_r^-``; one evaluation,
+    against the operators ``L_m`` of :func:`operator_trace_residual`, which
+    each product builds once per density, gives every order.
     """
     res = trace_residual(t, s, u, v)
-    e = t.prefactor_exponent
-    return [res.get(k + 1 + e) or IntegralValue.zero() for k in range(res.trunc_order - e)]
+    n = t.space.n
+    return [res.get(k + 1 - n) or IntegralValue.zero() for k in range(res.trunc_order + n)]
 
 
 def standardize(t):
-    """Standard representative: prefactor ``nu^-n``, density ``1 + O(nu)``.
+    """Standard representative: density ``1 + O(nu)``.
 
     Divides out the leading scalar ``a`` and shifts the monomial
-    ``nu^{m}``; idempotent.  The discarded factor is ``a nu^{m+e+n}``.
+    ``nu^{m}``; idempotent.  The discarded factor is ``a nu^m``.
     """
     rho = t.density
     if rho.is_zero():
@@ -208,7 +205,7 @@ def standardize(t):
     if lead != Poly.constant(t.space, a) or not a:
         raise ValueError("leading density coefficient is not a nonzero scalar")
     density = rho.shift(-m).scale(Fraction(1) / a)
-    return TraceFunctional(t.space, density, -t.space.n)
+    return TraceFunctional(t.space, density)
 
 
 def default_probe_battery(space):
@@ -271,20 +268,19 @@ def normalization_residual(t, d, u):
     """``tau(D u) - nu d/dnu tau(u)``; zero iff tau is normalized for D on u.
 
     ``u`` is a GaussFn.  The order-m coefficient ``sum_{r+j=m} integral of
-    rho_j D'_r u - (m+e) integral of rho_m u`` (``D'_0 = X``, ``e`` the
-    prefactor exponent) is ``integral of W_m u`` for the one weight ``W_m =
-    sum_{r+j=m} D'_r^*(rho_j) - (m+e) rho_m``
-    (:func:`~startrace.gaussfn.adjoint_weights`), so each term of ``u`` is
-    integrated once, on its moment rows, with no derivative of ``u`` taken,
-    in the window of :func:`trace_eval`.
+    rho_j D'_r u - (m-n) integral of rho_m u`` (``D'_0 = X``) is ``integral
+    of W_m u`` for the one weight ``W_m = sum_{r+j=m} D'_r^*(rho_j) - (m-n)
+    rho_m`` (:func:`~startrace.gaussfn.adjoint_weights`), so each term of
+    ``u`` is integrated once, on its moment rows, with no derivative of
+    ``u`` taken, in the window of :func:`trace_eval`.
     """
     rho = t.density
     trunc = rho.trunc_order + min(_low(rho), 0)
-    e = t.prefactor_exponent
+    n = t.space.n
     weights = adjoint_weights(t.space, {0: d.x, **d.corrections}, rho.coeffs, trunc)
     for m, w in rho.coeffs.items():
         if m <= trunc:
-            weights[m] = weights.get(m, Poly.zero(t.space)) - w * (m + e)
+            weights[m] = weights.get(m, Poly.zero(t.space)) - w * (m - n)
     return FormalScalar(
-        ((m + e, val) for m, val in gauss_weight_integrals(u, weights).items()), trunc + e
+        ((m - n, val) for m, val in gauss_weight_integrals(u, weights).items()), trunc - n
     )

@@ -1,7 +1,10 @@
 """Expression grammar, scenario reports, and the console entry point."""
 
+import hashlib
+import importlib.util
 import json
 import math
+import os
 import pathlib
 import random
 import struct
@@ -177,6 +180,11 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse_expression("q1 p1")
     assert err.value.position == 3
+    # a zero denominator ended in a ZeroDivisionError traceback
+    for text, position in [("1/0", 0), ("q1 + 3/00*p1", 5)]:
+        with pytest.raises(ParseError, match="zero denominator") as err:
+            parse_expression(text)
+        assert err.value.position == position, text
     # the first parenthesis past MAX_NESTING is the one reported
     deep = MAX_NESTING * "(" + "q1" + MAX_NESTING * ")"
     assert parse_expression(deep) == parse_expression("q1")
@@ -522,6 +530,31 @@ def test_main_unwritable_out_fails_before_the_run(tmp_path, monkeypatch, capsys)
         assert err.startswith("error: ") and err.count("\n") == 1, (out, err)
 
 
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_benchmark_reports_match_their_recorded_digests(tmp_path, monkeypatch):
+    # the benchmark's exact invocations at its default seed, run in process
+    # with their inputs at the same relative paths: a report that moves by
+    # one byte fails here, not only as a failed benchmark run
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    digests = json.loads((BENCH / "digests.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "report.json"
+    checked = []
+    for name in workloads.WORKLOADS:
+        battery = workloads.battery(name, workloads.DEFAULT_SEED, os.path.join(".bench_out", "inputs"))
+        workloads.write_inputs(battery)
+        for inv in battery:
+            if inv.kind == "cli" and inv.exact:
+                assert main(inv.argv + ["--out", str(out)]) == 0, inv.key
+                assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[inv.key], inv.key
+                checked.append(inv.key)
+    assert sorted(checked) == sorted(digests)
+
+
 def test_main_run_prints_to_stdout(capsys):
     assert main(["run", "strongly-closed", "--format", "text", "--order", "3"]) == 0
     out = capsys.readouterr().out
@@ -657,6 +690,7 @@ def test_main_bad_inputs_give_exit_two(tmp_path, monkeypatch, capsys):
         (["gs-decompose", "--grid"], [1]),
         (["transport-trace", "--equiv"], [{"order": [1], "expression": "dq1"}]),
         (["transport-trace", "--equiv"], [{"order": 1, "expression": 5}]),
+        (["transport-trace", "--equiv"], [{"order": 1, "expression": "1/0*dq1"}]),
         (["transport-trace", "--equiv"], [{"order": 1.5, "expression": "p1*dq1"}]),
         (["transport-trace", "--equiv"], [{"order": True, "expression": "p1*dq1"}]),
         # an exponent past MAX_EXPONENT, which would otherwise run for minutes

@@ -240,7 +240,6 @@ def test_density_examples():
     q = Poly.variable(space, "q1")
     scaling = Equivalence(space, 1, {1: DiffOp(space, {(1, 0): q})})
     tau = density_from_equivalence(scaling)
-    assert tau.prefactor_exponent == -1
     assert tau.density == FormalScalar(
         {0: Poly.constant(space, 1), 1: Poly.constant(space, -1)}, 1
     )

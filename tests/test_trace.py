@@ -14,6 +14,7 @@ from startrace.trace import (
     default_probe_battery,
     moyal_trace,
     normalization_residual,
+    operator_trace_residual,
     proportionality_factor,
     standardize,
     trace_eval,
@@ -54,7 +55,7 @@ def test_trace_linearity_over_orders(space):
     rho = FormalScalar(
         {0: Poly.constant(space, 1), 1: Poly.constant(space, -1)}, 4
     )
-    t = TraceFunctional(space, rho, -1)
+    t = TraceFunctional(space, rho)
     got = trace_eval(t, gauss_probe(space))
     two_pi = IntegralValue(1, {0: 2})
     assert got == FormalScalar({-1: two_pi, 0: -two_pi}, 3)
@@ -96,7 +97,7 @@ def test_trk_matches_trace_residual_coefficient(space, moyal):
     # order-k condition == nu^{k+1+e} coefficient of the residual series,
     # checked against a density that deliberately breaks the trace property.
     rho = FormalScalar({0: Poly.constant(space, 1), 1: Poly.variable(space, "q1")}, 4)
-    t = TraceFunctional(space, rho, -1)
+    t = TraceFunctional(space, rho)
     from test_gaussfn import random_gauss
 
     rng = random.Random(9)
@@ -104,12 +105,30 @@ def test_trk_matches_trace_residual_coefficient(space, moyal):
     v = random_gauss(rng, space, max_degree=2)
     res = trace_residual(t, moyal, u, v)
     for k, got in enumerate(trk_residual(t, moyal, u, v)):
-        coeff = res.get(k + 1 + t.prefactor_exponent)
+        coeff = res.get(k + 1 - space.n)
         if coeff is None:
             assert got.is_zero()
         else:
             assert got == coeff
     assert not trace_residual(t, moyal, u, v).is_zero()
+
+
+def test_operator_residual_is_memoized_per_density(tau, moyal, space):
+    # one product met by two densities keeps two residuals; an equal density
+    # built anew reads the first build, and no caller can write to it
+    bump = FormalScalar({2: Poly.variable(space, "q1")}, 4)
+    flat = operator_trace_residual(tau, moyal)
+    ops = operator_trace_residual(TraceFunctional(space, tau.density + bump), moyal)
+    assert flat == {} and sorted(ops) == [3]
+    assert len(moyal.residuals) == 2
+    assert operator_trace_residual(moyal_trace(space, 4), moyal) is flat
+    assert operator_trace_residual(TraceFunctional(space, tau.density + bump), moyal) is ops
+    assert len(moyal.residuals) == 2
+    with pytest.raises(TypeError):
+        ops[0] = DiffOp.identity(space)
+    with pytest.raises(TypeError):
+        del ops[3]
+    assert sorted(ops) == [3]
 
 
 def test_trk_out_of_range(tau, moyal, space):
@@ -122,20 +141,19 @@ def test_standardize_examples(space, tau):
     c = FormalScalar({2: F(3)}, 4)
     scaled = tau.scale_by_series(c)
     std = standardize(scaled)
-    assert std.prefactor_exponent == standardize(tau).prefactor_exponent
     trunc = min(std.density.trunc_order, tau.density.trunc_order)
     assert std.density.truncate(trunc) == tau.density.truncate(trunc)
     assert standardize(tau) == tau
     rho = FormalScalar({0: Poly.constant(space, 2)}, 4)
-    t = TraceFunctional(space, rho, 0)
+    # the functional 2 * integral(u dV): its factor nu^n lives in the density
+    t = TraceFunctional(space, rho.shift(space.n))
     std = standardize(t)
-    assert std.prefactor_exponent == -1
     assert std.density == FormalScalar.constant(Poly.constant(space, 1), 4)
     assert standardize(std) == std
 
 
 def test_standardize_rejects_zero(space):
-    t = TraceFunctional(space, FormalScalar.zero(4), -1)
+    t = TraceFunctional(space, FormalScalar.zero(4))
     with pytest.raises(ValueError):
         standardize(t)
 
@@ -172,7 +190,7 @@ def test_proportionality_detects_inconsistency(tau, space):
         {0: Poly.constant(space, 1), 1: Poly.variable(space, "q1") * Poly.variable(space, "q1")},
         4,
     )
-    crooked = TraceFunctional(space, rho, -1)
+    crooked = TraceFunctional(space, rho)
     with pytest.raises(InconsistentTracesError):
         proportionality_factor(tau, crooked, gauss_probe(space))
 

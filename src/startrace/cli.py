@@ -121,6 +121,11 @@ MAX_NESTING = 64
 level is five parser frames, so the bound keeps the descent well inside
 the interpreter's recursion limit (about 190 levels fail without it)."""
 
+MAX_DIGITS = 1000
+"""The most digits a parsed numerator, denominator or axis index may have,
+well inside the interpreter's limit on ``int()`` of a string (an exponent
+past ``MAX_EXPONENT`` is refused whatever its length)."""
+
 
 def _power_bounds(value, k):
     """``(terms, bits)`` bounds on ``value^k`` for a rational, polynomial,
@@ -235,16 +240,18 @@ class _Parser:
             if tok[0] != "number" or "/" in tok[1]:
                 raise ParseError("exponent must be a natural number", tok[2])
             # the length test keeps int() off digit strings of any size
-            if len(tok[1].lstrip("0")) > len(str(MAX_EXPONENT)) or int(tok[1]) > MAX_EXPONENT:
+            digits = tok[1].lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ParseError(f"exponent must be at most {MAX_EXPONENT}", tok[2])
-            value = self._power(value, int(tok[1]))
+            value = self._power(value, int(digits))
         return value
 
     def _atom(self):
         kind, text, pos = self._take()
         if kind == "number":
+            num, _, den = text.partition("/")
             try:
-                return Fraction(text)
+                return Fraction(self._int(num, pos), self._int(den or "1", pos))
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {text!r}", pos) from None
         if kind == "var":
@@ -273,8 +280,15 @@ class _Parser:
         self.depth -= 1
         return inner
 
+    def _int(self, digits, pos):
+        """``int(digits)`` for a token's digit string, refused past
+        ``MAX_DIGITS`` digits."""
+        if len(digits) > MAX_DIGITS:
+            raise ParseError(f"too many digits (more than {MAX_DIGITS})", pos)
+        return int(digits)
+
     def _check_index(self, name, pos):
-        if not 1 <= int(name[1:]) <= self.space.n:
+        if not 1 <= self._int(name[1:], pos) <= self.space.n:
             raise ParseError(f"unknown axis {name!r} for n={self.space.n}", pos)
 
     # -- combination rules -------------------------------------------
@@ -409,12 +423,18 @@ def _kind_name(value):
 # -- input files ------------------------------------------------------
 
 
+def _json_int(text):
+    """A JSON integer as an int, or, past ``MAX_DIGITS`` digits, as its
+    text, which every loader's type check then refuses by field name."""
+    return text if len(text.lstrip("-")) > MAX_DIGITS else int(text)
+
+
 def _load_json(path):
     """The JSON value in ``path``; nesting past the decoder's recursion
     limit is a ``ValueError`` like any other malformed file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 

@@ -111,8 +111,45 @@ def equiv_adjoint(t):
     )
 
 
+def _transport(space, trunc, base, fwd, inv):
+    """``{m: C'_m}`` for ``m = 1..trunc``, the transport of the cochain
+    series ``base`` by ``T`` (``fwd``) and ``T^{-1}`` (``inv``).
+
+    ``P_j = sum_{r+b+c=j} C_r o (T_b (x) T_c)``, from the lowest order of
+    ``base`` up (below it ``P_j`` is zero), then ``C'_m = sum_{a+j=m} S_a o
+    P_j``, each as one sum over all of its terms, settled once: every
+    ``S_a`` reads the one jet of each ``P_j``.
+    """
+    inner = {
+        j: BiDiffOp._settled(
+            space,
+            [
+                term
+                for r, c_r in base.items()
+                for b, t_b in fwd.items()
+                if j - r - b in fwd
+                for term in c_r._before(t_b, fwd[j - r - b])
+            ],
+        )
+        for j in range(min(base), trunc + 1)
+    }
+    return {
+        m: BiDiffOp._settled(
+            space,
+            [term for a, s_a in inv.items() if m - a in inner for term in inner[m - a]._after(s_a)],
+        )
+        for m in range(1, trunc + 1)
+    }
+
+
 def transport_star(t, s):
-    """The star product ``u *' v = T^{-1}(Tu * Tv)`` with explicit cochains.
+    """The star product ``u *' v = T^{-1}(Tu * Tv)``.
+
+    Antisymmetrizing commutes with the transport, so the commutator
+    cochains ``C'^-_m`` are the transport of ``s.minus`` alone: ``C_0^-`` is
+    zero, and Moyal's ``C_r^-`` vanish at even ``r``.  The product is built
+    from them, and its full cochains ``C'_m``, the transport of ``C_0`` and
+    ``s.cochains`` by the same routine, are built when first read.
 
     Requires a unital ``T`` (every ``T_k(1) = 0``); otherwise the unit of
     the transported product would be ``T^{-1}(1)`` rather than 1, which
@@ -126,33 +163,15 @@ def transport_star(t, s):
         raise ValueError("equivalence and star product must share a truncation order")
     if not t.is_unital():
         raise ValueError("transport requires T_k(1) = 0 for every k")
-    trunc = s.trunc_order
+    space, trunc = s.space, s.trunc_order
     inv = equiv_invert(t).series()
     fwd = t.series()
-    base = {0: s.cochain(0), **s.cochains}
-    # P_j = sum_{r+b+c=j} C_r o (T_b (x) T_c), then C'_m = sum_{a+j=m} S_a o P_j,
-    # each as one sum over all of its terms, settled once: every S_a reads
-    # the one jet of each P_j
-    inner = {
-        j: BiDiffOp._settled(
-            s.space,
-            [
-                term
-                for r, c_r in base.items()
-                for b, t_b in fwd.items()
-                if j - r - b in fwd
-                for term in c_r._before(t_b, fwd[j - r - b])
-            ],
-        )
-        for j in range(trunc + 1)
-    }
-    cochains = {
-        m: BiDiffOp._settled(
-            s.space, [term for a, s_a in inv.items() if a <= m for term in inner[m - a]._after(s_a)]
-        )
-        for m in range(1, trunc + 1)
-    }
-    return StarProduct(s.space, trunc, cochains)
+    return StarProduct._from_minus(
+        space,
+        trunc,
+        _transport(space, trunc, s.minus, fwd, inv),
+        lambda: _transport(space, trunc, {0: s.cochain(0), **s.cochains}, fwd, inv),
+    )
 
 
 def density_from_equivalence(t):

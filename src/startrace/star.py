@@ -58,30 +58,56 @@ class StarProduct:
     """Truncated star product on a phase space.
 
     ``cochains`` maps orders ``1..trunc_order`` to :class:`BiDiffOp`;
-    missing orders mean a zero cochain.  ``minus`` caches the nonzero
+    missing orders mean a zero cochain.  ``minus`` holds the nonzero
     antisymmetric parts ``C_r^-`` under the same keys, so commutators,
     trace conditions and closedness integrals build each of them once, and
     ``residuals`` maps each density met so far to its operators
     :func:`~startrace.trace.operator_trace_residual`.  Construction verifies
     that ``C_1^-`` is the Poisson cochain, so every instance is a
     deformation of the Poisson bracket in the fixed sign convention.
+
+    The public constructor takes the cochains and antisymmetrizes them.  A
+    product from :func:`~startrace.equiv.transport_star` is built from its
+    ``minus`` alone, with a routine that builds its cochains, which runs
+    the first time ``cochains`` (or ``cochain(r)``, ``==``) is read.
     """
 
-    __slots__ = ("space", "trunc_order", "cochains", "minus", "residuals")
+    __slots__ = ("space", "trunc_order", "minus", "residuals", "_cochains", "_build")
 
     def __init__(self, space, trunc_order, cochains):
         if trunc_order < 1:
             raise ValueError("truncation order must be at least 1")
         clean = _orders(space, cochains, "cochain", trunc_order)
         minus = {r: op.antisym() for r, op in clean.items()}
+        self._start(space, trunc_order, minus, clean, None)
+
+    @classmethod
+    def _from_minus(cls, space, trunc_order, minus, build):
+        """The product whose antisymmetric parts are ``minus`` and whose
+        cochains ``build()`` returns, as the public constructor takes them,
+        when they are first read."""
+        product = cls.__new__(cls)
+        product._start(space, trunc_order, minus, None, build)
+        return product
+
+    def _start(self, space, trunc_order, minus, cochains, build):
+        """Drop the zero ``C_r^-``, check ``C_1^-`` and fill the slots."""
         minus = {r: op for r, op in minus.items() if not op.is_zero()}
         if minus.get(1) != poisson_cochain(space):
             raise ValueError("first cochain does not antisymmetrize to the Poisson bracket")
         self.space = space
         self.trunc_order = trunc_order
-        self.cochains = clean
         self.minus = minus
         self.residuals = {}
+        self._cochains = cochains
+        self._build = build
+
+    @property
+    def cochains(self):
+        if self._cochains is None:
+            self._cochains = _orders(self.space, self._build(), "cochain", self.trunc_order)
+            self._build = None
+        return self._cochains
 
     def cochain(self, r):
         if r == 0:
@@ -96,11 +122,13 @@ class StarProduct:
         return (
             self.space == other.space
             and self.trunc_order == other.trunc_order
+            and self.minus == other.minus
             and self.cochains == other.cochains
         )
 
     def __repr__(self):
-        return f"StarProduct(n={self.space.n}, K={self.trunc_order}, orders={sorted(self.cochains)})"
+        n, k = self.space.n, self.trunc_order
+        return f"StarProduct(n={n}, K={k}, minus orders={sorted(self.minus)})"
 
 
 def moyal_construct(space, trunc_order):

@@ -22,6 +22,7 @@ from conftest import gauss_fns, multi_indices, polys, random_poly, tapered_bump
 
 from startrace import cli
 from startrace.cli import (
+    MAX_DIGITS,
     MAX_NESTING,
     POWER_BIT_BUDGET,
     POWER_TERM_BUDGET,
@@ -196,6 +197,20 @@ def test_parse_error_positions():
         with pytest.raises(ParseError, match=f"nest deeper than {MAX_NESTING}") as err:
             parse_expression(text)
         assert err.value.position == position, text
+    # a number or axis index past MAX_DIGITS digits reached int() and the
+    # interpreter's limit on integer strings, which gave no position
+    zeros = "0" * 5000
+    for text, position in [
+        ("1" + zeros, 0),
+        ("q1 + 1/" + zeros, 5),
+        ("q" + zeros, 0),
+        ("p1*dq1" + zeros, 3),
+    ]:
+        with pytest.raises(ParseError, match=f"too many digits \\(more than {MAX_DIGITS}\\)") as err:
+            parse_expression(text)
+        assert err.value.position == position, text
+    assert parse_expression("1" + "0" * (MAX_DIGITS - 1)) == 10 ** (MAX_DIGITS - 1)
+    assert parse_expression("q1^" + zeros + "2") == parse_expression("q1^2")
 
 
 def test_parse_unknown_axis():
@@ -713,6 +728,18 @@ def test_main_bad_inputs_give_exit_two(tmp_path, monkeypatch, capsys):
     for args in (["transport-trace", "--equiv", str(path)], ["gs-decompose", "--grid", str(path)]):
         assert main(["run", *args]) == 2
         assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
+    # an integer past the interpreter's 4300-digit limit gave its advice
+    # about sys.set_int_max_str_digits in place of the field's name
+    big = "1" + "0" * 5000
+    grid_text = json.dumps(grid).replace('"values": [', f'"values": [{big}, ', 1)
+    for args, text, message in [
+        (["transport-trace", "--equiv"], f'[{{"order": {big}, "expression": "dq1"}}]', "integer order"),
+        (["gs-decompose", "--grid"], grid_text, "values must be"),
+    ]:
+        path.write_text(text)
+        assert main(["run", *args, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
     # json reads NaN and Infinity: a non-finite sample is bad input for
     # either grid scenario.  Inside the support, NaN gave "sup: nan" and
     # Infinity an infinite total integral; NaN on the margin was snapped to 0.

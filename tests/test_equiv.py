@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from conftest import hamiltonian_flow, plane_product, random_poly, rational_rotation
 from test_gaussfn import random_gauss
 
+from startrace import equiv
+from startrace.cli import main
 from startrace.diffop import BiDiffOp, DiffOp
 from startrace.equiv import (
     Equivalence,
@@ -143,6 +145,55 @@ def test_transport_matches_one_pass_conjugate_sum(trunc):
         }
         got = transport_star(t, s).cochains
         assert got == {m: c for m, c in want.items() if not c.is_zero()}
+
+
+@pytest.mark.parametrize("n,trunc", [(1, 2), (1, 4), (2, 3), (3, 2)])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_transported_minus_is_the_antisymmetric_part_of_its_cochains(n, trunc, seed):
+    # minus is transported from s.minus alone and the cochains are built
+    # later from C_0 and s.cochains; the second base has polynomial
+    # cochains, with nonzero C_r^- at even r
+    space = PhaseSpace(n)
+    moyal = moyal_construct(space, trunc)
+    other = transport_star(random_equivalence(space, trunc, seed + 1), moyal)
+    for s in (moyal, other):
+        sp = transport_star(random_equivalence(space, trunc, seed), s)
+        minus = {r: c.antisym() for r, c in sp.cochains.items()}
+        assert sp.minus == {r: c for r, c in minus.items() if not c.is_zero()}
+
+
+def record_transports(monkeypatch):
+    """Whether each transport build was the full one, whose base holds C_0."""
+    full = []
+    transport = equiv._transport
+
+    def recording(space, trunc, base, fwd, inv):
+        full.append(0 in base)
+        return transport(space, trunc, base, fwd, inv)
+
+    monkeypatch.setattr(equiv, "_transport", recording)
+    return full
+
+
+def test_trace_scenarios_build_no_full_transported_cochains(monkeypatch, capsys):
+    full = record_transports(monkeypatch)
+    for name in ("transport-trace", "trk-conditions"):
+        assert main(["run", name, "--n", "2", "--order", "3"]) == 0
+    capsys.readouterr()
+    assert full == [False, False]
+
+
+def test_transported_cochains_are_built_once_on_first_read(monkeypatch):
+    space = PhaseSpace(1)
+    full = record_transports(monkeypatch)
+    sp = transport_star(random_equivalence(space, 3, seed=81), moyal_construct(space, 3))
+    assert repr(sp) == "StarProduct(n=1, K=3, minus orders=[1, 2, 3])"
+    assert full == [False]
+    first = sp.cochains
+    assert sp.cochains is first
+    assert sp.cochain(2) is first[2]
+    assert full == [False, True]
 
 
 def test_transport_keeps_unit():

@@ -619,7 +619,7 @@ class Scenario:
 
     def __init__(self, name, n=1, trunc_order=4, seed=0, equiv_path=None, grid_path=None):
         if name not in SCENARIOS:
-            raise ValueError(f"unknown scenario {name!r}")
+            raise ValueError(f"unknown scenario {_quote(name)}")
         if n < 1:
             raise ValueError("need at least one canonical pair")
         if trunc_order < 1:
@@ -978,6 +978,12 @@ _COMMANDS = {
 }
 
 
+def _quote(value):
+    """``repr`` of a bad command-line value, cut after 40 characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}..."
+
+
 def _parse_args(argv):
     """``(command, positional, options)`` for a command line, with the
     options keyed by long name and ``n``, ``order``, ``seed`` as ints, or
@@ -990,6 +996,8 @@ def _parse_args(argv):
     try:
         pairs, positional = getopt.gnu_getopt(argv[1:], "h", _COMMANDS[command])
     except getopt.GetoptError as err:
+        if len(err.opt) > 40:
+            raise ValueError(f"option {_quote('--' + err.opt)} not recognized") from None
         raise ValueError(str(err)) from None
     options = {name.lstrip("-"): value for name, value in pairs}
     if "h" in options or "help" in options:
@@ -999,12 +1007,16 @@ def _parse_args(argv):
         raise ValueError(f"{command} takes {want} positional argument(s), got {len(positional)}")
     for name in ("n", "order", "seed"):
         if name in options:
+            value = options[name]
+            # the length test keeps int() off digit strings of any size
+            if len(value.strip().lstrip("+-")) > MAX_DIGITS:
+                raise ValueError(f"--{name} takes at most {MAX_DIGITS} digits, not {_quote(value)}")
             try:
-                options[name] = int(options[name])
+                options[name] = int(value)
             except ValueError:
-                raise ValueError(f"--{name} needs an integer, not {options[name]!r}") from None
+                raise ValueError(f"--{name} needs an integer, not {_quote(value)}") from None
     if options.get("format", "json") not in ("json", "text"):
-        raise ValueError(f"--format must be json or text, not {options['format']!r}")
+        raise ValueError(f"--format must be json or text, not {_quote(options['format'])}")
     return command, positional, options
 
 

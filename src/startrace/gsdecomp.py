@@ -9,32 +9,40 @@ is double precision: derivatives are 4th-order central differences and
 integrals are composite Simpson rules.  Both Simpson rules, the total
 and the running one, are this module's own numpy code.
 
-Every :class:`GridFn` holds exact zeros on its margin band: the
-constructor checks the band against ``MARGIN_SNAP_TOL`` (NaN fails) and
-snaps it to 0.0.  The derivative kernels rely on this.  They read the
-stencil operands as shifted slices of the flat C-order buffer, where one
-step along an axis is a fixed offset; a read that leaves the axis lands on
-margin zeros, which is what a wrapping roll would read, so the result is
-bit-identical to the roll formula.  The public constructor copies and
-validates what callers pass; results this module has just allocated go
-through ``GridFn._result``, which keeps the margin check but takes the
-array as it is.
+Every :class:`GridFn` carries a support box: one half-open index range
+per axis, inside the interior that its margin band leaves, with every
+sample outside it exactly 0.0.  The public constructor measures the box
+of the samples it is given; every result derives its box from its
+operands' boxes: a stencil widens it by two cells along its axis, a
+product takes the overlap, a sum the smallest box holding both, a
+translation shifts it, a running integral extends it to the far end of
+its axis.  Each kernel reads and writes only inside the boxes, into
+arrays that start as zeros, and leaves every other sample alone: what it
+would have computed there is a stencil of zeros, or a product with a
+zero factor, which is 0.0 again (up to its sign).  Every float inside a
+box is computed by the same operations in the same order as the
+whole-array formulas, so results are bit-identical to them.  The margin
+check (against ``MARGIN_SNAP_TOL``; NaN fails) and the snap to 0.0 cover
+the part of the band that the box reaches into; the box is then clipped
+to the interior.
 
-The kernels run ``_BLOCK`` flat elements at a time, so no full-size
-temporary is written and read back: ``grid_diff`` and ``grid_bracket``
-fill one output array, and the two residuals subtract each term's block
-from a block of ``u`` and keep only its peak.  Each element sees the same
-floating-point operations in the same order as the composed formulas
-(``grid_diff(a, 1) * grid_diff(b, 0) - ...``), so every result is
-bit-identical to them.  Those formulas margin-checked each intermediate
-``GridFn``; the blocked kernels need not, because a stencil on a band
-reads only margin zeros and so is exactly 0.0 there, and a product or
-difference of such terms is 0.0 as well while its other factor is
-finite.
+A product of two functions covers the overlap of their boxes only while
+both are finite, since ``inf * 0`` is NaN.  The bracket kernels take the
+overlap of their stencils' boxes without that check: where one stencil
+is zero the bracket term is zero, even if the other overflowed.
+
+The kernels run about ``_BLOCK`` samples at a time, so no temporary of
+the size of the box is written and read back: ``grid_diff`` and
+``grid_bracket`` fill one output array, and the two residuals subtract
+each term's block from a block of ``u`` and keep only its peak.  Sums
+that may skip all-zero rows (``grid_integrate``) still run each pairwise
+sum over the full length of its row.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from functools import partial
 
 import numpy as np
@@ -55,9 +63,117 @@ MARGIN_SNAP_TOL = 1e-7
 # decomposition pairs whose left entry stays below this (relative) size
 # are dropped as numerically zero
 DROP_TOL = 1e-9
-# elements per pass of the blocked kernels (the grid_diff stencil, the
-# running Simpson rule): a block of each operand and temporary stays in cache
+# samples per pass of the blocked kernels (the grid_diff stencil, the
+# Simpson rules): a block of each operand and temporary stays in cache
 _BLOCK = 1 << 15
+
+
+# -- support boxes ----------------------------------------------------
+#
+# A box is a tuple of half-open index ranges ``(lo, hi)``, one per axis;
+# it is empty when any range is.
+
+
+def _empty(box):
+    return any(lo >= hi for lo, hi in box)
+
+
+def _meet(a, b):
+    """The overlap of two boxes."""
+    return tuple((max(la, lb), min(ha, hb)) for (la, ha), (lb, hb) in zip(a, b))
+
+
+def _join(a, b):
+    """The smallest box holding two boxes."""
+    if _empty(a):
+        return b
+    if _empty(b):
+        return a
+    return tuple((min(la, lb), max(ha, hb)) for (la, ha), (lb, hb) in zip(a, b))
+
+
+def _along(box, axis, span):
+    """``box`` with its range on ``axis`` replaced by ``span``."""
+    return box[:axis] + (span,) + box[axis + 1 :]
+
+
+def _widen(box, axis, cells):
+    """``box`` grown by ``cells`` at both ends of ``axis``."""
+    if _empty(box):
+        return box
+    lo, hi = box[axis]
+    return _along(box, axis, (lo - cells, hi + cells))
+
+
+def _moved(box, axis, cells):
+    """``box`` shifted by ``cells`` along ``axis``."""
+    lo, hi = box[axis]
+    return _along(box, axis, (lo + cells, hi + cells))
+
+
+def _key(box, origin=None):
+    """Slices of ``box``, relative to the lower corner of ``origin`` if given."""
+    if origin is None:
+        return tuple(slice(lo, hi) for lo, hi in box)
+    return tuple(slice(lo - o, hi - o) for (lo, hi), (o, _) in zip(box, origin))
+
+
+def _nonzero_span(samples):
+    """Index range of the nonzero entries of a 1D array; ``(0, 0)`` if none."""
+    hit = np.flatnonzero(samples)
+    return (int(hit[0]), int(hit[-1]) + 1) if hit.size else (0, 0)
+
+
+def _measure(values):
+    """Box of the nonzero samples of ``values``; a NaN counts as nonzero."""
+    nonzero = values != 0
+    box = []
+    for axis in range(values.ndim):
+        others = tuple(i for i in range(values.ndim) if i != axis)
+        box.append(_nonzero_span(nonzero.any(axis=others)))
+    return tuple(box)
+
+
+def _blocks(box, whole=None):
+    """Sub-boxes of ``box`` in C order, about ``_BLOCK`` samples each.
+
+    The axes from ``whole`` on, if given, are never split; nor is a
+    trailing run of axes that fits in one block.
+    """
+    if _empty(box):
+        return []
+    first = len(box) if whole is None else whole
+    inner = math.prod(hi - lo for lo, hi in box[first:])
+    split = None
+    for axis in reversed(range(first)):
+        size = box[axis][1] - box[axis][0]
+        if inner * size > _BLOCK:
+            split = axis
+            break
+        inner *= size
+    if split is None:
+        return [box]
+    step = max(1, _BLOCK // inner)
+    lo, hi = box[split]
+    block, blocks = list(box), []
+    for head in itertools.product(*(range(*span) for span in box[:split])):
+        block[:split] = [(i, i + 1) for i in head]
+        for start in range(lo, hi, step):
+            block[split] = (start, min(start + step, hi))
+            blocks.append(tuple(block))
+    return blocks
+
+
+def _scratch(count, blocks):
+    """``count`` buffers, each large enough for any of ``blocks``."""
+    size = max((math.prod(hi - lo for lo, hi in b) for b in blocks), default=0)
+    return [np.empty(size) for _ in range(count)]
+
+
+def _view(buffer, box):
+    """The start of a scratch buffer, shaped like ``box``."""
+    shape = tuple(hi - lo for lo, hi in box)
+    return buffer[: math.prod(shape)].reshape(shape)
 
 
 class GridFn:
@@ -68,7 +184,7 @@ class GridFn:
     ``MIN_MARGIN`` cells at every boundary.
     """
 
-    __slots__ = ("dimension", "half_widths", "points", "margin_cells", "values", "h")
+    __slots__ = ("dimension", "half_widths", "points", "margin_cells", "values", "h", "_box")
 
     def __init__(self, half_widths, points, values, margin_cells):
         half_widths = tuple(float(w) for w in half_widths)
@@ -78,33 +194,38 @@ class GridFn:
             raise MarginError(f"margin must be at least {MIN_MARGIN} cells")
         if points <= 2 * margin_cells + 4:
             raise ValueError("grid too small for its margins")
+        for w in half_widths:
+            h = 2 * w / (points - 1)
+            if not (math.isfinite(2 * w) and math.isfinite(h) and h > 0):
+                raise ValueError("half widths must give a finite box with a positive spacing")
         values = np.array(values, dtype=float, order="C")
         if values.shape != (points,) * len(half_widths):
             raise ValueError("value array shape does not match the grid")
-        self._fill(half_widths, points, values, margin_cells)
+        self._fill(half_widths, points, values, margin_cells, _measure(values))
 
     @classmethod
-    def _result(cls, half_widths, points, values, margin_cells):
-        """A GridFn that takes ownership of ``values``, a float array this
-        module has just allocated on the grid of ``half_widths``/``points``.
+    def _result(cls, half_widths, points, values, margin_cells, box):
+        """A GridFn that takes ownership of ``values``, a C-contiguous float
+        array this module has just allocated on the grid of
+        ``half_widths``/``points``, with every sample outside ``box`` 0.0.
 
-        No shape check, and no copy unless ``values`` is not C-contiguous
-        (a running integral along a leading axis), since the derivative
-        kernels read the flat C-order buffer.  The margin is still checked
-        and snapped.
+        No shape check and no copy; the margin is still checked and snapped
+        where ``box`` reaches into it.
         """
         f = object.__new__(cls)
-        f._fill(half_widths, points, np.ascontiguousarray(values), margin_cells)
+        f._fill(half_widths, points, values, margin_cells, box)
         return f
 
-    def _fill(self, half_widths, points, values, margin_cells):
-        _snap_margin(values, margin_cells)
+    def _fill(self, half_widths, points, values, margin_cells, box):
+        if not _empty(box):
+            box = _snap_margin(values, margin_cells, box)
         self.dimension = len(half_widths)
         self.half_widths = half_widths
         self.points = points
         self.margin_cells = margin_cells
         self.values = values
         self.h = tuple(2 * w / (points - 1) for w in half_widths)
+        self._box = box
 
     # -- inspection ---------------------------------------------------
 
@@ -112,10 +233,12 @@ class GridFn:
         return np.linspace(-self.half_widths[axis], self.half_widths[axis], self.points)
 
     def sup_norm(self):
-        """``max |values|`` without an ``abs`` copy of the array; a NaN
+        """``max |values|`` over the box, without an ``abs`` copy; a NaN
         propagates, and ``+ 0.0`` turns a ``-0.0`` into ``0.0`` as ``abs``
         would."""
-        values = self.values
+        if _empty(self._box):
+            return 0.0
+        values = self.values[_key(self._box)]
         return float(np.maximum(values.max(), -values.min())) + 0.0
 
     def _check_compat(self, other):
@@ -128,35 +251,39 @@ class GridFn:
 
     # -- pointwise algebra --------------------------------------------
 
+    def _pointwise(self, op, operands, box, margin):
+        """``op`` of the operands' samples on ``box``, zeros elsewhere."""
+        out = np.zeros(self.values.shape)
+        key = _key(box)
+        op(*(x[key] if isinstance(x, np.ndarray) else x for x in operands), out=out[key])
+        return GridFn._result(self.half_widths, self.points, out, margin, box)
+
     def __add__(self, other):
         self._check_compat(other)
         margin = min(self.margin_cells, other.margin_cells)
-        return GridFn._result(
-            self.half_widths, self.points, self.values + other.values, margin
-        )
+        box = _join(self._box, other._box)
+        return self._pointwise(np.add, (self.values, other.values), box, margin)
 
     def __sub__(self, other):
         self._check_compat(other)
         margin = min(self.margin_cells, other.margin_cells)
-        return GridFn._result(
-            self.half_widths, self.points, self.values - other.values, margin
-        )
+        box = _join(self._box, other._box)
+        return self._pointwise(np.subtract, (self.values, other.values), box, margin)
 
     def __neg__(self):
-        return GridFn._result(
-            self.half_widths, self.points, -self.values, self.margin_cells
-        )
+        return self._pointwise(np.negative, (self.values,), self._box, self.margin_cells)
 
     def __mul__(self, other):
         if isinstance(other, GridFn):
             self._check_compat(other)
             margin = max(self.margin_cells, other.margin_cells)
-            return GridFn._result(
-                self.half_widths, self.points, self.values * other.values, margin
-            )
-        return GridFn._result(
-            self.half_widths, self.points, self.values * float(other), self.margin_cells
-        )
+            # inf * 0 is NaN: a non-finite sample keeps its place in the result
+            finite = math.isfinite(self.sup_norm()) and math.isfinite(other.sup_norm())
+            box = (_meet if finite else _join)(self._box, other._box)
+            return self._pointwise(np.multiply, (self.values, other.values), box, margin)
+        c = float(other)
+        box = self._box if math.isfinite(c) else ((0, self.points),) * self.dimension
+        return self._pointwise(np.multiply, (self.values, c), box, self.margin_cells)
 
     __rmul__ = __mul__
 
@@ -188,6 +315,9 @@ class GridFn:
 
     @classmethod
     def from_dict(cls, data):
+        for field in ("dimension", "half_widths", "points_per_axis", "margin_cells", "values"):
+            if field not in data:
+                raise ValueError(f"grid file lacks field {field!r}")
         dimension, points = data["dimension"], data["points_per_axis"]
         margin, widths = data["margin_cells"], data["half_widths"]
         sizes = (dimension, points, margin)
@@ -211,34 +341,29 @@ def _number_array(value, name):
     return array
 
 
-def _snap_margin(values, margin_cells):
-    """Check that ``values`` (nearly) vanish on the margin band, then zero it.
+def _snap_margin(values, margin_cells, box):
+    """Check that ``values`` (nearly) vanish where ``box`` reaches into the
+    margin band, zero those samples, and return ``box`` clipped to the
+    interior.
 
     A NaN on the band fails the check like any sample above the tolerance.
+    Outside ``box`` every sample is 0.0 already.
     """
     points = values.shape[0]
-    for axis in range(values.ndim):
-        moved = np.moveaxis(values, axis, 0)
-        for band in (moved[:margin_cells], moved[points - margin_cells :]):
+    for axis, (lo, hi) in enumerate(box):
+        for band in ((lo, min(hi, margin_cells)), (max(lo, points - margin_cells), hi)):
+            if band[0] >= band[1]:
+                continue
+            part = values[_key(_along(box, axis, band))]
             # max |band| without an abs copy, as in sup_norm
-            worst = float(np.maximum(band.max(), -band.min())) if band.size else 0.0
+            worst = float(np.maximum(part.max(), -part.min()))
             if not worst <= MARGIN_SNAP_TOL:
                 raise MarginError(f"values reach {worst:.3e} on the declared margin")
-            band[...] = 0.0
+            part[...] = 0.0
+    return tuple((max(lo, margin_cells), min(hi, points - margin_cells)) for lo, hi in box)
 
 
 # -- calculus ---------------------------------------------------------
-
-
-def _blocks(size):
-    """``(start, stop)`` of each ``_BLOCK``-element pass over ``size`` elements."""
-    for start in range(0, size, _BLOCK):
-        yield start, min(start + _BLOCK, size)
-
-
-def _scratch(count, size):
-    """``count`` block buffers for passes over ``size`` elements."""
-    return [np.empty(min(_BLOCK, size)) for _ in range(count)]
 
 
 def _check_differentiable(f):
@@ -246,94 +371,98 @@ def _check_differentiable(f):
         raise MarginError("margin too thin to differentiate")
 
 
-def _stencil(f, axis, start, stop, out, scratch):
-    """The ``grid_diff`` stencil on flat elements ``start:stop`` into ``out``.
+def _stencil(f, axis, box, out, scratch):
+    """The ``grid_diff`` stencil of ``f`` on the samples of ``box``.
 
-    The stencil runs on the flat buffer, where one step along ``axis`` is
-    ``step`` elements, with ``scratch[0]`` as the temporary.  Its first sum
-    is taken as ``8 v[i+1] - v[i+2]``, which IEEE addition makes the same
-    float as ``-v[i+2] + 8 v[i+1]`` in one pass fewer.  An element within
-    two steps of either end of the buffer, where a read would leave it,
-    lies on the margin and gets 0.0.
+    ``out`` is shaped like ``box``, and ``scratch[0]`` holds the
+    temporary.  Its first sum is taken as ``8 v[i+1] - v[i+2]``, which
+    IEEE addition makes the same float as ``-v[i+2] + 8 v[i+1]`` in one
+    pass fewer.  ``box`` must lie two cells inside the grid along ``axis``.
     """
-    v = f.values.reshape(-1)
-    step = f.values.strides[axis] // f.values.itemsize
-    lo = min(max(start, 2 * step), stop)
-    hi = max(min(stop, v.size - 2 * step), lo)
-    out[: lo - start] = 0.0
-    out[hi - start :] = 0.0
-    d, t = out[lo - start : hi - start], scratch[0][: hi - lo]
-    np.multiply(v[lo + step : hi + step], 8, out=d)
-    d -= v[lo + 2 * step : hi + 2 * step]
-    np.multiply(v[lo - step : hi - step], 8, out=t)
-    d -= t
-    d += v[lo - 2 * step : hi - 2 * step]
-    d /= 12 * f.h[axis]
+    v = f.values
+    t = _view(scratch[0], box)
+    np.multiply(v[_key(_moved(box, axis, 1))], 8, out=out)
+    out -= v[_key(_moved(box, axis, 2))]
+    np.multiply(v[_key(_moved(box, axis, -1))], 8, out=t)
+    out -= t
+    out += v[_key(_moved(box, axis, -2))]
+    out /= 12 * f.h[axis]
 
 
 def grid_diff(f, axis):
     """4th-order central difference along an axis; costs two margin cells.
 
-    ``(-v[i+2] + 8 v[i+1] - 8 v[i-1] + v[i-2]) / 12h`` along the axis.  A
-    read that leaves the axis lands on margin zeros, so no wrap or padding
-    is needed.
+    ``(-v[i+2] + 8 v[i+1] - 8 v[i-1] + v[i-2]) / 12h`` along the axis, on
+    the box of ``f`` widened by two cells along it.
     """
     if not 0 <= axis < f.dimension:
         raise ValueError("axis out of range")
     _check_differentiable(f)
-    out = np.empty(f.values.size)
-    scratch = _scratch(1, out.size)
-    for start, stop in _blocks(out.size):
-        _stencil(f, axis, start, stop, out[start:stop], scratch)
-    return GridFn._result(
-        f.half_widths, f.points, out.reshape(f.values.shape), f.margin_cells - 2
-    )
+    box = _widen(f._box, axis, 2)
+    out = np.zeros(f.values.shape)
+    blocks = _blocks(box)
+    scratch = _scratch(1, blocks)
+    for block in blocks:
+        _stencil(f, axis, block, out[_key(block)], scratch)
+    return GridFn._result(f.half_widths, f.points, out, f.margin_cells - 2, box)
 
 
 def _residual_sup(u, terms):
     """``max |u - sum(terms)|``, a block at a time, subtracting in order.
 
-    Each term writes its flat elements ``start:stop`` into ``out`` when
-    called as ``term(start, stop, out, scratch)``, with up to three
+    Each term is a pair ``(box, write)``: the term is 0.0 outside ``box``,
+    and ``write(sub, out, scratch)`` writes its samples on a sub-box
+    ``sub`` of ``box`` into ``out``, shaped like ``sub``, with up to three
     ``scratch`` buffers.
     """
-    v = u.values.reshape(-1)
-    acc, term, *scratch = _scratch(5, v.size)
+    region = u._box
+    for box, _ in terms:
+        region = _join(region, box)
+    blocks = _blocks(region)
+    acc, term, *scratch = _scratch(5, blocks)
     peaks = []
-    for start, stop in _blocks(v.size):
-        r, s = acc[: stop - start], term[: stop - start]
-        r[...] = v[start:stop]
-        for write in terms:
-            write(start, stop, s, scratch)
-            r -= s
+    for block in blocks:
+        r = _view(acc, block)
+        r[...] = u.values[_key(block)]
+        for box, write in terms:
+            sub = _meet(block, box)
+            if _empty(sub):
+                continue
+            s = _view(term, sub)
+            write(sub, s, scratch)
+            part = r[_key(sub, block)]
+            part -= s
         peaks.append(np.max(np.abs(r, out=r)))
-    return float(np.max(peaks))
+    return float(np.max(peaks)) if peaks else 0.0
 
 
-def _simpson(y, dx, axis):
+def _along_index(ndim, axis, index):
+    """An index tuple that applies ``index`` to ``axis`` only."""
+    key = [slice(None)] * ndim
+    key[axis] = index
+    return tuple(key)
+
+
+def _simpson(y, dx, axis, box=None):
     """Composite Simpson integral of uniform samples along ``axis``.
 
     Odd ``N`` fits parabolas over intervals ``0..N-2``; even ``N`` fits
     them over ``0..N-3`` and adds Cartwright's last-interval correction.
+    Only the rows that ``box`` (default: all of ``y``) reaches are summed,
+    the rest integrate to 0.0; each row is summed over its full length.
     """
     n = y.shape[axis]
     stop = n - 3 if n % 2 == 0 else n - 2
 
-    def at(index):
-        key = [slice(None)] * y.ndim
-        key[axis] = index
-        return y[tuple(key)]
+    def at(a, index):
+        return a[_along_index(a.ndim, axis, index)]
 
-    parts = [at(slice(start, stop + start, 2)) for start in range(3)]
-    if axis == 0:
-        result = np.sum(parts[0] + 4.0 * parts[1] + parts[2], axis=0)
-    else:
-        # a block of leading rows at a time keeps the summand in cache
-        result = np.empty(y.shape[:axis] + y.shape[axis + 1 :])
-        rows = max(1, _BLOCK * y.shape[0] // y.size)
-        for start in range(0, y.shape[0], rows):
-            p0, p1, p2 = (p[start : start + rows] for p in parts)
-            np.sum(p0 + 4.0 * p1 + p2, axis=axis, out=result[start : start + rows])
+    result = np.zeros(y.shape[:axis] + y.shape[axis + 1 :])
+    rows = tuple((0, size) for size in y.shape) if box is None else box
+    for block in _blocks(_along(rows, axis, (0, n)), whole=axis):
+        parts = [at(y[_key(block)], slice(start, stop + start, 2)) for start in range(3)]
+        out = result[_key(block[:axis] + block[axis + 1 :])] if result.ndim else result
+        np.sum(parts[0] + 4.0 * parts[1] + parts[2], axis=axis, out=out)
     result *= dx / 3.0
     if n % 2 == 0:
         # Cartwright's weights for spacings h0, h1, evaluated term for term
@@ -343,41 +472,54 @@ def _simpson(y, dx, axis):
         alpha = (2 * h**2 + 3 * h * h) / (6 * (h + h))
         beta = (h**2 + 3.0 * h * h) / (6 * h)
         eta = h**3 / (6 * h * (h + h))
-        result += alpha * at(-1) + beta * at(-2) - eta * at(-3)
+        result += alpha * at(y, -1) + beta * at(y, -2) - eta * at(y, -3)
     return result
 
 
-def _cumulative_simpson(y, dx, axis):
+def _cumulative_simpson(y, dx, axis, out=None):
     """Running Simpson integral of uniform samples along ``axis``, from 0.
 
     Interval ``k`` takes the parabola through samples ``k..k+2`` when
     ``k`` is even and through ``k-1..k+1`` when ``k`` is odd or last.
     Rows along ``axis`` are taken a block at a time, so the temporaries
-    stay in cache.
+    stay in cache.  The result goes to ``out`` (default a new array).
+
+    On a window of the rows that starts at a ``_window_start`` and ends at
+    the last sample or holds an odd number of samples, the rule gives the
+    same floats as on the whole rows: the intervals have the same parity
+    and the same parabolas, and none of them is taken as the last.
     """
-    y = np.swapaxes(y, axis, -1)
-    n = y.shape[-1]
+    n = y.shape[axis]
     d = dx / 3
-    out = np.empty(y.shape)
-    rows, out_rows = y.reshape(-1, n), out.reshape(-1, n)
-    step = max(1, _BLOCK // n)
-    for start in range(0, len(rows), step):
-        r, o = rows[start : start + step], out_rows[start : start + step]
-        a, b, c = r[:, 0 : n - 2 : 2], r[:, 1 : n - 1 : 2], r[:, 2:n:2]
-        o[:, 0] = 0.0
-        o[:, 1 : n - 1 : 2] = d * (5 * a / 4 + 2 * b - c / 4)
-        o[:, 2:n:2] = d * (5 * c / 4 + 2 * b - a / 4)
+    out = np.empty(y.shape) if out is None else out
+
+    def at(index):
+        return _along_index(y.ndim, axis, index)
+
+    for block in _blocks(tuple((0, size) for size in y.shape), whole=axis):
+        r, o = y[_key(block)], out[_key(block)]
+        a, b, c = r[at(slice(0, n - 2, 2))], r[at(slice(1, n - 1, 2))], r[at(slice(2, n, 2))]
+        o[at(0)] = 0.0
+        o[at(slice(1, n - 1, 2))] = d * (5 * a / 4 + 2 * b - c / 4)
+        o[at(slice(2, n, 2))] = d * (5 * c / 4 + 2 * b - a / 4)
         if n % 2 == 0:
-            o[:, -1] = d * (5 * r[:, -1] / 4 + 2 * r[:, -2] - r[:, -3] / 4)
-        np.cumsum(o, axis=1, out=o)
-    return np.swapaxes(out, -1, axis)
+            o[at(-1)] = d * (5 * r[at(-1)] / 4 + 2 * r[at(-2)] - r[at(-3)] / 4)
+        np.cumsum(o, axis=axis, out=o)
+    return out
+
+
+def _window_start(lo):
+    """The even index at or below ``lo - 2`` where a running integral of
+    samples that are zero before ``lo`` may start from 0.0: every interval
+    before it reads only zeros."""
+    return max(lo - 2, 0) // 2 * 2
 
 
 def grid_integrate(f):
     """Composite Simpson integral over the whole box."""
     v = f.values
     for axis in reversed(range(f.dimension)):
-        v = _simpson(v, f.h[axis], axis)
+        v = _simpson(v, f.h[axis], axis, f._box[: axis + 1])
     return float(v)
 
 
@@ -389,8 +531,12 @@ def grid_cumulative(f, axis):
     """
     if not 0 <= axis < f.dimension:
         raise ValueError("axis out of range")
-    c = _cumulative_simpson(f.values, f.h[axis], axis)
-    return GridFn._result(f.half_widths, f.points, c, f.margin_cells)
+    out = np.zeros(f.values.shape)
+    box = f._box
+    if not _empty(box):
+        box = _along(box, axis, (_window_start(box[axis][0]), f.points))
+        _cumulative_simpson(f.values[_key(box)], f.h[axis], axis, out=out[_key(box)])
+    return GridFn._result(f.half_widths, f.points, out, f.margin_cells, box)
 
 
 def grid_translate(f, cells):
@@ -400,16 +546,13 @@ def grid_translate(f, cells):
     margin = f.margin_cells - max(abs(int(c)) for c in cells) if cells else f.margin_cells
     if margin < MIN_MARGIN:
         raise MarginError("translation pushes the support into the margin")
-    # the samples that a roll would wrap round are margin zeros: drop them
-    src, dst = [], []
-    for c in map(int, cells):
-        src.append(slice(max(-c, 0), f.points - max(c, 0)))
-        dst.append(slice(max(c, 0), f.points - max(-c, 0)))
+    box = f._box
+    for axis, c in enumerate(cells):
+        box = _moved(box, axis, int(c))
     v = np.zeros(f.values.shape)
-    v[tuple(dst)] = f.values[tuple(src)]
-    return GridFn._result(f.half_widths, f.points, v, margin)
-
-
+    if not _empty(box):
+        v[_key(box)] = f.values[_key(f._box)]
+    return GridFn._result(f.half_widths, f.points, v, margin, box)
 # -- canonical profiles -----------------------------------------------
 
 
@@ -450,15 +593,30 @@ def _broadcast(value, dimension):
     return out
 
 
+def _profile_box(per_axis):
+    """Box of the nonzero samples of an outer product of profiles."""
+    return tuple(_nonzero_span(profile) for profile in per_axis)
+
+
 def _axis_profile_product(per_axis):
     """Outer product of one profile per axis, multiplied in axis order.
 
-    Only the last multiply writes a full-size array; the copy keeps a
-    one-axis product from handing out its profile.
+    Only the box of the profiles' nonzero samples is written, into zeros:
+    every other product has a zero factor.  The last multiply writes into
+    the result, and a one-axis product is a copy of its profile.
     """
-    values = per_axis[0].copy()
-    for profile in per_axis[1:]:
-        values = np.multiply.outer(values, profile)
+    values = np.zeros(tuple(len(profile) for profile in per_axis))
+    box = _profile_box(per_axis)
+    if _empty(box):
+        return values
+    parts = [profile[lo:hi] for profile, (lo, hi) in zip(per_axis, box)]
+    if len(parts) == 1:
+        values[_key(box)] = parts[0]
+        return values
+    inner = parts[0]
+    for part in parts[1:-1]:
+        inner = np.multiply.outer(inner, part)
+    np.multiply.outer(inner, parts[-1], out=values[_key(box)])
     return values
 
 
@@ -480,9 +638,10 @@ def _unit_product_bump(
         x = np.linspace(-half_widths[axis], half_widths[axis], points_per_axis)
         profiles.append(profile(x / support[axis]))
     values = _axis_profile_product(profiles)
-    f = GridFn._result(half_widths, points_per_axis, values, margin_cells)
-    values *= 1.0 / grid_integrate(f)
-    return GridFn._result(half_widths, points_per_axis, values, margin_cells)
+    f = GridFn._result(half_widths, points_per_axis, values, margin_cells, _profile_box(profiles))
+    inside = values[_key(f._box)]
+    inside *= 1.0 / grid_integrate(f)
+    return GridFn._result(half_widths, points_per_axis, values, margin_cells, f._box)
 
 
 def bump_generate(dimension, half_widths, points_per_axis, support, margin_cells=8):
@@ -524,7 +683,9 @@ def plateau_generate(dimension, half_widths, points_per_axis, support, margin_ce
         x = np.abs(np.linspace(-half_widths[axis], half_widths[axis], points_per_axis))
         profiles.append(_plateau_profile((support[axis] + d - x) / d))
     values = _axis_profile_product(profiles)
-    return GridFn._result(half_widths, points_per_axis, values, margin_cells)
+    return GridFn._result(
+        half_widths, points_per_axis, values, margin_cells, _profile_box(profiles)
+    )
 
 
 # -- derivative decomposition -----------------------------------------
@@ -559,31 +720,60 @@ def integral_tolerance(f):
     return 1e-8 * volume
 
 
+def _ramp_span(ramp):
+    """Index range outside which ``ramp`` is exactly 0.0 (before) or 1.0 (after)."""
+    return _nonzero_span(ramp)[0], int(np.flatnonzero(ramp != 1.0)[-1]) + 1
+
+
 def _gs_recurse(u):
     axis = u.dimension - 1
     ramp, r_d = _axis_ramp_values(u, axis)
-    cum = _cumulative_simpson(u.values, u.h[axis], axis)
-    rows = cum.reshape(-1, u.points)  # a view: cum is C-contiguous
-    # the running-rule marginal of u, copied before cum is overwritten
-    tail = rows[:, -1].copy()
-    step = max(1, _BLOCK // u.points)
-    for start in range(0, len(rows), step):
-        rows[start : start + step] -= tail[start : start + step, np.newaxis] * ramp
-    g_last = GridFn._result(u.half_widths, u.points, cum, u.margin_cells)
+    cum = np.zeros(u.values.shape)
+    # the running-rule marginal of u
+    tail = np.zeros(u.values.shape[:-1])
+    rows, box = u._box[:axis], u._box
+    if not _empty(box):
+        lo, hi = box[axis]
+        # the running integral is 0.0 before lo - 1 and the tail from hi + 1
+        # on; the ramp is 0.0 before ramp_lo and 1.0 from ramp_hi on, so
+        # cum - tail * ramp is 0.0 outside the span of both
+        ramp_lo, ramp_hi = _ramp_span(ramp)
+        span = (min(lo - 1, ramp_lo), max(hi + 1, ramp_hi))
+        start = _window_start(lo)
+        stop = max(span[1], hi + 2)
+        stop = min(stop + 1 - (stop - start) % 2, u.points)
+        window = _along(box, axis, (start, stop))
+        _cumulative_simpson(u.values[_key(window)], u.h[axis], axis, out=cum[_key(window)])
+        tail[_key(rows)] = cum[_key(rows) + (stop - 1,)]
+        if np.isfinite(tail).all():
+            # past the span, tail - tail * 1.0 is 0.0
+            cum[_key(rows) + (slice(span[1], stop),)] = 0.0
+        else:
+            # inf * 0.0 and inf - inf are NaN: the whole rows are needed
+            cum[_key(rows) + (slice(stop, None),)] = tail[_key(rows)][..., np.newaxis]
+            span = (0, u.points)
+        box = _along(box, axis, span)
+        for block in _blocks(box):
+            part = cum[_key(block)]
+            part -= tail[_key(block[:axis])][..., np.newaxis] * ramp[slice(*block[axis])]
+    g_last = GridFn._result(u.half_widths, u.points, cum, u.margin_cells, box)
     if u.dimension == 1:
         return [g_last]
-    w = GridFn._result(
-        u.half_widths[:axis], u.points, tail.reshape(cum.shape[:-1]), u.margin_cells
-    )
-    out = [
-        GridFn._result(
-            u.half_widths,
-            u.points,
-            g.values[..., np.newaxis] * r_d,
-            min(g.margin_cells, u.margin_cells),
-        )
-        for g in _gs_recurse(w)
-    ]
+    w = GridFn._result(u.half_widths[:axis], u.points, tail, u.margin_cells, rows)
+    out = []
+    for g in _gs_recurse(w):
+        # g times r_d: a non-finite g reaches where r_d is 0.0 (inf * 0 is NaN)
+        span = _nonzero_span(r_d) if math.isfinite(g.sup_norm()) else (0, u.points)
+        box = g._box + (span,)
+        values = np.zeros(u.values.shape)
+        if not _empty(box):
+            np.multiply(
+                g.values[_key(g._box)][..., np.newaxis],
+                r_d[slice(*span)],
+                out=values[_key(box)],
+            )
+        margin = min(g.margin_cells, u.margin_cells)
+        out.append(GridFn._result(u.half_widths, u.points, values, margin, box))
     out.append(g_last)
     return out
 
@@ -610,7 +800,9 @@ def decomposition_residual(u, parts):
     for g in parts:
         u._check_compat(g)
         _check_differentiable(g)
-    terms = [partial(_stencil, g, axis) for axis, g in enumerate(parts)]
+    terms = [
+        (_widen(g._box, axis, 2), partial(_stencil, g, axis)) for axis, g in enumerate(parts)
+    ]
     return _residual_sup(u, terms)
 
 
@@ -625,38 +817,61 @@ def _check_bracket(a, b):
     a._check_compat(b)
 
 
-def _bracket_block(a, b, start, stop, out, scratch):
-    """``{a, b}`` on flat elements ``start:stop`` into ``out``."""
-    d, e = (buf[: stop - start] for buf in scratch[:2])
-    _stencil(a, 1, start, stop, d, scratch[2:])
-    _stencil(b, 0, start, stop, e, scratch[2:])
-    np.multiply(d, e, out=out)
-    _stencil(a, 0, start, stop, d, scratch[2:])
-    _stencil(b, 1, start, stop, e, scratch[2:])
-    d *= e
-    out -= d
+def _bracket_boxes(a, b):
+    """Boxes of the two products of ``{a, b}``, ``da/dp db/dq`` and
+    ``da/dq db/dp``: the overlaps of their stencils' boxes."""
+    return (
+        _meet(_widen(a._box, 1, 2), _widen(b._box, 0, 2)),
+        _meet(_widen(a._box, 0, 2), _widen(b._box, 1, 2)),
+    )
+
+
+def _bracket_block(a, b, boxes, sub, out, scratch):
+    """``{a, b}`` on the samples of ``sub`` into ``out``, shaped like it.
+
+    The first product goes to ``out`` on its box, the second is
+    subtracted on its own: where a product is 0.0 it is not computed.
+    ``boxes`` are the products' boxes, from ``_bracket_boxes``.
+    """
+    first, second = (_meet(sub, box) for box in boxes)
+    if first != sub:
+        out[...] = 0.0
+    for k, (part, (i, j)) in enumerate(((first, (1, 0)), (second, (0, 1)))):
+        if _empty(part):
+            continue
+        d, e = (_view(buf, part) for buf in scratch[:2])
+        _stencil(a, i, part, d, scratch[2:])
+        _stencil(b, j, part, e, scratch[2:])
+        target = out[_key(part, sub)]
+        if k == 0:
+            np.multiply(d, e, out=target)
+        else:
+            d *= e
+            target -= d
 
 
 def grid_bracket(a, b):
     """Poisson bracket ``da/dp db/dq - da/dq db/dp`` on a 2D (q, p) grid."""
     _check_bracket(a, b)
-    out = np.empty(a.values.size)
-    scratch = _scratch(3, out.size)
-    for start, stop in _blocks(out.size):
-        _bracket_block(a, b, start, stop, out[start:stop], scratch)
-    return GridFn._result(
-        a.half_widths,
-        a.points,
-        out.reshape(a.values.shape),
-        max(a.margin_cells, b.margin_cells) - 2,
-    )
+    boxes = _bracket_boxes(a, b)
+    box = _join(*boxes)
+    out = np.zeros(a.values.shape)
+    blocks = _blocks(box)
+    scratch = _scratch(3, blocks)
+    for block in blocks:
+        _bracket_block(a, b, boxes, block, out[_key(block)], scratch)
+    margin = max(a.margin_cells, b.margin_cells) - 2
+    return GridFn._result(a.half_widths, a.points, out, margin, box)
 
 
 def _support_halfwidth(f, axis, tol):
     """Largest |coordinate| along an axis where ``f`` exceeds ``tol``."""
+    if _empty(f._box):
+        return 0.0
     others = tuple(i for i in range(f.dimension) if i != axis)
-    peak = np.maximum(f.values.max(axis=others), -f.values.min(axis=others))
-    hit = np.nonzero(peak > tol)[0]
+    values = f.values[_key(f._box)]
+    peak = np.maximum(values.max(axis=others), -values.min(axis=others))
+    hit = np.nonzero(peak > tol)[0] + f._box[axis][0]
     if hit.size == 0:
         return 0.0
     x = f.axis_coordinates(axis)
@@ -693,14 +908,20 @@ def bracket_decompose(u):
     )
     q = u.axis_coordinates(0)
     p = u.axis_coordinates(1)
-    sp = GridFn._result(
-        u.half_widths, u.points, cutoff.values * p[np.newaxis, :], cutoff.margin_cells
-    )
+    box = cutoff._box
+    (q_lo, q_hi), (p_lo, p_hi) = box
+    inside = cutoff.values[_key(box)]
+    sp_values = np.zeros(u.values.shape)
+    np.multiply(inside, p[np.newaxis, p_lo:p_hi], out=sp_values[_key(box)])
+    sp = GridFn._result(u.half_widths, u.points, sp_values, cutoff.margin_cells, box)
     # the cutoff and g_q are this call's own arrays: reuse them in place
-    cutoff.values *= q[:, np.newaxis]
-    sq = GridFn._result(u.half_widths, u.points, cutoff.values, cutoff.margin_cells)
-    np.negative(g_q.values, out=g_q.values)
-    minus_g_q = GridFn._result(u.half_widths, u.points, g_q.values, g_q.margin_cells)
+    inside *= q[q_lo:q_hi, np.newaxis]
+    sq = GridFn._result(u.half_widths, u.points, cutoff.values, cutoff.margin_cells, box)
+    inside = g_q.values[_key(g_q._box)]
+    np.negative(inside, out=inside)
+    minus_g_q = GridFn._result(
+        u.half_widths, u.points, g_q.values, g_q.margin_cells, g_q._box
+    )
     pairs = [(g_p, sq), (minus_g_q, sp)]
     keep_tol = DROP_TOL * scale
     return [(a, b) for a, b in pairs if a.sup_norm() > keep_tol]
@@ -711,7 +932,11 @@ def bracket_residual(u, pairs):
     for a, b in pairs:
         u._check_compat(a)
         _check_bracket(a, b)
-    return _residual_sup(u, [partial(_bracket_block, a, b) for a, b in pairs])
+    terms = []
+    for a, b in pairs:
+        boxes = _bracket_boxes(a, b)
+        terms.append((_join(*boxes), partial(_bracket_block, a, b, boxes)))
+    return _residual_sup(u, terms)
 
 
 def brw_residual(u, phi, density):

@@ -10,6 +10,7 @@ import random
 import struct
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -328,6 +329,57 @@ def test_load_grid_round_trip(tmp_path):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(u.to_dict()))
     assert load_grid(str(path)) == u
+
+
+@pytest.mark.parametrize("widths", [[1e308], [math.ldexp(1.0, -1074)]])
+def test_main_grid_widths_must_give_a_finite_spacing(tmp_path, capsys, widths):
+    # 2 * 1e308 overflows: the run printed seven numpy RuntimeWarnings and
+    # failed its case with "values reach nan on the declared margin", exit 1;
+    # the smallest subnormal width spaces the samples 0.0 apart
+    grid = dict(tapered_generate(1, 3.0, 128, 2.0, 10).to_dict(), half_widths=widths)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "gs-decompose", "--grid", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: half widths must give a finite box with a positive spacing\n"
+
+
+@pytest.mark.parametrize(
+    "field", ["dimension", "half_widths", "points_per_axis", "margin_cells", "values"]
+)
+def test_main_grid_file_names_a_missing_field(tmp_path, capsys, field):
+    # the bare KeyError printed as "error: 'points_per_axis'"
+    grid = tapered_generate(1, 3.0, 128, 2.0, 10).to_dict()
+    del grid[field]
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    for scenario in ("gs-decompose", "brw-bracket"):
+        assert main(["run", scenario, "--grid", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: grid file lacks field {field!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "transport-trace", "--seed", "1" + "0" * 5000],
+        ["run", "moyal-trace", "--n", "2" * (MAX_DIGITS + 1)],
+        ["run", "moyal-trace", "--order", "-" + "3" * 20000],
+        ["run", "moyal-trace", "--order", "x" * 5000],
+        ["parse", "--n", "1" * 5000, "q1"],
+        ["run", "moyal-trace", "--format", "y" * 5000],
+        ["run", "z" * 5000],
+        ["run", "moyal-trace", "--" + "q" * 5000],
+    ],
+)
+def test_main_bad_values_give_short_errors(capsys, argv):
+    # a 5000-digit --seed printed a 5040-character error line
+    assert main(argv) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.startswith("error: ") and got.err.count("\n") == 1
+    assert len(got.err) <= 100, got.err
 
 
 # -- scenarios and reports --------------------------------------------

@@ -13,12 +13,18 @@ from hypothesis.extra.numpy import arrays
 from conftest import tapered_bump
 
 from startrace.gsdecomp import (
+    MARGIN_SNAP_TOL,
+    MIN_MARGIN,
     GridFn,
     MarginError,
     NonzeroIntegralError,
     _BLOCK,
     _axis_profile_product,
+    _axis_ramp_values,
+    _bump_profile,
+    _cos8_profile,
     _cumulative_simpson,
+    _plateau_profile,
     _simpson,
     bracket_decompose,
     bracket_residual,
@@ -30,6 +36,7 @@ from startrace.gsdecomp import (
     grid_diff,
     grid_integrate,
     grid_translate,
+    integral_tolerance,
     gs_decompose,
     plateau_generate,
     tapered_generate,
@@ -503,3 +510,243 @@ def test_brw_functional_detects_nonconstant_density():
     q = np.linspace(-3.0, 3.0, 256)
     weighted = GridFn((3.0, 3.0), 256, flat.values * (q**2)[:, np.newaxis], 8)
     assert brw_residual(u, phi, weighted) >= 1e-3
+
+
+# -- support boxes ----------------------------------------------------
+#
+# Every kernel works only inside the support boxes of its operands; each
+# property below compares it with whole-array references (roll_diff, plain
+# numpy, and the Simpson rules on whole arrays, which
+# test_simpson_rules_match_reference holds to scipy bit for bit).
+
+BOX_GRIDS = {1: 64, 2: 40, 3: 26}
+
+
+def drawn_support(data, points, margin):
+    """An index range inside the interior: anywhere, touching an interior
+    edge, a single cell, or empty."""
+    lo, hi = margin, points - margin
+    kind = data.draw(st.sampled_from(["any", "edge", "single", "empty"]))
+    if kind == "empty":
+        return (lo, lo)
+    if kind == "single":
+        start = data.draw(st.integers(lo, hi - 1))
+        return (start, start + 1)
+    start = data.draw(st.integers(lo, hi - 1))
+    stop = data.draw(st.integers(start + 1, hi))
+    if kind == "edge":
+        return (lo, stop) if data.draw(st.booleans()) else (start, hi)
+    return (start, stop)
+
+
+def drawn_grid(data, dimension, rng):
+    """A GridFn whose samples are drawn nonzero on a drawn box, 0 elsewhere."""
+    points = BOX_GRIDS[dimension]
+    margin = data.draw(st.integers(9, 10))
+    box = tuple(drawn_support(data, points, margin) for _ in range(dimension))
+    values = np.zeros((points,) * dimension)
+    inside = values[tuple(slice(lo, hi) for lo, hi in box)]
+    inside[...] = rng.uniform(0.5, 2.0, inside.shape) * rng.choice([-1.0, 1.0], inside.shape)
+    inside *= 10.0 ** data.draw(st.integers(-9, 3))
+    f = GridFn((3.0,) * dimension, points, values, margin)
+    if inside.size:
+        assert f._box == box
+    return f
+
+
+def snapped(values, margin):
+    """``values`` under the margin contract, on whole arrays: a band sample
+    above MARGIN_SNAP_TOL raises, the rest of the band becomes 0.0."""
+    v = values.copy()
+    n = v.shape[0]
+    for axis in range(v.ndim):
+        moved = np.moveaxis(v, axis, 0)
+        for band in (moved[:margin], moved[n - margin :]):
+            worst = float(np.max(np.abs(band)))
+            if not worst <= MARGIN_SNAP_TOL:
+                raise MarginError(f"values reach {worst:.3e} on the declared margin")
+            band[...] = 0.0
+    return v
+
+
+def reference_integrate(values, h):
+    for axis in reversed(range(values.ndim)):
+        values = _simpson(values, h[axis], axis)
+    return float(values)
+
+
+def reference_gs(u):
+    """gs_decompose on whole arrays, snapping each result as it is made."""
+
+    def recurse(v):
+        axis = v.ndim - 1
+        ramp, r_d = _axis_ramp_values(u, axis)
+        cum = _cumulative_simpson(v, u.h[axis], axis)
+        tail = cum[..., -1].copy()
+        cum = snapped(cum - tail[..., np.newaxis] * ramp, u.margin_cells)
+        if v.ndim == 1:
+            return [cum]
+        tail = snapped(tail, u.margin_cells)
+        return [snapped(g[..., np.newaxis] * r_d, u.margin_cells) for g in recurse(tail)] + [cum]
+
+    total = reference_integrate(u.values, u.h)
+    if abs(total) > integral_tolerance(u):
+        raise NonzeroIntegralError(
+            f"total integral {total:.3e} exceeds tolerance {integral_tolerance(u):.3e}"
+        )
+    return recurse(u.values)
+
+
+def reference_brw(u, phi, density):
+    def integral(a, b):
+        margin = max(a.margin_cells, b.margin_cells)
+        return reference_integrate(snapped(a.values * b.values, margin), a.h)
+
+    c = reference_integrate(u.values, u.h) / reference_integrate(phi.values, u.h)
+    return abs(integral(u, density) - c * integral(phi, density))
+
+
+def roll_bracket(a, b):
+    return roll_diff(a, 1) * roll_diff(b, 0) - roll_diff(a, 0) * roll_diff(b, 1)
+
+
+def reference_sup(u, terms):
+    acc = u.values.copy()
+    for term in terms:
+        acc -= term
+    return float(np.max(np.abs(acc)))
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returns, or the type and message it raises."""
+    try:
+        return "ok", call(*args)
+    except ValueError as err:
+        return "raised", (type(err), str(err))
+
+
+def boxed(f, want):
+    """``f`` has exact zeros outside its box, its box lies inside its
+    interior, and its samples equal ``want`` (whole-array reference)."""
+    outside = np.ones(f.values.shape, dtype=bool)
+    outside[tuple(slice(lo, hi) for lo, hi in f._box)] = False
+    assert np.all(f.values[outside] == 0.0)
+    if all(lo < hi for lo, hi in f._box):
+        assert all(f.margin_cells <= lo and hi <= f.points - f.margin_cells for lo, hi in f._box)
+    assert np.array_equal(f.values, want)
+    assert f.sup_norm() == float(np.max(np.abs(want)))
+    assert grid_integrate(f) == reference_integrate(want, f.h)
+
+
+def same_outcome(call, reference, *args):
+    """``call`` and its reference return equal samples or raise alike."""
+    got, want = outcome(call, *args), outcome(reference, *args)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raised":
+        assert got[1] == want[1]
+        return None
+    return got[1], want[1]
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_box_kernels_match_whole_array_formulas(dimension, data, seed):
+    rng = np.random.default_rng(seed)
+    f, g = drawn_grid(data, dimension, rng), drawn_grid(data, dimension, rng)
+    boxed(f, f.values)
+    boxed(f + g, f.values + g.values)
+    boxed(f - g, f.values - g.values)
+    boxed(-f, -f.values)
+    boxed(2.5 * f, f.values * 2.5)
+    boxed(f * g, f.values * g.values)
+    reach = f.margin_cells - MIN_MARGIN
+    cells = tuple(data.draw(st.integers(-reach, reach)) for _ in range(dimension))
+    boxed(grid_translate(f, cells), np.roll(f.values, cells, tuple(range(dimension))))
+    for axis in range(dimension):
+        boxed(grid_diff(f, axis), roll_diff(f, axis))
+        u = grid_diff(f, axis)
+        pair = same_outcome(
+            lambda u: grid_cumulative(u, axis),
+            lambda u: snapped(_cumulative_simpson(u.values, u.h[axis], axis), u.margin_cells),
+            u,
+        )
+        if pair is not None:
+            boxed(pair[0], pair[1])
+    u = grid_diff(f, dimension - 1) + grid_diff(g, 0)
+    pair = same_outcome(gs_decompose, reference_gs, u)
+    if pair is not None:
+        parts, want = pair
+        for part, values in zip(parts, want):
+            boxed(part, values)
+        terms = [roll_diff(part, axis) for axis, part in enumerate(parts)]
+        assert decomposition_residual(u, parts) == reference_sup(u, terms)
+    assert decomposition_residual(f, [g] * dimension) == reference_sup(
+        f, [roll_diff(g, axis) for axis in range(dimension)]
+    )
+    if dimension != 2:
+        return
+    boxed(grid_bracket(f, g), roll_bracket(f, g))
+    pairs = [(f, g), (g, f)][: data.draw(st.integers(1, 2))]
+    assert bracket_residual(u, pairs) == reference_sup(u, [roll_bracket(a, b) for a, b in pairs])
+    decomposed = outcome(bracket_decompose, u)
+    if decomposed[0] == "ok" and decomposed[1]:
+        g_q, g_p = reference_gs(u)
+        for a, b in decomposed[1]:
+            assert np.array_equal(a.values, g_p) or np.array_equal(a.values, -g_q)
+            boxed(a, a.values)
+            boxed(b, b.values)
+        pairs = decomposed[1]
+        assert bracket_residual(u, pairs) == reference_sup(u, [roll_bracket(a, b) for a, b in pairs])
+    phi = tapered_generate(2, 3.0, f.points, 1.2, f.margin_cells)
+    pair = same_outcome(brw_residual, reference_brw, u, phi, g)
+    if pair is not None:
+        assert pair[0] == pair[1]
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_generators_write_only_their_box(dimension, data):
+    points, margin = BOX_GRIDS[dimension], 7
+    h = 6.0 / (points - 1)
+    support = data.draw(st.floats(2 * h, 3.0 - (margin + 2) * h))
+    x = np.linspace(-3.0, 3.0, points)
+
+    def outer(profile):
+        values = profile.copy()
+        for _ in range(dimension - 1):
+            values = np.multiply.outer(values, profile)
+        return values
+
+    for generate, profile in ((tapered_generate, _cos8_profile), (bump_generate, _bump_profile)):
+        want = outer(profile(x / support))
+        want *= 1.0 / reference_integrate(want, (h,) * dimension)
+        boxed(generate(dimension, 3.0, points, support, margin), want)
+    decay = 3.0 - (margin + 1) * h - support
+    want = outer(_plateau_profile((support + decay - np.abs(x)) / decay))
+    boxed(plateau_generate(dimension, 3.0, points, support, margin), want)
+
+
+def test_empty_box_is_the_zero_function():
+    for dimension, points in BOX_GRIDS.items():
+        zero = zero_grid(points, dimension, margin=8)
+        assert any(lo >= hi for lo, hi in zero._box)
+        for f in (zero + zero, -zero, grid_diff(zero, 0), grid_cumulative(zero, 0), *gs_decompose(zero)):
+            assert any(lo >= hi for lo, hi in f._box) and not f.values.any()
+        assert grid_integrate(zero) == 0.0 and zero.sup_norm() == 0.0
+    assert bracket_residual(zero_grid(40, 2), [(zero_grid(40, 2), zero_grid(40, 2))]) == 0.0
+
+
+def test_non_finite_samples_keep_their_place_in_products():
+    # inf * 0 is NaN wherever a non-finite sample meets the other's zeros
+    v = np.zeros(64)
+    v[30] = np.inf
+    w = np.zeros(64)
+    w[20] = 1.0
+    f, g = GridFn((3.0,), 64, v, 8), GridFn((3.0,), 64, w, 8)
+    with np.errstate(invalid="ignore"):
+        for product in (f * g, g * f):
+            assert np.array_equal(product.values, v * w, equal_nan=True)
+        with pytest.raises(MarginError):
+            f * math.inf

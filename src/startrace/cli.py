@@ -449,6 +449,9 @@ def load_equivalence(path, space, trunc_order):
         raise ValueError("equivalence file must hold a list of operator entries")
     groups = {}
     for entry in data:
+        for field in ("order", "expression"):
+            if field not in entry:
+                raise ValueError(f"equivalence entry lacks field {field!r}")
         k, text = entry["order"], entry["expression"]
         if isinstance(k, bool) or not isinstance(k, int) or not isinstance(text, str):
             raise ValueError("operator entries need an integer order and a string expression")

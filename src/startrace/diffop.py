@@ -32,11 +32,11 @@ others builds each of its derivatives once.
 
 Operators reach derivatives of their arguments through the same jets:
 every partial derivative of an operand is taken once, however many terms,
-cochains or products ask for it.  Application is fused: the products of
-coefficients and operand derivatives accumulate in one numerator dict per
-output exponent, and :meth:`BiDiffOp.apply` groups its terms by left
-multi-index, so it multiplies by each ``d^alpha u`` once.  The product
-kernel itself (``_combine``, with ``_parts`` and ``_function``) lives in
+cochains or products ask for it.  :meth:`DiffOp.apply` is fused: the
+products of coefficients and operand derivatives accumulate in one
+numerator dict per output exponent, and :meth:`BiDiffOp.apply` applies
+one such DiffOp row per left multi-index.  The product kernel itself
+(``_combine``, with ``_parts`` and ``_function``) lives in
 :mod:`startrace.poly`, where Polys and GaussFns use it too.
 """
 
@@ -233,6 +233,7 @@ class BiDiffOp(_Operator):
     __slots__ = ()
 
     _slots = 2
+    _zero_text = "(0 | 1)"  # a bare 0 would parse back as a rational
 
     @staticmethod
     def _encode(space, key):
@@ -250,63 +251,46 @@ class BiDiffOp(_Operator):
         return cls._trusted(space, {0: 1}, 1)
 
     def apply(self, u, v):
-        """``B(u, v) = sum_alpha d^alpha u * (sum_beta a_{alpha,beta} d^beta v)``.
-
-        Terms are grouped by their left multi-index: each row
-        ``sum_beta a_{alpha,beta} d^beta v`` accumulates in one numerator
-        dict per exponent of ``v``, and then each output exponent's
-        polynomial in one dict, so each distinct ``alpha`` costs one pass
-        over ``d^alpha u`` and no Poly is built per term.  The derivatives
-        of both operands come from their jets.  The result is a GaussFn
-        when either operand is one.
-        """
+        """``B(u, v) = sum_alpha d^alpha u * D_alpha(v)`` over the :meth:`_rows`
+        ``D_alpha = sum_beta a_{alpha,beta} d^beta``, summed once in the class
+        of the products: a GaussFn when either operand is one."""
         space = self.space
         if not self.nums:
             return type(u).zero(space)
-        dim = space.dim
-        shift = _FIELD * dim
+        products = [
+            u.diff_multi(_unpack(a, space.dim)) * DiffOp._trusted(space, row, self.den).apply(v)
+            for a, row in self._rows(self.nums).items()
+        ]
+        return type(products[0]).sum(space, products)
+
+    def _rows(self, nums):
+        """``{alpha key: numerators of sum_beta a_{alpha,beta} d^beta}`` for
+        BiDiffOp numerators ``nums``: each ``beta`` moves to the DiffOp slot."""
+        shift = _FIELD * self.space.dim
         mask = (1 << shift) - 1
         rows = {}
-        parts = {}  # per right multi-index: the parts of d^beta v
-        for hi, monos in self._groups().items():
-            b = hi >> shift
-            part = parts.get(b)
-            if part is None:
-                part = parts[b] = _parts(v.diff_multi(_unpack(b, dim)))
-            rows.setdefault(hi & mask, []).append(({None: monos}, 1, part))
-        pairs = []
-        for a, row in rows.items():
-            sums, den = _combine(row)
-            for nums in sums.values():
-                _check_guard(nums, dim, "a product")
-            pairs.append((sums, den, _parts(u.diff_multi(_unpack(a, dim)))))
-        out, den = _combine(pairs)
-        gauss = next((type(f) for f in (u, v) if not isinstance(f, Poly)), None)
-        return _function(space, out, self.den * den, gauss)
+        for k, c in nums.items():
+            rows.setdefault(k >> shift & mask, {})[k & mask | k >> (2 * shift) << shift] = c
+        return rows
 
     def transpose(self, w):
         """The DiffOp ``B^t_w = sum (-1)^{|alpha|} d^alpha o (a_{alpha,beta} w)
         o d^beta``, so that ``integral of w B(u, v) = integral of u B^t_w(v)``
         for operands that leave no boundary terms, as Gaussians do.
 
-        The terms times the Poly ``w`` move ``beta`` down to the DiffOp's
-        slot, giving ``D_alpha = sum_beta a_{alpha,beta} w d^beta`` per left
-        multi-index.  Horner's rule then takes one axis at a time, the last
-        first: the ``D`` whose ``alpha`` differ only in ``alpha_i = k`` merge
-        into ``D_0 - d_i o (D_1 - d_i o (D_2 - ...))``, so every ``d_i`` acts
-        on a merged sum, and all of it stays over one denominator."""
+        The terms times the Poly ``w`` split into the :meth:`_rows`
+        ``D_alpha = sum_beta a_{alpha,beta} w d^beta``.  Horner's rule then
+        takes one axis at a time, the last first: the ``D`` whose ``alpha``
+        differ only in ``alpha_i = k`` merge into ``D_0 - d_i o (D_1 - ...)``,
+        so every ``d_i`` acts on a merged sum, all over one denominator."""
         if not isinstance(w, Poly):
             raise TypeError("transpose expects a Poly weight")
         space = self.space
         w._check_space(space)
-        shift = _FIELD * space.dim
-        mask = (1 << shift) - 1
         out, den = _combine([({None: self.nums}, 1, [(None, w.nums, w.den)])])
         nums = out.get(None, {})
         _check_guard(nums, space.dim, "an operator product")
-        ops = {}  # {alpha key: numerators of D_alpha}
-        for k, c in nums.items():
-            ops.setdefault(k >> shift & mask, {})[k & mask | k >> (2 * shift) << shift] = c
+        ops = self._rows(nums)
         for i in reversed(range(space.dim)):
             field = _MASK << (_FIELD * i)
             chains = {}

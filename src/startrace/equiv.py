@@ -18,7 +18,7 @@ from startrace.diffop import BiDiffOp, DiffOp
 from startrace.formal import FormalScalar
 from startrace.gaussfn import GaussFn, gauss_integrate_exact, gauss_pullback_linear
 from startrace.poly import Poly, _square_matrix
-from startrace.star import EulerDerivation, StarProduct, _apply_series, _orders
+from startrace.star import EulerDerivation, StarProduct, _apply_series, _coerce_formal, _orders
 from startrace.trace import TraceFunctional
 
 
@@ -50,8 +50,7 @@ class Equivalence:
 
     def apply(self, w):
         """Apply to a formal function (or a plain Poly/GaussFn, coerced)."""
-        if not isinstance(w, FormalScalar):
-            w = FormalScalar.constant(w, self.trunc_order)
+        w = _coerce_formal(w, self.trunc_order)
         return w + _apply_series(self.ops, w)
 
     def compose(self, other):

@@ -323,18 +323,26 @@ class GridFn:
         sizes = (dimension, points, margin)
         if any(isinstance(k, bool) or not isinstance(k, int) for k in sizes):
             raise ValueError("dimension, points_per_axis and margin_cells must be integers")
+        if dimension < 1:
+            raise ValueError("dimension must be at least 1")
         if _number_array(widths, "half_widths").shape != (dimension,):
             raise ValueError("half_widths must list one width per dimension")
-        values = _number_array(data["values"], "values").reshape((points,) * dimension)
-        return cls(widths, points, values, margin)
+        values = _number_array(data["values"], "values")
+        size = values.size  # dimension <= its bit length keeps the power small
+        if not (points > 0 and dimension <= size.bit_length() and points**dimension == size):
+            raise ValueError(f"values must list points_per_axis**dimension numbers, not {size}")
+        return cls(widths, points, values.reshape((points,) * dimension), margin)
 
 
 def _number_array(value, name):
-    """A JSON list of finite numbers as a float array; anything else
+    """A flat JSON list of finite numbers as a float array; anything else
     (``json`` also reads ``NaN`` and ``Infinity``) is a ValueError."""
-    array = np.asarray(value) if isinstance(value, list) else None
-    if array is None or array.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be a list of numbers")
+    try:
+        array = np.asarray(value) if isinstance(value, list) else None
+    except ValueError:  # a ragged nested list
+        array = None
+    if array is None or array.ndim != 1 or array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a flat list of numbers")
     array = array.astype(float, copy=False)
     if not np.all(np.isfinite(array)):
         raise ValueError(f"{name} must be finite numbers")

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from types import MappingProxyType
 
 MAX_EXPONENT = 255
@@ -221,12 +221,13 @@ class _Combination:
     right scalar product and the printer.
 
     Subclasses provide ``space``, the classmethod ``sum``, ``__neg__``
-    and ``__mul__``.  The printer reads
-    ``coeffs`` (a mapping from keys to nonzero Polys) and the hooks
-    ``_order`` and ``_symbol`` (or ``_term``); ``Poly`` prints itself.
+    and ``__mul__``.  The printer reads ``coeffs`` (a mapping from keys
+    to nonzero Polys), the hooks ``_order`` and ``_symbol`` (or ``_term``)
+    and, for zero, ``_zero_text``; ``Poly`` prints itself.
     """
 
     __slots__ = ()
+    _zero_text = "0"
 
     def _check_space(self, space):
         """Raise ``ValueError`` unless this value lives on ``space``."""
@@ -260,7 +261,7 @@ class _Combination:
     def __str__(self):
         coeffs = self.coeffs
         keys = sorted(coeffs, key=self._order)
-        return " + ".join(self._term(key, coeffs[key]) for key in keys) or "0"
+        return " + ".join(self._term(key, coeffs[key]) for key in keys) or self._zero_text
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
@@ -539,42 +540,21 @@ class Poly(_Packed):
         return Poly._trusted(space, out, self.den * scale**top)
 
     def translate(self, shifts):
-        """Pull back along ``x -> x + a``: returns ``f(x + a)``.
-
-        Each monomial expands binomially, one axis at a time.  With
-        ``a_i = n/d`` and ``E`` the top exponent along axis ``i``, the
-        result takes the denominator ``d^E`` and ``x_i^e`` the integer row
-        ``d^E (x_i + n/d)^e = sum_k C(e, k) n^(e-k) d^(E-e+k) x_i^k``.
-        ``shifts`` must have one entry per coordinate.
-        """
+        """Pull back along ``x -> x + a``: returns ``f(x + a)``, by Taylor's
+        formula ``f <- sum_k a_i^k / k! d_i^k f`` along one shifted axis at a
+        time.  ``shifts`` must have one entry per coordinate."""
         a = [_as_fraction(v) for v in shifts]
         if len(a) != self.space.dim:
             raise ValueError("shift vector has wrong length")
-        if not any(a) or not self.nums:
-            return self
-        den = self.den
-        axes = []  # per shifted axis: (shift, n, d, E, {e: row})
+        out = self
         for axis, ai in enumerate(a):
             if ai:
-                shift = _FIELD * axis
-                top = max((k >> shift) & _MASK for k in self.nums)
-                den *= ai.denominator**top
-                axes.append((shift, ai.numerator, ai.denominator, top, {}))
-        out = {}
-        for key, v in self.nums.items():
-            partial = [(key, v)]
-            for shift, n, d, top, rows in axes:
-                e = (key >> shift) & _MASK
-                row = rows.get(e)
-                if row is None:
-                    row = rows[e] = [
-                        ((k - e) << shift, comb(e, k) * n ** (e - k) * d ** (top - e + k))
-                        for k in range(e + 1)
-                    ]
-                partial = [(pk + dk, pv * w) for pk, pv in partial for dk, w in row]
-            for k, w in partial:
-                out[k] = out[k] + w if k in out else w
-        return Poly._trusted(self.space, out, den)
+                terms, d, c = [], out, Fraction(1)
+                while d.nums:
+                    terms.append(d * c)
+                    d, c = d.diff(axis), c * ai / len(terms)
+                out = Poly.sum(self.space, terms)
+        return out
 
     # -- rendering ----------------------------------------------------
 

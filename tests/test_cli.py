@@ -122,6 +122,9 @@ def test_round_trip_of_printed_forms():
         DiffOp.partial(SPACE2, "p2", 3),
         DiffOp.mult(random_poly(rng, SPACE1)).compose(DiffOp.partial(SPACE1, "q1")),
         BiDiffOp.product_cochain(SPACE1),
+        # the zero pairing printed as 0, which parsed back as a rational
+        BiDiffOp.zero(SPACE1),
+        BiDiffOp.zero(SPACE2),
     ]
     # transported cochains carry polynomial coefficients
     for space, seed in ((SPACE1, 2), (SPACE2, 0)):
@@ -358,6 +361,43 @@ def test_main_grid_file_names_a_missing_field(tmp_path, capsys, field):
     for scenario in ("gs-decompose", "brw-bracket"):
         assert main(["run", scenario, "--grid", str(path)]) == 2
         assert capsys.readouterr().err == f"error: grid file lacks field {field!r}\n"
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # numpy's reshape and inhomogeneous-shape texts were the messages,
+        # and a nested list was flattened although values is flat
+        ({"dimension": 0, "half_widths": []}, "dimension must be at least 1"),
+        ({"dimension": -1}, "dimension must be at least 1"),
+        ({"values": [0.0] * 127}, "values must list points_per_axis**dimension numbers, not 127"),
+        ({"values": [0.0] * 129}, "values must list points_per_axis**dimension numbers, not 129"),
+        ({"values": []}, "values must list points_per_axis**dimension numbers, not 0"),
+        ({"values": [[0.0, 0.0], [0.0]]}, "values must be a flat list of numbers"),
+        ({"values": [[[0.0]]] * 128}, "values must be a flat list of numbers"),
+        ({"half_widths": [[3.0]]}, "half_widths must be a flat list of numbers"),
+        ({"points_per_axis": -128}, "values must list points_per_axis**dimension numbers, not 128"),
+    ],
+)
+def test_main_grid_file_dimension_and_values_errors_name_their_field(
+    tmp_path, capsys, change, message
+):
+    grid = dict(tapered_generate(1, 3.0, 128, 2.0, 10).to_dict(), **change)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    assert main(["run", "gs-decompose", "--grid", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("field", ["order", "expression"])
+def test_main_equivalence_file_names_a_missing_field(tmp_path, capsys, field):
+    # the bare KeyError printed as "error: 'order'"
+    entry = {"order": 1, "expression": "dq1"}
+    del entry[field]
+    path = tmp_path / "equiv.json"
+    path.write_text(json.dumps([entry]))
+    assert main(["run", "transport-trace", "--equiv", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: equivalence entry lacks field {field!r}\n"
 
 
 @pytest.mark.parametrize(

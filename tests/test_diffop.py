@@ -257,23 +257,30 @@ def test_bidiff_apply_examples(space):
     assert b.apply(q, g) == g.diff("p1") and b.apply(g, p) == g.diff("q1")
 
 
-@pytest.mark.parametrize("kind", ["poly", "gauss"])
+@pytest.mark.parametrize("kind", ["poly", "gauss", "poly-gauss", "gauss-poly"])
 @pytest.mark.parametrize("n", [1, 2])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_bidiff_apply_matches_term_by_term_sum(kind, n, data):
     space = PhaseSpace(n)
     index = multi_indices(space, top=3 - n)
-    # few left multi-indices, so that terms share a group
+    # few left multi-indices, so that terms share a row
     lefts = data.draw(st.lists(index, min_size=1, max_size=2))
     keys = st.tuples(st.sampled_from(lefts), index)
     b = BiDiffOp(space, data.draw(st.dictionaries(keys, polys(space), max_size=5)))
-    operands = polys(space) if kind == "poly" else gauss_fns(space)
-    u, v = data.draw(operands), data.draw(operands)
-    want = type(u).zero(space)
+    operands = {"poly": polys, "gauss": gauss_fns}
+    left, _, right = kind.partition("-")
+    u = data.draw(operands[left](space))
+    v = data.draw(operands[right or left](space))
+    # a Gaussian operand in either slot makes a Gaussian; the zero operator
+    # gives the zero of u's class
+    want = (Poly if kind == "poly" else GaussFn).zero(space) if b.nums else type(u).zero(space)
     for (alpha, beta), poly in b.coeffs.items():
         want = want + poly * (iterated_diff(u, alpha) * iterated_diff(v, beta))
-    assert b.apply(u, v) == want
+    got = b.apply(u, v)
+    assert got == want and type(got) is type(want)
+    zero = BiDiffOp.zero(space).apply(u, v)
+    assert zero == type(u).zero(space) and type(zero) is type(u)
     assert b.apply(u, u) == b.apply(u + type(u).zero(space), u)
 
 

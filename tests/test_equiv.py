@@ -76,6 +76,15 @@ def test_invert_round_trip_on_monomials():
             assert back == FormalScalar.constant(mono, 3)
 
 
+def test_apply_refuses_what_is_not_a_function():
+    # a rational came back wrapped as FormalScalar(3) and None as
+    # FormalScalar(None); star_multiply refused both
+    t = random_equivalence(PhaseSpace(1), 2, seed=3)
+    for w in (3, Fraction(1, 2), "q1", None):
+        with pytest.raises(TypeError, match="as a formal function"):
+            t.apply(w)
+
+
 def test_unital_detection():
     space = PhaseSpace(1)
     assert random_equivalence(space, 3, seed=5).is_unital()

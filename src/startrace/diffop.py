@@ -24,20 +24,16 @@ printer, the parser and callers that read single terms.
 Every operator has a derivative jet, as Polys and GaussFns do:
 ``diff_multi(alpha)`` is ``d^alpha o A`` for a :class:`DiffOp` and
 ``d^alpha o B`` for a :class:`BiDiffOp`, built one axis at a time and
-memoized on the operator (:func:`startrace.poly._diff_multi`).
-Compositions read these jets instead of enumerating multinomial splits:
-``A o C = sum_alpha a_alpha (d^alpha o C)``, and ``S o B`` and
-``B o (S_left (x) S_right)`` likewise, so an operator composed with many
-others builds each of its derivatives once.
-
-Operators reach derivatives of their arguments through the same jets:
-every partial derivative of an operand is taken once, however many terms,
-cochains or products ask for it.  :meth:`DiffOp.apply` is fused: the
-products of coefficients and operand derivatives accumulate in one
-numerator dict per output exponent, and :meth:`BiDiffOp.apply` applies
-one such DiffOp row per left multi-index.  The product kernel itself
-(``_combine``, with ``_parts`` and ``_function``) lives in
-:mod:`startrace.poly`, where Polys and GaussFns use it too.
+memoized on the operator (:func:`startrace.poly._diff_multi`).  One
+helper reads the jets for every operator job: :meth:`DiffOp._through`
+gives the operands of ``sum_alpha a_alpha d^alpha x``, for ``x`` a Poly,
+a GaussFn or an operator, for the product kernel ``_combine`` of
+:mod:`startrace.poly`.  ``A(f)``, ``A o C``, ``S o B``, ``B o (S_left (x)
+S_right)``, the transport and the pair integrals sum its operands, with no
+multinomial split, and each derivative of an argument is built once.
+Integration by parts has one kernel per kind of argument:
+:meth:`BiDiffOp.transpose` for operators, :meth:`DiffOp.adjoint` included,
+and :func:`startrace.gaussfn.adjoint_weights` for polynomials.
 """
 
 from __future__ import annotations
@@ -131,19 +127,6 @@ class _Operator(_Packed):
             )
         return coeffs
 
-    def _after(self, s):
-        """The :func:`startrace.poly._combine` operands of ``s o self`` for a
-        DiffOp ``s``: ``sum_delta s_delta (d^delta o self)``, with
-        ``d^delta o self`` read from this operator's jet and ``s.den`` in
-        each operand, so that operands of several compositions may share
-        one :meth:`_settled` sum."""
-        dim = self.space.dim
-        return [
-            ({None: monos}, s.den, [(None, d.nums, d.den)])
-            for hi, monos in s._groups().items()
-            for d in (self.diff_multi(_unpack(hi, dim)),)
-        ]
-
     @classmethod
     def _settled(cls, space, operands):
         """The operator ``sum_i L_i * F_i`` of ``_combine`` operands over
@@ -180,17 +163,21 @@ class DiffOp(_Operator):
 
     # -- action -------------------------------------------------------
 
+    def _through(self, x):
+        """The ``_combine`` operands of ``sum_alpha a_alpha d^alpha x``, read
+        from the jet of ``x``, each over ``self.den`` so that several
+        operators' operands may share one sum."""
+        dim = self.space.dim
+        return [
+            ({None: monos}, self.den, _parts(x.diff_multi(_unpack(hi, dim))))
+            for hi, monos in self._groups().items()
+        ]
+
     def apply(self, f):
-        """``sum_alpha a_alpha d^alpha f``, with ``d^alpha f`` from ``f``'s jet,
+        """``sum_alpha a_alpha d^alpha f`` through :meth:`_through`,
         accumulated in one numerator dict per exponent of ``f``."""
-        space = self.space
-        out, den = _combine(
-            [
-                ({None: monos}, 1, _parts(f.diff_multi(_unpack(hi, space.dim))))
-                for hi, monos in self._groups().items()
-            ]
-        )
-        return _function(space, out, self.den * den, None if isinstance(f, Poly) else type(f))
+        out, den = _combine(self._through(f))
+        return _function(self.space, out, den, None if isinstance(f, Poly) else type(f))
 
     def compose(self, other):
         """Normal form of ``self o other``: ``sum_alpha a_alpha (d^alpha o other)``,
@@ -198,17 +185,13 @@ class DiffOp(_Operator):
         if not isinstance(other, DiffOp):
             raise TypeError("compose expects a DiffOp")
         self._check_space(other.space)
-        return DiffOp._settled(self.space, other._after(self))
+        return DiffOp._settled(self.space, self._through(other))
 
     def adjoint(self):
-        """Formal adjoint: ``(a d^alpha)* = (-1)^{|alpha|} d^alpha o a``."""
+        """Formal adjoint ``sum (-1)^{|alpha|} d^alpha o a_alpha``: the
+        transpose of ``self (x) 1``, which has the same keys, against 1."""
         space = self.space
-        terms = []
-        for hi, monos in self._groups().items():
-            alpha = _unpack(hi, space.dim)
-            mult = DiffOp._trusted(space, monos, self.den)
-            terms.append(mult.diff_multi(alpha) * (-1) ** sum(alpha))
-        return DiffOp.sum(space, terms)
+        return BiDiffOp._trusted(space, self.nums, self.den).transpose(Poly.constant(space, 1))
 
     # -- rendering ----------------------------------------------------
 
@@ -329,21 +312,18 @@ class BiDiffOp(_Operator):
         with ``self.den`` in each, so that several precompositions may share
         one :meth:`_settled` sum.
 
-        Terms sharing ``beta`` first merge ``c (d^alpha o S_left)`` in one
-        dict; the right factor's keys then move their multi-index up to the
-        right slot and add on."""
+        The terms sharing ``beta`` merge ``c (d^alpha o S_left)`` in one dict
+        through :meth:`DiffOp._through`; the right factor's keys then move
+        their multi-index up to the right slot and add on."""
         dim = self.space.dim
         shift = _FIELD * dim
         mask = (1 << shift) - 1
         lefts = {}
-        for hi, monos in self._groups().items():
-            left = s_left.diff_multi(_unpack(hi & mask, dim))
-            lefts.setdefault(hi >> shift, []).append(
-                ({None: monos}, 1, [(None, left.nums, left.den)])
-            )
+        for k, c in self.nums.items():
+            lefts.setdefault(k >> (2 * shift), {})[k & (mask | mask << shift)] = c
         operands = []
-        for b, terms in lefts.items():
-            sums, den = _combine(terms)
+        for b, left in lefts.items():
+            sums, den = _combine(DiffOp._trusted(self.space, left, 1)._through(s_left))
             half = sums.get(None, {})
             _check_guard(half, 2 * dim, "an operator product")
             right = s_right.diff_multi(_unpack(b, dim))
@@ -355,7 +335,7 @@ class BiDiffOp(_Operator):
         """Normal form of ``(u,v) -> S_out(B(u, v))``:
         ``sum_delta s_delta (d^delta o B)``, read from this operator's jet."""
         _check_transport(self, s_out)
-        return BiDiffOp._settled(self.space, self._after(s_out))
+        return BiDiffOp._settled(self.space, s_out._through(self))
 
     def conjugate(self, s_out, s_left, s_right):
         """Normal form of ``(u,v) -> S_out(B(S_left u, S_right v))``; every

@@ -4,7 +4,10 @@ Transport of star products, formal adjoints, trace densities
 ``rho = T'(1)``, transported nu-Euler derivations, and linear symplectic
 automorphism checks all live here.  Operator series are composed order by
 order, so every transported identity holds exactly through the truncation
-order.
+order.  Compositions and the transport read the operators' one jet helper
+(:meth:`~startrace.diffop.DiffOp._through`); :func:`equiv_adjoint`
+transposes (:meth:`~startrace.diffop.BiDiffOp.transpose`), and ``rho``
+integrates by parts (:func:`~startrace.gaussfn.adjoint_weights`).
 """
 
 from __future__ import annotations
@@ -16,7 +19,12 @@ from math import lcm
 
 from startrace.diffop import BiDiffOp, DiffOp
 from startrace.formal import FormalScalar
-from startrace.gaussfn import GaussFn, gauss_integrate_exact, gauss_pullback_linear
+from startrace.gaussfn import (
+    GaussFn,
+    adjoint_weights,
+    gauss_integrate_exact,
+    gauss_pullback_linear,
+)
 from startrace.poly import Poly, _square_matrix
 from startrace.star import EulerDerivation, StarProduct, _apply_series, _coerce_formal, _orders
 from startrace.trace import TraceFunctional
@@ -135,7 +143,7 @@ def _transport(space, trunc, base, fwd, inv):
     return {
         m: BiDiffOp._settled(
             space,
-            [term for a, s_a in inv.items() if m - a in inner for term in inner[m - a]._after(s_a)],
+            [op for a, s_a in inv.items() if m - a in inner for op in s_a._through(inner[m - a])],
         )
         for m in range(1, trunc + 1)
     }
@@ -174,11 +182,11 @@ def transport_star(t, s):
 
 
 def density_from_equivalence(t):
-    """Standard trace with density ``rho = T'(1) = 1 + sum nu^k T_k*(1)``."""
+    """Standard trace with density ``rho = T'(1) = 1 + sum nu^k T_k*(1)``,
+    read from :func:`~startrace.gaussfn.adjoint_weights`."""
     one = Poly.constant(t.space, 1)
-    shapes = {k: op.apply(one) for k, op in equiv_adjoint(t).ops.items()}
-    rho = FormalScalar({0: one, **shapes}, t.trunc_order)
-    return TraceFunctional(t.space, rho)
+    shapes = adjoint_weights(t.space, t.ops, {0: one}, t.trunc_order)
+    return TraceFunctional(t.space, FormalScalar({0: one, **shapes}, t.trunc_order))
 
 
 def transport_euler(t, d):
@@ -263,8 +271,7 @@ def symplectic_automorphism_check(m, u):
 
     The residual is the exact integral of ``u o m - u``, an
     :class:`~startrace.gaussfn.IntegralValue`, so invariance shows as the
-    literal zero value.  It used to be an mpmath float, so this is a break
-    in the public API: test it with ``.is_zero()`` or against
+    literal zero value.  Test it with ``.is_zero()`` or against
     ``IntegralValue.zero()``, since an IntegralValue never equals an int
     (``== 0`` is False even for an invariant map) and ``<`` raises
     ``TypeError``.  Raises on non-symplectic input.

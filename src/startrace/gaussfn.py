@@ -30,17 +30,17 @@ moments of ``x_i^e`` under the Gaussian centered at ``mu_i = b_i/w_i``.
 so the polynomial is integrated as it stands, with no shift: each monomial
 adds its numerator times one row entry per axis to one int.  The rows of a
 term are built once and read for every polynomial weight it meets.
-:func:`gauss_integrate_exact` integrates each term against the weight 1.
+:func:`gauss_integrate_exact` integrates against the weight 1.
 
 The trace functionals integrate by parts on the same rows, because
 Gaussians leave no boundary terms, and build no product of their
 operands: :func:`gauss_weight_integrals` gives ``integral of W_m u`` for
-polynomial weights ``W_m``, which :func:`adjoint_weights` builds as
-``sum_{r+j=m} A_r^*(w_j)`` to stand for ``integral of w_j A_r(u)`` with
-no derivative of ``u``, and :func:`gauss_pair_integrals`
-gives ``integral of u A_m(v)`` for differential operators ``A_m``, which
-the pair functionals obtain by transposing their bidifferential cochains
-(:meth:`~startrace.diffop.BiDiffOp.transpose`) once for all pairs.  They
+polynomial weights ``W_m``, which the by-parts kernel for polynomials,
+:func:`adjoint_weights`, builds as ``sum_{r+j=m} A_r^*(w_j)``, and
+:func:`gauss_pair_integrals` gives ``integral of u A_m(v)`` for the
+transposes ``A_m`` of the cochains (the kernel for operators,
+:meth:`~startrace.diffop.BiDiffOp.transpose`), with ``A_m(v)`` read
+through :meth:`~startrace.diffop.DiffOp._through`.  They
 take every GaussFn, with any number of terms and cross terms in the
 exponents, and raise where an integral is not exact: ``TypeError`` for an
 operand that is not a GaussFn, ``ValueError`` for a phase-space mismatch
@@ -553,10 +553,9 @@ def _gaussian(widths, b, c):
 
 def gauss_integrate_exact(a):
     """Exact integral of a GaussFn over R^{2n} as an :class:`IntegralValue`:
-    each term integrated against the weight 1 by :func:`_term_integrals`."""
-    space = _space([a])
-    one = {0: Poly.constant(space, 1)}
-    return IntegralValue(space.n, (_term_integrals(p, q, one)[0] for q, p in a.coeffs.items()))
+    :func:`gauss_weight_integrals` against the weight 1."""
+    one = Poly.constant(_space([a]), 1)
+    return gauss_weight_integrals(a, {0: one}).get(0, IntegralValue.zero())
 
 
 def _space(fns, *maps):
@@ -735,18 +734,12 @@ def gauss_pair_integrals(u, v, ops):
     an operand that is not a GaussFn or a space mismatch.
     """
     space = _space([u, v], ops)
-    dim = space.dim
     images = {}  # {Q: {m: R_{m,Q}}}
     for m, op in ops.items():
-        out, den = _combine(
-            [
-                ({None: monos}, 1, _parts(v.diff_multi(_unpack(b, dim))))
-                for b, monos in op._groups().items()
-            ]
-        )
+        out, den = _combine(op._through(v))
         for q, nums in out.items():
-            _check_guard(nums, dim, "an operator image")
-            images.setdefault(q, {})[m] = Poly._trusted(space, nums, den * op.den)
+            _check_guard(nums, space.dim, "an operator image")
+            images.setdefault(q, {})[m] = Poly._trusted(space, nums, den)
     return _integrals(
         space.n,
         (

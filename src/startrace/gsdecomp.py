@@ -335,18 +335,20 @@ class GridFn:
 
 
 def _number_array(value, name):
-    """A flat JSON list of finite numbers as a float array; anything else
-    (``json`` also reads ``NaN`` and ``Infinity``) is a ValueError."""
-    try:
-        array = np.asarray(value) if isinstance(value, list) else None
-    except ValueError:  # a ragged nested list
-        array = None
-    if array is None or array.ndim != 1 or array.dtype.kind not in "iuf":
+    """A flat JSON list of finite numbers, bools excluded, as a float array;
+    anything else (``json`` also reads ``NaN``, ``Infinity`` and ints past
+    the float range) is a ValueError."""
+    if not isinstance(value, list) or any(
+        k is bool or not issubclass(k, (int, float)) for k in set(map(type, value))
+    ):
         raise ValueError(f"{name} must be a flat list of numbers")
-    array = array.astype(float, copy=False)
-    if not np.all(np.isfinite(array)):
-        raise ValueError(f"{name} must be finite numbers")
-    return array
+    try:
+        array = np.array(value, dtype=float)
+        if np.all(np.isfinite(array)):
+            return array
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} must be finite numbers")
 
 
 def _snap_margin(values, margin_cells, box):

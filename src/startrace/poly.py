@@ -599,9 +599,9 @@ def _diff_multi(f, alpha):
 
 
 def _parts(f):
-    """``[(exponent, nums, den)]`` of a function: one per GaussFn term, or
-    ``[(None, nums, den)]`` for a Poly."""
-    if isinstance(f, Poly):
+    """``[(exponent, nums, den)]`` of a value: one per GaussFn term, or
+    ``[(None, nums, den)]`` for a Poly or an operator."""
+    if isinstance(f, _Packed):
         return [(None, f.nums, f.den)]
     return [(q, p.nums, p.den) for q, p in f.coeffs.items()]
 

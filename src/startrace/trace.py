@@ -15,14 +15,17 @@ Gaussians leave no boundary terms, so every functional integrates by
 parts on the moment tables of :mod:`startrace.gaussfn` and builds no
 product of its operands: :func:`trace_eval` and
 :func:`normalization_residual` integrate each term of ``u`` against the
-adjoint weights ``sum_{r+j=m} D'_r^*(rho_j)``, with no product ``u rho`` and
+weights ``sum_{r+j=m} D'_r^*(rho_j)`` of
+:func:`~startrace.gaussfn.adjoint_weights`, with no product ``u rho`` and
 no ``D'_r u``, and :func:`trace_residual` (and with it
 :func:`trk_residual`) integrates ``u L_m(v)`` for the operators ``L_m`` of
 :func:`operator_trace_residual`, which transpose the commutator cochains
-against the density once per product, memoized for all pairs, with no
-commutator ``C_r^-(u, v)``.  Every input takes that one path; an operand
-that is not a GaussFn raises ``TypeError``, and a term with no exact
-integral raises as :func:`~startrace.gaussfn.gauss_integrate_exact` does.
+against the density (:meth:`~startrace.diffop.BiDiffOp.transpose`) once
+per product, memoized for all pairs, with no commutator ``C_r^-(u, v)``,
+and read ``L_m(v)`` through :meth:`~startrace.diffop.DiffOp._through`.
+Every input takes that one path; an operand that is not a GaussFn raises
+``TypeError``, and a term with no exact integral raises as
+:func:`~startrace.gaussfn.gauss_integrate_exact` does.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 from fractions import Fraction
 from types import MappingProxyType
 
-from startrace.diffop import DiffOp
 from startrace.formal import FormalScalar
 from startrace.gaussfn import (
     GaussFn,
@@ -149,14 +151,13 @@ def operator_trace_residual(t, s):
     ops = s.residuals.get(t.density)
     if ops is None:
         top = _pair_window(t, s)
-        by_order = {}
-        for r, minus in s.minus.items():
-            for j, w in t.density.coeffs.items():
-                if r + j <= top:
-                    by_order.setdefault(r + j, []).append(minus.transpose(w))
-        sums = {m: DiffOp.sum(t.space, terms) for m, terms in by_order.items()}
-        ops = MappingProxyType({m: op for m, op in sums.items() if not op.is_zero()})
-        s.residuals[t.density] = ops
+        pairs = [
+            (r + j, minus.transpose(w))
+            for r, minus in s.minus.items()
+            for j, w in t.density.coeffs.items()
+            if r + j <= top
+        ]
+        ops = s.residuals[t.density] = MappingProxyType(FormalScalar(pairs, top).coeffs)
     return ops
 
 

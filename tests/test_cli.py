@@ -377,6 +377,9 @@ def test_main_grid_file_names_a_missing_field(tmp_path, capsys, field):
         ({"values": [[[0.0]]] * 128}, "values must be a flat list of numbers"),
         ({"half_widths": [[3.0]]}, "half_widths must be a flat list of numbers"),
         ({"points_per_axis": -128}, "values must list points_per_axis**dimension numbers, not 128"),
+        # a bool among the samples loaded as 1.0
+        ({"values": [0.0] * 64 + [True] + [0.0] * 63}, "values must be a flat list of numbers"),
+        ({"half_widths": [10**400]}, "half_widths must be finite numbers"),
     ],
 )
 def test_main_grid_file_dimension_and_values_errors_name_their_field(
@@ -387,6 +390,20 @@ def test_main_grid_file_dimension_and_values_errors_name_their_field(
     path.write_text(json.dumps(grid))
     assert main(["run", "gs-decompose", "--grid", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_main_grid_file_reads_an_int_past_int64_as_its_float(tmp_path, capsys):
+    # numpy read 10**30 into an object array, so the file exited 2 with
+    # "values must be a flat list of numbers" while 1e30 loaded
+    grid = tapered_generate(1, 3.0, 128, 2.0, 10).to_dict()
+    outputs = []
+    for big in (10**30, 1e30):
+        values = grid["values"][:64] + [big] + grid["values"][65:]
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(dict(grid, values=values)))
+        code = main(["run", "gs-decompose", "--grid", str(path)])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1] and outputs[0][0] != 2
 
 
 @pytest.mark.parametrize("field", ["order", "expression"])

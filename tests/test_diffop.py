@@ -144,6 +144,24 @@ def test_compose_matches_leibniz_oracle(n, data):
     assert a.compose(b) == leibniz_compose(a, b)
 
 
+def adjoint_by_terms(a):
+    """``sum_alpha (-1)^|alpha| d^alpha o a_alpha``, one multiplication
+    operator and one jet read per term: the oracle of the transposing
+    ``adjoint``."""
+    return DiffOp.sum(
+        a.space,
+        (DiffOp.mult(c).diff_multi(alpha) * (-1) ** sum(alpha) for alpha, c in a.coeffs.items()),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_adjoint_matches_termwise_oracle(n, data):
+    a = data.draw(diffops(PhaseSpace(n)))
+    assert a.adjoint() == adjoint_by_terms(a)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())

@@ -11,7 +11,7 @@ from conftest import hamiltonian_flow, plane_product, random_poly, rational_rota
 from test_gaussfn import random_gauss
 
 from startrace import equiv
-from startrace.cli import main
+from startrace.cli import Scenario, main, run_scenario
 from startrace.diffop import BiDiffOp, DiffOp
 from startrace.equiv import (
     Equivalence,
@@ -309,6 +309,26 @@ def test_density_examples():
     assert density_from_equivalence(mixed).density == FormalScalar.constant(
         Poly.constant(space, 1), 2
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("trunc", [4, 6])
+def test_density_is_the_adjoint_equivalence_applied_to_one(n, trunc):
+    # the density integrates T_k by parts; the oracle builds every adjoint
+    space = PhaseSpace(n)
+    one = Poly.constant(space, 1)
+    for seed in range(4):
+        t = random_equivalence(space, trunc, seed)
+        assert density_from_equivalence(t).density == equiv_adjoint(t).apply(one)
+
+
+def test_exact_scenarios_build_no_operator_adjoint(monkeypatch):
+    def refuse(self):
+        raise AssertionError("an operator adjoint was built")
+
+    monkeypatch.setattr(DiffOp, "adjoint", refuse)
+    for name in ("transport-trace", "normalized-uniqueness", "trk-conditions"):
+        assert run_scenario(Scenario(name, n=1, trunc_order=3)).all_pass(), name
 
 
 @pytest.mark.parametrize("n,trunc,seed", [(1, 3, 93), (2, 2, 94)])

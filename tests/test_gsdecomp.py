@@ -120,6 +120,25 @@ def test_json_round_trip():
         GridFn.from_dict(bad)
 
 
+@pytest.mark.parametrize("field", ["values", "half_widths"])
+def test_json_numbers_are_every_finite_int_or_float_and_no_bool(field):
+    grid = tapered_bump(64, 1, 1.5, margin_cells=8).to_dict()
+
+    def load(x):
+        numbers = list(grid[field])
+        numbers[len(numbers) // 2] = x
+        return GridFn.from_dict(dict(grid, **{field: numbers}))
+
+    # an int past int64 made numpy build an object array, refused as not a
+    # list of numbers although 1e30 loaded
+    assert load(10**30) == load(1e30)
+    # a bool among floats loaded as 1.0
+    with pytest.raises(ValueError, match=f"^{field} must be a flat list of numbers$"):
+        load(True)
+    with pytest.raises(ValueError, match=f"^{field} must be finite numbers$"):
+        load(10**400)
+
+
 def test_public_constructor_copies():
     v = np.zeros(64)
     v[32] = 1.0

@@ -444,7 +444,9 @@ def load_equivalence(path, space, trunc_order):
     entries, or an object with such a list under ``"operators"``."""
     data = _load_json(path)
     if isinstance(data, dict):
-        data = data.get("operators", [])
+        if "operators" not in data:
+            raise ValueError("equivalence file lacks field 'operators'")
+        data = data["operators"]
     if not isinstance(data, list) or not all(isinstance(e, dict) for e in data):
         raise ValueError("equivalence file must hold a list of operator entries")
     groups = {}

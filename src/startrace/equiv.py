@@ -2,19 +2,22 @@
 
 Transport of star products, formal adjoints, trace densities
 ``rho = T'(1)``, transported nu-Euler derivations, and linear symplectic
-automorphism checks all live here.  Operator series are composed order by
-order, so every transported identity holds exactly through the truncation
-order.  Compositions and the transport read the operators' one jet helper
-(:meth:`~startrace.diffop.DiffOp._through`); :func:`equiv_adjoint`
-transposes (:meth:`~startrace.diffop.BiDiffOp.transpose`), and ``rho``
-integrates by parts (:func:`~startrace.gaussfn.adjoint_weights`).
+automorphism checks all live here.  Every operator series ``sum_{i+j=k}
+A_i o B_j`` (inverse, composition, both stages of the transport, the
+transported Euler derivation) is one sum, :func:`_settled_series`: each
+order gathers the product-kernel operands of its terms, read from the
+operators' jets (``DiffOp._through``, ``BiDiffOp._before``), and is
+settled once, so every transported identity holds exactly through the
+truncation order.  :func:`equiv_adjoint` transposes
+(``BiDiffOp.transpose``), and ``rho`` integrates by parts
+(:func:`~startrace.gaussfn.adjoint_weights`).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import lcm
 
 from startrace.diffop import BiDiffOp, DiffOp
@@ -25,7 +28,7 @@ from startrace.gaussfn import (
     gauss_integrate_exact,
     gauss_pullback_linear,
 )
-from startrace.poly import Poly, _square_matrix
+from startrace.poly import _FIELD, Poly, _square_matrix
 from startrace.star import EulerDerivation, StarProduct, _apply_series, _coerce_formal, _orders
 from startrace.trace import TraceFunctional
 
@@ -52,9 +55,10 @@ class Equivalence:
         return out
 
     def is_unital(self):
-        """True iff every ``T_k`` kills constants, so ``T(1) = 1``."""
-        zero_alpha = (0,) * self.space.dim
-        return all(zero_alpha not in op.coeffs for op in self.ops.values())
+        """True iff every ``T_k`` kills constants, so ``T(1) = 1``: a packed
+        key below the derivative fields is a multiplication term."""
+        top = 1 << (_FIELD * self.space.dim)
+        return all(min(op.nums) >= top for op in self.ops.values())
 
     def apply(self, w):
         """Apply to a formal function (or a plain Poly/GaussFn, coerced)."""
@@ -66,7 +70,9 @@ class Equivalence:
         if self.space != other.space:
             raise ValueError("equivalences live on different phase spaces")
         trunc = min(self.trunc_order, other.trunc_order)
-        combined = _series_compose(self.series(), other.series(), trunc)
+        pairs = product(self.series().items(), other.series().items())
+        terms = ((i + j, a._through(b)) for (i, a), (j, b) in pairs if i + j <= trunc)
+        combined = _settled_series(DiffOp, self.space, terms)
         combined.pop(0, None)
         return Equivalence(self.space, trunc, combined)
 
@@ -83,31 +89,26 @@ class Equivalence:
         return f"Equivalence(K={self.trunc_order}, orders={sorted(self.ops)})"
 
 
-def _compose_pairs(a, b, trunc_order):
-    """``(i + j, a_i o b_j)`` for operator series ``{k: DiffOp}``, through
-    ``trunc_order``."""
-    return (
-        (i + j, ai.compose(bj))
-        for i, ai in a.items()
-        for j, bj in b.items()
-        if i + j <= trunc_order
-    )
-
-
-def _series_compose(a, b, trunc_order):
-    """``{k: sum_{i+j=k} a_i o b_j}`` with zero orders dropped; the series
-    constructor merges each order once."""
-    return FormalScalar(_compose_pairs(a, b, trunc_order), trunc_order).coeffs
+def _settled_series(cls, space, orders):
+    """``{k: op}`` of the operator class ``cls`` from a stream of ``(k,
+    operands)``: each order's :func:`~startrace.poly._combine` operands are
+    settled once (:meth:`~startrace.diffop._Operator._settled`), and zero
+    orders are dropped."""
+    groups = {}
+    for k, operands in orders:
+        groups.setdefault(k, []).extend(operands)
+    settled = {k: cls._settled(space, groups.pop(k)) for k in sorted(groups)}
+    return {k: op for k, op in settled.items() if not op.is_zero()}
 
 
 def equiv_invert(t):
-    """Neumann-series inverse: ``S_k = -sum_{j=1}^{k} T_j o S_{k-j}``."""
+    """Neumann-series inverse: ``S_k = -sum_{j=1}^{k} T_j o S_{k-j}``, one
+    order at a time, from the jets of the lower ``S``."""
     space = t.space
     s = {0: DiffOp.identity(space)}
     for k in range(1, t.trunc_order + 1):
-        acc = DiffOp.sum(space, (tj.compose(s[k - j]) for j, tj in t.ops.items() if k - j in s))
-        if not acc.is_zero():
-            s[k] = -acc
+        terms = ((k, t_j._through(s[k - j])) for j, t_j in t.ops.items() if k - j in s)
+        s.update((k, -op) for k, op in _settled_series(DiffOp, space, terms).items())
     return Equivalence(space, t.trunc_order, {k: op for k, op in s.items() if k})
 
 
@@ -120,33 +121,27 @@ def equiv_adjoint(t):
 
 def _transport(space, trunc, base, fwd, inv):
     """``{m: C'_m}`` for ``m = 1..trunc``, the transport of the cochain
-    series ``base`` by ``T`` (``fwd``) and ``T^{-1}`` (``inv``).
+    series ``base`` by ``T`` (``fwd``) and ``T^{-1}`` (``inv``); order 0,
+    where ``C_0`` transports to itself, is no cochain order and is left out.
 
-    ``P_j = sum_{r+b+c=j} C_r o (T_b (x) T_c)``, from the lowest order of
-    ``base`` up (below it ``P_j`` is zero), then ``C'_m = sum_{a+j=m} S_a o
-    P_j``, each as one sum over all of its terms, settled once: every
-    ``S_a`` reads the one jet of each ``P_j``.
+    ``P_j = sum_{r+b+c=j} C_r o (T_b (x) T_c)``, then ``C'_m = sum_{a+j=m}
+    S_a o P_j``, each order one :func:`_settled_series` sum over all of its
+    terms: every ``S_a`` reads the one jet of each ``P_j``.
     """
-    inner = {
-        j: BiDiffOp._settled(
-            space,
-            [
-                term
-                for r, c_r in base.items()
-                for b, t_b in fwd.items()
-                if j - r - b in fwd
-                for term in c_r._before(t_b, fwd[j - r - b])
-            ],
-        )
-        for j in range(min(base), trunc + 1)
-    }
-    return {
-        m: BiDiffOp._settled(
-            space,
-            [op for a, s_a in inv.items() if m - a in inner for op in s_a._through(inner[m - a])],
-        )
-        for m in range(1, trunc + 1)
-    }
+    inner = _settled_series(
+        BiDiffOp,
+        space,
+        (
+            (r + b + c, c_r._before(t_b, t_c))
+            for r, c_r in base.items()
+            for b, t_b in fwd.items()
+            for c, t_c in fwd.items()
+            if r + b + c <= trunc
+        ),
+    )
+    pairs = product(inv.items(), inner.items())
+    terms = ((a + j, s_a._through(p_j)) for (a, s_a), (j, p_j) in pairs if 0 < a + j <= trunc)
+    return _settled_series(BiDiffOp, space, terms)
 
 
 def transport_star(t, s):
@@ -198,14 +193,17 @@ def transport_euler(t, d):
     """
     if t.space != d.space:
         raise ValueError("equivalence and derivation live on different spaces")
-    trunc = t.trunc_order
+    space, trunc = t.space, t.trunc_order
     inv = equiv_invert(t).series()
-    conj = _series_compose(inv, {0: d.x, **d.corrections}, trunc)
+    pairs = product(inv.items(), {0: d.x, **d.corrections}.items())
+    terms = ((i + r, s_i._through(d_r)) for (i, s_i), (r, d_r) in pairs if i + r <= trunc)
+    conj = _settled_series(DiffOp, space, terms)
     tdot = {k: k * op for k, op in t.ops.items()}
-    pairs = chain(_compose_pairs(conj, t.series(), trunc), _compose_pairs(inv, tdot, trunc))
-    total = FormalScalar(pairs, trunc).coeffs
-    x_new = total.pop(0, DiffOp.zero(t.space))
-    return EulerDerivation(t.space, x_new, total)
+    pairs = chain(product(conj.items(), t.series().items()), product(inv.items(), tdot.items()))
+    terms = ((i + k, a._through(b)) for (i, a), (k, b) in pairs if i + k <= trunc)
+    total = _settled_series(DiffOp, space, terms)
+    x_new = total.pop(0, DiffOp.zero(space))
+    return EulerDerivation(space, x_new, total)
 
 
 def random_equivalence(space, trunc_order, seed):

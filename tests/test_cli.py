@@ -39,7 +39,7 @@ from startrace.cli import (
     run_scenario,
 )
 from startrace.diffop import BiDiffOp, DiffOp
-from startrace.equiv import random_equivalence, transport_star
+from startrace.equiv import Equivalence, random_equivalence, transport_star
 from startrace.gaussfn import GaussFn
 from startrace.gsdecomp import grid_diff, tapered_generate
 from startrace.poly import MAX_EXPONENT, PhaseSpace, Poly
@@ -318,6 +318,8 @@ def test_load_equivalence_bare_list_and_lifting(tmp_path):
     path.write_text(json.dumps([{"order": 1, "expression": "q1^2"}]))
     t = load_equivalence(str(path), SPACE1, 2)
     assert t.ops[1] == DiffOp.mult(Poly.variable(SPACE1, "q1") ** 2)
+    path.write_text("[]")
+    assert load_equivalence(str(path), SPACE1, 2) == Equivalence.identity(SPACE1, 2)
 
 
 def test_load_equivalence_rejects_non_operator(tmp_path):
@@ -415,6 +417,15 @@ def test_main_equivalence_file_names_a_missing_field(tmp_path, capsys, field):
     path.write_text(json.dumps([entry]))
     assert main(["run", "transport-trace", "--equiv", str(path)]) == 2
     assert capsys.readouterr().err == f"error: equivalence entry lacks field {field!r}\n"
+
+
+@pytest.mark.parametrize("data", [{}, {"operatorz": [{"order": 1, "expression": "p1*dq1"}]}])
+def test_main_equivalence_object_needs_its_operators(tmp_path, capsys, data):
+    # such an object was read as the identity, and density 1 was checked
+    path = tmp_path / "equiv.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "transport-trace", "--order", "2", "--equiv", str(path)]) == 2
+    assert capsys.readouterr().err == "error: equivalence file lacks field 'operators'\n"
 
 
 @pytest.mark.parametrize(

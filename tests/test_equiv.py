@@ -29,6 +29,7 @@ from startrace.formal import FormalScalar
 from startrace.gaussfn import GaussFn, IntegralValue, gauss_integrate_exact, gauss_pullback_linear
 from startrace.poly import PhaseSpace, Poly, mat_mul, mat_transpose, poisson_bracket
 from startrace.star import (
+    EulerDerivation,
     associativity_residual,
     canonical_euler,
     derivation_residual,
@@ -62,6 +63,48 @@ def test_invert_composes_back_to_identity(n, seed):
     s = equiv_invert(t)
     assert t.compose(s) == Equivalence.identity(space, 3)
     assert s.compose(t) == Equivalence.identity(space, 3)
+
+
+def pairwise_series(space, a, b, trunc):
+    """``{k: sum_{i+j=k} a_i o b_j}`` through ``trunc``: one ``DiffOp.compose``
+    per pair and one ``DiffOp.sum`` per order, independent of the one
+    order-settled sum that ``equiv`` builds its series with."""
+    groups = {}
+    for i, a_i in a.items():
+        for j, b_j in b.items():
+            if i + j <= trunc:
+                groups.setdefault(i + j, []).append(a_i.compose(b_j))
+    sums = {k: DiffOp.sum(space, ops) for k, ops in groups.items()}
+    return {k: op for k, op in sums.items() if not op.is_zero()}
+
+
+@pytest.mark.parametrize("n,trunc,seed", [(1, 4, 0), (1, 8, 0), (2, 6, 1), (3, 4, 2)])
+def test_series_match_pairwise_compositions(n, trunc, seed):
+    space = PhaseSpace(n)
+    t = random_equivalence(space, trunc, seed)
+    u = random_equivalence(space, trunc, seed + 1)
+    # S_k = -sum_{j=1}^{k} T_j o S_{k-j}, one order at a time
+    inv = {0: DiffOp.identity(space)}
+    for k in range(1, trunc + 1):
+        pairs = [t_j.compose(inv[k - j]) for j, t_j in t.ops.items() if k - j in inv]
+        s_k = DiffOp.sum(space, pairs)
+        if not s_k.is_zero():
+            inv[k] = -s_k
+    assert equiv_invert(t).series() == inv
+    assert t.compose(u).series() == pairwise_series(space, t.series(), u.series(), trunc)
+    # T^{-1} o D o T plus T^{-1} o (sum_k k nu^k T_k), with nonzero corrections
+    x = canonical_euler(space).x
+    for corrections in ({}, random_equivalence(space, trunc, seed + 2).ops):
+        d = EulerDerivation(space, x, corrections)
+        conj = pairwise_series(space, inv, {0: x, **corrections}, trunc)
+        tdot = {k: k * op for k, op in t.ops.items()}
+        first = pairwise_series(space, conj, t.series(), trunc)
+        second = pairwise_series(space, inv, tdot, trunc)
+        zero = DiffOp.zero(space)
+        total = {k: first.get(k, zero) + second.get(k, zero) for k in first.keys() | second.keys()}
+        want = {k: op for k, op in total.items() if not op.is_zero()}
+        got = transport_euler(t, d)
+        assert {0: got.x, **got.corrections} == want
 
 
 def test_invert_round_trip_on_monomials():
@@ -327,6 +370,17 @@ def test_exact_scenarios_build_no_operator_adjoint(monkeypatch):
         raise AssertionError("an operator adjoint was built")
 
     monkeypatch.setattr(DiffOp, "adjoint", refuse)
+    for name in ("transport-trace", "normalized-uniqueness", "trk-conditions"):
+        assert run_scenario(Scenario(name, n=1, trunc_order=3)).all_pass(), name
+
+
+def test_exact_scenarios_compose_no_operator_pairs(monkeypatch):
+    # every operator series of the equivalence layer is settled once per
+    # order; only a parsed --equiv file composes operators one at a time
+    def refuse(self, other):
+        raise AssertionError("an operator pair was composed")
+
+    monkeypatch.setattr(DiffOp, "compose", refuse)
     for name in ("transport-trace", "normalized-uniqueness", "trk-conditions"):
         assert run_scenario(Scenario(name, n=1, trunc_order=3)).all_pass(), name
 

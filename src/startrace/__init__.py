@@ -11,7 +11,6 @@ from startrace.diffop import BiDiffOp, DiffOp
 from startrace.equiv import (
     Equivalence,
     density_from_equivalence,
-    equiv_adjoint,
     equiv_invert,
     is_symplectic,
     random_equivalence,
@@ -47,12 +46,9 @@ from startrace.poly import PhaseSpace, Poly, poisson_bracket
 from startrace.star import (
     EulerDerivation,
     StarProduct,
-    associativity_residual,
     canonical_euler,
     closedness_integral,
-    derivation_residual,
     moyal_construct,
-    star_commutator,
     star_multiply,
 )
 from startrace.trace import (
@@ -86,7 +82,6 @@ __all__ = [
     "Poly",
     "StarProduct",
     "TraceFunctional",
-    "associativity_residual",
     "bracket_decompose",
     "bracket_residual",
     "brw_residual",
@@ -95,9 +90,7 @@ __all__ = [
     "closedness_integral",
     "decomposition_residual",
     "density_from_equivalence",
-    "derivation_residual",
     "default_probe_battery",
-    "equiv_adjoint",
     "equiv_invert",
     "gauss_integrate_bigfloat",
     "gauss_integrate_exact",
@@ -114,7 +107,6 @@ __all__ = [
     "proportionality_factor",
     "random_equivalence",
     "standardize",
-    "star_commutator",
     "star_multiply",
     "symplectic_automorphism_check",
     "symplectic_form_matrix",

@@ -32,8 +32,8 @@ a GaussFn or an operator, for the product kernel ``_combine`` of
 S_right)``, the transport and the pair integrals sum its operands, with no
 multinomial split, and each derivative of an argument is built once.
 Integration by parts has one kernel per kind of argument:
-:meth:`BiDiffOp.transpose` for operators, :meth:`DiffOp.adjoint` included,
-and :func:`startrace.gaussfn.adjoint_weights` for polynomials.
+:meth:`BiDiffOp.transpose` for operators and
+:func:`startrace.gaussfn.adjoint_weights` for polynomials.
 """
 
 from __future__ import annotations
@@ -186,12 +186,6 @@ class DiffOp(_Operator):
             raise TypeError("compose expects a DiffOp")
         self._check_space(other.space)
         return DiffOp._settled(self.space, self._through(other))
-
-    def adjoint(self):
-        """Formal adjoint ``sum (-1)^{|alpha|} d^alpha o a_alpha``: the
-        transpose of ``self (x) 1``, which has the same keys, against 1."""
-        space = self.space
-        return BiDiffOp._trusted(space, self.nums, self.den).transpose(Poly.constant(space, 1))
 
     # -- rendering ----------------------------------------------------
 

@@ -1,15 +1,14 @@
 """Equivalence operators ``T = Id + sum_k nu^k T_k`` and what they carry.
 
-Transport of star products, formal adjoints, trace densities
-``rho = T'(1)``, transported nu-Euler derivations, and linear symplectic
-automorphism checks all live here.  Every operator series ``sum_{i+j=k}
-A_i o B_j`` (inverse, composition, both stages of the transport, the
-transported Euler derivation) is one sum, :func:`_settled_series`: each
-order gathers the product-kernel operands of its terms, read from the
-operators' jets (``DiffOp._through``, ``BiDiffOp._before``), and is
-settled once, so every transported identity holds exactly through the
-truncation order.  :func:`equiv_adjoint` transposes
-(``BiDiffOp.transpose``), and ``rho`` integrates by parts
+Transport of star products, trace densities ``rho = T'(1)``, transported
+nu-Euler derivations, and linear symplectic automorphism checks all live
+here.  Every operator series ``sum_{i+j=k} A_i o B_j`` (inverse,
+composition, both stages of the transport, the transported Euler
+derivation) is one sum, :func:`_settled_series`: each order gathers the
+product-kernel operands of its terms, read from the operators' jets
+(``DiffOp._through``, ``BiDiffOp._before``), and is settled once, before
+the next order is built, so every transported identity holds exactly
+through the truncation order.  ``rho`` integrates by parts
 (:func:`~startrace.gaussfn.adjoint_weights`).
 """
 
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain, product
 from math import lcm
 
 from startrace.diffop import BiDiffOp, DiffOp
@@ -29,7 +27,7 @@ from startrace.gaussfn import (
     gauss_pullback_linear,
 )
 from startrace.poly import _FIELD, Poly, _square_matrix
-from startrace.star import EulerDerivation, StarProduct, _apply_series, _coerce_formal, _orders
+from startrace.star import EulerDerivation, StarProduct, _orders
 from startrace.trace import TraceFunctional
 
 
@@ -60,21 +58,14 @@ class Equivalence:
         top = 1 << (_FIELD * self.space.dim)
         return all(min(op.nums) >= top for op in self.ops.values())
 
-    def apply(self, w):
-        """Apply to a formal function (or a plain Poly/GaussFn, coerced)."""
-        w = _coerce_formal(w, self.trunc_order)
-        return w + _apply_series(self.ops, w)
-
     def compose(self, other):
         """``self o other`` as an equivalence, truncated at the common order."""
         if self.space != other.space:
             raise ValueError("equivalences live on different phase spaces")
         trunc = min(self.trunc_order, other.trunc_order)
-        pairs = product(self.series().items(), other.series().items())
-        terms = ((i + j, a._through(b)) for (i, a), (j, b) in pairs if i + j <= trunc)
-        combined = _settled_series(DiffOp, self.space, terms)
-        combined.pop(0, None)
-        return Equivalence(self.space, trunc, combined)
+        terms = _cauchy((self.series(), other.series()))
+        ops = _settled_series(DiffOp, self.space, range(1, trunc + 1), terms)
+        return Equivalence(self.space, trunc, dict(ops))
 
     def __eq__(self, other):
         if not isinstance(other, Equivalence):
@@ -89,16 +80,30 @@ class Equivalence:
         return f"Equivalence(K={self.trunc_order}, orders={sorted(self.ops)})"
 
 
-def _settled_series(cls, space, orders):
-    """``{k: op}`` of the operator class ``cls`` from a stream of ``(k,
-    operands)``: each order's :func:`~startrace.poly._combine` operands are
-    settled once (:meth:`~startrace.diffop._Operator._settled`), and zero
-    orders are dropped."""
-    groups = {}
-    for k, operands in orders:
-        groups.setdefault(k, []).extend(operands)
-    settled = {k: cls._settled(space, groups.pop(k)) for k in sorted(groups)}
-    return {k: op for k, op in settled.items() if not op.is_zero()}
+def _settled_series(cls, space, orders, terms):
+    """Yield ``(k, op)`` for each ``k`` of ``orders`` in turn, ``op`` the
+    operator of class ``cls`` whose :func:`~startrace.poly._combine` operand
+    lists ``terms(k)`` yields, settled once
+    (:meth:`~startrace.diffop._Operator._settled`); zero orders are
+    skipped.  Each order is settled, and its operands dropped, before the
+    next one is built."""
+    for k in orders:
+        op = cls._settled(space, [x for operands in terms(k) for x in operands])
+        if not op.is_zero():
+            yield k, op
+
+
+def _cauchy(*products):
+    """The ``terms`` of :func:`_settled_series` for ``sum_{i+j=k} A_i o
+    B_j`` summed over the pairs of series ``({i: A_i}, {j: B_j})`` in
+    ``products``, each term read from the jet of ``B_j``
+    (``DiffOp._through``)."""
+    return lambda k: (
+        a._through(right[k - i])
+        for left, right in products
+        for i, a in left.items()
+        if k - i in right
+    )
 
 
 def equiv_invert(t):
@@ -106,17 +111,9 @@ def equiv_invert(t):
     order at a time, from the jets of the lower ``S``."""
     space = t.space
     s = {0: DiffOp.identity(space)}
-    for k in range(1, t.trunc_order + 1):
-        terms = ((k, t_j._through(s[k - j])) for j, t_j in t.ops.items() if k - j in s)
-        s.update((k, -op) for k, op in _settled_series(DiffOp, space, terms).items())
+    for k, op in _settled_series(DiffOp, space, range(1, t.trunc_order + 1), _cauchy((t.ops, s))):
+        s[k] = -op
     return Equivalence(space, t.trunc_order, {k: op for k, op in s.items() if k})
-
-
-def equiv_adjoint(t):
-    """Termwise formal adjoint ``T' = Id + sum nu^k T_k*``."""
-    return Equivalence(
-        t.space, t.trunc_order, {k: op.adjoint() for k, op in t.ops.items()}
-    )
 
 
 def _transport(space, trunc, base, fwd, inv):
@@ -128,20 +125,18 @@ def _transport(space, trunc, base, fwd, inv):
     S_a o P_j``, each order one :func:`_settled_series` sum over all of its
     terms: every ``S_a`` reads the one jet of each ``P_j``.
     """
-    inner = _settled_series(
-        BiDiffOp,
-        space,
-        (
-            (r + b + c, c_r._before(t_b, t_c))
+
+    def stage(j):
+        return (
+            c_r._before(t_b, fwd[j - r - b])
             for r, c_r in base.items()
             for b, t_b in fwd.items()
-            for c, t_c in fwd.items()
-            if r + b + c <= trunc
-        ),
-    )
-    pairs = product(inv.items(), inner.items())
-    terms = ((a + j, s_a._through(p_j)) for (a, s_a), (j, p_j) in pairs if 0 < a + j <= trunc)
-    return _settled_series(BiDiffOp, space, terms)
+            if j - r - b in fwd
+        )
+
+    orders = range(trunc + 1)
+    inner = dict(_settled_series(BiDiffOp, space, orders, stage))
+    return dict(_settled_series(BiDiffOp, space, orders[1:], _cauchy((inv, inner))))
 
 
 def transport_star(t, s):
@@ -193,15 +188,12 @@ def transport_euler(t, d):
     """
     if t.space != d.space:
         raise ValueError("equivalence and derivation live on different spaces")
-    space, trunc = t.space, t.trunc_order
-    inv = equiv_invert(t).series()
-    pairs = product(inv.items(), {0: d.x, **d.corrections}.items())
-    terms = ((i + r, s_i._through(d_r)) for (i, s_i), (r, d_r) in pairs if i + r <= trunc)
-    conj = _settled_series(DiffOp, space, terms)
+    space, orders = t.space, range(t.trunc_order + 1)
+    inv, fwd = equiv_invert(t).series(), t.series()
+    terms = _cauchy((inv, {0: d.x, **d.corrections}))
+    conj = dict(_settled_series(DiffOp, space, orders, terms))
     tdot = {k: k * op for k, op in t.ops.items()}
-    pairs = chain(product(conj.items(), t.series().items()), product(inv.items(), tdot.items()))
-    terms = ((i + k, a._through(b)) for (i, a), (k, b) in pairs if i + k <= trunc)
-    total = _settled_series(DiffOp, space, terms)
+    total = dict(_settled_series(DiffOp, space, orders, _cauchy((conj, fwd), (inv, tdot))))
     x_new = total.pop(0, DiffOp.zero(space))
     return EulerDerivation(space, x_new, total)
 

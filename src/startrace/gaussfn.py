@@ -9,8 +9,8 @@ the exponent ``Q``, a :class:`~startrace.poly.Poly` of degree at most 2,
 to the Poly ``P``.  It shares ``+``, ``-``, the space check and the
 printer with Polys and the operators, through their common root
 ``_Combination`` in :mod:`startrace.poly`.  Products add exponents,
-derivatives give ``(dP + P*dQ) * exp(Q)``, and translations and linear
-pullbacks pull ``P`` and ``Q`` back alike.
+derivatives give ``(dP + P*dQ) * exp(Q)``, and linear pullbacks pull
+``P`` and ``Q`` back alike.
 
 The arithmetic runs on the packed integers of the Polys (see
 :mod:`startrace.poly`), with no ``Fraction`` and no intermediate Poly per
@@ -281,10 +281,10 @@ class GaussFn(_Combination):
     The public constructor takes a mapping or a stream of ``(Q, P)``
     pairs and checks every exponent and polynomial; the polynomials of equal exponents
     merge over their least common denominator and zero sums drop, so
-    equality is a dictionary comparison.  Products, derivatives and
-    translations keep exponents valid, so they build through the trusted
-    constructor :meth:`_trusted`, which checks nothing; only the public
-    constructor and linear pullbacks check exponents.  Like a Poly, an
+    equality is a dictionary comparison.  Products and derivatives keep
+    exponents valid, so they build through the trusted constructor
+    :meth:`_trusted`, which checks nothing; only the public constructor
+    and linear pullbacks check exponents.  Like a Poly, an
     instance is immutable once built and caches its derivatives in the
     ``_jet`` slot (see :func:`startrace.poly._diff_multi`), which takes no
     part in ``==`` or ``hash``.
@@ -430,20 +430,6 @@ class GaussFn(_Combination):
         as Polys and operators share theirs, so that Gaussian derivatives
         can be wrapped and counted apart from the others."""
         return _diff_multi(self, alpha)
-
-    def translate(self, shifts):
-        """Pull back along ``x -> x + a``: ``P(x + a) * exp(Q(x + a))``."""
-        return GaussFn._trusted(
-            self.space,
-            ((q.translate(shifts), p.translate(shifts)) for q, p in self.coeffs.items()),
-        )
-
-    def evaluate_float(self, point):
-        """Pointwise value as a float (grid sampling helper)."""
-        pt = [float(x) for x in point]
-        return sum(
-            float(p.evaluate(pt)) * math.exp(q.evaluate(pt)) for q, p in self.coeffs.items()
-        )
 
     # -- rendering ----------------------------------------------------
 

@@ -19,7 +19,7 @@ constructor checks exponent tuples.  ``MAX_EXPONENT`` bounds the exponent
 of one coordinate: the public constructor rejects more, and a product
 that passes it raises ``ValueError`` from its guard bits.  ``Poly.terms``
 decodes the same polynomial to exponent tuples and ``Fraction``s for the
-printer, the parser and evaluation.
+printer and the parser.
 
 The operators of :mod:`startrace.diffop` are stored the same way, with
 their derivative fields packed above the monomial ones.  One base class,
@@ -488,18 +488,7 @@ class Poly(_Packed):
             out = out * self
         return out
 
-    # -- evaluation and pullbacks -------------------------------------
-
-    def evaluate(self, point):
-        """Evaluate at a point; exact for rational input, duck-typed otherwise."""
-        total = None
-        for exps, c in self.terms.items():
-            val = c
-            for x, e in zip(point, exps):
-                if e:
-                    val = val * x**e
-            total = val if total is None else total + val
-        return Fraction(0) if total is None else total
+    # -- pullbacks ----------------------------------------------------
 
     def pullback_linear(self, matrix):
         """Pull back along ``x -> M x``: returns ``f(M x)``.

@@ -146,40 +146,20 @@ def moyal_construct(space, trunc_order):
     return StarProduct(space, trunc_order, cochains)
 
 
-def _coerce_formal(u, trunc_order):
-    if isinstance(u, FormalScalar):
-        return u
-    if isinstance(u, Poly) or isinstance(u, GaussFn):
-        return FormalScalar.constant(u, trunc_order)
-    raise TypeError(f"cannot interpret {type(u).__name__} as a formal function")
-
-
-def _apply_series(ops, w):
-    """``sum_k nu^k ops[k](w)`` for operators ``{k: DiffOp}``, in ``w``'s window."""
-    return FormalScalar(
-        (
-            (k + i, op.apply(c))
-            for k, op in ops.items()
-            for i, c in w.coeffs.items()
-            if k + i <= w.trunc_order
-        ),
-        w.trunc_order,
-    )
-
-
-def star_multiply(s, u, v, *, cochains=None):
+def star_multiply(s, u, v):
     """``u * v`` under ``s``, Cauchy-combined and truncated.
 
-    ``cochains`` maps orders to the bidifferential operators applied at
-    them; by default these are ``C_0`` and ``s.cochains``, which gives the
-    star product itself.  The window of the result accounts both for the
-    operands' truncations and for cochains being known only up to
-    ``s.trunc_order``.
+    A Poly or GaussFn operand is the constant series at ``s``'s order.  The
+    window of the result accounts both for the operands' truncations and
+    for cochains being known only up to ``s.trunc_order``.
     """
-    if cochains is None:
-        cochains = {0: s.cochain(0), **s.cochains}
-    u = _coerce_formal(u, s.trunc_order)
-    v = _coerce_formal(v, s.trunc_order)
+    for w in (u, v):
+        if not isinstance(w, (FormalScalar, Poly, GaussFn)):
+            raise TypeError(f"cannot interpret {type(w).__name__} as a formal function")
+    u, v = (
+        w if isinstance(w, FormalScalar) else FormalScalar.constant(w, s.trunc_order)
+        for w in (u, v)
+    )
     if u.is_zero() or v.is_zero():
         return FormalScalar.zero(min(u.trunc_order, v.trunc_order))
     mu, mv = u.min_degree, v.min_degree
@@ -191,29 +171,13 @@ def star_multiply(s, u, v, *, cochains=None):
     return FormalScalar(
         (
             (r + i + j, cochain.apply(ci, cj))
-            for r, cochain in cochains.items()
+            for r, cochain in {0: s.cochain(0), **s.cochains}.items()
             for i, ci in u.coeffs.items()
             for j, cj in v.coeffs.items()
             if r + i + j <= trunc
         ),
         trunc,
     )
-
-
-def star_commutator(s, u, v):
-    """``u * v - v * u``, applying each cached ``C_r^-`` once.
-
-    The order-r coefficient is ``C_r^-(u, v)``; the symmetric parts cancel
-    and are never applied.  The window is that of :func:`star_multiply`.
-    """
-    return star_multiply(s, u, v, cochains=s.minus)
-
-
-def associativity_residual(s, u, v, w):
-    """``(u*v)*w - u*(v*w)``; identically zero for genuine star products."""
-    left = star_multiply(s, star_multiply(s, u, v), w)
-    right = star_multiply(s, u, star_multiply(s, v, w))
-    return left - right
 
 
 def closedness_integral(s, r, u, v):
@@ -261,11 +225,6 @@ class EulerDerivation:
         self.space = space
         self.x = x
         self.corrections = _orders(space, corrections or {}, "correction")
-
-    def apply(self, w):
-        """Apply to a formal function (FormalScalar over Poly/GaussFn)."""
-        ops = {0: self.x, **self.corrections}
-        return w.nu_scale_derivative() + _apply_series(ops, w)
 
     def __eq__(self, other):
         if not isinstance(other, EulerDerivation):
@@ -321,13 +280,3 @@ def canonical_euler(space):
     units = [tuple(int(i == a) for i in range(space.dim)) for a in range(space.dim)]
     x = DiffOp(space, ((e, Poly.monomial(space, e, Fraction(1, 2))) for e in units))
     return EulerDerivation(space, x)
-
-
-def derivation_residual(s, d, u, v):
-    """``D(u*v) - D(u)*v - u*D(v)``; zero iff D is a derivation of ``s``
-    on the tested pair."""
-    u = _coerce_formal(u, s.trunc_order)
-    v = _coerce_formal(v, s.trunc_order)
-    lhs = d.apply(star_multiply(s, u, v))
-    rhs = star_multiply(s, d.apply(u), v) + star_multiply(s, u, d.apply(v))
-    return lhs - rhs

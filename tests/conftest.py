@@ -1,13 +1,15 @@
 from fractions import Fraction
-from math import factorial
+from math import exp, factorial, prod
 
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from startrace.diffop import BiDiffOp, DiffOp
 from startrace.equiv import Equivalence
+from startrace.formal import FormalScalar
 from startrace.gaussfn import GaussFn
 from startrace.poly import Poly, mat_identity, mat_mul
+from startrace.star import star_multiply
 
 # Hypothesis's explain phase re-runs a shrunk failing example hundreds of
 # times to mark which draws it could vary; with exact arithmetic that took
@@ -158,3 +160,113 @@ def transposes_of(tau, s):
         for j, w in tau.density.coeffs.items()
         if r + j <= s.trunc_order
     ]
+
+
+# -- oracles built from public pieces ----------------------------------
+#
+# The package checks every identity by parts; these helpers build the
+# functions that the identities integrate, from applications of operators
+# to functions (``DiffOp.apply``, ``BiDiffOp.apply``, ``star_multiply``),
+# so that they stay independent of the by-parts kernels that they check.
+
+
+def formal(w, trunc_order):
+    """``w`` as a formal function: a FormalScalar as it is, a Poly or a
+    GaussFn as the constant series at ``trunc_order``."""
+    return w if isinstance(w, FormalScalar) else FormalScalar.constant(w, trunc_order)
+
+
+def commutator(s, u, v):
+    """``u * v - v * u`` under ``s``: the Cauchy sum of ``s.minus[r].apply(u_i,
+    v_j)`` in the window of :func:`~startrace.star.star_multiply`."""
+    u, v = formal(u, s.trunc_order), formal(v, s.trunc_order)
+    if u.is_zero() or v.is_zero():
+        return FormalScalar.zero(min(u.trunc_order, v.trunc_order))
+    mu, mv = u.min_degree, v.min_degree
+    trunc = min(u.trunc_order + mv, v.trunc_order + mu, s.trunc_order + mu + mv)
+    return FormalScalar(
+        (
+            (r + i + j, minus.apply(ci, cj))
+            for r, minus in s.minus.items()
+            for i, ci in u.coeffs.items()
+            for j, cj in v.coeffs.items()
+            if r + i + j <= trunc
+        ),
+        trunc,
+    )
+
+
+def associativity_residual(s, u, v, w):
+    """``(u*v)*w - u*(v*w)`` under ``s``; zero for a genuine star product."""
+    left = star_multiply(s, star_multiply(s, u, v), w)
+    return left - star_multiply(s, u, star_multiply(s, v, w))
+
+
+def apply_series(ops, w):
+    """``sum_k nu^k ops[k](w)`` for operators ``{k: DiffOp}``, in ``w``'s window."""
+    return FormalScalar(
+        (
+            (k + i, op.apply(c))
+            for k, op in ops.items()
+            for i, c in w.coeffs.items()
+            if k + i <= w.trunc_order
+        ),
+        w.trunc_order,
+    )
+
+
+def apply_equivalence(t, w):
+    """``T(w) = w + sum_k nu^k T_k(w)`` for a formal function, Poly or GaussFn ``w``."""
+    w = formal(w, t.trunc_order)
+    return w + apply_series(t.ops, w)
+
+
+def apply_euler(d, w):
+    """``D(w) = nu dw/dnu + X(w) + sum_r nu^r D'_r(w)`` for a FormalScalar ``w``."""
+    return w.nu_scale_derivative() + apply_series({0: d.x, **d.corrections}, w)
+
+
+def derivation_residual(s, d, u, v):
+    """``D(u*v) - D(u)*v - u*D(v)`` under ``s``; zero iff ``D`` is a
+    derivation of ``s`` on the pair."""
+    u, v = formal(u, s.trunc_order), formal(v, s.trunc_order)
+    lhs = apply_euler(d, star_multiply(s, u, v))
+    return lhs - star_multiply(s, apply_euler(d, u), v) - star_multiply(s, u, apply_euler(d, v))
+
+
+def termwise_adjoint(a):
+    """``sum_alpha (-1)^|alpha| d^alpha o a_alpha``, one multiplication
+    operator and one jet read per term: the formal adjoint of ``a``."""
+    return DiffOp.sum(
+        a.space,
+        (DiffOp.mult(c).diff_multi(alpha) * (-1) ** sum(alpha) for alpha, c in a.coeffs.items()),
+    )
+
+
+def left_transpose(a):
+    """The transpose of ``a (x) 1`` against the weight 1, which by parts is
+    the formal adjoint of ``a``."""
+    space = a.space
+    rest = (0,) * space.dim
+    left = BiDiffOp(space, {(alpha, rest): c for alpha, c in a.coeffs.items()})
+    return left.transpose(Poly.constant(space, 1))
+
+
+def evaluate(poly, point):
+    """``poly`` at ``point``: exact for rational input, duck-typed otherwise."""
+    return sum(
+        (c * prod(x**e for x, e in zip(point, exps)) for exps, c in poly.terms.items()),
+        Fraction(0),
+    )
+
+
+def evaluate_float(fn, point):
+    """The value of the GaussFn ``fn`` at ``point``, as a float."""
+    pt = [float(x) for x in point]
+    return sum(float(evaluate(p, pt)) * exp(evaluate(q, pt)) for q, p in fn.coeffs.items())
+
+
+def translate(fn, shifts):
+    """The GaussFn ``fn(x + a)``: each ``P`` and ``Q`` translated."""
+    pairs = [(q.translate(shifts), p.translate(shifts)) for q, p in fn.coeffs.items()]
+    return GaussFn(fn.space, pairs)

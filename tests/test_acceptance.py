@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import hamiltonian_flow, rational_rotation, tapered_bump
+from conftest import associativity_residual, hamiltonian_flow, rational_rotation, tapered_bump
 
 from startrace.diffop import DiffOp
 from startrace.equiv import (
@@ -42,7 +42,6 @@ from startrace.gsdecomp import (
 )
 from startrace.poly import PhaseSpace, Poly, mat_identity, mat_mul
 from startrace.star import (
-    associativity_residual,
     canonical_euler,
     closedness_integral,
     moyal_construct,

@@ -8,10 +8,11 @@ commutator cochains (``BiDiffOp.transpose``), summed per order into the
 operators ``L_m`` of ``operator_trace_residual``, which vanish for a true
 trace density and are built once per functional and product, however many
 pairs meet them.  The oracles below build their integrands from public
-pieces only: ``FormalScalar`` products, ``star_commutator``,
-``EulerDerivation.apply`` and ``gauss_integrate_exact``.  Operands with
-cross terms in their exponents, with several terms, and zero operands are
-drawn and compared by outcome, value or error type.
+pieces only: ``FormalScalar`` products, the ``commutator`` and
+``apply_euler`` helpers of ``conftest``, which apply operators to
+functions, and ``gauss_integrate_exact``.  Operands with cross terms in
+their exponents, with several terms, and zero operands are drawn and
+compared by outcome, value or error type.
 """
 
 from collections import Counter
@@ -22,7 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import plane_product, polys, record_transposes, transposes_of
+from conftest import (
+    apply_euler,
+    commutator,
+    plane_product,
+    polys,
+    record_transposes,
+    transposes_of,
+)
 from startrace import cli, gaussfn
 from startrace.cli import Scenario, run_scenario
 from startrace.diffop import BiDiffOp, DiffOp
@@ -45,11 +53,9 @@ from startrace.gaussfn import (
 )
 from startrace.poly import PhaseSpace, Poly
 from startrace.star import (
-    EulerDerivation,
     canonical_euler,
     closedness_integral,
     moyal_construct,
-    star_commutator,
 )
 from startrace.trace import (
     TraceFunctional,
@@ -91,7 +97,7 @@ def eval_by_products(t, u):
 
 def residual_by_commutator(t, s, comm):
     """``trace_residual`` by integrating the star commutator ``comm =
-    star_commutator(s, u, v)``, cut to the window ``min(K + m_rho, K_rho +
+    commutator(s, u, v)``, cut to the window ``min(K + m_rho, K_rho +
     1)``, since ``C_0^-`` is zero."""
     rho = t.density
     top = min(s.trunc_order + (rho.min_degree or 0), rho.trunc_order + 1)
@@ -102,7 +108,7 @@ def normalization_by_derivatives(t, d, u):
     """``normalization_residual`` by applying ``D`` to the constant series
     ``u`` and integrating."""
     u = FormalScalar.constant(u, t.density.trunc_order)
-    return eval_by_products(t, d.apply(u)) - eval_by_products(t, u).nu_scale_derivative()
+    return eval_by_products(t, apply_euler(d, u)) - eval_by_products(t, u).nu_scale_derivative()
 
 
 def squeezes(space):
@@ -193,7 +199,7 @@ def test_pair_residuals_match_the_commutator(n, data):
     s, tau = data.draw(products(space, order))
     u, v = operands(space, data.draw(squeezes(space)), data, 2)
     v = v * Poly.variable(space, f"p{n}")  # so that v is not u
-    comm = star_commutator(s, u, v)
+    comm = commutator(s, u, v)
     for t in (tau, perturbed(space, tau, data)):
         got = outcome(trace_residual, t, s, u, v)
         assert got == outcome(residual_by_commutator, t, s, comm)
@@ -282,7 +288,7 @@ def test_operator_residual_controls_fire(n):
                 assert sorted(ops) == [3, 4]
             for _, (u, v) in zip(range(3), cli._gauss_pairs(space, seed)):
                 got = trace_residual(f, s, u, v)
-                assert got == residual_by_commutator(f, s, star_commutator(s, u, v))
+                assert got == residual_by_commutator(f, s, commutator(s, u, v))
                 assert {m + n for m, c in got.coeffs.items() if not c.is_zero()} == set(ops)
 
 
@@ -363,7 +369,7 @@ def test_flat_operands_match_the_commutator():
         for a, b in [(u, w) for w in flat] + [(w, u) for w in flat]:
             for t in taus:
                 got = trace_residual(t, s, a, b)
-                assert got == residual_by_commutator(t, s, star_commutator(s, a, b))
+                assert got == residual_by_commutator(t, s, commutator(s, a, b))
                 nonzero += not got.is_zero()
             for r in range(4):
                 minus = s.minus.get(r)
@@ -393,7 +399,7 @@ def test_operands_outside_the_tables_take_the_oracle():
     pairs = [(sheared, v), (v, sheared), (two_terms, v), (u, two_terms), (squeezed, u)]
     pairs += [(GaussFn.from_poly(p), q_only), (q_only, GaussFn.from_poly(q * p))]
     for a, b in pairs:
-        want = outcome(residual_by_commutator, tau, s, star_commutator(s, a, b))
+        want = outcome(residual_by_commutator, tau, s, commutator(s, a, b))
         assert outcome(trace_residual, tau, s, a, b) == want
         for r in range(4):
             minus = s.minus.get(r)
@@ -410,7 +416,7 @@ def test_operands_outside_the_tables_take_the_oracle():
     # K_rho + 1 for every pair
     shifted = tau.scale_by_series(FormalScalar({1: F(1)}, 3))
     for t in (shifted, moyal_trace(space, 2), moyal_trace(space, 1)):
-        assert trace_residual(t, s, u, v) == residual_by_commutator(t, s, star_commutator(s, u, v))
+        assert trace_residual(t, s, u, v) == residual_by_commutator(t, s, commutator(s, u, v))
     assert trace_residual(moyal_trace(space, 1), s, u, v).trunc_order == 2 - 1
     assert trace_eval(shifted, sheared) == eval_by_products(shifted, sheared)
     d = canonical_euler(space)
@@ -526,12 +532,7 @@ def test_functionals_build_no_product(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a product, a derivative or an operator image was built")
 
-    for owner, name in [
-        (GaussFn, "__mul__"),
-        (DiffOp, "apply"),
-        (BiDiffOp, "apply"),
-        (EulerDerivation, "apply"),
-    ]:
+    for owner, name in [(GaussFn, "__mul__"), (DiffOp, "apply"), (BiDiffOp, "apply")]:
         monkeypatch.setattr(owner, name, refuse)
     nonzero = 0
     for fns in families:

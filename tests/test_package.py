@@ -10,6 +10,18 @@ import sys
 import mpmath
 
 import startrace
+from reach import entered, public_functions, scenario_runs, traced_functions, traced_targets
+
+# Public functions that no scenario enters and no span of bench/tracer.py
+# names, each with why it stays.
+KEPT = {
+    "grid_bracket": "the Poisson bracket of two grids: the block kernel that "
+    "bracket_residual runs, whole",
+    "poisson_bracket": "the exact Poisson bracket of two Polys, the oracle of C_1^-",
+    "standardize": "divides a trace down to its density 1 + O(nu), the normal form in "
+    "which the paper compares traces",
+    "symplectic_form_matrix": "the matrix J of Omega, whose m^T J m = J is_symplectic tests",
+}
 
 
 def test_every_public_name_resolves():
@@ -66,22 +78,13 @@ def test_runs_load_no_mpmath():
     assert run.stdout.splitlines()[-1] == str([[]] + [([], 0)] * 3)
 
 
-def _traced_targets():
-    """``TARGETS`` of ``bench/tracer.py``, read as a literal without importing it."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    for node in ast.parse(path.read_text()).body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
-            return ast.literal_eval(node.value)
-    raise AssertionError("bench/tracer.py defines no TARGETS")
-
-
 def test_traced_names_resolve():
     # the tracer wraps module attributes, and methods from their own class
     # body; each target must be a function of a startrace module defined
     # there, so a kernel moved to another module, or an alias left behind,
     # shows here rather than as a span that times the wrong code
     wrong = []
-    for span, module_name, path in _traced_targets():
+    for span, module_name, path in traced_targets():
         package, _, name = module_name.partition(".")
         module = importlib.import_module(module_name)
         owner_name, _, attr = path.rpartition(".")
@@ -96,6 +99,21 @@ def test_traced_names_resolve():
         ):
             wrong.append((span, module_name, path))
     assert wrong == []
+
+
+def test_every_public_function_is_run_traced_or_kept(tmp_path):
+    # every public function is entered by some scenario at n=1, K=3, named
+    # by a tracer span, or kept above for a stated reason, so code that no
+    # run reaches shows here rather than growing unnoticed
+    codes, statuses = entered(scenario_runs(1, 3, 0, str(tmp_path / "report")))
+    assert statuses == [0] * len(statuses)
+    traced = traced_functions()
+    unreached = {
+        name
+        for name, fn in public_functions().items()
+        if fn.__code__ not in codes and fn.__code__ not in traced
+    }
+    assert sorted(unreached) == sorted(KEPT)
 
 
 def _unused_imports(path):

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gauss_fns, random_poly, rational_rotation, record_transposes, transposes_of
+from conftest import (
+    associativity_residual,
+    commutator,
+    derivation_residual,
+    gauss_fns,
+    random_poly,
+    rational_rotation,
+    record_transposes,
+    transposes_of,
+)
 from startrace.cli import Scenario, run_scenario
 from startrace.diffop import BiDiffOp, DiffOp
 from startrace.equiv import density_from_equivalence, random_equivalence, transport_star
@@ -22,14 +31,11 @@ from startrace.poly import PhaseSpace, Poly, poisson_bracket
 from startrace.star import (
     EulerDerivation,
     StarProduct,
-    associativity_residual,
     canonical_euler,
     closedness_integral,
     conformality_defect,
-    derivation_residual,
     moyal_construct,
     poisson_cochain,
-    star_commutator,
     star_multiply,
 )
 from startrace.trace import moyal_trace, trk_residual
@@ -119,11 +125,11 @@ def test_star_zeroth_order_is_product(moyal, space):
 def test_commutator_examples(moyal, space):
     q = Poly.variable(space, "q1")
     p = Poly.variable(space, "p1")
-    got = star_commutator(moyal, q, p)
+    got = commutator(moyal, q, p)
     assert got == FormalScalar({1: Poly.constant(space, -1)}, 4)
     u = random_poly(random.Random(5), space)
-    assert star_commutator(moyal, u, u).is_zero()
-    got2 = star_commutator(moyal, p * p, q * q)
+    assert commutator(moyal, u, u).is_zero()
+    got2 = commutator(moyal, p * p, q * q)
     assert got2 == FormalScalar({1: 4 * p * q}, 4)
     assert got2.get(1) == poisson_bracket(p * p, q * q)
 
@@ -158,7 +164,7 @@ def test_commutator_matches_difference_of_products(kind, n, data):
     s = commutator_products(n)[kind]
     operands = formal_operands(s.space)
     u, v = data.draw(operands), data.draw(operands)
-    got = star_commutator(s, u, v)
+    got = commutator(s, u, v)
     want = star_multiply(s, u, v) - star_multiply(s, v, u)
     assert got == want
     assert got.trunc_order == want.trunc_order
@@ -172,7 +178,7 @@ def test_commutator_window_of_shifted_series():
     g1, g2, g3 = (random_gauss(rng, s.space) for _ in range(3))
     u = FormalScalar({1: g1, 2: g2}, 5)
     v = FormalScalar({2: g3}, 6)
-    got = star_commutator(s, u, v)
+    got = commutator(s, u, v)
     # min(K_u + min_v, K_v + min_u, K + min_u + min_v) = min(7, 7, 6)
     assert got.trunc_order == 6
     assert got == star_multiply(s, u, v) - star_multiply(s, v, u)
@@ -204,10 +210,10 @@ def test_commutator_applies_each_cached_cochain_once(monkeypatch, moyal, space):
     apply = count_calls(monkeypatch, "apply")
     transposes = record_transposes(monkeypatch)
     # Moyal's even C_r^- vanish: only C_1^- and C_3^- are applied
-    star_commutator(moyal, u, v)
+    commutator(moyal, u, v)
     assert len(apply) == 2
     apply.clear()
-    star_commutator(sp, u, v)
+    commutator(sp, u, v)
     assert sorted(sp.minus) == [1, 2, 3, 4]
     assert len(apply) == 4
     apply.clear()

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import apply_euler, commutator
 from startrace.diffop import DiffOp
 from startrace.formal import FormalScalar
 from startrace.gaussfn import GaussFn, IntegralValue
@@ -74,14 +75,12 @@ def test_trace_residual_vanishes_for_moyal(tau, moyal, space):
 
 
 def test_inner_derivation_annihilation(tau, moyal, space):
-    from startrace.star import star_commutator
-
     from test_gaussfn import random_gauss
 
     rng = random.Random(5)
     u = random_gauss(rng, space, max_degree=2)
     a = random_gauss(rng, space, max_degree=2)
-    assert trace_eval(tau, star_commutator(moyal, u, a)).is_zero()
+    assert trace_eval(tau, commutator(moyal, u, a)).is_zero()
 
 
 def test_trk_zero_order_is_poisson_integral(tau, moyal, space):
@@ -216,7 +215,7 @@ def test_euler_choice_does_not_change_trace_composition(tau, space):
     d2 = EulerDerivation(space, x2)
     for fn in default_probe_battery(space):
         u = FormalScalar.constant(fn, 4)
-        assert trace_eval(tau, d.apply(u)) == trace_eval(tau, d2.apply(u))
+        assert trace_eval(tau, apply_euler(d, u)) == trace_eval(tau, apply_euler(d2, u))
 
 
 def test_scaled_trace_has_scaled_normalization_residual(tau, space):
